@@ -9,12 +9,16 @@ whole node lifecycle:
 - queries run over real TCP connections, l lookup chains concurrently;
 - one peer **leaves gracefully**, handing its entries off first;
 - another is **killed abruptly** (SIGKILL) — recall survives through
-  replica-chain failover, and anti-entropy repair restores r copies.
+  replica-chain failover, and the ring heals itself: SWIM evicts the dead
+  peer and the servers' own repair rounds restore r copies.
 
 Run:  python examples/live_cluster.py
 """
 
+import time
+
 from repro import IntRange, SystemConfig
+from repro.errors import ReproError
 from repro.rpc.cluster import LocalCluster
 
 QUERIES = [IntRange(100, 200), IntRange(400, 550), IntRange(700, 820)]
@@ -54,7 +58,8 @@ def main() -> None:
             )
 
             # Abrupt kill: no goodbye, no hand-off. Lookups fail over
-            # down the successor list; repair re-creates the lost copies.
+            # down the successor list; the servers re-create the lost
+            # copies themselves once SWIM has evicted the dead peer.
             cluster.kill("peer-2")
             recall = mean_recall(client)
             failovers = client.system.counters.failovers
@@ -62,8 +67,24 @@ def main() -> None:
                 f"peer-2 SIGKILLed: mean recall {recall:.2f} "
                 f"({failovers} failovers)"
             )
-            copies = client.repair()
-            print(f"anti-entropy repair re-created {copies} copies")
+            started = time.monotonic()
+            while time.monotonic() - started < 60.0:
+                try:
+                    client.refresh()
+                    if (
+                        "peer-2" not in client.members
+                        and client.under_replicated() == 0
+                    ):
+                        break
+                except ReproError:
+                    pass  # a peer is mid-transition; poll again
+                time.sleep(0.5)
+            else:
+                raise SystemExit("the ring did not heal within 60 s")
+            print(
+                f"ring healed itself: every key back at {config.replicas} "
+                f"copies in {time.monotonic() - started:.1f}s"
+            )
 
 
 if __name__ == "__main__":

@@ -356,8 +356,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=1_000.0,
         metavar="MS",
-        help="server-driven anti-entropy repair period (0 = repair "
-        "stays client-driven)",
+        help="server-driven anti-entropy repair period (0 = no periodic "
+        "repair rounds; lost copies are then not re-created)",
     )
     serve.add_argument(
         "--flight-dir",
@@ -408,7 +408,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--smoke",
         action="store_true",
         help="fault drill: kill one non-owner replica mid-workload and "
-        "exit nonzero unless recall survives via failover",
+        "exit nonzero unless recall survives via failover and the ring "
+        "heals back to r copies of every key on its own",
     )
     cluster.add_argument(
         "--chaos",
@@ -445,7 +446,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=90.0,
         metavar="S",
-        help="how long the chaos drill waits for the ring to reconverge",
+        help="how long the smoke and chaos drills wait for the ring to "
+        "reconverge and heal",
     )
     cluster.add_argument(
         "--hold",
@@ -1034,6 +1036,8 @@ def _run_serve(args: argparse.Namespace, out) -> int:
 
 
 def _run_cluster(args: argparse.Namespace, out) -> int:
+    import time
+
     from repro.rpc.cluster import LocalCluster
     from repro.workloads.generators import UniformRangeWorkload
 
@@ -1084,6 +1088,11 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
             if args.smoke:
                 if args.replicas < 2:
                     raise ReproError("--smoke needs --replicas >= 2")
+                if args.swim_interval <= 0 or args.repair_interval <= 0:
+                    raise ReproError(
+                        "--smoke needs --swim-interval and "
+                        "--repair-interval > 0 (the ring heals itself)"
+                    )
                 victim = _pick_smoke_victim(client, queries[0])
                 cluster.kill(victim)
                 print(f"smoke: killed {victim} (SIGKILL)", file=out)
@@ -1097,8 +1106,6 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
                 file=out,
             )
             if args.smoke:
-                copies = client.repair()
-                print(f"repair: created {copies} copies", file=out)
                 if recall < warm_recall - 1e-9:
                     print(
                         f"error: recall dropped after the kill "
@@ -1114,6 +1121,23 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
                     )
                     return 1
                 print("smoke: recall survived the kill", file=out)
+                started = time.monotonic()
+                if not _await_reconvergence(
+                    cluster, client, args.recovery_timeout, healed=True
+                ):
+                    print(
+                        f"error: the ring did not heal to {args.replicas} "
+                        f"copies of every key within "
+                        f"{args.recovery_timeout:g}s",
+                        file=sys.stderr,
+                    )
+                    return 1
+                print(
+                    f"smoke: ring healed to {args.replicas} copies of every "
+                    f"key in {time.monotonic() - started:.1f}s, no client "
+                    f"involved",
+                    file=out,
+                )
             if args.chaos:
                 status = _run_chaos_drill(
                     args, cluster, client, queries, warm_recall, out
@@ -1141,8 +1165,6 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
             if status != 0:
                 return status
         if args.hold:
-            import time
-
             boot_host, boot_port = cluster.bootstrap_endpoint()
             print(
                 f"holding: query with `python -m repro client "
@@ -1425,8 +1447,12 @@ def _capture_cluster_observability(args, client, queries, out) -> int:
     return 0
 
 
-def _await_reconvergence(cluster, client, timeout_s: float) -> bool:
-    """Poll until every live peer's member map equals the live set."""
+def _await_reconvergence(
+    cluster, client, timeout_s: float, healed: bool = False
+) -> bool:
+    """Poll until every live peer's member map equals the live set —
+    and, with ``healed``, every stored key is back at ``replicas`` copies
+    on those peers."""
     import asyncio
     import time
 
@@ -1454,8 +1480,11 @@ def _await_reconvergence(cluster, client, timeout_s: float) -> bool:
                 if set(hello["members"]) != live:
                     agreed = False
                     break
-            if agreed:
-                return True
+            try:
+                if agreed and not (healed and client.under_replicated()):
+                    return True
+            except ReproError:
+                pass  # a member is mid-transition; poll again
         time.sleep(1.0)
     return False
 

@@ -125,6 +125,5 @@ def query_composite(
             attribute,
             origin=origin,
             identifiers=list(located.identifiers),
-            owners=list(located.owners),
         )
     return answer

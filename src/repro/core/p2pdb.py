@@ -118,7 +118,6 @@ class CachePartitionProvider(PartitionProvider):
                 partition=partition,
                 origin=origin,
                 identifiers=list(located.identifiers),
-                owners=list(located.owners),
             )
         return FetchResult(
             rows=rows,

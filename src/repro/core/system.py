@@ -18,10 +18,10 @@ from dataclasses import dataclass
 
 from typing import Callable
 
-from repro.chord.hashing import rehash_for_placement
 from repro.core.config import SystemConfig
 from repro.core.matcher import Matcher, matcher_by_name
 from repro.core.overlays import ChordRouter, build_overlay
+from repro.core.placement import Key, ReplicaPlacement, plan_placement
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import ConfigError, PeerUnavailableError
 from repro.lsh import DomainMinHashIndex, LSHIdentifierScheme, family_for_domain
@@ -146,7 +146,7 @@ class SystemCounters(RegistryBackedCounters):
         self.by_origin = self._labeled("queries_by_origin", "origin")
 
 
-class RangeSelectionSystem:
+class RangeSelectionSystem(ReplicaPlacement):
     """All peers, the ring, the hash scheme, and the query procedure."""
 
     def __init__(self, config: SystemConfig) -> None:
@@ -189,19 +189,8 @@ class RangeSelectionSystem:
         self.transport = SyncTransport(self.network)
         self._engine = QueryEngine(self, self.transport)
 
-    def _place(self, identifier: int) -> int:
-        """Ring position for a bucket identifier.
-
-        ``rehash`` placement (the default) spreads buckets uniformly with
-        SHA-1; ``direct`` placement uses the raw LSH identifier, which is
-        what the paper's text literally describes — and which concentrates
-        load, because min-hash identifiers are small by construction.  The
-        bucket is always keyed by the raw identifier, so matching semantics
-        are identical under both modes.
-        """
-        if self.config.placement == "rehash":
-            return rehash_for_placement(identifier, self.config.id_bits)
-        return identifier
+    #: Short private alias of :meth:`place_identifier`.
+    _place = ReplicaPlacement.place_identifier
 
     # ------------------------------------------------------------------
     # Peer wiring
@@ -220,10 +209,6 @@ class RangeSelectionSystem:
         transports (the event-driven engine registers these on its
         :class:`~repro.sim.network.AsyncNetwork`)."""
         return self._make_handler(node_id)
-
-    def place_identifier(self, identifier: int) -> int:
-        """Public access to the placement mapping (see :meth:`_place`)."""
-        return self._place(identifier)
 
     def _make_handler(self, node_id: int):
         # One PeerLogic per peer: the same dispatch the socket server
@@ -259,45 +244,8 @@ class RangeSelectionSystem:
         return self.scheme.identifiers(r)
 
     # ------------------------------------------------------------------
-    # Replication
+    # Faults (replica sets come from ReplicaPlacement)
     # ------------------------------------------------------------------
-
-    def replica_owners(self, identifier: int) -> list[int]:
-        """The nominal replica set of ``identifier``: its owner followed by
-        the next ``replicas - 1`` distinct ring successors."""
-        return self.router.replica_set(
-            self._place(identifier), self.config.replicas
-        )
-
-    def replica_targets(
-        self, identifier: int, is_alive: Callable[[int], bool]
-    ) -> list[int]:
-        """Where ``identifier`` should live *right now*: the first
-        ``replicas`` alive peers down the successor chain.  This is the
-        repair loop's goal state — it keeps data on peers a failover
-        lookup will actually reach."""
-        return self.router.replica_set(
-            self._place(identifier), self.config.replicas, predicate=is_alive
-        )
-
-    def failover_candidates(
-        self,
-        identifier: int,
-        is_alive: Callable[[int], bool] | None = None,
-    ) -> list[int]:
-        """Peers to ask for ``identifier``, in order: the nominal replica
-        set first (warm copies live there), then — when liveness is known —
-        the alive successors the repair loop re-replicates onto.
-
-        With ``replicas == 1`` there is nothing to fail over to: the list
-        is just the owner, reproducing the unreplicated behaviour (a
-        crashed owner means a lost lookup)."""
-        candidates = self.replica_owners(identifier)
-        if self.config.replicas > 1 and is_alive is not None:
-            for peer in self.replica_targets(identifier, is_alive):
-                if peer not in candidates:
-                    candidates.append(peer)
-        return candidates
 
     def crash_peer(self, node_id: int) -> None:
         """Fail-stop a peer on the synchronous transport (its data stays
@@ -387,7 +335,6 @@ class RangeSelectionSystem:
         partition: Partition | None = None,
         origin: int | None = None,
         identifiers: list[int] | None = None,
-        owners: list[int] | None = None,
         trace: QueryTrace | None = None,
     ) -> int:
         """Step 5: store a partition at the ``l`` identifier owners.
@@ -399,13 +346,10 @@ class RangeSelectionSystem:
 
         Returns the number of *new* primary placements.  ``identifiers``
         may be passed from a prior :meth:`locate` to avoid re-hashing;
-        ``owners`` is accepted for backward compatibility but placement
-        always targets the identifiers' *current* replica sets (with
-        ``replicas = 1`` and no faults the two coincide by construction).
-        A ``trace`` records the store fan-out as one ``placement`` event
+        placement always targets their *current* replica sets.  A
+        ``trace`` records the store fan-out as one ``placement`` event
         per (identifier, target) pair.
         """
-        del owners  # placement recomputes replica sets; see docstring
         trace = trace if trace is not None else NULL_TRACE
         if origin is None:
             origin = self.pick_origin()
@@ -549,24 +493,63 @@ class RangeSelectionSystem:
             raise ConfigError("the churn helpers require the chord overlay")
         if len(self.ring.node_ids) <= 1:
             raise ConfigError("cannot remove the last peer of the system")
-        departing = self.stores.pop(node_id)
         self.network.unregister(node_id)
         self.ring.leave(node_id)
         self.ring.build()
-        moved = 0
-        for identifier, entry in departing.entries():
-            placed = False
-            for rank, target in enumerate(self.replica_owners(identifier)):
-                if self.stores[target].store(
-                    identifier,
-                    entry.descriptor,
-                    entry.partition,
-                    primary=rank == 0,
-                ):
-                    placed = True
-            if placed:
-                moved += 1
+        # The departing store stays visible as a copy source while the
+        # plan runs; the plan drops its (now undesired) copies itself.
+        _, moved = self._converge()
+        del self.stores[node_id]
         return moved
+
+    def _holders(
+        self, is_alive: Callable[[int], bool] | None = None
+    ) -> tuple[dict[Key, dict[int, bool]], dict[Key, Partition]]:
+        """The planner's input: which live peers hold each entry (with
+        its primary flag), plus the rows to ship with a copy — the first
+        live holder's that kept them, not just the descriptor.
+
+        With ``is_alive``, only alive stores count as holders; an entry
+        found on crashed stores alone maps to ``{}`` (lost), after every
+        entry a live store holds.
+        """
+        holders: dict[Key, dict[int, bool]] = {}
+        rows: dict[Key, Partition] = {}
+        down: list[PeerStore] = []
+        for store in self.stores.values():
+            if is_alive is not None and not is_alive(store.peer_id):
+                down.append(store)
+                continue
+            for identifier, entry in store.entries():
+                key = (identifier, entry.descriptor)
+                holders.setdefault(key, {})[store.peer_id] = entry.primary
+                if entry.partition is not None:
+                    rows.setdefault(key, entry.partition)
+        for store in down:
+            for identifier, entry in store.entries():
+                holders.setdefault((identifier, entry.descriptor), {})
+        return holders, rows
+
+    def _converge(self) -> tuple[int, int]:
+        """Apply the full placement plan to the in-process stores.
+
+        Returns ``(entries fixed, entries that gained a copy)``.
+        """
+        holders, rows = self._holders()
+        fixed: set[Key] = set()
+        copied: set[Key] = set()
+        for action in plan_placement(holders, self.replica_owners):
+            key = (action.identifier, action.descriptor)
+            store = self.stores[action.node]
+            fixed.add(key)
+            if action.kind == "copy":
+                store.store(*key, rows.get(key), primary=action.primary)
+                copied.add(key)
+            elif action.kind == "set_role":
+                store.set_primary(*key, action.primary)
+            else:
+                store.remove(*key)
+        return len(fixed), len(copied)
 
     def rebalance(self) -> int:
         """Converge every cached entry onto its current replica set.
@@ -577,84 +560,46 @@ class RangeSelectionSystem:
         after membership changes.  Idempotent: a second call fixes
         nothing.  Returns the number of placements that needed fixing.
         """
-        placements: dict[
-            tuple[int, PartitionDescriptor], dict[int, "object"]
-        ] = {}
-        for store in self.stores.values():
-            for identifier, entry in store.entries():
-                placements.setdefault((identifier, entry.descriptor), {})[
-                    store.peer_id
-                ] = entry
-        fixed = 0
-        for (identifier, descriptor), holders in placements.items():
-            desired = self.replica_owners(identifier)
-            partition = next(
-                (e.partition for e in holders.values() if e.partition is not None),
-                None,
-            )
-            changed = False
-            for rank, target in enumerate(desired):
-                primary = rank == 0
-                held = holders.get(target)
-                if held is None:
-                    self.stores[target].store(
-                        identifier, descriptor, partition, primary=primary
-                    )
-                    changed = True
-                elif held.primary != primary:
-                    held.primary = primary
-                    changed = True
-            for holder_id in holders:
-                if holder_id not in desired:
-                    self.stores[holder_id].remove(identifier, descriptor)
-                    changed = True
-            if changed:
-                fixed += 1
-        return fixed
+        return self._converge()[0]
 
-    def replication_deficits(
+    def repair_plan(
         self, is_alive: Callable[[int], bool]
-    ):
-        """The copy operations needed to restore the replication factor.
+    ) -> tuple[list[tuple], list[Key]]:
+        """What anti-entropy repair has to do, and what it cannot.
 
-        Yields ``(identifier, descriptor, source_id, partition, target_id,
-        primary)`` tuples: ``identifier`` should live on ``target_id`` (an
-        alive peer in its successor chain) but currently does not, and an
-        alive ``source_id`` still holds it.  Entries whose every copy sits
-        on crashed peers are unrepairable and are not yielded.  Both the
-        synchronous :meth:`repair_replicas` and the event-driven
-        :class:`~repro.sim.repair.ReplicaRepairer` execute this plan —
-        only the transport differs.
+        The first list holds ``(identifier, descriptor, source_id,
+        partition, target_id, primary)`` copy operations: ``identifier``
+        should live on ``target_id`` (one of the first ``replicas`` alive
+        peers of its successor chain) but does not, and an alive
+        ``source_id`` still holds it.  The second lists the entries whose
+        every copy sits on crashed peers — unrepairable.  Repair only
+        ever adds copies (failover placements legitimately skew flags and
+        leave surplus; :meth:`rebalance` owns role changes and drops).
+        :meth:`repair_replicas`, the event-driven
+        :class:`~repro.sim.repair.ReplicaRepairer` and the health auditor
+        all read this plan — only the transport differs.
         """
-        placements: dict[
-            tuple[int, PartitionDescriptor], dict[int, "object"]
-        ] = {}
-        for store in self.stores.values():
-            if not is_alive(store.peer_id):
-                continue
-            for identifier, entry in store.entries():
-                placements.setdefault((identifier, entry.descriptor), {})[
-                    store.peer_id
-                ] = entry
-        for (identifier, descriptor), holders in placements.items():
-            targets = self.replica_targets(identifier, is_alive)
-            missing = [t for t in targets if t not in holders]
-            if not missing:
-                continue
-            source_id, source_entry = next(iter(holders.items()))
-            partition = next(
-                (e.partition for e in holders.values() if e.partition is not None),
-                source_entry.partition,
-            )
-            for target in missing:
-                yield (
-                    identifier,
-                    descriptor,
-                    source_id,
-                    partition,
-                    target,
-                    target == targets[0],
+        holders, rows = self._holders(is_alive)
+        copies: list[tuple] = []
+        lost: list[Key] = []
+        for action in plan_placement(
+            holders,
+            lambda identifier: self.replica_targets(identifier, is_alive),
+        ):
+            key = (action.identifier, action.descriptor)
+            if action.kind == "copy":
+                copies.append(
+                    (*key, action.source, rows.get(key), action.node,
+                     action.primary)
                 )
+            elif action.kind == "lost":
+                lost.append(key)
+        return copies, lost
+
+    def replication_deficits(self, is_alive: Callable[[int], bool]):
+        """The copy operations of :meth:`repair_plan`, one per missing
+        copy."""
+        return self.repair_plan(is_alive)[0]
 
     def repair_replicas(
         self, is_alive: Callable[[int], bool] | None = None
@@ -668,8 +613,8 @@ class RangeSelectionSystem:
         """
         alive = is_alive if is_alive is not None else self.network.is_alive
         copies = 0
-        for identifier, descriptor, source, partition, target, primary in list(
-            self.replication_deficits(alive)
+        for identifier, descriptor, source, partition, target, primary in (
+            self.repair_plan(alive)[0]
         ):
             try:
                 self.network.send(
@@ -691,21 +636,19 @@ class RangeSelectionSystem:
     def check_placement_invariant(self) -> None:
         """Raise if any cached entry sits outside its replica set, or
         carries the wrong primary/replica flag."""
-        for store in self.stores.values():
-            for identifier, entry in store.entries():
-                desired = self.replica_owners(identifier)
-                if store.peer_id not in desired:
-                    raise ConfigError(
-                        f"entry for identifier {identifier} held by "
-                        f"{store.peer_id} but owned by {desired}"
-                    )
-                expected_primary = store.peer_id == desired[0]
-                if entry.primary != expected_primary:
-                    raise ConfigError(
-                        f"entry for identifier {identifier} at {store.peer_id} "
-                        f"has primary={entry.primary}, expected "
-                        f"{expected_primary}"
-                    )
+        for action in plan_placement(self._holders()[0], self.replica_owners):
+            if action.kind == "drop":
+                raise ConfigError(
+                    f"entry for identifier {action.identifier} held by "
+                    f"{action.node} but owned by "
+                    f"{self.replica_owners(action.identifier)}"
+                )
+            if action.kind == "set_role":
+                raise ConfigError(
+                    f"entry for identifier {action.identifier} at "
+                    f"{action.node} has primary={not action.primary}, "
+                    f"expected {action.primary}"
+                )
 
     # ------------------------------------------------------------------
     # Introspection

@@ -241,7 +241,7 @@ class LiveChurnExperiment:
         copies: dict[tuple, int] = {}
         for address in live:
             try:
-                entries = client.call(address, "entries")
+                entries = client.entries_of(address)
             except ReproError:
                 return False
             for identifier, descriptor, _partition, _primary in entries:
@@ -373,7 +373,7 @@ class LiveChurnExperiment:
         # must come back to full replication without us asking.
         victim = None
         for address in sorted(self._live(cluster) - {bootstrap}):
-            if client.call(address, "entries"):
+            if client.entries_of(address):
                 victim = address
                 break
         if victim is None:
@@ -414,7 +414,7 @@ class LiveChurnExperiment:
         self, cluster, client, tiles, bootstrap: str
     ) -> LiveChurnWave:
         target = sorted(self._live(cluster) - {bootstrap})[0]
-        held_before = len(client.call(target, "entries"))
+        held_before = len(client.entries_of(target))
         suspected_before = self._counter_total(
             client, cluster, "swim.suspected"
         )
@@ -425,7 +425,7 @@ class LiveChurnExperiment:
             lambda: self._converged(client, cluster),
             f"{target} to rejoin every mirror",
         )
-        held_after = len(client.call(target, "entries"))
+        held_after = len(client.entries_of(target))
         if held_after < held_before:
             raise ReproError(
                 f"live-churn: {target} lost entries over the pause "

@@ -386,8 +386,8 @@ class RingAuditor:
       is crashed, since failover placements legitimately skew flags
       (warning).
     * Replica deficits — identifiers missing copies on their alive
-      targets, the same plan :meth:`replication_deficits` feeds the
-      repair loop (warning); identifiers whose every copy sits on
+      targets, the same :meth:`repair_plan` the repair loop executes
+      (warning); identifiers whose every copy sits on
       crashed peers are unrepairable (critical).
     * Bucket LRU clocks — each entry's ``access_clock`` must be positive
       and no later than its store's clock (warning).
@@ -522,11 +522,9 @@ class RingAuditor:
     def _audit_deficits(
         self, report: AuditReport, alive: Callable[[int], bool]
     ) -> None:
-        system = self.system
+        copies, lost = self.system.repair_plan(alive)
         missing: dict[int, int] = {}
-        for identifier, _desc, _src, _part, _target, _primary in (
-            system.replication_deficits(alive)
-        ):
+        for identifier, *_rest in copies:
             missing[identifier] = missing.get(identifier, 0) + 1
         for identifier, count in sorted(missing.items()):
             report.findings.append(
@@ -539,16 +537,8 @@ class RingAuditor:
                 )
             )
         # Entries held only on crashed peers: no alive source remains.
-        alive_held: set[tuple[int, object]] = set()
-        all_held: set[tuple[int, object]] = set()
-        for store in system.stores.values():
-            for identifier, entry in store.entries():
-                key = (identifier, entry.descriptor)
-                all_held.add(key)
-                if alive(store.peer_id):
-                    alive_held.add(key)
         for identifier, descriptor in sorted(
-            all_held - alive_held, key=lambda k: (k[0], str(k[1]))
+            lost, key=lambda k: (k[0], str(k[1]))
         ):
             report.findings.append(
                 AuditFinding(

@@ -17,7 +17,7 @@ Three pieces turn the transport-agnostic
   places identifiers exactly like every server's mirror.
 - :class:`ClusterClient` — connects to any live peer, mirrors membership
   and config from its ``hello`` reply, and exposes ``query`` / ``leave``
-  / ``repair`` over the cluster.
+  over the cluster (repair is the ring's own job).
 """
 
 from __future__ import annotations
@@ -25,12 +25,14 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from collections import Counter
 from typing import Any, Callable
 
-from repro.chord.hashing import node_id_for_address, rehash_for_placement
+from repro.chord.hashing import node_id_for_address
 from repro.chord.ring import ChordRing
 from repro.core.config import SystemConfig
 from repro.core.overlays import ChordRouter
+from repro.core.placement import ReplicaPlacement
 from repro.core.system import SIM_ATTRIBUTE, SIM_RELATION, SystemCounters
 from repro.errors import (
     OpenCircuitError,
@@ -292,7 +294,7 @@ class SocketTransport(Transport):
             return
 
 
-class ClientSystem:
+class ClientSystem(ReplicaPlacement):
     """The engine's topology contract, served from a membership map.
 
     Mirrors the hashing/placement/replication views of
@@ -340,37 +342,6 @@ class ClientSystem:
             if r.start >= domain.low and r.end <= domain.high:
                 return self._accel.identifiers(r)
         return self.scheme.identifiers(r)
-
-    def place_identifier(self, identifier: int) -> int:
-        if self.config.placement == "rehash":
-            return rehash_for_placement(identifier, self.config.id_bits)
-        return identifier
-
-    def replica_owners(self, identifier: int) -> list[int]:
-        return self.router.replica_set(
-            self.place_identifier(identifier), self.config.replicas
-        )
-
-    def replica_targets(
-        self, identifier: int, is_alive: Callable[[int], bool]
-    ) -> list[int]:
-        return self.router.replica_set(
-            self.place_identifier(identifier),
-            self.config.replicas,
-            predicate=is_alive,
-        )
-
-    def failover_candidates(
-        self,
-        identifier: int,
-        is_alive: Callable[[int], bool] | None = None,
-    ) -> list[int]:
-        candidates = self.replica_owners(identifier)
-        if self.config.replicas > 1 and is_alive is not None:
-            for peer in self.replica_targets(identifier, is_alive):
-                if peer not in candidates:
-                    candidates.append(peer)
-        return candidates
 
 
 class ClusterClient:
@@ -619,109 +590,41 @@ class ClusterClient:
         census + recent span fragments), versioned and timestamped."""
         return self.call(address, "telemetry", {"spans": spans})
 
-    def entries_of(self, address: str, page_size: int = 512) -> list:
-        """One peer's stored entries as (id, descriptor, partition, primary).
-
-        Iterates the chunked form of the ``entries`` RPC so an
-        arbitrarily large store never produces a reply past the wire
-        frame cap.
-        """
-        records: list = []
-        offset = 0
-        while True:
-            page = self.call(
-                address, "entries", {"offset": offset, "limit": page_size}
+    def entries_of(
+        self, address: str, page_size: int = wire.ENTRIES_PAGE_SIZE
+    ) -> list:
+        """One peer's stored entries as (id, descriptor, partition, primary),
+        paged through the ``entries`` RPC."""
+        host, port = self.endpoint_of(address)
+        return self._run(
+            wire.fetch_entries(
+                lambda page: wire.call(
+                    host, port, "entries", page, timeout_ms=self.timeout_ms
+                ),
+                page_size,
             )
-            if not isinstance(page, dict):
-                return page if isinstance(page, list) else records
-            batch = page.get("entries", [])
-            records.extend(batch)
-            offset += len(batch)
-            if not batch or offset >= int(page.get("total", 0)):
-                return records
+        )
+
+    def under_replicated(self) -> int:
+        """Stored keys with fewer than ``min(replicas, members)`` copies
+        across the mirrored members — 0 once the ring has healed.
+
+        :meth:`refresh` first after churn, so evicted peers are not
+        asked; an unreachable member raises.
+        """
+        copies = Counter(
+            (identifier, descriptor)
+            for address in self.system.members
+            for identifier, descriptor, _rows, _primary in self.entries_of(address)
+        )
+        goal = min(self.system.config.replicas, len(self.system.members))
+        return sum(1 for count in copies.values() if count < goal)
 
     def leave(self, address: str) -> int:
         """Ask a peer to leave gracefully; returns copies it handed off."""
         moved = int(self.call(address, "leave"))
         self.refresh()
         return moved
-
-    def repair(self) -> int:
-        """Client-driven anti-entropy: one repair round over the cluster.
-
-        Pulls every live peer's entry list, computes each entry's goal
-        replica set over the *alive* members (the same goal state the
-        simulated :class:`~repro.sim.repair.ReplicaRepairer` converges
-        to), and pushes the missing copies.  Returns copies created.
-        """
-        return self._run(self._repair_round())
-
-    async def _repair_round(self) -> int:
-        # Probe liveness first so replica targets skip dead peers.
-        node_of = {}
-        for node_id in self.system.router.node_ids:
-            address = self.system.router.ring.node(node_id).address
-            node_of[address] = node_id
-        entries_by_peer: dict[int, list] = {}
-        for address, (host, port) in self.system.members.items():
-            node_id = node_of[address]
-            entries: list = []
-            offset = 0
-            try:
-                while True:
-                    page = await wire.call(
-                        host, port, "entries",
-                        {"offset": offset, "limit": 512},
-                        peer_id=node_id, timeout_ms=self.timeout_ms,
-                    )
-                    batch = page.get("entries", []) if isinstance(page, dict) else []
-                    entries.extend(batch)
-                    offset += len(batch)
-                    if not batch or not isinstance(page, dict) or offset >= int(
-                        page.get("total", 0)
-                    ):
-                        break
-            except ReproError:
-                self.transport.dead.add(node_id)
-                continue
-            self.transport.mark_alive(node_id)
-            entries_by_peer[node_id] = entries
-        # holders[(identifier, descriptor)] = {node_id: (partition, primary)}
-        holders: dict[tuple, dict[int, tuple]] = {}
-        for node_id, entries in entries_by_peer.items():
-            for identifier, descriptor, partition, primary in entries:
-                holders.setdefault((identifier, descriptor), {})[node_id] = (
-                    partition, primary,
-                )
-        copies = 0
-        for (identifier, descriptor), holding in holders.items():
-            targets = self.system.replica_targets(
-                identifier, self.transport.is_alive
-            )
-            # Prefer a source that still has the rows, not just metadata.
-            source = max(
-                holding.values(), key=lambda held: held[0] is not None
-            )
-            partition = source[0]
-            for rank, target in enumerate(targets):
-                held = holding.get(target)
-                primary = rank == 0
-                if held is not None and (held[1] == primary or not primary):
-                    continue  # already placed correctly (or a spare copy)
-                host, port = self.system.endpoints[target]
-                try:
-                    stored = await wire.call(
-                        host, port, "store-request",
-                        (identifier, descriptor, partition, primary),
-                        peer_id=target, timeout_ms=self.timeout_ms,
-                    )
-                except ReproError:
-                    self.transport.dead.add(target)
-                    continue
-                if stored:
-                    copies += 1
-        self.system.counters.repairs += copies
-        return copies
 
 
 class ClusterScraper:

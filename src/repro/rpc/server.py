@@ -30,12 +30,12 @@ refutes it by re-announcing itself at a higher incarnation.  A suspicion
 that ages past ``suspect_timeout_ms`` un-refuted is confirmed *dead*: the
 peer is evicted from the mirrored ring by the ring itself — no client
 involved — and an anti-entropy repair round is triggered.  With
-``repair_interval_ms > 0`` every peer also periodically computes its own
-replication deficits from the mirrored ring (which entries it holds whose
-current replica set is missing copies), asks each target which keys it
-already has (``has-entries``), and pushes only the missing ones
-(``repair-push``) — so a SIGKILL'd replica's partitions are back at ``r``
-copies within a couple of rounds, again with no client involved.
+``repair_interval_ms > 0`` every peer also periodically runs the shared
+placement planner (:mod:`repro.core.placement`) over its own entries and
+the mirrored ring, asks each target which keys it already has
+(``has-entries``) and pushes only the missing ones (``repair-push``) —
+so a SIGKILL'd replica's partitions are back at ``r`` copies within a
+couple of rounds, again with no client involved.
 
 **Chaos.**  ``chaos-set`` injects faults for the deterministic chaos
 harness: an added per-request service delay, a seeded drop probability,
@@ -54,11 +54,12 @@ import random
 import time
 from typing import Any
 
-from repro.chord.hashing import node_id_for_address, rehash_for_placement
+from repro.chord.hashing import node_id_for_address
 from repro.chord.ring import ChordRing
 from repro.core.config import SystemConfig
 from repro.core.matcher import matcher_by_name
 from repro.core.overlays import ChordRouter
+from repro.core.placement import Action, ReplicaPlacement, plan_placement
 from repro.errors import PeerUnavailableError, ReproError
 from repro.obs.distributed import FlightRecorder, SpanFragment, TraceContext
 from repro.obs.log import get_logger
@@ -86,11 +87,6 @@ CONTROL_TIMEOUT_MS = 5_000.0
 #: interpreting the body; bumping it is the contract for shape changes.
 TELEMETRY_VERSION = 1
 
-#: Page size of the chunked ``entries`` bulk-transfer RPC.  Chosen so a
-#: page of row-bearing partitions stays far under the 32 MiB wire frame
-#: cap; clients iterate pages, so the store size itself is unbounded.
-ENTRIES_PAGE_SIZE = 512
-
 #: Every this-many SWIM ticks, probe a tombstoned member instead of a
 #: live one.  A dead peer that was merely paused (SIGSTOP) answers the
 #: probe after SIGCONT, learns of its own death from the piggybacked
@@ -99,7 +95,7 @@ ENTRIES_PAGE_SIZE = 512
 RESURRECTION_PROBE_PERIOD = 4
 
 
-class PeerServer:
+class PeerServer(ReplicaPlacement):
     """One node of the live cluster: store, ring mirror, TCP endpoint."""
 
     def __init__(
@@ -153,8 +149,8 @@ class PeerServer:
         self.router: ChordRouter | None = None
         self.metrics = MetricsRegistry()
         # Failure-detector knobs.  swim_interval_ms == 0 disables the
-        # detector (PR 6 behaviour: membership only changes on join/leave);
-        # repair_interval_ms == 0 leaves repair to clients.
+        # detector (membership then only changes on join/leave);
+        # repair_interval_ms == 0 disables the periodic repair rounds.
         self.swim_interval_ms = swim_interval_ms
         self.suspect_timeout_ms = (
             suspect_timeout_ms
@@ -240,24 +236,9 @@ class PeerServer:
         ring.build()
         self.router = ChordRouter(ring)
 
-    def _place(self, identifier: int) -> int:
-        if self.config.placement == "rehash":
-            return rehash_for_placement(identifier, self.config.id_bits)
-        return identifier
-
-    def replica_owners(self, identifier: int) -> list[int]:
-        """The identifier's current replica set on the mirrored ring."""
-        assert self.router is not None
-        return self.router.replica_set(
-            self._place(identifier), self.config.replicas
-        )
-
     def _address_of(self, node_id: int) -> str:
         assert self.router is not None
         return self.router.ring.node(node_id).address
-
-    def _endpoint_of(self, node_id: int) -> tuple[str, int]:
-        return self.table.endpoints()[self._address_of(node_id)]
 
     # -- outgoing calls (all server-to-server traffic funnels here) ------
 
@@ -453,35 +434,25 @@ class PeerServer:
         """Fetch entries whose current replica set includes this peer."""
         pulled = 0
         for address in self.table.peers(ALIVE, SUSPECT):
-            offset = 0
-            while True:
-                try:
-                    page = await self._call_member(
-                        address, "entries",
-                        {"offset": offset, "limit": ENTRIES_PAGE_SIZE},
-                        timeout_ms=CONTROL_TIMEOUT_MS,
-                    )
-                except ReproError:
-                    break  # unreachable peer; repair owns convergence
-                if not isinstance(page, dict):
-                    break
-                records = page.get("entries", [])
-                for identifier, descriptor, partition, _primary in records:
-                    identifier = int(identifier)
-                    targets = self.replica_owners(identifier)
-                    if self.node_id not in targets:
-                        continue
-                    if self.logic.holds(identifier, descriptor):
-                        continue
-                    self.store.store(
-                        identifier, descriptor, partition,
-                        primary=targets[0] == self.node_id,
-                        via="reconcile",
-                    )
-                    pulled += 1
-                offset += len(records)
-                if not records or offset >= int(page.get("total", 0)):
-                    break
+            try:
+                records = await wire.fetch_entries(
+                    lambda page: self._call_member(address, "entries", page)
+                )
+            except ReproError:
+                continue  # unreachable peer; repair owns convergence
+            for identifier, descriptor, partition, _primary in records:
+                identifier = int(identifier)
+                targets = self.replica_owners(identifier)
+                if self.node_id not in targets:
+                    continue
+                if self.logic.holds(identifier, descriptor):
+                    continue
+                self.store.store(
+                    identifier, descriptor, partition,
+                    primary=targets[0] == self.node_id,
+                    via="reconcile",
+                )
+                pulled += 1
         return pulled
 
     # -- membership gossip -----------------------------------------------
@@ -798,39 +769,40 @@ class PeerServer:
                 # missing (the digest makes repeat rounds cheap).
                 self._repair_now.set()
 
-    async def repair_round(self) -> int:
-        """One anti-entropy pass from this peer's entries outward.
+    async def _converge(self, *, shed: bool) -> tuple[int, int]:
+        """Execute the placement plan for this peer's entries.
 
-        For every held entry, computes the replica set over the current
-        (non-dead) ring, digests each remote target for the keys it
-        should hold (``has-entries``), and pushes only the missing copies
-        (``repair-push``).  Entries whose ownership moved onto this peer
-        are promoted in place.  Returns the copies created.
+        The plan (this peer's store against the mirrored, non-dead ring)
+        names the remote peers each entry should also live on: each is
+        digested for the keys it should hold (``has-entries``) and only
+        the missing copies are pushed (``repair-push``).  This peer's own
+        role flags follow its rank in both directions and, with ``shed``,
+        entries it no longer replicates are dropped after the pushes.
+        Unreachable targets are skipped; the next round retries them.
+        Returns ``(created, missing)``.
         """
-        started = self._now_ms()
-        wanted: dict[str, list[tuple[int, Any, bool]]] = {}
-        for identifier, entry in list(self.store.entries()):
-            targets = self.replica_owners(identifier)
-            if targets and targets[0] == self.node_id and not entry.primary:
-                self.store.store(
-                    identifier, entry.descriptor, entry.partition, primary=True
+        held = {
+            (identifier, entry.descriptor): entry
+            for identifier, entry in self.store.entries()
+        }
+        wanted: dict[str, list[Action]] = {}
+        local: list[Action] = []
+        for action in plan_placement(
+            {key: {self.node_id: entry.primary} for key, entry in held.items()},
+            self.replica_owners,
+        ):
+            if action.kind == "copy":
+                wanted.setdefault(self._address_of(action.node), []).append(
+                    action
                 )
-            for rank, target in enumerate(targets):
-                if target == self.node_id:
-                    continue
-                address = self._address_of(target)
-                wanted.setdefault(address, []).append(
-                    (identifier, entry, rank == 0)
-                )
+            else:
+                local.append(action)
         created = 0
         missing = 0
-        for address, items in wanted.items():
-            digest = [
-                (identifier, entry.descriptor)
-                for identifier, entry, _ in items
-            ]
+        for address, copies in wanted.items():
+            digest = [(copy.identifier, copy.descriptor) for copy in copies]
             try:
-                held = await self._call_member(
+                present = await self._call_member(
                     address, "has-entries", digest,
                     timeout_ms=CONTROL_TIMEOUT_MS,
                 )
@@ -840,7 +812,7 @@ class PeerServer:
                     help="repair digests whose target never answered",
                 ).inc()
                 continue
-            for (identifier, entry, primary), has in zip(items, held):
+            for copy, has in zip(copies, present):
                 if has:
                     self.metrics.counter(
                         "repair.push.skipped",
@@ -848,12 +820,13 @@ class PeerServer:
                     ).inc()
                     continue
                 missing += 1
+                key = (copy.identifier, copy.descriptor)
                 try:
                     stored = await self._call_member(
                         address,
                         "repair-push",
-                        (identifier, entry.descriptor, entry.partition,
-                         primary),
+                        (*key, held[key].partition, copy.primary),
+                        peer_id=copy.node,
                         timeout_ms=CONTROL_TIMEOUT_MS,
                     )
                 except ReproError:
@@ -868,6 +841,23 @@ class PeerServer:
                         "repair.push.copies",
                         help="missing copies re-replicated by this peer",
                     ).inc()
+        for action in local:
+            if action.kind == "set_role":
+                self.store.set_primary(
+                    action.identifier, action.descriptor, action.primary
+                )
+            elif shed:
+                self.store.remove(
+                    action.identifier, action.descriptor, via="handoff"
+                )
+        return created, missing
+
+    async def repair_round(self) -> int:
+        """One anti-entropy pass from this peer's entries outward: the
+        placement executor without shedding (repair only adds copies),
+        plus the round's books.  Returns the copies created."""
+        started = self._now_ms()
+        created, missing = await self._converge(shed=False)
         self.metrics.counter(
             "repair.push.rounds", help="anti-entropy rounds run"
         ).inc()
@@ -881,10 +871,6 @@ class PeerServer:
         self.metrics.gauge(
             "repair.pending", help="missing copies left after the last round"
         ).set(self._pending_repair)
-        if created or missing:
-            self.flight.record_event(
-                "repair-round", created=created, missing=missing
-            )
         if missing == 0 and self._evicted_at is not None:
             self.metrics.histogram(
                 "repair.heal_ms",
@@ -892,6 +878,9 @@ class PeerServer:
             ).observe(self._now_ms() - self._evicted_at)
             self._evicted_at = None
         if created or missing:
+            self.flight.record_event(
+                "repair-round", created=created, missing=missing
+            )
             logger.info(
                 "peer %s: repair round pushed %d/%d missing copies",
                 self.address, created, missing,
@@ -901,45 +890,11 @@ class PeerServer:
     # -- data hand-off ---------------------------------------------------
 
     async def rebalance(self) -> int:
-        """Re-place local entries against the current ring.
-
-        Pushes each held entry to every peer of its replica set (the
-        newcomer after a join, the new successor after a leave) and drops
-        the local copy when this peer is no longer in the set.  Returns
-        the number of copies pushed.  Unreachable targets are skipped —
-        anti-entropy repair owns eventual convergence.
-        """
-        pushed = 0
-        for identifier, entry in list(self.store.entries()):
-            targets = self.replica_owners(identifier)
-            for rank, target in enumerate(targets):
-                if target == self.node_id:
-                    continue
-                try:
-                    stored = await self._call_member(
-                        self._address_of(target),
-                        "store-request",
-                        (identifier, entry.descriptor, entry.partition,
-                         rank == 0),
-                        peer_id=target,
-                        timeout_ms=CONTROL_TIMEOUT_MS,
-                    )
-                except ReproError:
-                    logger.warning(
-                        "rebalance push of id %d to peer %d failed",
-                        identifier, target,
-                    )
-                    continue
-                if stored:
-                    pushed += 1
-            if self.node_id not in targets:
-                self.store.remove(identifier, entry.descriptor, via="handoff")
-            elif targets[0] == self.node_id and not entry.primary:
-                # Ownership moved onto this replica: promote in place.
-                self.store.store(
-                    identifier, entry.descriptor, entry.partition, primary=True
-                )
-        return pushed
+        """Re-place local entries against the current ring: the placement
+        executor with shedding, run on joins, leaves and restarts.
+        Returns the number of copies pushed."""
+        created, _missing = await self._converge(shed=True)
+        return created
 
     async def _hand_off_and_leave(self) -> int:
         """Graceful departure: push every entry to its post-leave replica
@@ -1025,21 +980,20 @@ class PeerServer:
         if kind == "chaos-set":
             return self._serve_chaos_set(payload)
         if kind == "entries":
+            # Paged: {"offset", "limit"} -> {"total", "entries"}, so the
+            # reply frame stays bounded whatever the store holds.  A
+            # missing payload means the first page at the default size.
+            body = payload if isinstance(payload, dict) else {}
+            offset = max(0, int(body.get("offset", 0)))
+            limit = max(1, int(body.get("limit", wire.ENTRIES_PAGE_SIZE)))
             records = [
                 (identifier, entry.descriptor, entry.partition, entry.primary)
                 for identifier, entry in self.store.entries()
             ]
-            if isinstance(payload, dict):
-                # Chunked form: {"offset", "limit"} -> {"total", "entries"}.
-                # Pages bound the reply frame; the legacy None payload
-                # keeps the full list for small stores and old callers.
-                offset = max(0, int(payload.get("offset", 0)))
-                limit = max(1, int(payload.get("limit", ENTRIES_PAGE_SIZE)))
-                return {
-                    "total": len(records),
-                    "entries": records[offset : offset + limit],
-                }
-            return records
+            return {
+                "total": len(records),
+                "entries": records[offset : offset + limit],
+            }
         if kind == "metrics":
             return self.metrics.snapshot()
         if kind == "telemetry":

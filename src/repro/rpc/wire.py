@@ -28,7 +28,7 @@ import asyncio
 import dataclasses
 import json
 import struct
-from typing import Any
+from typing import Any, Awaitable, Callable
 
 from repro.core.config import SystemConfig
 from repro.db.partition import Partition, PartitionDescriptor
@@ -44,6 +44,8 @@ from repro.ranges.interval import IntRange
 
 __all__ = [
     "MAX_FRAME_BYTES",
+    "ENTRIES_PAGE_SIZE",
+    "fetch_entries",
     "encode_value",
     "decode_value",
     "write_frame",
@@ -61,6 +63,11 @@ _LENGTH = struct.Struct("!I")
 #: (a full partition fetch of ~100k rows fits in a few MiB); present so a
 #: corrupt or hostile length prefix cannot make a peer allocate blindly.
 MAX_FRAME_BYTES = 32 * 1024 * 1024
+
+#: Default page size of the ``entries`` bulk-transfer RPC.  Chosen so a
+#: page of row-bearing partitions stays far under the frame cap; callers
+#: iterate pages, so the store size itself is unbounded.
+ENTRIES_PAGE_SIZE = 512
 
 
 class RemoteError(ReproError):
@@ -296,3 +303,20 @@ async def call(
         return await asyncio.wait_for(exchange(), timeout=timeout_ms / 1000.0)
     except asyncio.TimeoutError as exc:
         raise RequestTimeoutError(peer_id, 1, timeout_ms) from exc
+
+
+async def fetch_entries(
+    call_entries: Callable[[dict], Awaitable[dict]],
+    page_size: int = ENTRIES_PAGE_SIZE,
+) -> list:
+    """Every ``(identifier, descriptor, partition, primary)`` record of
+    one peer's store, paged through ``call_entries(payload)`` — one
+    ``entries`` exchange with that peer, answering ``{"total",
+    "entries"}`` — so no reply outgrows the frame cap."""
+    records: list = []
+    while True:
+        page = await call_entries({"offset": len(records), "limit": page_size})
+        batch = page["entries"]
+        records.extend(batch)
+        if not batch or len(records) >= int(page["total"]):
+            return records

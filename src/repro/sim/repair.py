@@ -4,11 +4,12 @@ Store-time replication keeps ``r`` copies of every bucket entry only until
 churn eats them: each crash silently drops the copies its peer held, and
 each failover answer papers over the loss without fixing it.  The
 :class:`ReplicaRepairer` is the self-healing half of the robustness story —
-a periodic simulation task that diffs the system's *actual* placement
-against the first ``r`` alive successors of every identifier
-(:meth:`RangeSelectionSystem.replication_deficits`) and re-replicates the
-missing copies peer-to-peer, under the same timeout/retry discipline as any
-other request.
+a periodic simulation task that takes the system's repair plan (the
+placement planner's diff of *actual* placement against the first ``r``
+alive successors of every identifier,
+:meth:`RangeSelectionSystem.repair_plan`) and re-replicates the missing
+copies peer-to-peer, under the same timeout/retry discipline as any other
+request.
 
 An identifier whose every copy sits on crashed peers is *unrepairable*: no
 alive holder can source the copy, so the round counts it as lost and moves
@@ -149,8 +150,8 @@ class ReplicaRepairer:
         system = engine.system
         net = engine.net
         self.stats.rounds += 1
-        deficits = list(system.replication_deficits(net.is_alive))
-        self.stats.unrepairable += self._count_unrepairable(net.is_alive)
+        deficits, lost = system.repair_plan(net.is_alive)
+        self.stats.unrepairable += len(lost)
         out: SimFuture[int] = SimFuture()
         if not deficits:
             # Resolve on the clock, not inline, so callers can always
@@ -184,15 +185,3 @@ class ReplicaRepairer:
 
         gather(copies).add_done_callback(on_done)
         return out
-
-    def _count_unrepairable(self, is_alive) -> int:
-        """Identifiers some replica should hold but no alive peer does."""
-        alive_held: set[tuple[int, object]] = set()
-        all_held: set[tuple[int, object]] = set()
-        for store in self.engine.system.stores.values():
-            for identifier, entry in store.entries():
-                key = (identifier, entry.descriptor)
-                all_held.add(key)
-                if is_alive(store.peer_id):
-                    alive_held.add(key)
-        return len(all_held - alive_held)

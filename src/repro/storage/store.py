@@ -126,26 +126,50 @@ class PeerStore:
             )
         )
         if self.mutation_hook is not None:
-            # Journal the entry's *post-merge* state: a duplicate store
-            # still promotes/refreshes, and replaying final states in
-            # order converges to the same entry.
-            final = bucket.get(descriptor)
-            assert final is not None
-            self.mutation_hook(
-                {
-                    "op": "store",
-                    "via": via,
-                    "identifier": identifier,
-                    "descriptor": descriptor,
-                    "partition": final.partition,
-                    "primary": final.primary,
-                    "access_clock": final.access_clock,
-                    "clock": self._clock,
-                }
-            )
+            self._journal_store(identifier, bucket.get(descriptor), via)
         if added:
             self.eviction.on_insert(self)
         return added
+
+    def set_primary(
+        self,
+        identifier: int,
+        descriptor: PartitionDescriptor,
+        primary: bool,
+        *,
+        via: str = "role",
+    ) -> bool:
+        """Set a held entry's primary/replica role; True when it changed.
+
+        Unlike :meth:`store`, which can only promote, this also demotes a
+        primary whose holder dropped to rank >= 1.  Neither the logical
+        clock nor eviction is touched.
+        """
+        bucket = self._buckets.get(identifier)
+        entry = bucket.get(descriptor) if bucket is not None else None
+        if entry is None or entry.primary == primary:
+            return False
+        entry.primary = primary
+        if self.mutation_hook is not None:
+            self._journal_store(identifier, entry, via)
+        return True
+
+    def _journal_store(self, identifier: int, entry: StoredEntry, via: str) -> None:
+        """Hand the entry's *post-mutation* state to the durability hook:
+        a duplicate store still promotes/refreshes, and replaying final
+        states in order converges to the same entry."""
+        self.mutation_hook(
+            {
+                "op": "store",
+                "via": via,
+                "identifier": identifier,
+                "descriptor": entry.descriptor,
+                "partition": entry.partition,
+                "primary": entry.primary,
+                "access_clock": entry.access_clock,
+                "clock": self._clock,
+            }
+        )
 
     def remove(
         self,
@@ -199,6 +223,10 @@ class PeerStore:
                 primary=primary,
             )
         )
+        if not added:
+            # Journal records carry final states, so a replayed record
+            # for an existing entry also replays a demotion.
+            bucket.get(descriptor).primary = primary
         self._clock = max(self._clock, access_clock)
         return added
 

@@ -147,8 +147,8 @@ class TestEntriesPaging:
             assert page["total"] == self.N_ENTRIES
             assert len(page["entries"]) == 5
 
-            # With a frame cap smaller than the full entry list, the
-            # legacy single-frame reply dies on the wire...
+            # With a frame cap smaller than the store, a page sized to
+            # hold all of it (the default) dies on the wire...
             monkeypatch.setattr(wire, "MAX_FRAME_BYTES", 8 * 1024)
             full_reply = wire.encode_value([
                 (identifier, entry.descriptor, entry.partition, entry.primary)
@@ -166,14 +166,17 @@ class TestEntriesPaging:
         finally:
             loop.run_until_complete(server.close())
 
-    def test_legacy_none_payload_still_returns_full_list(self, loop):
+    def test_missing_payload_means_first_default_page(self, loop):
         server = boot(loop)
         try:
             for i in range(5):
                 server.store.store(i, desc(i * 10, i * 10 + 9))
             client = ClusterClient((server.host, server.port), loop=loop)
-            records = client.call("peer-0", "entries")
-            assert isinstance(records, list) and len(records) == 5
+            page = client.call("peer-0", "entries")
+            assert page["total"] == 5 and len(page["entries"]) == 5
+            # Offsets and limits are clamped, never rejected.
+            page = client.call("peer-0", "entries", {"offset": -3, "limit": 0})
+            assert page["total"] == 5 and len(page["entries"]) == 1
         finally:
             loop.run_until_complete(server.close())
 

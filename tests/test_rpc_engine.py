@@ -19,9 +19,12 @@ from repro.chord.hashing import node_id_for_address
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
 from repro.ranges.interval import IntRange
+from repro.rpc import wire
 from repro.rpc.client import ClusterClient
 from repro.rpc.server import PeerServer
 from repro.sim.query import AsyncQueryEngine
+from repro.sim.repair import ReplicaRepairer
+from repro.workloads.generators import UniformRangeWorkload
 
 N_PEERS = 12
 SEED = 2003
@@ -125,21 +128,41 @@ def run_sim():
     return rows, shapes, counters_row(system.counters), system
 
 
-def run_socket():
-    loop = asyncio.new_event_loop()
-    servers: list[PeerServer] = []
+def boot_ring(
+    loop, addresses, config, servers=(), **server_options
+) -> list[PeerServer]:
+    """In-process peer servers on ``loop``, joined one after another
+    (onto the ring of ``servers``, when given)."""
+    servers = list(servers)
 
     async def boot():
-        bootstrap = None
-        for address in ADDRESSES:
-            server = PeerServer(address, make_config(), bootstrap=bootstrap)
+        for address in addresses:
+            bootstrap = (servers[0].host, servers[0].port) if servers else None
+            server = PeerServer(
+                address, config, bootstrap=bootstrap, **server_options
+            )
             await server.start()
-            if bootstrap is None:
-                bootstrap = (server.host, server.port)
             servers.append(server)
-        return bootstrap
 
-    bootstrap = loop.run_until_complete(boot())
+    loop.run_until_complete(boot())
+    return servers
+
+
+def close_ring(loop, servers) -> None:
+    async def teardown():
+        for server in servers:
+            await server.close()
+        # Let the loops close() cancelled unwind before the loop goes.
+        await asyncio.sleep(0.05)
+
+    loop.run_until_complete(teardown())
+    loop.close()
+
+
+def run_socket():
+    loop = asyncio.new_event_loop()
+    servers = boot_ring(loop, ADDRESSES, make_config())
+    bootstrap = (servers[0].host, servers[0].port)
     rows, shapes = [], []
     try:
         client = ClusterClient(bootstrap, loop=loop)
@@ -161,13 +184,7 @@ def run_socket():
         counters = counters_row(client.system.counters)
         system = client.system
     finally:
-
-        async def teardown():
-            for server in servers:
-                await server.close()
-
-        loop.run_until_complete(teardown())
-        loop.close()
+        close_ring(loop, servers)
     return rows, shapes, counters, system
 
 
@@ -235,3 +252,104 @@ def test_trace_shape_has_expected_skeleton(sync_run):
 def test_counters_identical_across_transports(sync_run, sim_run, socket_run):
     assert sync_run[2] == sim_run[2]
     assert sync_run[2] == socket_run[2]
+
+
+# -- placement executors: one planner behind every repair path --------------
+
+
+def holder_sets(stores, alive) -> dict:
+    """(identifier, descriptor) -> the alive peers holding a copy."""
+    held: dict = {}
+    for store in stores:
+        if store.peer_id in alive:
+            for identifier, entry in store.entries():
+                held.setdefault(
+                    (identifier, str(entry.descriptor)), set()
+                ).add(store.peer_id)
+    return held
+
+
+def warmed_system() -> RangeSelectionSystem:
+    system = RangeSelectionSystem(make_config())
+    for query, origin in zip(QUERIES, origins()):
+        system.query(query, origin=origin)
+    return system
+
+
+def test_repair_after_a_crash_converges_identically_across_transports():
+    # One seeded crash, three executors of the same plan: the synchronous
+    # pass, the simulated repairer's round, and the live servers' loop.
+    sync = warmed_system()
+    victim = sync.replica_owners(sync.identifiers_for(QUERIES[0])[0])[0]
+    alive = set(sync.router.node_ids) - {victim}
+    sync.crash_peer(victim)
+    assert sync.repair_replicas() > 0
+    expected = holder_sets(sync.stores.values(), alive)
+    assert all(len(peers) == 2 for peers in expected.values())
+
+    engine = AsyncQueryEngine(warmed_system(), seed=SEED)
+    engine.crash_peer(victim)
+    engine.sim.run_until_complete(ReplicaRepairer(engine).run_round())
+    assert holder_sets(engine.system.stores.values(), alive) == expected
+
+    loop = asyncio.new_event_loop()
+    servers = boot_ring(
+        loop, ADDRESSES, make_config(), repair_interval_ms=50.0
+    )
+    try:
+        client = ClusterClient((servers[0].host, servers[0].port), loop=loop)
+        for query, origin in zip(QUERIES, origins()):
+            client.query(query, origin=origin)
+        doomed = next(s for s in servers if s.node_id == victim)
+        loop.run_until_complete(doomed.close())
+        # SWIM is off here, so deliver its verdict by hand: the same
+        # gossip record a confirming peer would broadcast.
+        obituary = {
+            "epoch": 0,
+            "members": {
+                doomed.address: [doomed.host, doomed.port, "dead", 0]
+            },
+        }
+        survivors = [s for s in servers if s is not doomed]
+        for server in survivors:
+            loop.run_until_complete(
+                wire.call(server.host, server.port, "member-update", obituary)
+            )
+        live = {}
+        for _ in range(400):
+            live = holder_sets([s.store for s in survivors], alive)
+            if live == expected:
+                break
+            loop.run_until_complete(asyncio.sleep(0.05))
+        assert live == expected
+    finally:
+        close_ring(loop, servers)
+
+
+def test_joins_leave_one_primary_per_key_at_its_owner():
+    # Regression: the live rebalance used to promote but never demote, so
+    # every join that took over a key's ownership left a second primary
+    # behind.  4 peers warmed, then grown to 8.
+    config = SystemConfig(n_peers=4, seed=SEED, replicas=3)
+    loop = asyncio.new_event_loop()
+    servers = boot_ring(loop, ADDRESSES[:4], config)
+    try:
+        client = ClusterClient((servers[0].host, servers[0].port), loop=loop)
+        for query in UniformRangeWorkload(config.domain, 40, seed=SEED).ranges():
+            client.query(query)
+        servers = boot_ring(loop, ADDRESSES[4:8], config, servers)
+        client.refresh()
+        copies: dict = {}
+        for address in client.members:
+            for identifier, descriptor, _rows, primary in client.entries_of(
+                address
+            ):
+                node = node_id_for_address(address, config.id_bits)
+                copies.setdefault((identifier, descriptor), {})[node] = primary
+        assert len(client.members) == 8 and copies
+        for (identifier, _descriptor), flags in copies.items():
+            owners = client.system.replica_owners(identifier)
+            assert set(flags) == set(owners)
+            assert [n for n, primary in flags.items() if primary] == owners[:1]
+    finally:
+        close_ring(loop, servers)

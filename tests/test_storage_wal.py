@@ -385,14 +385,15 @@ class TestHookIsObservational:
 
 
 # One durable lifetime: identifiers collide (duplicate re-stores), roles
-# mix, capacity forces LRU evictions, and handoffs delete entries.
+# mix and flip both ways, capacity forces LRU evictions, and handoffs
+# delete entries.
 op_lists = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=5),          # identifier
         st.integers(min_value=0, max_value=80),         # range start
         st.integers(min_value=1, max_value=40),         # range width
         st.booleans(),                                  # primary
-        st.sampled_from(["store", "repair-push", "handoff"]),
+        st.sampled_from(["store", "repair-push", "handoff", "role"]),
     ),
     min_size=1,
     max_size=40,
@@ -413,6 +414,8 @@ def test_wal_replay_reconstructs_store_exactly(ops):
             descriptor = desc(start, start + width)
             if kind == "handoff":
                 live.remove(identifier, descriptor, via="handoff")
+            elif kind == "role":
+                live.set_primary(identifier, descriptor, primary)
             else:
                 partition = (
                     Partition(descriptor=descriptor, rows=((start,),))
