@@ -597,8 +597,7 @@ class RangeSelectionSystem(ReplicaPlacement):
         return copies, lost
 
     def replication_deficits(self, is_alive: Callable[[int], bool]):
-        """The copy operations of :meth:`repair_plan`, one per missing
-        copy."""
+        """The copy operations of :meth:`repair_plan`, one per missing copy."""
         return self.repair_plan(is_alive)[0]
 
     def repair_replicas(

@@ -234,20 +234,14 @@ class LiveChurnExperiment:
                 return False
         return True
 
-    def _replication_met(self, client, cluster) -> bool:
-        """Every stored key has ``min(r, live)`` copies on live peers."""
-        live = sorted(self._live(cluster))
-        goal = min(self.replicas, len(live))
-        copies: dict[tuple, int] = {}
-        for address in live:
-            try:
-                entries = client.entries_of(address)
-            except ReproError:
-                return False
-            for identifier, descriptor, _partition, _primary in entries:
-                key = (identifier, descriptor)
-                copies[key] = copies.get(key, 0) + 1
-        return bool(copies) and all(n >= goal for n in copies.values())
+    @staticmethod
+    def _replication_met(client) -> bool:
+        """Every stored key has ``min(r, members)`` copies on the ring."""
+        try:
+            client.refresh()
+            return client.under_replicated() == 0
+        except ReproError:
+            return False
 
     def _counter_total(self, client, cluster, name: str) -> int:
         """Sum one counter over every live peer's metrics snapshot."""
@@ -321,7 +315,7 @@ class LiveChurnExperiment:
                     client.query(tile)
                 self._recall(client, tiles)
                 self._wait_for(
-                    lambda: self._replication_met(client, cluster),
+                    lambda: self._replication_met(client),
                     "warm replication",
                 )
                 warm = self._recall(client, tiles)
@@ -387,7 +381,7 @@ class LiveChurnExperiment:
             f"every mirror to evict {victim}",
         )
         repair_ms = detect_ms + self._wait_for(
-            lambda: self._replication_met(client, cluster),
+            lambda: self._replication_met(client),
             "post-kill re-replication",
         )
         client.refresh()
@@ -465,7 +459,7 @@ class LiveChurnExperiment:
         cluster.heal()
         repair_ms = self._wait_for(
             lambda: self._converged(client, cluster)
-            and self._replication_met(client, cluster),
+            and self._replication_met(client),
             "post-heal reconvergence",
         )
         client.refresh()

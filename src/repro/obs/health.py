@@ -227,7 +227,7 @@ class TelemetrySampler:
         deficit_by_target: dict[int, int] = {}
         total_deficit = 0
         for _identifier, _desc, _src, _part, target, _primary in (
-            system.replication_deficits(alive)
+            system.repair_plan(alive)[0]
         ):
             total_deficit += 1
             deficit_by_target[target] = deficit_by_target.get(target, 0) + 1

@@ -235,6 +235,26 @@ class PeerServer(ReplicaPlacement):
             ring.add_node(address)
         ring.build()
         self.router = ChordRouter(ring)
+        self._settle_roles()
+
+    def _settle_roles(self) -> list[Action]:
+        """Plan this peer's entries against the mirrored, non-dead ring.
+
+        Role flags need no I/O, so they follow the ring at once, whichever
+        way it moved (join, leave, eviction) and whether or not a repair
+        loop runs; the caller executes the plan's ``copy``/``drop`` actions.
+        """
+        holders = {
+            (identifier, entry.descriptor): {self.node_id: entry.primary}
+            for identifier, entry in self.store.entries()
+        }
+        plan = list(plan_placement(holders, self.replica_owners))
+        for action in plan:
+            if action.kind == "set_role":
+                self.store.set_primary(
+                    action.identifier, action.descriptor, action.primary
+                )
+        return plan
 
     def _address_of(self, node_id: int) -> str:
         assert self.router is not None
@@ -781,22 +801,19 @@ class PeerServer(ReplicaPlacement):
         Unreachable targets are skipped; the next round retries them.
         Returns ``(created, missing)``.
         """
-        held = {
-            (identifier, entry.descriptor): entry
+        partitions = {
+            (identifier, entry.descriptor): entry.partition
             for identifier, entry in self.store.entries()
         }
         wanted: dict[str, list[Action]] = {}
-        local: list[Action] = []
-        for action in plan_placement(
-            {key: {self.node_id: entry.primary} for key, entry in held.items()},
-            self.replica_owners,
-        ):
+        drops: list[Action] = []
+        for action in self._settle_roles():
             if action.kind == "copy":
                 wanted.setdefault(self._address_of(action.node), []).append(
                     action
                 )
-            else:
-                local.append(action)
+            elif shed and action.kind == "drop":
+                drops.append(action)
         created = 0
         missing = 0
         for address, copies in wanted.items():
@@ -825,7 +842,7 @@ class PeerServer(ReplicaPlacement):
                     stored = await self._call_member(
                         address,
                         "repair-push",
-                        (*key, held[key].partition, copy.primary),
+                        (*key, partitions[key], copy.primary),
                         peer_id=copy.node,
                         timeout_ms=CONTROL_TIMEOUT_MS,
                     )
@@ -841,12 +858,9 @@ class PeerServer(ReplicaPlacement):
                         "repair.push.copies",
                         help="missing copies re-replicated by this peer",
                     ).inc()
-        for action in local:
-            if action.kind == "set_role":
-                self.store.set_primary(
-                    action.identifier, action.descriptor, action.primary
-                )
-            elif shed:
+        for action in drops:
+            # Re-checked: the ring may have moved during the awaits above.
+            if self.node_id not in self.replica_owners(action.identifier):
                 self.store.remove(
                     action.identifier, action.descriptor, via="handoff"
                 )
@@ -893,8 +907,7 @@ class PeerServer(ReplicaPlacement):
         """Re-place local entries against the current ring: the placement
         executor with shedding, run on joins, leaves and restarts.
         Returns the number of copies pushed."""
-        created, _missing = await self._converge(shed=True)
-        return created
+        return (await self._converge(shed=True))[0]
 
     async def _hand_off_and_leave(self) -> int:
         """Graceful departure: push every entry to its post-leave replica
@@ -943,12 +956,11 @@ class PeerServer(ReplicaPlacement):
             return reply
         if kind == "member-update":
             outcome = self.table.merge(payload, self._now_ms())
+            self._after_merge(outcome)
             if outcome.joined:
                 # A genuinely new member must receive its share of the
                 # data; re-place our entries against the new ring.
-                self._rebuild_ring()
                 await self.rebalance()
-            self._after_merge(outcome)
             return outcome.changed
         if kind == "swim-ping":
             if isinstance(payload, dict):

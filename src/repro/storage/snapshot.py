@@ -128,7 +128,7 @@ def restore_system(snapshot: dict) -> RangeSelectionSystem:
         descriptor = _descriptor_from_record(record)
         partition = _partition_from_record(record, descriptor)
         identifier = record["identifier"]
-        owner = system.router.owner_of(system._place(identifier))
+        owner = system.router.owner_of(system.place_identifier(identifier))
         system.stores[owner].store(identifier, descriptor, partition)
     return system
 

@@ -338,18 +338,27 @@ def test_joins_leave_one_primary_per_key_at_its_owner():
         for query in UniformRangeWorkload(config.domain, 40, seed=SEED).ranges():
             client.query(query)
         servers = boot_ring(loop, ADDRESSES[4:8], config, servers)
-        client.refresh()
-        copies: dict = {}
-        for address in client.members:
-            for identifier, descriptor, _rows, primary in client.entries_of(
-                address
-            ):
-                node = node_id_for_address(address, config.id_bits)
-                copies.setdefault((identifier, descriptor), {})[node] = primary
-        assert len(client.members) == 8 and copies
-        for (identifier, _descriptor), flags in copies.items():
-            owners = client.system.replica_owners(identifier)
-            assert set(flags) == set(owners)
-            assert [n for n, primary in flags.items() if primary] == owners[:1]
+
+        def assert_one_primary_at_each_owner(n_members: int) -> None:
+            client.refresh()
+            copies: dict = {}
+            for address in client.members:
+                for identifier, descriptor, _rows, primary in client.entries_of(
+                    address
+                ):
+                    node = node_id_for_address(address, config.id_bits)
+                    copies.setdefault((identifier, descriptor), {})[node] = primary
+            assert len(client.members) == n_members and copies
+            for (identifier, _descriptor), flags in copies.items():
+                owners = client.system.replica_owners(identifier)
+                assert set(flags) == set(owners)
+                assert [n for n, primary in flags.items() if primary] == owners[:1]
+
+        assert_one_primary_at_each_owner(8)
+        # A graceful leave moves ranks the other way: survivors whose
+        # digest already shows the copy must still be promoted, with the
+        # repair loop off (the default here).
+        client.leave(servers[3].address)
+        assert_one_primary_at_each_owner(7)
     finally:
         close_ring(loop, servers)
