@@ -1549,6 +1549,7 @@ def _render_top(view: dict) -> str:
                 address,
                 f"{node.get('qps', 0.0):.1f}",
                 node.get("queue_depth", 0),
+                f"{node.get('connections_open', 0):g}/{node.get('accepts', 0):g}",
                 node.get("pending_repair", 0),
                 census.get("entries", 0),
                 census.get("primaries", 0),
@@ -1559,14 +1560,14 @@ def _render_top(view: dict) -> str:
             )
         )
     for address, error in sorted(view.get("errors", {}).items()):
-        rows.append((address, "-", "-", "-", "-", "-", "-", "-", "-", error))
+        rows.append((address, "-", "-", "-", "-", "-", "-", "-", "-", "-", error))
     for address in sorted(view.get("down", [])):
-        rows.append((address, "-", "-", "-", "-", "-", "down", "-", "-", "-"))
+        rows.append((address, "-", "-", "-", "-", "-", "-", "down", "-", "-", "-"))
     service = view.get("service_ms") or {}
     lines = [
         format_table(
             (
-                "peer", "qps", "queue", "repair", "entries", "prim",
+                "peer", "qps", "queue", "conns", "repair", "entries", "prim",
                 "breaker", "alive", "epoch", "skew ms",
             ),
             rows,

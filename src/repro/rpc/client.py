@@ -4,10 +4,11 @@ Three pieces turn the transport-agnostic
 :class:`~repro.rpc.engine.QueryEngine` into a real network client:
 
 - :class:`SocketTransport` — the third :class:`~repro.rpc.transports.Transport`.
-  ``request()`` opens an asyncio TCP connection to the recipient and
-  settles a :class:`~repro.sim.futures.SimFuture` when the reply frame
-  lands, so the ``l`` lookup chains of one query run concurrently over
-  real connections.  Routing hops stay *virtual*: the client mirrors the
+  ``request()`` sends one exchange down the recipient's long-lived
+  connection and settles a :class:`~repro.sim.futures.SimFuture` when the
+  reply frame with its ``id`` lands, so the ``l`` lookup chains of one
+  query run concurrently, multiplexed over one TCP connection per peer.
+  Routing hops stay *virtual*: the client mirrors the
   full ring, so the owner of an identifier is a local computation, and
   each traversed finger edge is charged to the traffic stats without a
   network round trip (the classic client-mode DHT shortcut).
@@ -85,7 +86,10 @@ class SocketTransport(Transport):
 
     Must be used from inside a running event loop (the
     :class:`ClusterClient` drives one); ``request()`` spawns one task per
-    exchange and settles the returned future from the loop.
+    exchange and settles the returned future from the loop.  Exchanges
+    ride the connections of :attr:`connections`, the cache its owner
+    lends it — one long-lived connection per recipient, so an exchange
+    costs a frame each way, not a TCP handshake.
 
     With ``policies=True`` (the default) the transport runs the adaptive
     mechanisms of :mod:`repro.sim.policies` against real sockets: a
@@ -115,6 +119,9 @@ class SocketTransport(Transport):
         self.retries = retries
         #: Peers that refused a connection; cleared by a successful ping.
         self.dead: set[int] = set()
+        #: The owner's connection cache (it outlives this transport, which
+        #: every ``refresh()`` rebuilds); ``None`` connects per exchange.
+        self.connections: wire.Connections | None = None
         self._tasks: set[asyncio.Task] = set()
         self._epoch = time.monotonic()
         self.adaptive: AdaptiveTimeout | None = None
@@ -240,6 +247,7 @@ class SocketTransport(Transport):
                     sender=sender, peer_id=recipient,
                     timeout_ms=timeout_ms,
                     trace=trace_wire,
+                    connections=self.connections,
                 )
             except PeerUnavailableError as exc:
                 # A refused connection is definitive — no retry budget
@@ -292,6 +300,14 @@ class SocketTransport(Transport):
             if not future.done:
                 future.resolve(value)
             return
+
+    async def close(self) -> None:
+        """Cancel exchanges nobody waits for any more (hedge losers,
+        requests the engine abandoned) and let them unwind."""
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
 
 
 class ClientSystem(ReplicaPlacement):
@@ -368,8 +384,16 @@ class ClusterClient:
         self.flight_dir = flight_dir
         self._owns_loop = loop is None
         self.loop = loop if loop is not None else asyncio.new_event_loop()
+        #: The client's own registry: the ``wire.*`` series of its
+        #: connections.  ``system.metrics`` is rebuilt with the mirrored
+        #: system on every :meth:`refresh`; this one lives as long as the
+        #: connections it describes.
+        self.metrics = MetricsRegistry()
+        #: One long-lived connection per member endpoint, shared by the
+        #: query transport and the control calls.
+        self.connections = wire.Connections(self.metrics)
         self.system: ClientSystem
-        self.transport: SocketTransport
+        self.transport: SocketTransport | None = None
         self.engine: QueryEngine
         self._rng = None
         self.refresh()
@@ -398,8 +422,17 @@ class ClusterClient:
             except OSError:
                 logger.warning("client flight dump to %s failed", path)
 
+    async def _hang_up(self) -> None:
+        await self.transport.close()
+        await self.connections.close()
+
     def close(self) -> None:
-        if self._owns_loop and not self.loop.is_closed():
+        """Stop in-flight exchanges and close every connection; the loop
+        too, when this client made it."""
+        if self.loop.is_closed():
+            return
+        self._run(self._hang_up())
+        if self._owns_loop:
             self.loop.close()
 
     def __enter__(self) -> "ClusterClient":
@@ -423,9 +456,10 @@ class ClusterClient:
             address: (str(endpoint[0]), int(endpoint[1]))
             for address, endpoint in hello["members"].items()
         }
-        previously_dead = (
-            self.transport.dead if hasattr(self, "transport") else set()
-        )
+        previously_dead: set[int] = set()
+        if self.transport is not None:
+            previously_dead = self.transport.dead
+            self._run(self.transport.close())
         self.system = ClientSystem(config, members)
         self.transport = SocketTransport(
             self.system.endpoints,
@@ -436,6 +470,10 @@ class ClusterClient:
             seed=config.seed,
         )
         self.transport.dead |= previously_dead & set(self.system.endpoints)
+        # A member that restarted came back on a new port: whatever is
+        # still open to an endpoint no member has is closed here.
+        self.connections.retain(members.values())
+        self.transport.connections = self.connections
         # Peers the ring itself suspects are poor first choices: mark
         # them dead up front so origin picking and failover planning
         # route around them (a refuting peer clears itself on the next
@@ -572,7 +610,10 @@ class ClusterClient:
         """One control RPC to a member, by address."""
         host, port = self.endpoint_of(address)
         return self._run(
-            wire.call(host, port, kind, payload, timeout_ms=self.timeout_ms)
+            wire.call(
+                host, port, kind, payload,
+                timeout_ms=self.timeout_ms, connections=self.connections,
+            )
         )
 
     def ping(self, address: str) -> bool:
@@ -599,7 +640,8 @@ class ClusterClient:
         return self._run(
             wire.fetch_entries(
                 lambda page: wire.call(
-                    host, port, "entries", page, timeout_ms=self.timeout_ms
+                    host, port, "entries", page,
+                    timeout_ms=self.timeout_ms, connections=self.connections,
                 ),
                 page_size,
             )
@@ -631,7 +673,8 @@ class ClusterScraper:
     """Polls every member's ``telemetry`` RPC into one cluster view.
 
     Each :meth:`scrape` returns a merged document: per-node rows (QPS
-    from request-count deltas between scrapes, queue depth, repair debt,
+    from request-count deltas between scrapes, queue depth, connections
+    accepted and open, repair debt,
     census, SWIM epoch, breaker state, clock skew versus the scraper's
     wall clock) plus cluster aggregates — bucket-merged ``p50/p95/p99``
     service time and the Gini coefficient over per-node request counts,
@@ -715,6 +758,12 @@ class ClusterScraper:
                 "requests": requests,
                 "qps": qps,
                 "queue_depth": snap.get("queue_depth", 0),
+                #: Connections accepted so far and open now: next to
+                #: ``requests`` they show whether callers reuse theirs.
+                "accepts": counter_total(metrics, "wire.accepts"),
+                "connections_open": counter_total(
+                    metrics, "wire.connections_open"
+                ),
                 "pending_repair": snap.get("pending_repair", 0),
                 "census": snap.get("census") or {},
                 "swim_epoch": swim.get("epoch"),

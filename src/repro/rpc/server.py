@@ -38,10 +38,12 @@ so a SIGKILL'd replica's partitions are back at ``r`` copies within a
 couple of rounds, again with no client involved.
 
 **Chaos.**  ``chaos-set`` injects faults for the deterministic chaos
-harness: an added per-request service delay, a seeded drop probability,
-and a *blocked* sender list — requests from blocked peers are dropped
-without a reply and calls to them refused locally, which is how the
-harness builds two-sided network partitions without touching ``tc``.
+harness: an added per-request service delay, a seeded drop probability
+(the chosen request alone gets no reply; the connection it shares with
+others carries on), and a *blocked* sender list — a blocked peer's
+connection is hung up on and calls to it are refused locally, which is
+how the harness builds two-sided network partitions without touching
+``tc``.
 Clients never set a sender address and are never blocked: chaos partitions
 the overlay, not the observer.
 """
@@ -193,6 +195,21 @@ class PeerServer(ReplicaPlacement):
         )
         #: Concurrently-executing requests right now (all kinds).
         self._inflight = 0
+        self._requests = self.metrics.counter(
+            "server.requests", help="requests served, by kind"
+        )
+        self._inflight_gauge = self.metrics.gauge(
+            "server.inflight", help="requests executing right now"
+        )
+        self._service_ms = self.metrics.histogram(
+            "server.service_ms", help="request service time, by kind"
+        )
+        #: Outbound connections to other members, one per endpoint; its
+        #: ``wire.*`` series also count this peer's inbound side.
+        self.connections = wire.Connections(self.metrics)
+        self._wire = self.connections.metrics
+        #: Inbound connections: the task reading each, and its writer.
+        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
         #: Replica copies the last repair round found missing; the
         #: telemetry RPC and SWIM health piggyback both report it.
         self._pending_repair = 0
@@ -235,6 +252,9 @@ class PeerServer(ReplicaPlacement):
             ring.add_node(address)
         ring.build()
         self.router = ChordRouter(ring)
+        # An evicted (or restarted, hence re-addressed) member's
+        # connection is of no further use.
+        self.connections.retain(self.table.endpoints().values())
         self._settle_roles()
 
     def _settle_roles(self) -> list[Action]:
@@ -287,6 +307,7 @@ class PeerServer(ReplicaPlacement):
             sender_address=self.address,
             peer_id=peer_id,
             timeout_ms=timeout_ms,
+            connections=self.connections,
         )
 
     def _spawn(self, coroutine) -> None:
@@ -390,13 +411,24 @@ class PeerServer(ReplicaPlacement):
         await self.close()
 
     async def close(self) -> None:
-        """Stop accepting connections (in-process embedders call this)."""
+        """Stop serving (in-process embedders call this): no new
+        connections, every open one hung up, every task unwound."""
         self._stopped.set()
-        for task in list(self._tasks):
-            task.cancel()
-        self._tasks.clear()
         if self._server is not None:
             self._server.close()
+        tasks = list(self._tasks)  # background loops, requests in flight
+        for task in tasks:
+            task.cancel()
+        # Connection readers end on the EOF of their own closed socket:
+        # before Python 3.12 the stream protocol logs a cancelled one as
+        # an error.
+        for writer in self._inbound.values():
+            writer.close()
+        await asyncio.gather(*tasks, *self._inbound, return_exceptions=True)
+        await self.connections.close()
+        if self._server is not None:
+            # From Python 3.12 this waits for every accepted connection
+            # to be gone, which is why they are closed first.
             await self._server.wait_closed()
         if self.durability is not None:
             self.durability.close()
@@ -1035,7 +1067,7 @@ class PeerServer(ReplicaPlacement):
             reply = await wire.call(
                 host, port, "swim-ping", self._membership_payload(),
                 sender=self.node_id, sender_address=self.address,
-                timeout_ms=timeout_ms,
+                timeout_ms=timeout_ms, connections=self.connections,
             )
         except ReproError:
             return False
@@ -1160,84 +1192,108 @@ class PeerServer(ReplicaPlacement):
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        """Read one connection's request frames for as long as it lives.
+
+        Each request runs as its own task, so a handler that waits (a
+        ``ping-req`` on a third peer) delays nothing queued behind it;
+        replies go out in completion order, matched by ``id``.
+        """
+        if self._stopped.is_set():
+            writer.close()  # accepted just as close() ran
+            return
+        reading = asyncio.current_task()
+        self._inbound[reading] = writer
+        self._wire.accepts.inc()
+        self._wire.connections_open.inc()
+        # drain() from several tasks at once asserts on Python 3.10.
+        write_lock = asyncio.Lock()
         try:
             while True:
-                request = await wire.read_frame(reader)
+                request = await wire.read_frame(reader, self._wire.bytes_in)
                 if request is None:
                     return
-                sender_address = request.get("from")
-                if sender_address and sender_address in self.chaos_blocked:
-                    return  # partitioned: drop silently, like a dead link
-                if self.chaos_delay_ms > 0:
-                    await asyncio.sleep(self.chaos_delay_ms / 1000.0)
-                if (
-                    self.chaos_drop > 0.0
-                    and self._chaos_rng.random() < self.chaos_drop
-                ):
-                    return  # injected loss: hang up without a reply
-                kind = str(request.get("kind"))
-                # A garbled or missing trace envelope degrades the request
-                # to untraced (``from_wire`` returns None) — propagation
-                # can add observability but never fail a request.
-                ctx = TraceContext.from_wire(request.get("trace"))
-                self._inflight += 1
-                self.metrics.counter(
-                    "server.requests", help="requests served, by kind"
-                ).inc(kind=kind)
-                self.metrics.gauge(
-                    "server.inflight", help="requests executing right now"
-                ).set(self._inflight)
-                started = self._now_ms()
-                fragment: SpanFragment | None = None
-                if (ctx is not None and ctx.sampled) or kind in DATA_KINDS:
-                    fragment = SpanFragment(
-                        f"serve:{kind}",
-                        self.address,
-                        trace_id=ctx.trace_id if ctx is not None else None,
-                        parent_span_id=(
-                            ctx.parent_span_id if ctx is not None else None
-                        ),
-                        attrs={"kind": kind, "inflight": self._inflight},
-                    )
-                try:
-                    value = await self._handle(
-                        kind,
-                        wire.decode_value(request.get("payload")),
-                    )
-                    reply = {
-                        "id": request.get("id", 0),
-                        "ok": True,
-                        "value": wire.encode_value(value),
-                    }
-                    if fragment is not None:
-                        fragment.end(outcome="ok")
-                except Exception as exc:  # noqa: BLE001 - reported to caller
-                    reply = {
-                        "id": request.get("id", 0),
-                        "ok": False,
-                        "error": str(exc),
-                        "error_type": type(exc).__name__,
-                    }
-                    if fragment is not None:
-                        fragment.end(
-                            outcome="error", error=type(exc).__name__
-                        )
-                finally:
-                    self._inflight -= 1
-                    self.metrics.gauge("server.inflight").set(self._inflight)
-                    self.metrics.histogram(
-                        "server.service_ms",
-                        help="request service time, by kind",
-                    ).observe(self._now_ms() - started, kind=kind)
-                    if fragment is not None:
-                        self.flight.record_span(fragment)
-                await wire.write_frame(writer, reply)
+                if request.get("from") in self.chaos_blocked:
+                    return  # partitioned: hang up, like a dead link
+                self._spawn(self._serve_request(request, writer, write_lock))
         except (ConnectionResetError, asyncio.IncompleteReadError):
             return  # client hung up mid-exchange; nothing to answer
         except wire.WireError:
             return  # torn or corrupt frame; drop the connection
         finally:
+            del self._inbound[reading]
+            self._wire.connections_open.inc(-1)
             writer.close()
+
+    async def _serve_request(
+        self,
+        request: dict,
+        writer: asyncio.StreamWriter,
+        write_lock: asyncio.Lock,
+    ) -> None:
+        """Run one request and write its reply, echoing the ``id``."""
+        # Chaos acts on this request alone; the connection, and whatever
+        # else is in flight on it, carries on.
+        if self.chaos_delay_ms > 0:
+            await asyncio.sleep(self.chaos_delay_ms / 1000.0)
+        if self.chaos_drop > 0.0 and self._chaos_rng.random() < self.chaos_drop:
+            return  # injected loss: no reply, the caller's timeout fires
+        kind = str(request.get("kind"))
+        # A garbled or missing trace envelope degrades the request
+        # to untraced (``from_wire`` returns None) — propagation
+        # can add observability but never fail a request.
+        ctx = TraceContext.from_wire(request.get("trace"))
+        self._inflight += 1
+        self._requests.inc(kind=kind)
+        self._inflight_gauge.set(self._inflight)
+        started = self._now_ms()
+        fragment: SpanFragment | None = None
+        if (ctx is not None and ctx.sampled) or kind in DATA_KINDS:
+            fragment = SpanFragment(
+                f"serve:{kind}",
+                self.address,
+                trace_id=ctx.trace_id if ctx is not None else None,
+                parent_span_id=ctx.parent_span_id if ctx is not None else None,
+                attrs={"kind": kind, "inflight": self._inflight},
+            )
+        try:
+            value = await self._handle(
+                kind, wire.decode_value(request.get("payload"))
+            )
+            frame = wire.encode_frame(
+                {
+                    "id": request.get("id", 0),
+                    "ok": True,
+                    "value": wire.encode_value(value),
+                }
+            )
+            if fragment is not None:
+                fragment.end(outcome="ok")
+        except Exception as exc:  # noqa: BLE001 - reported to caller
+            frame = wire.encode_frame(
+                {
+                    "id": request.get("id", 0),
+                    "ok": False,
+                    "error": str(exc),
+                    "error_type": type(exc).__name__,
+                }
+            )
+            if fragment is not None:
+                fragment.end(outcome="error", error=type(exc).__name__)
+        finally:
+            self._inflight -= 1
+            self._inflight_gauge.set(self._inflight)
+            self._service_ms.observe(self._now_ms() - started, kind=kind)
+            if fragment is not None:
+                self.flight.record_span(fragment)
+        if writer.is_closing():
+            return  # the caller hung up; nobody to answer
+        try:
+            async with write_lock:
+                writer.write(frame)
+                await writer.drain()
+        except OSError:
+            return  # the caller hung up while the reply drained
+        self._wire.bytes_out.inc(len(frame))
 
 
 async def run_server(

@@ -7,11 +7,34 @@ the values that actually cross the wire are small (descriptors and match
 scores — partition rows only travel on explicit fetches), so framing
 overhead dominates encoding choice anyway.
 
-One request/reply exchange::
+Exchanges are multiplexed over one long-lived connection per peer pair::
 
     -> {"id": 7, "kind": "match-request", "sender": 123, "payload": ...}
-    <- {"id": 7, "ok": true, "value": ...}
+    -> {"id": 8, "kind": "swim-ping", "sender": 123, "payload": ...}
+    <- {"id": 8, "ok": true, "value": ...}
     <- {"id": 7, "ok": false, "error": "...", "error_type": "ConfigError"}
+
+The requester picks ``id`` — a counter private to the connection, from 0
+— and the server echoes it, so replies may come back in any order: a
+slow handler never holds up the requests queued behind it.  A reply
+whose ``id`` no request is waiting for is discarded (counted as
+``wire.late_replies`` when that request already timed out).
+
+:class:`Connection` is the one exchange primitive: it owns the socket and
+a reader task, parks one future per in-flight ``id`` and fails them all
+when the peer hangs up or sends bytes that violate the framing.
+:class:`Connections` caches one per ``(host, port)`` for owners that
+live long (a :class:`~repro.rpc.client.ClusterClient`, a
+:class:`~repro.rpc.server.PeerServer`); :func:`call` without a cache
+opens one connection for one request and closes it.
+
+Who closes when: the *requester* closes a connection it no longer wants
+(its endpoint left the member map, or its owner shut down); the *server*
+closes on a framing violation, on a partitioned sender, and at shutdown.
+A request timing out closes nothing.  A hang-up found on a connection
+that was idle since its last exchange says nothing about the peer — it
+may have restarted — so :class:`Connections` retries that request once
+on a fresh connection, and only the fresh attempt's outcome counts.
 
 ``payload``/``value`` carry the same Python objects the in-process
 transports pass by reference — :class:`~repro.ranges.interval.IntRange`,
@@ -28,7 +51,7 @@ import asyncio
 import dataclasses
 import json
 import struct
-from typing import Any, Awaitable, Callable
+from typing import Any, Awaitable, Callable, Iterable
 
 from repro.core.config import SystemConfig
 from repro.db.partition import Partition, PartitionDescriptor
@@ -39,6 +62,7 @@ from repro.errors import (
     RequestTimeoutError,
     StorageError,
 )
+from repro.obs.registry import Counter, MetricsRegistry
 from repro.ranges.domain import Domain
 from repro.ranges.interval import IntRange
 
@@ -48,8 +72,13 @@ __all__ = [
     "fetch_entries",
     "encode_value",
     "decode_value",
+    "encode_frame",
     "write_frame",
     "read_frame",
+    "WireMetrics",
+    "Connection",
+    "Connections",
+    "ConnectionLostError",
     "call",
     "config_to_wire",
     "config_from_wire",
@@ -174,23 +203,71 @@ def config_from_wire(body: dict) -> SystemConfig:
 
 
 # ---------------------------------------------------------------------------
+# Metrics
+# ---------------------------------------------------------------------------
+
+class WireMetrics:
+    """The wire layer's registry series, resolved once.
+
+    Both ends of a connection bump these per frame, so they are bound as
+    attributes here instead of looked up by name on the hot path.
+    """
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        if registry is None:
+            registry = MetricsRegistry()
+        self.connects = registry.counter(
+            "wire.connects", help="outbound connections opened"
+        )
+        self.accepts = registry.counter(
+            "wire.accepts", help="inbound connections accepted"
+        )
+        self.connections_open = registry.gauge(
+            "wire.connections_open",
+            help="connections open right now, inbound and outbound",
+        )
+        self.bytes_out = registry.counter(
+            "wire.bytes_out", help="frame bytes written"
+        )
+        self.bytes_in = registry.counter(
+            "wire.bytes_in", help="frame bytes read"
+        )
+        self.late_replies = registry.counter(
+            "wire.late_replies",
+            help="replies discarded because their request had timed out",
+        )
+        self.stale_retries = registry.counter(
+            "wire.stale_retries",
+            help="requests re-sent because a reused connection had hung up",
+        )
+
+
+# ---------------------------------------------------------------------------
 # Framing
 # ---------------------------------------------------------------------------
 
-async def write_frame(writer: asyncio.StreamWriter, document: dict) -> None:
-    """Send one length-prefixed JSON frame."""
+def encode_frame(document: dict) -> bytes:
+    """One length-prefixed JSON frame, ready to write."""
     body = json.dumps(document, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise ValueError(f"frame of {len(body)} bytes exceeds MAX_FRAME_BYTES")
-    writer.write(_LENGTH.pack(len(body)) + body)
+    return _LENGTH.pack(len(body)) + body
+
+
+async def write_frame(writer: asyncio.StreamWriter, document: dict) -> None:
+    """Send one length-prefixed JSON frame."""
+    writer.write(encode_frame(document))
     await writer.drain()
 
 
-async def read_frame(reader: asyncio.StreamReader) -> dict | None:
+async def read_frame(
+    reader: asyncio.StreamReader, bytes_in: Counter | None = None
+) -> dict | None:
     """Read one frame; ``None`` on a clean EOF before the length prefix.
 
     Anything else that violates the framing — an oversized or torn frame,
     a body that is not a JSON object — raises :class:`WireError`.
+    ``bytes_in`` is charged the size of every complete frame.
     """
     try:
         prefix = await reader.readexactly(_LENGTH.size)
@@ -211,6 +288,8 @@ async def read_frame(reader: asyncio.StreamReader) -> dict | None:
         raise WireError(
             f"peer died mid-frame ({length} bytes announced)"
         ) from exc
+    if bytes_in is not None:
+        bytes_in.inc(_LENGTH.size + length)
     try:
         document = json.loads(body.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -223,7 +302,7 @@ async def read_frame(reader: asyncio.StreamReader) -> dict | None:
 
 
 # ---------------------------------------------------------------------------
-# One-shot client call
+# Multiplexed exchanges
 # ---------------------------------------------------------------------------
 
 #: Error types a peer may report, mapped back to library exceptions so
@@ -232,6 +311,248 @@ _ERROR_TYPES = {
     "ConfigError": ConfigError,
     "StorageError": StorageError,
 }
+
+
+class ConnectionLostError(PeerUnavailableError):
+    """The peer hung up (EOF or reset) with this request unanswered.
+
+    Definitive on a connection opened for the request; on a reused one it
+    only says the *connection* was stale, and :class:`Connections`
+    retries on a fresh one.
+    """
+
+
+class Connection:
+    """One connection to one endpoint, carrying any number of exchanges.
+
+    A single task opens the socket and then reads reply frames for as
+    long as the connection lives, resolving the future parked under each
+    reply's ``id``.  Requests that arrive while the socket is still
+    opening share that one ``open_connection``.
+    """
+
+    def __init__(
+        self, host: str, port: int, metrics: WireMetrics | None = None
+    ) -> None:
+        self.host = host
+        self.port = port
+        self._metrics = metrics if metrics is not None else WireMetrics()
+        self._next_id = 0
+        self._pending: dict[int, asyncio.Future] = {}
+        self._writer: asyncio.StreamWriter | None = None
+        # drain() from several tasks at once asserts on Python 3.10.
+        self._write_lock = asyncio.Lock()
+        self._opened: asyncio.Future | None = None
+        self._task: asyncio.Task | None = None
+        #: Why the connection closed; ``None`` while it is usable.
+        self._cause: BaseException | None = None
+
+    @property
+    def closed(self) -> bool:
+        return self._cause is not None
+
+    @property
+    def established(self) -> bool:
+        """The socket is open: a request sent now reuses it."""
+        return self._writer is not None and self._cause is None
+
+    @property
+    def unwound(self) -> bool:
+        """Closed, and its task has finished: nothing left to wait for."""
+        return self.closed and (self._task is None or self._task.done())
+
+    # -- the connection's one task ---------------------------------------
+
+    async def _run(self) -> None:
+        try:
+            reader, writer = await asyncio.open_connection(self.host, self.port)
+        except OSError as exc:
+            self._shut(exc)
+            return
+        self._writer = writer
+        self._metrics.connects.inc()
+        self._metrics.connections_open.inc()
+        self._opened.set_result(None)
+        try:
+            while True:
+                reply = await read_frame(reader, self._metrics.bytes_in)
+                if reply is None:
+                    raise EOFError("peer closed the connection")
+                self._settle(reply)
+        except (EOFError, OSError, WireError) as exc:
+            self._shut(exc)
+
+    def _settle(self, reply: dict) -> None:
+        request_id = reply.get("id")
+        if type(request_id) is not int:
+            return  # not an id this side can have issued
+        future = self._pending.get(request_id)
+        if future is not None and not future.done():
+            future.set_result(reply)
+        elif 0 <= request_id < self._next_id:
+            # Issued here and no longer waited for: its request timed out.
+            self._metrics.late_replies.inc()
+
+    def _shut(self, cause: BaseException) -> None:
+        """Close the socket and fail everything parked on it."""
+        if self._cause is not None:
+            return
+        self._cause = cause
+        if self._writer is not None:
+            self._writer.close()
+            self._metrics.connections_open.inc(-1)
+        if self._opened is not None and not self._opened.done():
+            self._opened.set_exception(cause)
+            self._opened.exception()  # retrieved: nobody may be waiting
+        for future in self._pending.values():
+            if not future.done():
+                future.set_exception(cause)
+
+    # -- requests ----------------------------------------------------------
+
+    async def request(
+        self,
+        kind: str,
+        payload: Any = None,
+        *,
+        sender: int = -1,
+        sender_address: str | None = None,
+        peer_id: int = -1,
+        timeout_ms: float | None = None,
+        trace: dict | None = None,
+    ) -> Any:
+        """One request/reply exchange; see :func:`call` for the contract.
+
+        A timeout abandons this request only: the connection and its
+        other exchanges carry on, and the reply, should it still come, is
+        dropped by its ``id``.
+        """
+        request = {"kind": kind, "sender": sender, "payload": encode_value(payload)}
+        if sender_address is not None:
+            request["from"] = sender_address
+        if trace is not None:
+            request["trace"] = trace
+        exchange = self._exchange(request, peer_id)
+        if timeout_ms is None:
+            reply = await exchange
+        else:
+            try:
+                reply = await asyncio.wait_for(exchange, timeout_ms / 1000.0)
+            except asyncio.TimeoutError as exc:
+                raise RequestTimeoutError(peer_id, 1, timeout_ms) from exc
+        if reply.get("ok"):
+            return decode_value(reply.get("value"))
+        error_type = reply.get("error_type", "")
+        message = reply.get("error", "remote peer reported an error")
+        raise _ERROR_TYPES.get(error_type, RemoteError)(message)
+
+    async def _exchange(self, request: dict, peer_id: int) -> dict:
+        if self._task is None:
+            loop = asyncio.get_running_loop()
+            self._opened = loop.create_future()
+            self._task = loop.create_task(self._run())
+        request_id = None
+        try:
+            if not self._opened.done():
+                # Shielded: one waiter's timeout must not cancel the open
+                # the others share.
+                await asyncio.shield(self._opened)
+            if self._cause is not None:
+                raise self._cause
+            request_id = request["id"] = self._next_id
+            self._next_id += 1
+            frame = encode_frame(request)
+            reply = asyncio.get_running_loop().create_future()
+            self._pending[request_id] = reply
+            async with self._write_lock:
+                self._writer.write(frame)
+                await self._writer.drain()
+            self._metrics.bytes_out.inc(len(frame))
+            return await reply
+        except (OSError, EOFError, WireError) as exc:
+            self._shut(exc)  # a failed write: the reader may not know yet
+            if self._writer is None or isinstance(exc, WireError):
+                # Refused, or answered with garbage: the peer's doing.
+                raise PeerUnavailableError(peer_id) from exc
+            raise ConnectionLostError(peer_id) from exc
+        finally:
+            self._pending.pop(request_id, None)
+
+    # -- teardown ----------------------------------------------------------
+
+    def close(self) -> None:
+        """Hang up; requests still in flight fail as if the peer had."""
+        self._shut(ConnectionError("connection closed"))
+        if self._task is not None:
+            self._task.cancel()
+
+    async def wait_closed(self) -> None:
+        """Wait for a closed connection's task and socket to unwind."""
+        if self._task is not None:
+            await asyncio.gather(self._task, return_exceptions=True)
+        if self._writer is not None:
+            try:
+                await self._writer.wait_closed()
+            except OSError:  # pragma: no cover - teardown race
+                pass
+
+
+class Connections:
+    """A cache of live connections, one per ``(host, port)``.
+
+    Owned by whoever outlives single requests — a cluster client, a peer
+    server — which lends it to :func:`call` and closes it when it stops.
+    """
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        self.metrics = WireMetrics(registry)
+        self._live: dict[tuple[str, int], Connection] = {}
+        #: Closed by :meth:`retain`, possibly still unwinding.
+        self._retired: list[Connection] = []
+
+    def get(self, host: str, port: int) -> Connection:
+        """The usable connection to an endpoint, made on first use."""
+        connection = self._live.get((host, port))
+        if connection is None or connection.closed:
+            connection = Connection(host, port, self.metrics)
+            self._live[(host, port)] = connection
+        return connection
+
+    async def request(
+        self, host: str, port: int, kind: str, payload: Any = None, **options: Any
+    ) -> Any:
+        """:meth:`Connection.request` over the cached connection.
+
+        A reused connection that turns out to have hung up — the peer was
+        killed, or restarted, since the last exchange — is replaced and
+        the request sent once more; only that fresh attempt's refusal or
+        hang-up is the peer's.
+        """
+        connection = self.get(host, port)
+        reused = connection.established
+        try:
+            return await connection.request(kind, payload, **options)
+        except ConnectionLostError:
+            if not reused:
+                raise
+        self.metrics.stale_retries.inc()
+        return await self.get(host, port).request(kind, payload, **options)
+
+    def retain(self, endpoints: Iterable[tuple[str, int]]) -> None:
+        """Close every connection whose endpoint is not in ``endpoints``."""
+        keep = set(endpoints)
+        self._retired = [c for c in self._retired if not c.unwound]
+        for endpoint in [e for e in self._live if e not in keep]:
+            connection = self._live.pop(endpoint)
+            connection.close()
+            self._retired.append(connection)
+
+    async def close(self) -> None:
+        """Close every connection and wait for their tasks to finish."""
+        self.retain(())
+        retired, self._retired = self._retired, []
+        for connection in retired:
+            await connection.wait_closed()
 
 
 async def call(
@@ -245,8 +566,13 @@ async def call(
     peer_id: int = -1,
     timeout_ms: float | None = None,
     trace: dict | None = None,
+    connections: Connections | None = None,
 ) -> Any:
-    """One request/reply over a fresh connection.
+    """One request/reply with a peer.
+
+    Over ``connections`` when the caller owns a cache (the exchange joins
+    whatever else is in flight on the cached connection); otherwise over
+    a connection opened for this request and closed after it.
 
     Raises :class:`~repro.errors.PeerUnavailableError` when the peer
     refuses the connection, hangs up mid-exchange, or answers with bytes
@@ -262,47 +588,18 @@ async def call(
     wire form); peers that predate it ignore the extra field, so traced
     and untraced requests are interchangeable on the wire.
     """
-
-    async def exchange() -> Any:
-        try:
-            reader, writer = await asyncio.open_connection(host, port)
-        except OSError as exc:
-            raise PeerUnavailableError(peer_id) from exc
-        try:
-            request = {
-                "id": 0, "kind": kind, "sender": sender,
-                "payload": encode_value(payload),
-            }
-            if sender_address is not None:
-                request["from"] = sender_address
-            if trace is not None:
-                request["trace"] = trace
-            await write_frame(writer, request)
-            reply = await read_frame(reader)
-        except OSError as exc:
-            raise PeerUnavailableError(peer_id) from exc
-        except WireError as exc:
-            raise PeerUnavailableError(peer_id) from exc
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except OSError:  # pragma: no cover - teardown race
-                pass
-        if reply is None:
-            raise PeerUnavailableError(peer_id)
-        if reply.get("ok"):
-            return decode_value(reply.get("value"))
-        error_type = reply.get("error_type", "")
-        message = reply.get("error", "remote peer reported an error")
-        raise _ERROR_TYPES.get(error_type, RemoteError)(message)
-
-    if timeout_ms is None:
-        return await exchange()
+    options = {
+        "sender": sender, "sender_address": sender_address,
+        "peer_id": peer_id, "timeout_ms": timeout_ms, "trace": trace,
+    }
+    if connections is not None:
+        return await connections.request(host, port, kind, payload, **options)
+    connection = Connection(host, port)
     try:
-        return await asyncio.wait_for(exchange(), timeout=timeout_ms / 1000.0)
-    except asyncio.TimeoutError as exc:
-        raise RequestTimeoutError(peer_id, 1, timeout_ms) from exc
+        return await connection.request(kind, payload, **options)
+    finally:
+        connection.close()
+        await connection.wait_closed()
 
 
 async def fetch_entries(

@@ -26,6 +26,12 @@ from repro.sim.query import AsyncQueryEngine
 from repro.sim.repair import ReplicaRepairer
 from repro.workloads.generators import UniformRangeWorkload
 
+# The in-loop clusters below close their loop right after the servers: a
+# connection reader or serve task left behind surfaces there.
+pytestmark = pytest.mark.filterwarnings(
+    "error::pytest.PytestUnraisableExceptionWarning"
+)
+
 N_PEERS = 12
 SEED = 2003
 ADDRESSES = [f"peer-{i}" for i in range(N_PEERS)]
