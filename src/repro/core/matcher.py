@@ -4,16 +4,73 @@ The LSH family is necessarily defined for Jaccard similarity (Section 3.2),
 but *within* a located bucket any measure may rank candidates.  Section 5.2
 shows containment matching answers far more queries completely; both
 matchers are provided, plus a registry for config-by-name.
+
+A cached range is two integers, so scoring a whole bucket is arithmetic
+over two int columns.  Each matcher's ``score`` therefore carries a
+vectorised twin as ``score.columns(query, starts, ends)`` — a float64
+array holding, bit for bit, what ``score`` returns for each
+``IntRange(starts[i], ends[i])``.  The twin hangs on the *function*, so it
+travels with the bound method callers pass around
+(``matcher_by_name(name).score``) and a subclass that overrides ``score``
+sheds it; :class:`~repro.storage.bucket.Bucket` looks for it and falls
+back to calling ``score`` per entry when it is absent.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from typing import Callable
+
+import numpy as np
 
 from repro.db.partition import PartitionDescriptor
 from repro.ranges.interval import IntRange
 
 __all__ = ["Matcher", "JaccardMatcher", "ContainmentMatcher", "matcher_by_name"]
+
+
+def _vectorised(columns: Callable[[IntRange, np.ndarray, np.ndarray], np.ndarray]):
+    """Decorator pairing a scalar ``score`` with its column form."""
+
+    def attach(score):
+        score.columns = columns
+        return score
+
+    return attach
+
+
+def _overlap_and_jaccard(
+    query: IntRange, starts: np.ndarray, ends: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(|Q ∩ R|, jaccard(Q, R))`` for every ``R = [starts[i], ends[i]]``.
+
+    Mirrors :meth:`IntRange.jaccard`: the sizes are exact integers and the
+    one rounding step is the same int/int true division, so each value
+    equals the scalar result exactly (an empty overlap gives ``0 / union``,
+    which is the scalar code's literal ``0.0``).  Callers keep every bound
+    small enough that the sizes are exact in float64.
+    """
+    overlap = np.minimum(ends, query.end)
+    overlap -= np.maximum(starts, query.start)
+    overlap += 1
+    np.maximum(overlap, 0, out=overlap)
+    union = ends - starts
+    union += len(query) + 1
+    union -= overlap
+    return overlap, overlap / union
+
+
+def _jaccard_columns(query: IntRange, starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
+    return _overlap_and_jaccard(query, starts, ends)[1]
+
+
+def _containment_columns(
+    query: IntRange, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    overlap, scores = _overlap_and_jaccard(query, starts, ends)
+    scores *= 1e-3
+    scores += overlap / len(query)
+    return scores
 
 
 class Matcher(ABC):
@@ -31,6 +88,7 @@ class JaccardMatcher(Matcher):
 
     name = "jaccard"
 
+    @_vectorised(_jaccard_columns)
     def score(self, query: IntRange, candidate: PartitionDescriptor) -> float:
         return candidate.jaccard_to(query)
 
@@ -46,6 +104,7 @@ class ContainmentMatcher(Matcher):
 
     name = "containment"
 
+    @_vectorised(_containment_columns)
     def score(self, query: IntRange, candidate: PartitionDescriptor) -> float:
         # The epsilon-weighted Jaccard term only reorders candidates with
         # equal containment; containment dominates because it is weighted

@@ -8,7 +8,7 @@ from typing import Callable, Iterator
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import StorageError
 from repro.ranges.interval import IntRange
-from repro.storage.bucket import Bucket, StoredEntry
+from repro.storage.bucket import Bucket, StoredEntry, select_best
 
 __all__ = ["PeerStore", "EvictionPolicy", "NoEviction", "LRUEviction"]
 
@@ -279,16 +279,15 @@ class PeerStore:
 
         Section 5.3's local-index refinement: "we could now build up an
         index over all the partitions that get stored in various buckets at
-        a peer" and search it instead of one bucket.
+        a peer" and search it instead of one bucket.  Bucket winners
+        compete under the same tie rule as entries within a bucket.
         """
         self.queries_served += 1
-        best: tuple[StoredEntry, float] | None = None
-        for bucket in self._buckets.values():
-            candidate = bucket.best_match(query, relation, attribute, score)
-            if candidate is None:
-                continue
-            if best is None or candidate[1] > best[1]:
-                best = candidate
+        winners = (
+            bucket.best_match(query, relation, attribute, score)
+            for bucket in self._buckets.values()
+        )
+        best = select_best(filter(None, winners), query)
         if best is not None:
             self._clock += 1
             self.eviction.on_access(best[0], self._clock)

@@ -3,7 +3,10 @@ queries."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.core.adaptive import AdaptivePaddingController
 from repro.core.config import SystemConfig
@@ -49,6 +52,29 @@ class TestMatchers:
         loose = desc(0, 1000)
         snug = desc(35, 65)
         assert matcher.score(query, snug) > matcher.score(query, loose)
+
+    @pytest.mark.parametrize("matcher", [JaccardMatcher(), ContainmentMatcher()])
+    @given(
+        query=st.tuples(st.integers(-50, 50), st.integers(0, 60)),
+        stored=st.lists(
+            st.tuples(st.integers(-(2**50), 2**50 - 2**20), st.integers(0, 2**20))
+            | st.tuples(st.integers(-60, 60), st.integers(0, 70)),
+            min_size=1,
+            max_size=30,
+        ),
+    )
+    def test_column_form_is_bit_identical_to_score(self, matcher, query, stored):
+        query = IntRange(query[0], query[0] + query[1])
+        ranges = [IntRange(start, start + length) for start, length in stored]
+        scores = matcher.score.columns(
+            query,
+            np.array([r.start for r in ranges], dtype=np.int64),
+            np.array([r.end for r in ranges], dtype=np.int64),
+        )
+        assert scores.dtype == np.float64
+        assert scores.tolist() == [
+            matcher.score(query, PartitionDescriptor("R", "value", r)) for r in ranges
+        ]
 
     def test_registry(self):
         assert matcher_by_name("jaccard").name == "jaccard"

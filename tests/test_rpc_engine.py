@@ -24,6 +24,7 @@ from repro.rpc.client import ClusterClient
 from repro.rpc.server import PeerServer
 from repro.sim.query import AsyncQueryEngine
 from repro.sim.repair import ReplicaRepairer
+from repro.storage.bucket import COLUMNAR_MIN_ENTRIES
 from repro.workloads.generators import UniformRangeWorkload
 
 # The in-loop clusters below close their loop right after the servers: a
@@ -47,13 +48,39 @@ QUERIES = [
 ]
 ORIGIN_ADDRESSES = ["peer-0", "peer-3", "peer-7", "peer-1", "peer-9"]
 
+# A few dozen near-identical ranges: they share group identifiers, so
+# their buckets fill past the size at which Bucket.best_match switches to
+# the vectorised column pass — the five ranges above never get there.
+# The tail re-queries a stored range and probes two neighbours.
+OVERFULL_QUERIES = [IntRange(300 + i % 3, 640 + i) for i in range(36)] + [
+    IntRange(300, 640),
+    IntRange(301, 655),
+    IntRange(299, 700),
+]
+OVERFULL_ORIGIN_ADDRESSES = [
+    f"peer-{(5 * i) % N_PEERS}" for i in range(len(OVERFULL_QUERIES))
+]
+
 
 def make_config() -> SystemConfig:
     return SystemConfig(n_peers=N_PEERS, seed=SEED, replicas=2)
 
 
-def origins() -> list[int]:
-    return [node_id_for_address(address, 32) for address in ORIGIN_ADDRESSES]
+def origins(addresses=ORIGIN_ADDRESSES) -> list[int]:
+    return [node_id_for_address(address, 32) for address in addresses]
+
+
+def run_extras(documents: list, stores) -> dict:
+    """What only the overfull-bucket tests look at: the full trace
+    documents and the size of the fullest bucket on any peer."""
+    return {
+        "traces": documents,
+        "largest_bucket": max(
+            len(store.bucket(identifier))
+            for store in stores
+            for identifier in store.identifiers()
+        ),
+    }
 
 
 def outcome_row(matched, exact, stored, similarity, recall):
@@ -95,10 +122,10 @@ def counters_row(counters) -> tuple:
     )
 
 
-def run_sync():
+def run_sync(queries=QUERIES, origin_addresses=ORIGIN_ADDRESSES):
     system = RangeSelectionSystem(make_config())
-    rows, shapes = [], []
-    for query, origin in zip(QUERIES, origins()):
+    rows, shapes, documents = [], [], []
+    for query, origin in zip(queries, origins(origin_addresses)):
         trace = system.start_trace(query)
         result = system.query(query, origin=origin, trace=trace)
         rows.append(
@@ -111,14 +138,16 @@ def run_sync():
             )
         )
         shapes.append(trace_shape(trace))
-    return rows, shapes, counters_row(system.counters), system
+        documents.append(trace.to_dict())
+    extras = run_extras(documents, system.stores.values())
+    return rows, shapes, counters_row(system.counters), system, extras
 
 
-def run_sim():
+def run_sim(queries=QUERIES, origin_addresses=ORIGIN_ADDRESSES):
     system = RangeSelectionSystem(make_config())
     engine = AsyncQueryEngine(system, seed=SEED)
-    rows, shapes = [], []
-    for query, origin in zip(QUERIES, origins()):
+    rows, shapes, documents = [], [], []
+    for query, origin in zip(queries, origins(origin_addresses)):
         trace = engine.start_trace(query)
         result = engine.run(query, origin=origin, trace=trace)
         rows.append(
@@ -131,7 +160,9 @@ def run_sim():
             )
         )
         shapes.append(trace_shape(trace))
-    return rows, shapes, counters_row(system.counters), system
+        documents.append(trace.to_dict())
+    extras = run_extras(documents, system.stores.values())
+    return rows, shapes, counters_row(system.counters), system, extras
 
 
 def boot_ring(
@@ -165,14 +196,16 @@ def close_ring(loop, servers) -> None:
     loop.close()
 
 
-def run_socket():
+def run_socket(
+    queries=QUERIES, origin_addresses=ORIGIN_ADDRESSES, **client_options
+):
     loop = asyncio.new_event_loop()
     servers = boot_ring(loop, ADDRESSES, make_config())
     bootstrap = (servers[0].host, servers[0].port)
-    rows, shapes = [], []
+    rows, shapes, documents = [], [], []
     try:
-        client = ClusterClient(bootstrap, loop=loop)
-        for query, origin in zip(QUERIES, origins()):
+        client = ClusterClient(bootstrap, loop=loop, **client_options)
+        for query, origin in zip(queries, origins(origin_addresses)):
             trace = client.start_trace(query)
             result = client.query(query, origin=origin, trace=trace)
             rows.append(
@@ -187,11 +220,13 @@ def run_socket():
                 )
             )
             shapes.append(trace_shape(trace))
+            documents.append(trace.to_dict())
         counters = counters_row(client.system.counters)
         system = client.system
+        extras = run_extras(documents, [server.store for server in servers])
     finally:
         close_ring(loop, servers)
-    return rows, shapes, counters, system
+    return rows, shapes, counters, system, extras
 
 
 @pytest.fixture(scope="module")
@@ -258,6 +293,65 @@ def test_trace_shape_has_expected_skeleton(sync_run):
 def test_counters_identical_across_transports(sync_run, sim_run, socket_run):
     assert sync_run[2] == sim_run[2]
     assert sync_run[2] == socket_run[2]
+
+
+# -- the same, with buckets on the vectorised match path --------------------
+
+
+@pytest.fixture(scope="module")
+def overfull_runs():
+    workload = (OVERFULL_QUERIES, OVERFULL_ORIGIN_ADDRESSES)
+    # Client and servers share this process: with the default policies a
+    # garbage-collection pause past the adaptive timeout's 100 ms floor
+    # re-sends a store, the second copy answers "not new", and the
+    # counters drift.  No fault is injected, so the policies stay off.
+    return [
+        run_sync(*workload),
+        run_sim(*workload),
+        run_socket(*workload, policies=False),
+    ]
+
+
+def match_scores(document: dict) -> list:
+    """Every score a trace recorded (each chain's ``match-reply`` event,
+    the locate span's ``best_score``), in document order."""
+    holders = [document["attrs"]] + [event["attrs"] for event in document["events"]]
+    found = [
+        attrs[key]
+        for attrs in holders
+        for key in ("score", "best_score")
+        if key in attrs
+    ]
+    for child in document["spans"]:
+        found.extend(match_scores(child))
+    return found
+
+
+def test_overfull_buckets_identical_across_transports(overfull_runs):
+    sync, sim, socket = overfull_runs
+    for run in overfull_runs:
+        assert run[4]["largest_bucket"] >= 2 * COLUMNAR_MIN_ENTRIES
+    # Exact equality, not approx: the column pass must reproduce the
+    # scalar scores bit for bit, whichever side of the wire computed them.
+    assert sync[0] == sim[0] == socket[0]
+    assert sync[1] == sim[1] == socket[1]
+    assert sync[2] == sim[2] == socket[2]
+    outcomes = {(row[0] is not None, row[1]) for row in sync[0]}
+    assert {(False, False), (True, False), (True, True)} <= outcomes
+
+
+def test_match_scores_stay_python_floats_on_the_vectorised_path(overfull_runs):
+    # A numpy scalar from the column pass would ride silently through
+    # results, trace events and the JSON codec (np.float64 is a float).
+    sync = overfull_runs[0]
+    for run in overfull_runs:
+        for row in run[0]:
+            assert type(row[3]) is float and type(row[4]) is float
+        scores = [match_scores(document) for document in run[4]["traces"]]
+        assert scores == [match_scores(d) for d in sync[4]["traces"]]
+        flat = [score for per_query in scores for score in per_query]
+        assert any(score is not None and 0.0 < score < 1.0 for score in flat)
+        assert all(score is None or type(score) is float for score in flat)
 
 
 # -- placement executors: one planner behind every repair path --------------

@@ -3,12 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.matcher import ContainmentMatcher, JaccardMatcher
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import StorageError
 from repro.ranges.interval import IntRange
 from repro.similarity.measures import jaccard
-from repro.storage.bucket import Bucket, StoredEntry
+from repro.storage.bucket import (
+    COLUMN_BOUND,
+    COLUMNAR_MIN_ENTRIES,
+    Bucket,
+    StoredEntry,
+)
 from repro.storage.store import LRUEviction, PeerStore
 
 
@@ -244,6 +252,32 @@ class TestBestMatchTieBreak:
         assert best[0].descriptor == desc(0, 50)
 
 
+    def test_exact_wins_ties_across_buckets_regardless_of_order(self):
+        # best_match_local applies the same rule between buckets as
+        # Bucket.best_match does within one.
+        constant = lambda q, d: 0.5  # noqa: E731
+        query = IntRange(10, 20)
+        for exact_bucket, rival_bucket in ((1, 2), (2, 1)):
+            store = PeerStore(1)
+            store.store(rival_bucket, desc(0, 100))
+            store.store(exact_bucket, desc(10, 20))
+            found = store.best_match_local(query, "R", "value", constant)
+            assert found[0].descriptor.range == query
+
+    def test_tie_across_buckets_keeps_first_bucket(self):
+        constant = lambda q, d: 0.5  # noqa: E731
+        store = PeerStore(1)
+        store.store(1, desc(0, 50))
+        store.store(2, desc(50, 100))
+        found = store.best_match_local(IntRange(20, 30), "R", "value", constant)
+        assert found[0].descriptor == desc(0, 50)
+        # Two copies of the exact range tie too: the first bucket's stays.
+        store.store(1, desc(20, 30))
+        store.store(2, desc(20, 30))
+        found = store.best_match_local(IntRange(20, 30), "R", "value", constant)
+        assert found[0] is store.bucket(1).get(desc(20, 30))
+
+
 class TestEvictionAfterPromotion:
     def test_promoted_replica_outranks_newer_replica(self):
         # A replica promoted to primary must gain the primary's eviction
@@ -256,3 +290,249 @@ class TestEvictionAfterPromotion:
         survivors = {e.descriptor: e for _, e in store.entries()}
         assert desc(0, 10) in survivors
         assert survivors[desc(0, 10)].primary
+
+
+# ----------------------------------------------------------------------
+# Columnar match path vs. the linear scan it replaced
+# ----------------------------------------------------------------------
+
+
+def linear_scan(bucket, query, relation, attribute, score):
+    """``Bucket.best_match`` as it was before the columnar side-index,
+    kept verbatim as the reference the vectorised path must reproduce."""
+    best = None
+    for entry in bucket._entries.values():
+        descriptor = entry.descriptor
+        if descriptor.relation != relation or descriptor.attribute != attribute:
+            continue
+        value = score(query, descriptor)
+        if best is None or value > best[1] or (
+            value == best[1] and descriptor.range == query
+        ):
+            best = (entry, value)
+    return best
+
+
+SCORERS = (
+    JaccardMatcher().score,
+    ContainmentMatcher().score,
+    lambda q, d: 0.5,
+    lambda q, d: ((d.range.start * 7 + q.end) % 5) / 4.0,
+)
+GROUPS = (("R", "value"), ("R", "age"), ("S", "value"))
+
+
+def assert_matches_linear_scan(bucket: Bucket, queries) -> None:
+    for query in queries:
+        for relation, attribute in GROUPS:
+            for scorer in SCORERS:
+                expected = linear_scan(bucket, query, relation, attribute, scorer)
+                found = bucket.best_match(query, relation, attribute, scorer)
+                if expected is None:
+                    assert found is None
+                    continue
+                assert found[0] is expected[0]
+                assert found[1] == expected[1]
+                assert type(found[1]) is float
+
+
+def assert_index_mirrors_entries(bucket: Bucket) -> None:
+    """The side-index invariant: it exists exactly from the break-even
+    size up, and each group's columns are the bucket's entries of that
+    group, in insertion order."""
+    if len(bucket) < COLUMNAR_MIN_ENTRIES:
+        assert bucket._index is None
+        return
+    grouped: dict = {}
+    for entry in bucket:
+        key = (entry.descriptor.relation, entry.descriptor.attribute)
+        grouped.setdefault(key, []).append(entry)
+    assert set(bucket._index) == set(grouped)
+    for key, entries in grouped.items():
+        columns = bucket._index[key]
+        assert len(columns.entries) == len(entries)
+        assert all(a is b for a, b in zip(columns.entries, entries))
+        assert list(columns.starts) == [e.descriptor.range.start for e in entries]
+        assert list(columns.ends) == [e.descriptor.range.end for e in entries]
+
+
+# Near-identical ranges over a small domain, mostly one group: what an
+# LSH bucket holds, and enough collisions to exercise re-adds.
+descriptors = st.builds(
+    lambda group, start, length: PartitionDescriptor(
+        group[0], group[1], IntRange(start, start + length)
+    ),
+    st.sampled_from(GROUPS + (GROUPS[0],) * 3),
+    st.integers(0, 12),
+    st.integers(0, 8),
+)
+stores = st.tuples(st.just("store"), descriptors, st.booleans(), st.booleans())
+operations = st.one_of(
+    stores,
+    stores,
+    stores,
+    st.tuples(st.just("apply_store"), descriptors, st.booleans(), st.integers(0, 99)),
+    st.tuples(st.sampled_from(("remove", "apply_remove", "match")), descriptors),
+    st.tuples(st.just("set_primary"), descriptors, st.booleans()),
+)
+
+
+class TestColumnarMatchOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        # Two buckets, one of them three times as busy; long enough runs
+        # that most examples push a group past the break-even size.
+        ops=st.lists(
+            st.tuples(st.sampled_from((1, 1, 1, 2)), operations),
+            min_size=25,
+            max_size=70,
+        ),
+        capacity=st.none() | st.integers(COLUMNAR_MIN_ENTRIES, 3 * COLUMNAR_MIN_ENTRIES),
+    )
+    def test_best_match_equals_linear_scan(self, ops, capacity):
+        eviction = LRUEviction(capacity) if capacity is not None else None
+        store = PeerStore(1, eviction=eviction)
+        for identifier, (kind, descriptor, *args) in ops:
+            if kind == "store":
+                with_rows, primary = args
+                rows = Partition(descriptor, rows=((1,),)) if with_rows else None
+                store.store(identifier, descriptor, rows, primary=primary)
+            elif kind == "apply_store":
+                primary, clock = args
+                store.apply_store(identifier, descriptor, None, primary, clock)
+            elif kind == "remove":
+                store.remove(identifier, descriptor)
+            elif kind == "apply_remove":
+                store.apply_remove(identifier, descriptor)
+            elif kind == "set_primary":
+                store.set_primary(identifier, descriptor, args[0])
+            else:  # a served match touches the LRU clock of its winner
+                bucket = store.bucket(identifier)
+                asked = (
+                    descriptor.range, descriptor.relation, descriptor.attribute,
+                    SCORERS[0],
+                )
+                expected = None if bucket is None else linear_scan(bucket, *asked)
+                found = store.best_match_in_bucket(identifier, *asked)
+                assert (found is None) == (expected is None)
+                assert found is None or (
+                    found[0] is expected[0] and found[1] == expected[1]
+                )
+            for bucket in map(store.bucket, store.identifiers()):
+                assert_index_mirrors_entries(bucket)
+        # Queries equal to, inside, overlapping and disjoint from what is
+        # stored (the domain above ends at 20).
+        queries = [
+            IntRange(0, 8), IntRange(3, 5), IntRange(4, 4), IntRange(6, 15),
+            IntRange(0, 40), IntRange(25, 30),
+        ] + [d.range for _, (_, d, *_) in ops[:6]]
+        for bucket in map(store.bucket, store.identifiers()):
+            assert_matches_linear_scan(bucket, queries)
+
+    def test_large_overfull_bucket(self):
+        bucket = Bucket(7)
+        for i in range(400):
+            bucket.add(StoredEntry(desc(i % 37, i % 37 + 40 + i // 37)))
+        assert_index_mirrors_entries(bucket)
+        assert_matches_linear_scan(
+            bucket, [IntRange(10, 55), IntRange(0, 0), IntRange(500, 600)]
+        )
+
+    def test_rounding_tie_on_the_vectorised_path_goes_to_the_exact_range(self):
+        # On very long ranges the containment matcher's 1e-3 * jaccard
+        # term rounds away, so a one-wider superset ties with the exact
+        # range; argmax alone would return the superset stored first.
+        query = IntRange(0, 2**49)
+        scorer = ContainmentMatcher().score
+        superset = desc(0, 2**49 + 1)
+        assert scorer(query, superset) == scorer(query, desc(0, 2**49))
+        bucket = Bucket(7)
+        bucket.add(StoredEntry(superset))
+        for i in range(2 * COLUMNAR_MIN_ENTRIES):
+            bucket.add(StoredEntry(desc(i, 2**49 - i)))
+        assert bucket.best_match(query, "R", "value", scorer)[0].descriptor.range == query
+        assert_matches_linear_scan(bucket, [query, IntRange(0, 2**49 + 1)])
+
+    def test_lru_eviction_out_of_an_indexed_bucket(self):
+        capacity = 2 * COLUMNAR_MIN_ENTRIES
+        store = PeerStore(1, eviction=LRUEviction(capacity))
+        scorer = JaccardMatcher().score
+        for i in range(3 * capacity):
+            store.store(7, desc(i, i + 30))
+            # Touch the oldest survivor so eviction takes from the middle
+            # of the columns, not only their head.
+            oldest = next(iter(store.bucket(7))).descriptor.range
+            store.best_match_in_bucket(7, oldest, "R", "value", scorer)
+            assert_index_mirrors_entries(store.bucket(7))
+        assert len(store.bucket(7)) == capacity
+        assert_matches_linear_scan(
+            store.bucket(7), [IntRange(0, 30), IntRange(40, 70), IntRange(20, 60)]
+        )
+
+    def test_index_dropped_below_break_even(self):
+        bucket = Bucket(7)
+        for i in range(COLUMNAR_MIN_ENTRIES):
+            bucket.add(StoredEntry(desc(i, i + 10)))
+        assert bucket._index is not None
+        bucket.remove(desc(0, 10))
+        assert bucket._index is None
+        assert_matches_linear_scan(bucket, [IntRange(1, 11), IntRange(3, 9)])
+
+    def test_subclass_overriding_score_is_not_vectorised(self):
+        class Inverted(JaccardMatcher):
+            def score(self, query, candidate):
+                return -super().score(query, candidate)
+
+        bucket = Bucket(7)
+        for i in range(2 * COLUMNAR_MIN_ENTRIES):
+            bucket.add(StoredEntry(desc(i, i + 10)))
+        scorer = Inverted().score
+        found = bucket.best_match(IntRange(0, 10), "R", "value", scorer)
+        expected = linear_scan(bucket, IntRange(0, 10), "R", "value", scorer)
+        assert found[0] is expected[0] and found[1] == expected[1]
+        assert found[0].descriptor != desc(0, 10)
+
+
+class TestColumnBounds:
+    """Bounds the int64/float64 columns cannot hold exactly keep their
+    group on the scalar loop instead of wrapping or rounding."""
+
+    WIDE = (
+        IntRange(-(2**70), -(2**70) + 5),      # outside int64 altogether
+        IntRange(2**63 - 9, 2**63 + 9),        # straddles the int64 edge
+        IntRange(2**53 + 1, 2**53 + 4),        # int64 yes, float64-exact no
+        IntRange(COLUMN_BOUND, COLUMN_BOUND + 1),
+    )
+
+    def filled(self) -> Bucket:
+        bucket = Bucket(7)
+        for i in range(2 * COLUMNAR_MIN_ENTRIES):
+            bucket.add(StoredEntry(desc(i, i + 10)))
+        return bucket
+
+    @pytest.mark.parametrize("wide", WIDE)
+    def test_wide_stored_range_parks_group_on_scalar_path(self, wide):
+        bucket = self.filled()
+        assert bucket.add(StoredEntry(PartitionDescriptor("R", "value", wide)))
+        bucket.add(StoredEntry(desc(3, 9)))
+        assert bucket._index[("R", "value")].starts is None
+        assert_matches_linear_scan(bucket, [wide, IntRange(3, 9), IntRange(0, 2**62)])
+        # Removing the offender lets the rebuilt group vectorise again.
+        bucket.remove(PartitionDescriptor("R", "value", wide))
+        assert bucket._index[("R", "value")].starts is not None
+        assert_matches_linear_scan(bucket, [wide, IntRange(3, 9)])
+
+    @pytest.mark.parametrize("wide", WIDE)
+    def test_wide_query_against_indexed_bucket(self, wide):
+        bucket = self.filled()
+        assert_matches_linear_scan(bucket, [wide, IntRange(-(2**61), 2**61)])
+
+    def test_ranges_at_the_bound_stay_exact(self):
+        bucket = Bucket(7)
+        for i in range(2 * COLUMNAR_MIN_ENTRIES):
+            bucket.add(StoredEntry(desc(-COLUMN_BOUND + i, COLUMN_BOUND - 3 * i)))
+        assert bucket._index[("R", "value")].starts is not None
+        assert_matches_linear_scan(
+            bucket,
+            [IntRange(-COLUMN_BOUND, COLUMN_BOUND), IntRange(-COLUMN_BOUND + 1, 7)],
+        )
