@@ -15,18 +15,11 @@ whole node lifecycle:
 Run:  python examples/live_cluster.py
 """
 
-import time
-
 from repro import IntRange, SystemConfig
-from repro.errors import ReproError
+from repro.rpc import drills
 from repro.rpc.cluster import LocalCluster
 
 QUERIES = [IntRange(100, 200), IntRange(400, 550), IntRange(700, 820)]
-
-
-def mean_recall(client) -> float:
-    results = [client.query(query) for query in QUERIES]
-    return sum(result.recall for result in results) / len(results)
 
 
 def main() -> None:
@@ -38,7 +31,8 @@ def main() -> None:
             # the warm pass must then answer everything from cache.
             for query in QUERIES:
                 client.query(query)
-            print(f"warm queries: mean recall {mean_recall(client):.2f}")
+            recall = drills.mean_recall(client, QUERIES)
+            print(f"warm queries: mean recall {recall:.2f}")
 
             # A new peer joins; rebalancing hands it the entries it now
             # replicates, without interrupting the workload.
@@ -46,7 +40,7 @@ def main() -> None:
             client.refresh()
             print(
                 f"peer-5 joined: {len(client.members)} members, "
-                f"mean recall {mean_recall(client):.2f}"
+                f"mean recall {drills.mean_recall(client, QUERIES):.2f}"
             )
 
             # Graceful leave: peer-1 pushes its entries to their
@@ -54,36 +48,27 @@ def main() -> None:
             moved = client.leave("peer-1")
             print(
                 f"peer-1 left gracefully, handed off {moved} copies, "
-                f"mean recall {mean_recall(client):.2f}"
+                f"mean recall {drills.mean_recall(client, QUERIES):.2f}"
             )
 
             # Abrupt kill: no goodbye, no hand-off. Lookups fail over
             # down the successor list; the servers re-create the lost
             # copies themselves once SWIM has evicted the dead peer.
             cluster.kill("peer-2")
-            recall = mean_recall(client)
+            recall = drills.mean_recall(client, QUERIES)
             failovers = client.system.counters.failovers
             print(
                 f"peer-2 SIGKILLed: mean recall {recall:.2f} "
                 f"({failovers} failovers)"
             )
-            started = time.monotonic()
-            while time.monotonic() - started < 60.0:
-                try:
-                    client.refresh()
-                    if (
-                        "peer-2" not in client.members
-                        and client.under_replicated() == 0
-                    ):
-                        break
-                except ReproError:
-                    pass  # a peer is mid-transition; poll again
-                time.sleep(0.5)
-            else:
-                raise SystemExit("the ring did not heal within 60 s")
+            heal_ms = drills.wait_for(
+                lambda: drills.healed(cluster, client),
+                "the ring to heal",
+                60.0,
+            )
             print(
                 f"ring healed itself: every key back at {config.replicas} "
-                f"copies in {time.monotonic() - started:.1f}s"
+                f"copies in {heal_ms / 1000.0:.1f}s"
             )
 
 

@@ -1038,9 +1038,12 @@ def _run_serve(args: argparse.Namespace, out) -> int:
 def _run_cluster(args: argparse.Namespace, out) -> int:
     import time
 
+    from repro.rpc import drills
+    from repro.rpc.chaos import ChaosSchedule
     from repro.rpc.cluster import LocalCluster
     from repro.workloads.generators import UniformRangeWorkload
 
+    # Every argv check comes before the first peer process is spawned.
     if args.peers < 2:
         raise ReproError("--peers must be at least 2")
     durable = bool(
@@ -1051,6 +1054,18 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
             "--restart-drill needs --peers > --replicas (a survivor must "
             "remain outside the killed replica set)"
         )
+    if args.smoke and args.replicas < 2:
+        raise ReproError("--smoke needs --replicas >= 2")
+    if args.smoke and (args.swim_interval <= 0 or args.repair_interval <= 0):
+        raise ReproError(
+            "--smoke needs --swim-interval and --repair-interval > 0 "
+            "(the ring heals itself)"
+        )
+    if args.queries < 1 and (args.smoke or args.restart_drill or args.trace):
+        raise ReproError(
+            "--smoke, --restart-drill and --trace need --queries >= 1"
+        )
+    chaos_counts = ChaosSchedule.parse_spec(args.chaos) if args.chaos else None
     config = SystemConfig(
         n_peers=args.peers, seed=args.seed, replicas=args.replicas
     )
@@ -1059,6 +1074,17 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
             config.domain, args.queries, seed=args.seed + 2
         ).ranges()
     )
+    timeout_s = args.recovery_timeout
+
+    def say(line: str) -> None:
+        print(line, file=out)
+
+    def check(result) -> None:
+        # main() turns this into "error: <reason>" on stderr and exit 1,
+        # after the with-blocks below have torn the cluster down.
+        if not result.ok:
+            raise ReproError(result.reason)
+
     with LocalCluster(
         args.peers,
         config,
@@ -1073,104 +1099,52 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
             f"{address}@{host}:{port}"
             for address, (host, port) in cluster.endpoints.items()
         )
-        print(f"cluster: {args.peers} peers up ({endpoints})", file=out)
+        say(f"cluster: {args.peers} peers up ({endpoints})")
         with cluster.client() as client:
             # Warm pass: populate the buckets (store-on-miss).
             for query in queries:
                 client.query(query)
-            warm = [client.query(query) for query in queries]
-            warm_recall = sum(r.recall for r in warm) / max(1, len(warm))
-            print(
-                f"warm: {len(warm)} queries, mean recall {warm_recall:.2f}",
-                file=out,
-            )
-            victim = None
+            warm = drills.mean_recall(client, queries)
+            say(f"warm: {len(queries)} queries, mean recall {warm:.2f}")
             if args.smoke:
-                if args.replicas < 2:
-                    raise ReproError("--smoke needs --replicas >= 2")
-                if args.swim_interval <= 0 or args.repair_interval <= 0:
-                    raise ReproError(
-                        "--smoke needs --swim-interval and "
-                        "--repair-interval > 0 (the ring heals itself)"
-                    )
-                victim = _pick_smoke_victim(client, queries[0])
-                cluster.kill(victim)
-                print(f"smoke: killed {victim} (SIGKILL)", file=out)
-            after = [client.query(query) for query in queries]
-            recall = sum(r.recall for r in after) / max(1, len(after))
-            failovers = client.system.counters.failovers
-            failed = client.system.counters.failed_lookups
-            print(
-                f"after: {len(after)} queries, mean recall {recall:.2f}, "
-                f"{failovers} failovers, {failed} failed lookups",
-                file=out,
-            )
-            if args.smoke:
-                if recall < warm_recall - 1e-9:
-                    print(
-                        f"error: recall dropped after the kill "
-                        f"({warm_recall:.3f} -> {recall:.3f})",
-                        file=sys.stderr,
-                    )
-                    return 1
-                if failovers == 0:
-                    print(
-                        "error: the killed replica was never failed over "
-                        "(did the kill land?)",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print("smoke: recall survived the kill", file=out)
-                started = time.monotonic()
-                if not _await_reconvergence(
-                    cluster, client, args.recovery_timeout, healed=True
-                ):
-                    print(
-                        f"error: the ring did not heal to {args.replicas} "
-                        f"copies of every key within "
-                        f"{args.recovery_timeout:g}s",
-                        file=sys.stderr,
-                    )
-                    return 1
-                print(
-                    f"smoke: ring healed to {args.replicas} copies of every "
-                    f"key in {time.monotonic() - started:.1f}s, no client "
-                    f"involved",
-                    file=out,
+                check(
+                    drills.smoke_drill(cluster, client, queries, warm, timeout_s, say)
                 )
-            if args.chaos:
-                status = _run_chaos_drill(
-                    args, cluster, client, queries, warm_recall, out
+            else:
+                recall = drills.mean_recall(client, queries)
+                counters = client.system.counters
+                say(
+                    f"after: {len(queries)} queries, mean recall "
+                    f"{recall:.2f}, {counters.failovers} failovers, "
+                    f"{counters.failed_lookups} failed lookups"
                 )
-                if status != 0:
-                    return status
+            if chaos_counts is not None:
+                check(
+                    drills.chaos_drill(
+                        cluster, client, queries, warm, chaos_counts,
+                        args.seed, timeout_s, say,
+                    )
+                )
             if args.trace or args.telemetry:
-                status = _capture_cluster_observability(
-                    args, client, queries, out
+                check(
+                    drills.capture_observability(
+                        client, queries, args.trace, args.telemetry, say
+                    )
                 )
-                if status != 0:
-                    return status
         # The restart drills recycle peer processes (fresh OS ports), so
         # they run outside the client block and build their own clients.
         if args.restart_drill:
-            status = _run_restart_drill(
-                args, cluster, queries, warm_recall, out
-            )
-            if status != 0:
-                return status
+            check(drills.restart_drill(cluster, queries, warm, timeout_s, say))
         if args.cold_restart:
-            status = _run_cold_restart_drill(
-                args, cluster, queries, warm_recall, out
+            check(
+                drills.cold_restart_drill(cluster, queries, warm, timeout_s, say)
             )
-            if status != 0:
-                return status
         if args.hold:
             boot_host, boot_port = cluster.bootstrap_endpoint()
-            print(
+            say(
                 f"holding: query with `python -m repro client "
                 f"--bootstrap {boot_host}:{boot_port} --query START:END` "
-                f"(Ctrl-C to stop)",
-                file=out,
+                f"(Ctrl-C to stop)"
             )
             try:
                 while True:
@@ -1178,332 +1152,6 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
             except KeyboardInterrupt:
                 pass
     return 0
-
-
-def _run_chaos_drill(
-    args, cluster, client, queries, warm_recall: float, out
-) -> int:
-    """Play a seeded chaos schedule, then gate on ring self-healing."""
-    from repro.rpc.chaos import ChaosRunner, ChaosSchedule
-
-    counts = ChaosSchedule.parse_spec(args.chaos)
-    bootstrap_address = next(iter(cluster.endpoints))
-    schedule = ChaosSchedule.generate(
-        args.seed,
-        list(cluster.endpoints),
-        counts,
-        protect=(bootstrap_address,),
-    )
-    print(f"chaos: schedule [{schedule.describe()}]", file=out)
-    runner = ChaosRunner(cluster, schedule)
-    runner.run()
-    # The schedule is over: lift residual delay/drop faults (partitions
-    # heal via their own scheduled event) and let the ring converge.
-    cluster.heal()
-    if not _await_reconvergence(cluster, client, args.recovery_timeout):
-        live = sorted(a for a in cluster.endpoints if cluster.alive(a))
-        print(
-            f"error: membership never reconverged within "
-            f"{args.recovery_timeout:g}s (live={live}, "
-            f"mirrored={sorted(client.members)})",
-            file=sys.stderr,
-        )
-        return 1
-    healed = [client.query(query) for query in queries]
-    recall = sum(r.recall for r in healed) / max(1, len(healed))
-    print(
-        f"healed: {len(healed)} queries, mean recall {recall:.2f} "
-        f"(warm was {warm_recall:.2f}), {len(runner.applied)} faults applied",
-        file=out,
-    )
-    if recall < warm_recall - 1e-9:
-        print(
-            f"error: recall did not recover after chaos "
-            f"({warm_recall:.3f} -> {recall:.3f})",
-            file=sys.stderr,
-        )
-        return 1
-    print("chaos: ring self-healed, recall recovered", file=out)
-    return 0
-
-
-def _restore_counters_of(client, address: str) -> tuple[float, float]:
-    """(restore.entries, restore.wal_records) of one peer's registry."""
-    from repro.obs.distributed import counter_total
-
-    snapshot = client.metrics_of(address)
-    return (
-        counter_total(snapshot, "restore.entries"),
-        counter_total(snapshot, "restore.wal_records"),
-    )
-
-
-def _run_restart_drill(args, cluster, queries, warm_recall: float, out) -> int:
-    """Kill *all* replica holders of a probed entry, restart from disk.
-
-    The drill proves durability end to end: after the kills no live peer
-    holds the probed identifier (verified by scanning every survivor),
-    so when recall returns after the restarts the data can only have
-    come from the restarted peers' WAL/snapshot state — which the
-    ``restore.entries`` counters confirm.
-    """
-    probe = queries[0]
-    with cluster.client() as client:
-        system = client.system
-        ring = system.router.ring
-        identifier = system.identifiers_for(probe)[0]
-        holders = [
-            ring.node(node_id).address
-            for node_id in system.replica_owners(identifier)
-        ]
-    survivors = [
-        address
-        for address in cluster.endpoints
-        if cluster.alive(address) and address not in holders
-    ]
-    if not survivors:
-        raise ReproError(
-            "restart drill: every peer is a replica holder; raise --peers"
-        )
-    for address in holders:
-        if cluster.alive(address):
-            cluster.kill(address)
-    print(
-        f"restart drill: killed all {len(holders)} replica holder(s) of "
-        f"identifier {identifier}: {', '.join(holders)}",
-        file=out,
-    )
-    with cluster.client() as client:
-        for address in survivors:
-            for entry in client.entries_of(address):
-                if int(entry[0]) == identifier:
-                    print(
-                        f"error: survivor {address} still holds the probed "
-                        "identifier — the kill set missed a copy",
-                        file=sys.stderr,
-                    )
-                    return 1
-    print(
-        "restart drill: zero surviving in-memory copies of the probed "
-        "identifier",
-        file=out,
-    )
-    for address in holders:
-        cluster.restart(address)
-    with cluster.client() as client:
-        if not _await_reconvergence(cluster, client, args.recovery_timeout):
-            print(
-                f"error: membership never reconverged within "
-                f"{args.recovery_timeout:g}s of the restarts",
-                file=sys.stderr,
-            )
-            return 1
-        for address in holders:
-            entries, wal_records = _restore_counters_of(client, address)
-            print(
-                f"restart drill: {address} restored {entries:g} entrie(s) "
-                f"({wal_records:g} WAL record(s)) from disk",
-                file=out,
-            )
-            if entries <= 0:
-                print(
-                    f"error: restarted peer {address} restored nothing "
-                    "from disk",
-                    file=sys.stderr,
-                )
-                return 1
-        after = [client.query(query) for query in queries]
-        recall = sum(r.recall for r in after) / max(1, len(after))
-    print(
-        f"restart drill: recall {recall:.2f} after restart "
-        f"(warm was {warm_recall:.2f})",
-        file=out,
-    )
-    if recall < warm_recall - 1e-9:
-        print(
-            f"error: recall did not return after the restarts "
-            f"({warm_recall:.3f} -> {recall:.3f})",
-            file=sys.stderr,
-        )
-        return 1
-    print("restart drill: recovery came from disk, recall restored", file=out)
-    return 0
-
-
-def _run_cold_restart_drill(
-    args, cluster, queries, warm_recall: float, out
-) -> int:
-    """SIGKILL every peer, restart the whole cluster from disk."""
-    addresses = list(cluster.endpoints)
-    for address in addresses:
-        if cluster.alive(address):
-            cluster.kill(address)
-    print(
-        f"cold restart: killed all {len(addresses)} peer(s)", file=out
-    )
-    # The first peer back finds no live bootstrap and seeds a fresh ring
-    # from its disk state; the rest join through it.
-    for address in addresses:
-        cluster.restart(address)
-    with cluster.client() as client:
-        if not _await_reconvergence(cluster, client, args.recovery_timeout):
-            print(
-                f"error: membership never reconverged within "
-                f"{args.recovery_timeout:g}s of the cold restart",
-                file=sys.stderr,
-            )
-            return 1
-        total_restored = 0.0
-        for address in addresses:
-            entries, _wal = _restore_counters_of(client, address)
-            total_restored += entries
-        after = [client.query(query) for query in queries]
-        recall = sum(r.recall for r in after) / max(1, len(after))
-    print(
-        f"cold restart: {total_restored:g} entrie(s) restored across the "
-        f"ring, recall {recall:.2f} (warm was {warm_recall:.2f})",
-        file=out,
-    )
-    if total_restored <= 0:
-        print(
-            "error: the cold restart restored nothing from disk",
-            file=sys.stderr,
-        )
-        return 1
-    if recall < warm_recall - 1e-9:
-        print(
-            f"error: the cold restart lost recall "
-            f"({warm_recall:.3f} -> {recall:.3f})",
-            file=sys.stderr,
-        )
-        return 1
-    print("cold restart: recall preserved from disk", file=out)
-    return 0
-
-
-def _capture_cluster_observability(args, client, queries, out) -> int:
-    """Write the drill's stitched trace and/or merged telemetry view.
-
-    Runs after the workload (and after any smoke/chaos drill), so what it
-    captures shows the *recovered* ring: the trace proves cross-process
-    span stitching works end to end, the telemetry scrape proves every
-    surviving member answers with a parseable, versioned snapshot.
-    """
-    import json
-
-    from repro.rpc.client import ClusterScraper
-
-    client.refresh()
-    if args.trace:
-        result, trace, report = client.query_traced(queries[0])
-        print(
-            f"trace: stitched {report.attached} server span(s) from "
-            f"{len(report.nodes)} peer(s) "
-            f"({', '.join(sorted(report.nodes)) or 'none'}), "
-            f"{report.orphans} orphan(s), recall {result.recall:.2f}",
-            file=out,
-        )
-        with open(args.trace, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"trace": trace.to_dict(), "stitch": report.to_dict()},
-                handle,
-                indent=2,
-                default=str,
-            )
-        print(f"trace: wrote stitched trace to {args.trace}", file=out)
-        if report.attached == 0:
-            print(
-                "error: no server-side span was stitched into the trace "
-                "(telemetry RPC broken, or no peer sampled the query)",
-                file=sys.stderr,
-            )
-            return 1
-    if args.telemetry:
-        scraper = ClusterScraper(client)
-        view = scraper.scrape()
-        print(
-            f"telemetry: scraped {view['scraped']}/{view['members']} "
-            f"members, service p50/p95/p99 "
-            f"{view['service_ms']['p50']:g}/{view['service_ms']['p95']:g}/"
-            f"{view['service_ms']['p99']:g} ms, "
-            f"load skew {view['load_skew']:.3f}"
-            + (
-                f", down: {', '.join(sorted(view['down']))}"
-                if view.get("down")
-                else ""
-            ),
-            file=out,
-        )
-        with open(args.telemetry, "w", encoding="utf-8") as handle:
-            json.dump(view, handle, indent=2, default=str)
-        print(f"telemetry: wrote cluster view to {args.telemetry}", file=out)
-        if view["errors"]:
-            print(
-                f"error: telemetry scrape failed for "
-                f"{sorted(view['errors'])}: {view['errors']}",
-                file=sys.stderr,
-            )
-            return 1
-    return 0
-
-
-def _await_reconvergence(
-    cluster, client, timeout_s: float, healed: bool = False
-) -> bool:
-    """Poll until every live peer's member map equals the live set —
-    and, with ``healed``, every stored key is back at ``replicas`` copies
-    on those peers."""
-    import asyncio
-    import time
-
-    from repro.rpc import wire
-
-    deadline = time.monotonic() + timeout_s
-    while time.monotonic() < deadline:
-        live = {a for a in cluster.endpoints if cluster.alive(a)}
-        try:
-            client.refresh()
-        except ReproError:
-            time.sleep(1.0)
-            continue
-        if set(client.members) == live:
-            agreed = True
-            for address in sorted(live):
-                host, port = cluster.endpoints[address]
-                try:
-                    hello = asyncio.run(
-                        wire.call(host, port, "hello", timeout_ms=2_000.0)
-                    )
-                except ReproError:
-                    agreed = False
-                    break
-                if set(hello["members"]) != live:
-                    agreed = False
-                    break
-            try:
-                if agreed and not (healed and client.under_replicated()):
-                    return True
-            except ReproError:
-                pass  # a member is mid-transition; poll again
-        time.sleep(1.0)
-    return False
-
-
-def _pick_smoke_victim(client, query) -> str:
-    """A peer that replicates (but does not own) the first query's first
-    identifier — killing it must be absorbed by replica-chain failover.
-    Never the client's bootstrap peer, which it needs for refresh()."""
-    system = client.system
-    ring = system.router.ring
-    bootstrap_node = None
-    for node_id in ring.node_ids:
-        if system.endpoints[node_id] == client.bootstrap:
-            bootstrap_node = node_id
-    for identifier in system.identifiers_for(query):
-        for replica in system.replica_owners(identifier)[1:]:
-            if replica != bootstrap_node:
-                return ring.node(replica).address
-    raise ReproError("no non-owner replica available to kill")
 
 
 def _run_client(args: argparse.Namespace, out) -> int:

@@ -189,9 +189,6 @@ class RangeSelectionSystem(ReplicaPlacement):
         self.transport = SyncTransport(self.network)
         self._engine = QueryEngine(self, self.transport)
 
-    #: Short private alias of :meth:`place_identifier`.
-    _place = ReplicaPlacement.place_identifier
-
     # ------------------------------------------------------------------
     # Peer wiring
     # ------------------------------------------------------------------
@@ -595,10 +592,6 @@ class RangeSelectionSystem(ReplicaPlacement):
             elif action.kind == "lost":
                 lost.append(key)
         return copies, lost
-
-    def replication_deficits(self, is_alive: Callable[[int], bool]):
-        """The copy operations of :meth:`repair_plan`, one per missing copy."""
-        return self.repair_plan(is_alive)[0]
 
     def repair_replicas(
         self, is_alive: Callable[[int], bool] | None = None

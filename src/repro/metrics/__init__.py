@@ -3,7 +3,6 @@
 from repro.metrics.collector import QueryLog, QueryRecord
 from repro.metrics.latency import (
     LatencyCollector,
-    LatencyHistogram,
     PhasePercentiles,
     phase_percentiles,
 )
@@ -24,7 +23,6 @@ __all__ = [
     "QueryLog",
     "QueryRecord",
     "LatencyCollector",
-    "LatencyHistogram",
     "PhasePercentiles",
     "phase_percentiles",
     "recall_cdf",

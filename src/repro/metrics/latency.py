@@ -4,13 +4,12 @@ The paper's evaluation never reports time-to-answer (its simulator, like
 our synchronous transport, had no clock).  The event-driven engine does,
 so this module adds the summaries a latency evaluation needs: per-phase
 percentile tables (p50/p95/p99 — tail percentiles, unlike the p01/p99
-band :mod:`repro.util.stats` computes for the paper's figures) and a
-log-spaced histogram for eyeballing a distribution's shape.
+band :mod:`repro.util.stats` computes for the paper's figures).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,7 +25,6 @@ from repro.sim.query import TimedQueryResult
 __all__ = [
     "PhasePercentiles",
     "phase_percentiles",
-    "LatencyHistogram",
     "LatencyCollector",
     "QUERY_PHASES",
 ]
@@ -80,53 +78,6 @@ def phase_percentiles(values: Iterable[float]) -> PhasePercentiles:
     )
 
 
-@dataclass
-class LatencyHistogram:
-    """Counts over log-spaced latency buckets (..1, 1-2, 2-5, 5-10 ms, ...).
-
-    The 1-2-5 decade ladder keeps the bucket count small across the six
-    orders of magnitude a timeout-laden distribution spans.
-    """
-
-    edges_ms: tuple[float, ...] = field(
-        default_factory=lambda: tuple(
-            base * 10**exp for exp in range(5) for base in (1.0, 2.0, 5.0)
-        )
-    )
-    counts: list[int] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        if list(self.edges_ms) != sorted(self.edges_ms):
-            raise ValueError("histogram edges must be ascending")
-        if not self.counts:
-            self.counts = [0] * (len(self.edges_ms) + 1)
-
-    def add(self, value_ms: float) -> None:
-        """Record one latency sample."""
-        if value_ms < 0:
-            raise ValueError("latency cannot be negative")
-        self.counts[int(np.searchsorted(self.edges_ms, value_ms, side="left"))] += 1
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    def nonzero_buckets(self) -> list[tuple[str, int]]:
-        """(label, count) for every populated bucket, ascending."""
-        out: list[tuple[str, int]] = []
-        for index, count in enumerate(self.counts):
-            if count == 0:
-                continue
-            if index == 0:
-                label = f"<{self.edges_ms[0]:g}"
-            elif index == len(self.edges_ms):
-                label = f">={self.edges_ms[-1]:g}"
-            else:
-                label = f"{self.edges_ms[index - 1]:g}-{self.edges_ms[index]:g}"
-            out.append((label, count))
-        return out
-
-
 class LatencyCollector(RegistryBackedCounters):
     """Accumulates :class:`TimedQueryResult`\\ s into per-phase summaries.
 
@@ -165,7 +116,6 @@ class LatencyCollector(RegistryBackedCounters):
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._bind(registry, "latency")
         self.phases: dict[str, list[float]] = {phase: [] for phase in QUERY_PHASES}
-        self.histogram = LatencyHistogram()
         self.recalls: list[float] = []
         self._phase_hist = self.registry.histogram(
             "latency.phase_ms", help="per-phase query latency samples"
@@ -182,7 +132,6 @@ class LatencyCollector(RegistryBackedCounters):
         ):
             self.phases[phase].append(value)
             self._phase_hist.observe(value, phase=phase)
-        self.histogram.add(result.total_ms)
         self.queries += 1
         self.chain_timeouts += result.timeouts
         self.failovers += result.failovers

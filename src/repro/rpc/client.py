@@ -622,10 +622,6 @@ class ClusterClient:
         except ReproError:
             return False
 
-    def metrics_of(self, address: str) -> dict:
-        """One peer's metrics registry snapshot (swim/repair telemetry)."""
-        return self.call(address, "metrics")
-
     def telemetry_of(self, address: str, spans: int = 32) -> dict:
         """One peer's full telemetry snapshot (metrics + queue + SWIM +
         census + recent span fragments), versioned and timestamped."""

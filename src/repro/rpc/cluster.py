@@ -16,6 +16,7 @@ hanging it (the CI job adds its own outer ``timeout`` as a backstop).
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import select
@@ -227,6 +228,16 @@ class LocalCluster:
         """A :class:`~repro.rpc.client.ClusterClient` on this cluster."""
         return ClusterClient(self.bootstrap_endpoint(), **kwargs)
 
+    def call(
+        self, address: str, kind: str, payload=None, *, timeout_ms: float = 10_000.0
+    ):
+        """One control RPC straight at a peer, on a connection of its own
+        (no client, no mirrored membership: the harness's own view)."""
+        host, port = self.endpoints[address]
+        return asyncio.run(
+            wire.call(host, port, kind, payload, timeout_ms=timeout_ms)
+        )
+
     # -- faults ------------------------------------------------------------
 
     def kill(self, address: str) -> None:
@@ -282,12 +293,7 @@ class LocalCluster:
         (peer addresses whose requests are silently discarded) and
         ``seed`` (reseeds the peer's drop RNG for determinism).
         """
-        import asyncio
-
-        host, port = self.endpoints[address]
-        return asyncio.run(
-            wire.call(host, port, "chaos-set", settings, timeout_ms=10_000.0)
-        )
+        return self.call(address, "chaos-set", settings)
 
     def partition(self, group_a: list[str], group_b: list[str]) -> None:
         """Install a two-sided network partition between peer groups.
@@ -321,12 +327,7 @@ class LocalCluster:
 
     def leave(self, address: str) -> int:
         """Graceful departure via the ``leave`` RPC; waits for exit."""
-        import asyncio
-
-        host, port = self.endpoints[address]
-        moved = asyncio.run(
-            wire.call(host, port, "leave", timeout_ms=30_000.0)
-        )
+        moved = self.call(address, "leave", timeout_ms=30_000.0)
         self.processes[address].wait(timeout=10)
         logger.info("peer %s left, handed off %d copie(s)", address, moved)
         return int(moved)

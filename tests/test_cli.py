@@ -366,3 +366,39 @@ class TestSimulateSampling:
     def test_verbose_flag_accepted(self):
         code, _ = run_cli("-v", "demo", "--peers", "30")
         assert code == 0
+
+
+class TestClusterValidatesBeforeSpawning:
+    """Every argv check of ``repro cluster`` runs before the first peer
+    process exists: a ``LocalCluster`` that refuses to be built proves it."""
+
+    @pytest.fixture(autouse=True)
+    def no_processes(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LocalCluster built before argv was checked")
+
+        monkeypatch.setattr("repro.rpc.cluster.LocalCluster", refuse)
+
+    @pytest.mark.parametrize(
+        "argv, complaint",
+        [
+            ("--peers 1", "--peers must be at least 2"),
+            ("--smoke --replicas 1", "--smoke needs --replicas >= 2"),
+            ("--smoke --swim-interval 0", "--smoke needs --swim-interval"),
+            ("--smoke --repair-interval 0", "--smoke needs --swim-interval"),
+            ("--smoke --queries 0", "need --queries >= 1"),
+            ("--chaos explode=1", "unknown chaos action 'explode'"),
+            ("--chaos kill=many", "must be an integer"),
+            ("--chaos ,", "empty chaos spec"),
+            ("--restart-drill --peers 3", "needs --peers > --replicas"),
+        ],
+    )
+    def test_bad_argv_is_rejected_without_a_cluster(self, argv, complaint, capsys):
+        code, text = run_cli("cluster", *argv.split())
+        assert (code, text) == (1, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and complaint in err
+
+    def test_good_argv_reaches_the_cluster(self):
+        with pytest.raises(AssertionError, match="LocalCluster built"):
+            run_cli("cluster", "--smoke", "--chaos", "kill=1,partition=1")

@@ -90,7 +90,7 @@ class TestRebalance:
             store for store in system.stores.values() if store.partition_count
         )
         identifier, entry = next(iter(holder.entries()))
-        owner = system.ring.successor_of(system._place(identifier))
+        owner = system.ring.successor_of(system.place_identifier(identifier))
         wrong = next(nid for nid in system.ring.node_ids if nid != owner)
         holder.remove(identifier, entry.descriptor)
         system.stores[wrong].store(identifier, entry.descriptor, entry.partition)

@@ -127,7 +127,7 @@ class TestRouting:
         system = make_system(n_peers=100)
         located = system.locate(IntRange(10, 40))
         for identifier, owner in zip(located.identifiers, located.owners):
-            assert owner == system.ring.successor_of(system._place(identifier))
+            assert owner == system.ring.successor_of(system.place_identifier(identifier))
 
     def test_direct_placement_mode(self):
         system = make_system(placement="direct")

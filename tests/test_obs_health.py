@@ -68,8 +68,8 @@ class TestAuditAcceptance:
                 f.check.startswith("chord.") for f in damaged.findings
             )
             # The deficit count matches the repair plan exactly.
-            n_deficit_copies = sum(
-                1 for _ in system.replication_deficits(system.network.is_alive)
+            n_deficit_copies = len(
+                system.repair_plan(system.network.is_alive)[0]
             )
             assert n_deficit_copies > 0
 

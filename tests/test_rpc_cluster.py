@@ -15,18 +15,13 @@ Two module-scoped clusters:
 
 from __future__ import annotations
 
-import asyncio
-import time
-
 import pytest
 
 from repro.chord.hashing import node_id_for_address
 from repro.core.config import SystemConfig
-from repro.errors import ReproError
-from repro.obs.distributed import counter_series
-from repro.obs.distributed import counter_total as snapshot_total
+from repro.obs.distributed import counter_series, counter_total
 from repro.ranges.interval import IntRange
-from repro.rpc import wire
+from repro.rpc import drills
 from repro.rpc.cluster import LocalCluster
 
 PEERS = 5
@@ -40,28 +35,6 @@ QUERIES = [
 
 def make_config() -> SystemConfig:
     return SystemConfig(n_peers=PEERS, replicas=3, seed=7)
-
-
-def mean_recall(client) -> float:
-    results = [client.query(query) for query in QUERIES]
-    return sum(result.recall for result in results) / len(results)
-
-
-def pick_kill_victim(client) -> str:
-    """A peer that replicates — but does not own — the first query's
-    first identifier, and is not the client's bootstrap peer."""
-    system = client.system
-    ring = system.router.ring
-    bootstrap_node = next(
-        node_id
-        for node_id in ring.node_ids
-        if system.endpoints[node_id] == client.bootstrap
-    )
-    for identifier in system.identifiers_for(QUERIES[0]):
-        for replica in system.replica_owners(identifier)[1:]:
-            if replica != bootstrap_node:
-                return ring.node(replica).address
-    raise AssertionError("no non-owner replica to kill")
 
 
 @pytest.fixture(scope="module")
@@ -79,7 +52,7 @@ def drill():
             # Warm: first pass stores (cold misses), second pass must hit.
             for query in QUERIES:
                 client.query(query)
-            observed["warm_recall"] = mean_recall(client)
+            observed["warm_recall"] = drills.mean_recall(client, QUERIES)
             # Connection reuse, read before anything dies: what the client
             # opened, and what each peer accepted against what it served.
             observed["warm_connects"] = client.metrics.counter(
@@ -87,18 +60,18 @@ def drill():
             ).total()
             observed["warm_served"] = {
                 address: (
-                    snapshot_total(snapshot, "wire.accepts"),
-                    snapshot_total(snapshot, "server.requests"),
+                    counter_total(snapshot, "wire.accepts"),
+                    counter_total(snapshot, "server.requests"),
                 )
                 for address in client.members
                 for snapshot in [client.telemetry_of(address)["metrics"]]
             }
 
             # Abrupt kill of a non-owner replica, mid-workload.
-            victim = pick_kill_victim(client)
+            victim = drills.replica_victim(client, QUERIES[0])
             cluster.kill(victim)
             observed["kill_victim"] = victim
-            observed["kill_recall"] = mean_recall(client)
+            observed["kill_recall"] = drills.mean_recall(client, QUERIES)
             observed["failovers"] = client.system.counters.failovers
             observed["failed_lookups"] = client.system.counters.failed_lookups
 
@@ -114,7 +87,7 @@ def drill():
             observed["leaver"] = leaver
             observed["leaver_alive"] = cluster.alive(leaver)
             observed["members_after_leave"] = len(client.members)
-            observed["leave_recall"] = mean_recall(client)
+            observed["leave_recall"] = drills.mean_recall(client, QUERIES)
     return observed
 
 
@@ -176,7 +149,7 @@ def restarted():
                 cluster.restart(victim) != old_endpoint
             )
             client.refresh()
-            observed["recall"] = mean_recall(client)
+            observed["recall"] = drills.mean_recall(client, QUERIES)
             node_id = node_id_for_address(victim, client.system.config.id_bits)
             observed["marked_dead"] = node_id in client.transport.dead
             observed["timeouts"] = client.transport.stats.timeouts
@@ -329,63 +302,18 @@ HEAL_REPLICAS = 3
 WAIT_S = 60.0
 
 
-def rpc(cluster, address, kind, payload=None, timeout_ms=4000.0):
-    """One raw control RPC straight at a peer (no client machinery)."""
-    host, port = cluster.endpoints[address]
-    return asyncio.run(
-        wire.call(host, port, kind, payload, timeout_ms=timeout_ms)
-    )
-
-
 def entries_at(cluster, address) -> list:
-    """One peer's stored entries (first page; these drills store few)."""
-    page = rpc(cluster, address, "entries")
+    """One peer's stored entries over the raw ``entries`` RPC (first
+    page; these drills store few) — no client machinery."""
+    page = cluster.call(address, "entries")
     assert page["total"] == len(page["entries"])
     return page["entries"]
 
 
-def live_set(cluster) -> set[str]:
-    return {
-        address
-        for address in cluster.endpoints
-        if cluster.alive(address) and address not in cluster.paused
-    }
-
-
-def member_mirror(cluster, address) -> set[str]:
-    """The member map one peer serves (dead members excluded)."""
-    return set(rpc(cluster, address, "hello")["members"])
-
-
-def converged(cluster) -> bool:
-    """Every live peer's member map equals the live process set."""
-    live = live_set(cluster)
-    for address in live:
-        try:
-            if member_mirror(cluster, address) != live:
-                return False
-        except ReproError:
-            return False
-    return True
-
-
-def wait_for(predicate, what: str, timeout_s: float = WAIT_S) -> float:
-    """Poll until ``predicate()`` holds; returns elapsed milliseconds."""
-    started = time.monotonic()
-    deadline = started + timeout_s
-    while time.monotonic() < deadline:
-        try:
-            if predicate():
-                return (time.monotonic() - started) * 1000.0
-        except ReproError:
-            pass  # a peer is mid-transition; poll again
-        time.sleep(0.1)
-    raise AssertionError(f"timed out after {timeout_s}s waiting for {what}")
-
-
 def replication_met(cluster, replicas: int) -> bool:
-    """Every stored identifier has >= min(r, live) copies on live peers."""
-    live = live_set(cluster)
+    """Every stored identifier has >= min(r, live) copies on live peers:
+    the oracle ``ClusterClient.under_replicated`` is held against."""
+    live = drills.live_set(cluster)
     copies: dict[int, int] = {}
     for address in live:
         for entry in entries_at(cluster, address):
@@ -397,37 +325,11 @@ def replication_met(cluster, replicas: int) -> bool:
     return all(count >= wanted for count in copies.values())
 
 
-def metric_points(snapshot: dict, name: str) -> list[dict]:
-    for metric in snapshot.get("metrics", []):
-        if metric.get("name") == name:
-            return metric.get("series", [])
-    return []
-
-
-def counter_total(cluster, name: str) -> float:
-    """Sum one counter across every live peer's metrics snapshot."""
-    total = 0.0
-    for address in live_set(cluster):
-        snapshot = rpc(cluster, address, "metrics")
-        for point in metric_points(snapshot, name):
-            total += point.get("value", 0.0)
-    return total
-
-
-def histogram_stats(cluster, name: str) -> tuple[int, float]:
-    """(total count, max) of one histogram across live peers."""
-    count, peak = 0, 0.0
-    for address in live_set(cluster):
-        snapshot = rpc(cluster, address, "metrics")
-        for point in metric_points(snapshot, name):
-            count += int(point.get("count", 0))
-            peak = max(peak, float(point.get("max", 0.0)))
-    return count, peak
-
-
 @pytest.fixture(scope="module")
 def healing():
-    """Kill + pause waves against a self-healing cluster; client idle."""
+    """The library's kill + pause waves against a self-healing cluster —
+    the waves ``repro cluster`` and the live-churn experiment run — with
+    the raw-RPC oracles above held against what they report."""
     observed = {}
     config = SystemConfig(n_peers=HEAL_PEERS, replicas=HEAL_REPLICAS, seed=11)
     with LocalCluster(
@@ -438,105 +340,71 @@ def healing():
         repair_interval_ms=400.0,
     ) as cluster:
         with cluster.client() as client:
-            bootstrap = next(
-                address
-                for address, endpoint in cluster.endpoints.items()
-                if endpoint == client.bootstrap
-            )
             # Warm the ring, then let replication settle.
             for query in QUERIES:
                 client.query(query)
-            observed["warm_recall"] = mean_recall(client)
-            wait_for(
+            observed["warm_recall"] = drills.mean_recall(client, QUERIES)
+            drills.wait_for(
                 lambda: replication_met(cluster, HEAL_REPLICAS),
                 "warm replication",
+                WAIT_S,
             )
 
             # --- kill wave: SIGKILL a replica-holding non-bootstrap peer.
-            victim = next(
-                address
-                for address in sorted(live_set(cluster))
-                if address != bootstrap and entries_at(cluster, address)
-            )
+            # The client stays idle inside the wave: no queries, no repair
+            # of its own, only read-only monitoring (hello/entries/metrics).
+            victim = drills.replica_victim(client, QUERIES[0])
             observed["victim_entries"] = len(entries_at(cluster, victim))
-            cluster.kill(victim)
-            # The client stays idle: no queries, no repair of its own.  The
-            # polls below are read-only monitoring (hello/entries/metrics).
-            observed["detect_ms"] = wait_for(
-                lambda: converged(cluster),
-                "the ring to evict the killed peer from every member map",
+            observed["kill"] = drills.kill_wave(
+                cluster, client, QUERIES, victim, WAIT_S
             )
-            observed["repair_ms"] = observed["detect_ms"] + wait_for(
-                lambda: replication_met(cluster, HEAL_REPLICAS),
-                "server-driven re-replication",
+            observed["healed_by_oracle"] = replication_met(
+                cluster, HEAL_REPLICAS
             )
-            observed["swim_dead"] = counter_total(cluster, "swim.dead")
-            observed["swim_evicted"] = counter_total(cluster, "swim.evicted")
-            observed["repair_copies"] = counter_total(
-                cluster, "repair.push.copies"
+            observed["swim_evicted"] = drills.counter_sum(
+                cluster, "swim.evicted"
             )
-            observed["detect_hist"] = histogram_stats(cluster, "swim.detect_ms")
-            client.refresh()
-            observed["members_after_kill"] = len(client.members)
-            observed["kill_recall"] = mean_recall(client)
+            observed["detect_hist"] = drills.histogram_summary(
+                cluster, "swim.detect_ms"
+            )
 
             # --- pause wave: SIGSTOP -> suspected -> SIGCONT -> refuted.
-            target = next(
-                address
-                for address in sorted(live_set(cluster))
-                if address != bootstrap and entries_at(cluster, address)
+            target = drills.replica_victim(client, QUERIES[0])
+            entries_before = sorted(e[0] for e in entries_at(cluster, target))
+            observed["pause"] = drills.pause_wave(
+                cluster, client, QUERIES, target, WAIT_S
             )
-            entries_before = sorted(
-                entry[0] for entry in entries_at(cluster, target)
-            )
-            suspected_before = counter_total(cluster, "swim.suspected")
-            cluster.pause(target)
-            wait_for(
-                lambda: counter_total(cluster, "swim.suspected")
-                > suspected_before,
-                "some peer to suspect the paused peer",
-            )
-            cluster.resume(target)
-            wait_for(
-                lambda: converged(cluster),
-                "the resumed peer to refute and rejoin every member map",
-            )
-            observed["pause_suspected"] = (
-                counter_total(cluster, "swim.suspected") - suspected_before
-            )
-            entries_after = sorted(
-                entry[0] for entry in entries_at(cluster, target)
-            )
+            entries_after = sorted(e[0] for e in entries_at(cluster, target))
             observed["pause_entries_kept"] = entries_after == entries_before
             observed["pause_entries_before"] = len(entries_before)
-            client.refresh()
-            observed["members_after_pause"] = len(client.members)
-            observed["pause_recall"] = mean_recall(client)
     return observed
 
 
 def test_killed_peer_is_detected_and_evicted_by_the_ring(healing):
     # Detection happened on the server side, with the client idle.
-    assert healing["swim_dead"] > 0, "no peer confirmed the death"
+    assert healing["kill"].evicted > 0, "no peer confirmed the death"
     assert healing["swim_evicted"] > 0, "no peer merged the eviction"
-    assert healing["members_after_kill"] == HEAL_PEERS - 1
+    assert healing["kill"].members == HEAL_PEERS - 1
     # Latency telemetry was recorded by the cluster's own histograms.
-    detect_count, detect_max = healing["detect_hist"]
-    assert detect_count >= 1
-    assert detect_max > 0
-    assert healing["detect_ms"] > 0
+    assert healing["detect_hist"]["count"] >= 1
+    assert healing["detect_hist"]["max"] > 0
+    assert healing["kill"].detect_ms > 0
 
 
 def test_lost_copies_are_re_replicated_without_a_client(healing):
     assert healing["victim_entries"] > 0, "victim held nothing to lose"
-    assert healing["repair_copies"] > 0, "server repair pushed no copies"
-    assert healing["repair_ms"] >= healing["detect_ms"]
-    assert healing["kill_recall"] >= healing["warm_recall"] - 1e-9
+    assert healing["kill"].repair_copies > 0, "server repair pushed no copies"
+    assert healing["kill"].repair_ms >= healing["kill"].detect_ms
+    assert healing["healed_by_oracle"], (
+        "under_replicated() reported a heal the entries scan does not see"
+    )
+    assert healing["kill"].recall >= healing["warm_recall"] - 1e-9
 
 
 def test_paused_peer_is_suspected_then_rejoins_with_entries(healing):
-    assert healing["pause_suspected"] > 0, "SIGSTOP never raised suspicion"
+    assert healing["pause"].suspected > 0, "SIGSTOP never raised suspicion"
+    assert healing["pause"].evicted == 0, "a suspected peer was evicted"
     assert healing["pause_entries_before"] > 0
     assert healing["pause_entries_kept"], "entries lost across SIGSTOP"
-    assert healing["members_after_pause"] == HEAL_PEERS - 1
-    assert healing["pause_recall"] >= healing["warm_recall"] - 1e-9
+    assert healing["pause"].members == HEAL_PEERS - 1
+    assert healing["pause"].recall >= healing["warm_recall"] - 1e-9
