@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
+
 from repro.can.node import CanNode
 from repro.can.space import RESOLUTION, Point, Zone, point_for_key
 from repro.chord.hashing import node_id_for_address
@@ -27,6 +29,9 @@ class CanOverlay:
             raise ChordError("CAN needs at least one dimension")
         self.dimensions = dimensions
         self._nodes: dict[int, CanNode] = {}
+        self._sorted_ids: list[int] = []
+        #: Bumped whenever a node joins or leaves (see ChordRing).
+        self.membership_epoch = 0
 
     # ------------------------------------------------------------------
     # Membership
@@ -37,8 +42,17 @@ class CanOverlay:
 
     @property
     def node_ids(self) -> list[int]:
-        """All node ids, ascending."""
-        return sorted(self._nodes)
+        """All node ids, ascending (copy)."""
+        return list(self._sorted_ids)
+
+    def node_at(self, index: int) -> int:
+        """The ``index``-th node id in ascending order."""
+        return self._sorted_ids[index]
+
+    def _admit(self, node: CanNode) -> None:
+        self._nodes[node.node_id] = node
+        insort(self._sorted_ids, node.node_id)
+        self.membership_epoch += 1
 
     def node(self, node_id: int) -> CanNode:
         """The node with the given id."""
@@ -56,7 +70,7 @@ class CanOverlay:
             address=address,
             zones=[Zone.whole_space(self.dimensions)],
         )
-        self._nodes[node.node_id] = node
+        self._admit(node)
         return node
 
     def join(self, address: str, at_point: Point | None = None) -> CanNode:
@@ -84,7 +98,7 @@ class CanOverlay:
         # point so repeated joins spread deterministically.
         owner.zones[zone_index] = give
         joiner = CanNode(node_id=node_id, address=address, zones=[keep])
-        self._nodes[node_id] = joiner
+        self._admit(joiner)
         self._update_neighbors_after_change({owner.node_id, node_id})
         return joiner
 
@@ -112,6 +126,8 @@ class CanOverlay:
         departing = self.node(node_id)
         affected = set(departing.neighbor_ids)
         del self._nodes[node_id]
+        self._sorted_ids.pop(bisect_left(self._sorted_ids, node_id))
+        self.membership_epoch += 1
         takers: set[int] = set()
         for zone in departing.zones:
             taker = self._takeover_target(zone, affected)
@@ -235,7 +251,7 @@ class CanOverlay:
         if not self._nodes:
             raise EmptyRingError("CAN overlay has no nodes")
         if start_id is None:
-            start_id = self.node_ids[0]
+            start_id = self._sorted_ids[0]
         current = self.node(start_id)
         path = [current.node_id]
         visited = {current.node_id}

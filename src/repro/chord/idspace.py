@@ -9,7 +9,7 @@ tested place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 __all__ = ["IdSpace"]
 
@@ -19,19 +19,21 @@ class IdSpace:
     """The ``m``-bit circular identifier space ``[0, 2^m)``."""
 
     m: int = 32
+    #: Number of identifiers, ``2^m``.
+    size: int = field(init=False, repr=False, compare=False)
+    #: ``size - 1``: ``value & mask`` reduces any integer into the space.
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.m <= 64:
             raise ValueError("id space bits must be within [1, 64]")
-
-    @property
-    def size(self) -> int:
-        """Number of identifiers, ``2^m``."""
-        return 1 << self.m
+        # Derived once; the dataclass is frozen, hence object.__setattr__.
+        object.__setattr__(self, "size", 1 << self.m)
+        object.__setattr__(self, "mask", (1 << self.m) - 1)
 
     def wrap(self, value: int) -> int:
         """Reduce ``value`` into the space."""
-        return value % self.size
+        return value & self.mask
 
     def distance(self, a: int, b: int) -> int:
         """Clockwise distance from ``a`` to ``b``."""

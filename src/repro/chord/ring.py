@@ -65,6 +65,9 @@ class ChordRing:
         self.successor_list_size = successor_list_size
         self._nodes: dict[int, ChordNode] = {}
         self._sorted_ids: list[int] = []
+        #: Bumped whenever a node is added or removed: whatever was derived
+        #: from the member set before is stale.
+        self.membership_epoch = 0
 
     # ------------------------------------------------------------------
     # Membership
@@ -80,6 +83,10 @@ class ChordRing:
     def node_ids(self) -> list[int]:
         """All node ids in increasing order (copy)."""
         return list(self._sorted_ids)
+
+    def node_at(self, index: int) -> int:
+        """The ``index``-th node id in increasing order."""
+        return self._sorted_ids[index]
 
     def node(self, node_id: int) -> ChordNode:
         """The node with the given id."""
@@ -109,6 +116,7 @@ class ChordRing:
         node = ChordNode(node_id=node_id, address=address)
         self._nodes[node_id] = node
         insort(self._sorted_ids, node_id)
+        self.membership_epoch += 1
         return node
 
     def add_nodes(self, count: int, address_prefix: str = "peer") -> list[ChordNode]:
@@ -130,6 +138,7 @@ class ChordRing:
         del self._nodes[node_id]
         index = bisect_left(self._sorted_ids, node_id)
         self._sorted_ids.pop(index)
+        self.membership_epoch += 1
         return node
 
     # ------------------------------------------------------------------
@@ -228,26 +237,27 @@ class ChordRing:
     # Routing
     # ------------------------------------------------------------------
 
-    def _closest_preceding_edge(self, node: ChordNode, key: int) -> tuple[int, str]:
+    def _closest_preceding_edge(self, node: ChordNode, key: int) -> tuple[int, int]:
         """Highest finger strictly inside ``(node, key)``, per the protocol.
 
-        Returns ``(next_id, via)`` where ``via`` names the routing-table
-        edge used — ``finger[i]`` or ``successor`` — so traced lookups can
-        show *why* each hop happened, not just where it went.
+        Returns ``(next_id, finger_index)``; index ``-1`` means no finger
+        qualified and the hop follows the successor pointer.  The interval
+        test is :meth:`IdSpace.in_open` written as one comparison of
+        clockwise distances from ``node``: ``0 < d(finger) < d(key)``,
+        where ``d(key) == 0`` (``key`` is the node itself) denotes the
+        full circle.
         """
-        for index in range(len(node.fingers) - 1, -1, -1):
-            finger_id = node.fingers[index]
-            if finger_id is not None and self.space.in_open(
-                finger_id, node.node_id, key
-            ):
-                return (finger_id, f"finger[{index}]")
+        mask = self.space.mask
+        node_id = node.node_id
+        span = ((key - node_id) & mask) or self.space.size
+        fingers = node.fingers
+        for index in range(len(fingers) - 1, -1, -1):
+            finger_id = fingers[index]
+            if finger_id is not None and 0 < ((finger_id - node_id) & mask) < span:
+                return (finger_id, index)
         if node.successor_id is None:
-            raise ChordError(f"node {node.node_id} has no routing state")
-        return (node.successor_id, "successor")
-
-    def _closest_preceding_finger(self, node: ChordNode, key: int) -> int:
-        """Highest finger strictly inside ``(node, key)``, per the protocol."""
-        return self._closest_preceding_edge(node, key)[0]
+            raise ChordError(f"node {node_id} has no routing state")
+        return (node.successor_id, -1)
 
     def lookup(
         self,
@@ -262,7 +272,8 @@ class ChordRing:
         metric.  ``recorder`` (when given) is called once per traversed edge
         as ``recorder(from_id, to_id, via)``, where ``via`` is the routing
         edge used (``finger[i]`` or ``successor``) — the hook the tracing
-        layer uses to show a lookup hop by hop.
+        layer uses to show a lookup hop by hop; the label is only formatted
+        when someone asked for it.
         """
         if not self._sorted_ids:
             raise EmptyRingError("cannot look up in an empty ring")
@@ -274,16 +285,21 @@ class ChordRing:
             raise ChordError("ring not built; call build() or join() first")
         path = [current.node_id]
         max_hops = 4 * self.space.m + len(self._nodes)
-        while not self.space.in_half_open(
-            key, current.node_id, current.successor_id
+        mask = self.space.mask
+        # key in (current, successor], as IdSpace.in_half_open has it: the
+        # clockwise distances are taken from current + 1, so that
+        # successor == current reads as the full circle.
+        while ((key - current.node_id - 1) & mask) > (
+            (current.successor_id - current.node_id - 1) & mask
         ):
-            next_id, via = self._closest_preceding_edge(current, key)
+            next_id, finger = self._closest_preceding_edge(current, key)
             if next_id == current.node_id:
                 break
             if recorder is not None:
+                via = f"finger[{finger}]" if finger >= 0 else "successor"
                 recorder(current.node_id, next_id, via)
             current = self.node(next_id)
-            path.append(current.node_id)
+            path.append(next_id)
             if len(path) > max_hops:
                 raise ChordError(f"lookup for {key} exceeded {max_hops} hops")
         owner_id = current.successor_id
@@ -356,7 +372,7 @@ class ChordRing:
                 assert succ is not None
             if self.space.in_half_open(key, current.node_id, succ):
                 return succ
-            next_id = self._closest_preceding_finger(current, key)
+            next_id = self._closest_preceding_edge(current, key)[0]
             if next_id in (current.node_id, exclude):
                 next_id = current.successor_id
                 assert next_id is not None

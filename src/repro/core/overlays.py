@@ -22,10 +22,27 @@ __all__ = ["OverlayRouter", "ChordRouter", "CanRouter", "build_overlay"]
 class OverlayRouter(ABC):
     """The DHT surface the system depends on."""
 
+    def __init__(self, members: "ChordRing | CanOverlay") -> None:
+        #: The overlay's member table; both overlays keep their ids sorted.
+        self._members = members
+
     @property
-    @abstractmethod
     def node_ids(self) -> list[int]:
-        """All peer ids, ascending."""
+        """All peer ids, ascending (a fresh list: O(N) per call)."""
+        return self._members.node_ids
+
+    def __len__(self) -> int:
+        return len(self._members)
+
+    def node_at(self, index: int) -> int:
+        """``node_ids[index]`` without building the list."""
+        return self._members.node_at(index)
+
+    @property
+    def membership_epoch(self) -> int:
+        """A counter that moves whenever a peer is added or removed;
+        anything derived from the member set is stale once it differs."""
+        return self._members.membership_epoch
 
     @abstractmethod
     def owner_of(self, key: int) -> int:
@@ -73,6 +90,7 @@ class ChordRouter(OverlayRouter):
     """Chord: successor ownership, finger-table routing, O(log N) hops."""
 
     def __init__(self, ring: ChordRing) -> None:
+        super().__init__(ring)
         self.ring = ring
 
     @classmethod
@@ -83,10 +101,6 @@ class ChordRouter(OverlayRouter):
         ring.add_nodes(n_peers)
         ring.build()
         return cls(ring)
-
-    @property
-    def node_ids(self) -> list[int]:
-        return self.ring.node_ids
 
     def owner_of(self, key: int) -> int:
         return self.ring.successor_of(key)
@@ -116,6 +130,7 @@ class CanRouter(OverlayRouter):
     """CAN: zone ownership, greedy coordinate routing, O(d·N^(1/d)) hops."""
 
     def __init__(self, overlay: CanOverlay) -> None:
+        super().__init__(overlay)
         self.overlay = overlay
 
     @classmethod
@@ -123,10 +138,6 @@ class CanRouter(OverlayRouter):
         overlay = CanOverlay(dimensions=dimensions)
         overlay.build(n_peers, seed=seed)
         return cls(overlay)
-
-    @property
-    def node_ids(self) -> list[int]:
-        return self.overlay.node_ids
 
     def owner_of(self, key: int) -> int:
         return self.overlay.owner_of(key)

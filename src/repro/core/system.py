@@ -259,8 +259,8 @@ class RangeSelectionSystem(ReplicaPlacement):
 
     def pick_origin(self) -> int:
         """A uniformly random querying peer."""
-        ids = self.router.node_ids
-        return ids[int(self._rng.integers(len(ids)))]
+        router = self.router
+        return router.node_at(int(self._rng.integers(len(router))))
 
     def start_trace(self, query: IntRange | None = None, **attrs) -> QueryTrace:
         """A :class:`~repro.obs.QueryTrace` for the synchronous path.

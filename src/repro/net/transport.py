@@ -21,11 +21,15 @@ Handler = Callable[[Message], Any]
 class TrafficStats(RegistryBackedCounters):
     """Counters the transport maintains as messages flow.
 
-    The attribute API is unchanged from the old dataclass, but every
-    field is now served from a :class:`~repro.obs.MetricsRegistry`
+    Every field is served from a :class:`~repro.obs.MetricsRegistry`
     counter (``<namespace>.<field>``), so the transport's accounting
-    shows up in the system's unified metric exports.  A standalone
-    ``TrafficStats()`` binds a private registry.
+    shows up in the system's unified metric exports; a standalone
+    ``TrafficStats()`` binds a private registry.  The attribute API
+    (``stats.drops += 1``, ``stats.messages = 0``) reads and writes those
+    counters' unlabeled series directly.  :meth:`record` and
+    :meth:`record_routing_hops` run once per message and per overlay hop,
+    so they do not read-modify-write through the attributes: each scalar
+    they touch is one ``inc`` on a counter bound at construction.
     """
 
     SCALAR_FIELDS = (
@@ -76,15 +80,18 @@ class TrafficStats(RegistryBackedCounters):
         self, registry: MetricsRegistry | None = None, namespace: str = "net"
     ) -> None:
         self._bind(registry, namespace)
+        self._messages = self._scalars["messages"]
+        self._bytes = self._scalars["bytes"]
+        self._latency_ms = self._scalars["latency_ms"]
         self.by_kind = self._labeled("messages_by_kind", "kind")
         self.sent_by_peer = self._labeled("sent_by_peer", "peer")
         self.received_by_peer = self._labeled("received_by_peer", "peer")
 
     def record(self, message: Message, latency_ms: float) -> None:
         """Account for one delivered message."""
-        self.messages += 1
-        self.bytes += message.size_bytes
-        self.latency_ms += latency_ms
+        self._messages.inc()
+        self._bytes.inc(message.size_bytes)
+        self._latency_ms.inc(latency_ms)
         self.by_kind[message.kind] += 1
         self.sent_by_peer[message.sender] += 1
         self.received_by_peer[message.recipient] += 1
@@ -105,9 +112,9 @@ class TrafficStats(RegistryBackedCounters):
             raise ValueError("hops cannot be negative")
         if latency_ms < 0:
             raise ValueError("latency cannot be negative")
-        self.messages += hops
-        self.bytes += hops * size_bytes
-        self.latency_ms += latency_ms
+        self._messages.inc(hops)
+        self._bytes.inc(hops * size_bytes)
+        self._latency_ms.inc(latency_ms)
         self.by_kind["route-hop"] += hops
 
     def reset(self) -> None:

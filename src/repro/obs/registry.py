@@ -39,7 +39,14 @@ __all__ = [
 LabelKey = tuple[tuple[str, Any], ...]
 
 
+#: The key of a metric's unlabeled series.
+_UNLABELED: LabelKey = ()
+
+
 def _label_key(labels: dict[str, Any]) -> LabelKey:
+    # Nothing to order below two labels — which is every hot-path series.
+    if len(labels) < 2:
+        return tuple(labels.items())
     return tuple(sorted(labels.items()))
 
 
@@ -71,9 +78,11 @@ def _series_list(values: dict[LabelKey, Any]) -> list[dict[str, Any]]:
 class Counter(_Metric):
     """A monotonically *usable* numeric series per label set.
 
-    ``inc`` is the ordinary path; ``set`` exists so facade objects can keep
-    supporting ``stats.field = 0`` resets and ``stats.field += n``
-    read-modify-write updates without the registry fighting them.
+    ``inc`` is the ordinary path and the one hot code uses: bind the
+    counter once, then ``counter.inc(n)`` per event.  ``set`` exists for
+    resets and gauges.  ``_values`` (label key -> value) is the series
+    table; the facade helpers at the bottom of this module read and write
+    it directly, so ``stats.field += n`` costs two dict operations.
     """
 
     kind = "counter"
@@ -84,8 +93,9 @@ class Counter(_Metric):
 
     def inc(self, amount: float = 1, **labels: Any) -> None:
         """Add ``amount`` to the series selected by ``labels``."""
-        key = _label_key(labels)
-        self._values[key] = self._values.get(key, 0) + amount
+        key = _label_key(labels) if labels else _UNLABELED
+        values = self._values
+        values[key] = values.get(key, 0) + amount
 
     def set(self, value: float, **labels: Any) -> None:
         """Overwrite the series selected by ``labels``."""
@@ -502,28 +512,31 @@ class LabeledCounterDict(dict):
     (``stats.by_kind["match-request"] += 1``); this subclass keeps that
     call surface — including equality with ordinary dicts and
     ``defaultdict(int)``-style zero-on-missing reads — while writing every
-    update through to the registry counter, one label set per key.
+    update through to the registry counter, one label set per key.  Reads
+    are served by the dict itself; a write stores the value a second time
+    straight into the counter's series table, under the single-label key
+    ``((label, key),)`` that :func:`_label_key` would build.
     """
 
     def __init__(self, counter: Counter, label: str) -> None:
         super().__init__()
-        self._counter = counter
+        self._series = counter._values
         self._label = label
 
     def __missing__(self, key: Any) -> int:
         return 0
 
     def __setitem__(self, key: Any, value: Any) -> None:
-        super().__setitem__(key, value)
-        self._counter.set(value, **{self._label: key})
+        dict.__setitem__(self, key, value)
+        self._series[((self._label, key),)] = value
 
     def __delitem__(self, key: Any) -> None:
         super().__delitem__(key)
-        self._counter.set(0, **{self._label: key})
+        self._series[((self._label, key),)] = 0
 
     def clear(self) -> None:
-        for key in list(self):
-            self._counter.set(0, **{self._label: key})
+        for key in self:
+            self._series[((self._label, key),)] = 0
         super().clear()
 
 
@@ -537,10 +550,10 @@ def registry_field(field_name: str) -> property:
     """
 
     def getter(self: "RegistryBackedCounters") -> Any:
-        return self._scalars[field_name].get()
+        return self._scalars[field_name]._values.get(_UNLABELED, 0)
 
     def setter(self: "RegistryBackedCounters", value: Any) -> None:
-        self._scalars[field_name].set(value)
+        self._scalars[field_name]._values[_UNLABELED] = value
 
     return property(getter, setter, doc=f"registry-backed field {field_name!r}")
 

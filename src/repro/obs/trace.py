@@ -243,7 +243,12 @@ class _NullTrace:
 
     Instrumented code paths write ``trace = trace or NULL_TRACE`` once and
     then record unconditionally; with the null trace each call is one
-    cheap method dispatch and no allocation.
+    cheap method dispatch that stores nothing.  The *caller* still builds
+    the call's arguments, so the null trace is falsy and a site whose
+    arguments cost something — formatting a descriptor, a closure or a
+    dict per overlay hop — checks ``if span:`` first.  The query engine
+    does so for everything it would do per hop: untraced, a hop allocates
+    nothing on the trace's behalf.
     """
 
     __slots__ = ()

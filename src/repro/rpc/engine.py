@@ -306,13 +306,14 @@ class QueryEngine:
         started = self.transport.now()
         with trace.span("hash") as hash_span:
             identifiers = system.identifiers_for(hashed_query)
-            for group, identifier in enumerate(identifiers):
-                hash_span.event(
-                    "group",
-                    group=group,
-                    identifier=identifier,
-                    placed=system.place_identifier(identifier),
-                )
+            if hash_span:
+                for group, identifier in enumerate(identifiers):
+                    hash_span.event(
+                        "group",
+                        group=group,
+                        identifier=identifier,
+                        placed=system.place_identifier(identifier),
+                    )
         locate_span = trace.span("locate", origin=origin)
         chain_futures = [
             self._run_chain(
@@ -532,15 +533,19 @@ class QueryEngine:
         parent = parent if parent is not None else NULL_TRACE
         trace = trace if trace is not None else NULL_TRACE
         placed = system.place_identifier(identifier)
-        via_edges: list[tuple[int, int, str]] = []
-        path = system.router.route(
-            placed,
-            start_id=origin,
-            recorder=lambda f, t, via: via_edges.append((f, t, via)),
-        )
+        # Untraced (``parent`` is the falsy NULL_TRACE) nobody reads the
+        # routing edges, so the router is not asked to report them.
+        vias: list[str] = []
+        if parent:
+            path = system.router.route(
+                placed,
+                start_id=origin,
+                recorder=lambda _from, _to, via: vias.append(via),
+            )
+        else:
+            path = system.router.route(placed, start_id=origin)
         owner = path[-1]
         hops = len(path) - 1
-        edges = list(zip(path, path[1:]))
         span = parent.span("chain", identifier=identifier, placed=placed)
         chain: SimFuture[ChainOutcome] = SimFuture()
         outstanding: list[SimFuture] = []
@@ -634,10 +639,12 @@ class QueryEngine:
                     "match-request",
                     payload=(identifier, hashed_query, relation, attribute),
                     rank=rank,
-                    observer=lambda name, attrs: span.event(
-                        name if name == "breaker-open" else f"net-{name}",
-                        **{"peer": candidate, **attrs},
-                    ),
+                    observer=(
+                        lambda name, attrs: span.event(
+                            name if name == "breaker-open" else f"net-{name}",
+                            **{"peer": candidate, **attrs},
+                        )
+                    ) if span else None,
                     trace_ctx=_trace_ctx(trace, span),
                 )
                 outstanding.append(request)
@@ -684,16 +691,17 @@ class QueryEngine:
                     else:
                         descriptor, score = answer
                         reply = MatchReply(candidate, identifier, descriptor, score)
-                    span.event(
-                        "match-reply",
-                        peer=candidate,
-                        score=reply.score,
-                        descriptor=(
-                            str(reply.descriptor)
-                            if reply.descriptor is not None
-                            else None
-                        ),
-                    )
+                    if span:
+                        span.event(
+                            "match-reply",
+                            peer=candidate,
+                            score=reply.score,
+                            descriptor=(
+                                str(reply.descriptor)
+                                if reply.descriptor is not None
+                                else None
+                            ),
+                        )
                     if self.hedge is not None:
                         self.hedge.observe(transport.now() - match_started)
                     finish(
@@ -720,25 +728,31 @@ class QueryEngine:
                         transport.call_later(hedge_delay, fire_hedge)
                     )
 
-        def advance(edge_index: int) -> None:
-            if edge_index == len(edges):
+        #: Edges of ``path`` travelled so far.
+        travelled = 0
+
+        def next_hop(_delay: float = 0.0) -> None:
+            nonlocal travelled
+            if travelled == hops:
                 ask_replicas()
                 return
-            hop_from, hop_to = edges[edge_index]
-            via = via_edges[edge_index][2] if edge_index < len(via_edges) else "?"
+            travelled += 1
+            transport.hop(path[travelled - 1], path[travelled], landed)
 
-            def arrive(delay: float) -> None:
-                # Emitted on arrival, so the event's timestamp is the
-                # instant the hop completed.
-                span.event(
-                    "route-hop", source=hop_from, target=hop_to, via=via,
-                    delay_ms=delay,
-                )
-                advance(edge_index + 1)
+        def traced_hop(delay: float) -> None:
+            # Emitted on arrival, so the event's timestamp is the
+            # instant the hop completed.
+            edge = travelled - 1
+            span.event(
+                "route-hop", source=path[edge], target=path[edge + 1],
+                via=vias[edge] if edge < len(vias) else "?", delay_ms=delay,
+            )
+            next_hop()
 
-            transport.hop(hop_from, hop_to, arrive)
-
-        advance(0)
+        # One continuation serves every hop of the chain; untraced, a hop
+        # landing allocates nothing and records nothing.
+        landed = traced_hop if span else next_hop
+        next_hop()
         return chain
 
     def _after_locate(
@@ -775,18 +789,19 @@ class QueryEngine:
                 counters.exact_hits += 1
             if matched is None:
                 counters.misses += 1
-            trace.end(
-                matched=str(matched) if matched is not None else None,
-                similarity=similarity,
-                recall=recall,
-                exact=exact,
-                stored=stored,
-                hops=phase.overlay_hops,
-                timeouts=phase.timeouts,
-                failovers=phase.failovers,
-                degraded="partial" if phase.partial else (phase.timeouts > 0),
-                total_ms=transport.now() - phase.started,
-            )
+            if trace:
+                trace.end(
+                    matched=str(matched) if matched is not None else None,
+                    similarity=similarity,
+                    recall=recall,
+                    exact=exact,
+                    stored=stored,
+                    hops=phase.overlay_hops,
+                    timeouts=phase.timeouts,
+                    failovers=phase.failovers,
+                    degraded="partial" if phase.partial else (phase.timeouts > 0),
+                    total_ms=transport.now() - phase.started,
+                )
             out.resolve(
                 TimedQueryResult(
                     query=query,

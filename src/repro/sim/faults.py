@@ -37,6 +37,9 @@ class FaultInjector:
         self.drop_probability = drop_probability
         self._rng: np.random.Generator = derive_rng(seed, "sim/faults")
         self._crashed: set[int] = set()
+        #: Bumped by every :meth:`crash` / :meth:`recover` (scheduled ones
+        #: included): what was derived from the crashed set is then stale.
+        self.crash_epoch = 0
         #: peer_id -> (latency multiplier, service-time multiplier)
         self._slowed: dict[int, tuple[float, float]] = {}
 
@@ -60,10 +63,12 @@ class FaultInjector:
     def crash(self, peer_id: int) -> None:
         """Fail-stop a peer: it stops handling and acknowledging messages."""
         self._crashed.add(peer_id)
+        self.crash_epoch += 1
 
     def recover(self, peer_id: int) -> None:
         """Bring a crashed peer back (idempotent)."""
         self._crashed.discard(peer_id)
+        self.crash_epoch += 1
 
     def is_crashed(self, peer_id: int) -> bool:
         return peer_id in self._crashed

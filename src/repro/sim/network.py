@@ -145,17 +145,20 @@ class AsyncNetwork:
         self.breaker: CircuitBreaker | None = None
         self._handlers: dict[int, Handler] = {}
         self._queues: dict[int, _ServiceQueue] = {}
+        self._membership_epoch = 0
 
     # -- membership (mirrors SimulatedNetwork) -------------------------
 
     def register(self, peer_id: int, handler: Handler) -> None:
         """Attach ``handler`` for messages addressed to ``peer_id``."""
         self._handlers[peer_id] = handler
+        self._membership_epoch += 1
 
     def unregister(self, peer_id: int) -> None:
         """Detach a peer (it stops receiving messages)."""
         self._handlers.pop(peer_id, None)
         self._queues.pop(peer_id, None)
+        self._membership_epoch += 1
 
     def is_registered(self, peer_id: int) -> bool:
         return peer_id in self._handlers
@@ -177,6 +180,13 @@ class AsyncNetwork:
     def is_alive(self, peer_id: int) -> bool:
         """Registered and not currently crashed."""
         return self.is_registered(peer_id) and not self.faults.is_crashed(peer_id)
+
+    @property
+    def liveness_epoch(self) -> int:
+        """Moves whenever :meth:`is_alive` may answer differently: on
+        :meth:`register` / :meth:`unregister` and on every crash or
+        recovery the fault injector performs, scheduled ones included."""
+        return self._membership_epoch + self.faults.crash_epoch
 
     # -- load introspection --------------------------------------------
 

@@ -154,6 +154,9 @@ class AsyncQueryEngine:
         for node_id in system.router.node_ids:
             self.net.register(node_id, system.peer_handler(node_id))
         self._rng = derive_rng(seed, "sim/origins")
+        #: :meth:`pick_origin`'s alive peers, and the epochs they date from.
+        self._alive: list[int] = []
+        self._alive_as_of: tuple[int, int] | None = None
         self.transport = SimTransport(
             self.sim, self.net,
             policy=self.policy, failover_policy=self.failover_policy,
@@ -191,8 +194,20 @@ class AsyncQueryEngine:
         self.net.faults.unslow(peer_id)
 
     def pick_origin(self) -> int:
-        """A uniformly random *alive* querying peer."""
-        alive = [nid for nid in self.system.router.node_ids if self.net.is_alive(nid)]
+        """A uniformly random *alive* querying peer.
+
+        The alive list is rebuilt only after something that can change it
+        — a peer joining or leaving the overlay, ``net.register`` /
+        ``unregister``, a crash or recovery (direct or scheduled) — and
+        always in ring order, so a given RNG state picks the same origin
+        it would from a list rebuilt on every call.
+        """
+        router, net = self.system.router, self.net
+        as_of = (router.membership_epoch, net.liveness_epoch)
+        if as_of != self._alive_as_of:
+            self._alive = [nid for nid in router.node_ids if net.is_alive(nid)]
+            self._alive_as_of = as_of
+        alive = self._alive
         if not alive:
             raise RuntimeError("no alive peer can originate a query")
         return alive[int(self._rng.integers(len(alive)))]

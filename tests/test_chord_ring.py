@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.chord.lookup import LookupResult
+from repro.chord.node import ChordNode
 from repro.chord.ring import ChordRing
 from repro.errors import (
     ChordError,
@@ -228,3 +230,141 @@ class TestChurn:
 
 # A moderately sized ring shared by property-based lookup tests.
 _PROPERTY_RING = built_ring(60)
+
+
+# ----------------------------------------------------------------------
+# Routing oracle: the masked-distance finger scan against IdSpace.in_open
+# ----------------------------------------------------------------------
+
+
+def reference_edge(ring: ChordRing, node, key: int) -> tuple[int, int]:
+    """The finger scan as ``IdSpace.in_open`` states it."""
+    for index in range(len(node.fingers) - 1, -1, -1):
+        finger_id = node.fingers[index]
+        if finger_id is not None and ring.space.in_open(
+            finger_id, node.node_id, key
+        ):
+            return (finger_id, index)
+    return (node.successor_id, -1)
+
+
+def reference_lookup(ring: ChordRing, key: int, start_id: int):
+    """``ChordRing.lookup`` on ``IdSpace``'s interval methods: the path and
+    the routing edge of every hop."""
+    space = ring.space
+    key = space.wrap(key)
+    current = ring.node(start_id)
+    path, vias = [current.node_id], []
+    max_hops = 4 * space.m + len(ring)
+    while not space.in_half_open(key, current.node_id, current.successor_id):
+        next_id, index = reference_edge(ring, current, key)
+        if next_id == current.node_id:
+            break
+        vias.append(f"finger[{index}]" if index >= 0 else "successor")
+        current = ring.node(next_id)
+        path.append(current.node_id)
+        if len(path) > max_hops:
+            raise ChordError("hop bound")
+    if current.successor_id != current.node_id:
+        vias.append("successor")
+        path.append(current.successor_id)
+    return (tuple(path), vias)
+
+
+def outcome(fn):
+    """What ``fn`` returned, or the kind of routing error it raised (a
+    stale finger may name a departed node; a torn ring may loop)."""
+    try:
+        return ("ok", fn())
+    except (ChordError, NodeNotFoundError) as error:
+        return ("raised", type(error))
+
+
+def scarred_ring(seed: int, m: int) -> tuple[ChordRing, random.Random]:
+    """A ring whose routing state is deliberately not converged: a static
+    build, then joins and leaves with no stabilisation after them, then a
+    few finger slots blanked."""
+    rnd = random.Random(seed)
+    ring = ChordRing(m=m)
+    while len(ring) < 12:
+        try:
+            ring.add_node(node_id=rnd.randrange(1 << m))
+        except DuplicateNodeError:
+            pass  # m = 8 leaves little room
+    ring.build()
+    for index in range(rnd.randrange(4)):
+        try:
+            ring.join(f"late-{seed}-{index}", via=rnd.choice(ring.node_ids))
+        except DuplicateNodeError:
+            pass
+        if rnd.random() < 0.3:
+            ring.stabilize_round()
+    for _ in range(rnd.randrange(3)):
+        ring.leave(rnd.choice(ring.node_ids))
+    for node_id in ring.node_ids:
+        fingers = ring.node(node_id).fingers
+        for slot in range(len(fingers)):
+            if rnd.random() < 0.05:
+                fingers[slot] = None
+    return ring, rnd
+
+
+def probe_keys(ring: ChordRing, rnd: random.Random) -> list[int]:
+    size = ring.space.size
+    ids = ring.node_ids
+    keys = [rnd.randrange(size) for _ in range(12)]
+    keys += ids[:4]  # key == node_id: from that node, the full circle
+    keys += [ids[0] - 1, ids[-1] + 1, 0, size - 1]
+    keys += [size, size + ids[1], -3, 3 * size + 17]  # past the wrap
+    return keys
+
+
+class TestRoutingOracle:
+    @pytest.mark.parametrize("m", [8, 32, 64])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_finger_choice_matches_in_open(self, m, seed):
+        ring, rnd = scarred_ring(seed, m)
+        for key in probe_keys(ring, rnd):
+            for node_id in ring.node_ids:
+                node = ring.node(node_id)
+                assert ring._closest_preceding_edge(node, key) == (
+                    reference_edge(ring, node, key)
+                )
+                # Finger by finger: each slot alone qualifies exactly
+                # when in_open says so.
+                for finger_id in node.fingers:
+                    if finger_id is None:
+                        continue
+                    alone = ChordNode(
+                        node_id, node.address, successor_id=node_id,
+                        fingers=[finger_id],
+                    )
+                    chosen = ring._closest_preceding_edge(alone, key)[1] == 0
+                    assert chosen == ring.space.in_open(finger_id, node_id, key)
+
+    @pytest.mark.parametrize("m", [8, 32, 64])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_paths_and_vias_match_with_and_without_recorder(self, m, seed):
+        ring, rnd = scarred_ring(seed, m)
+        for key in probe_keys(ring, rnd):
+            for start_id in ring.node_ids:
+                expected = outcome(lambda: reference_lookup(ring, key, start_id))
+                vias: list[str] = []
+                edges: list[tuple[int, int]] = []
+
+                def recorder(hop_from, hop_to, via):
+                    edges.append((hop_from, hop_to))
+                    vias.append(via)
+
+                recorded = outcome(
+                    lambda: ring.lookup(key, start_id, recorder=recorder).path
+                )
+                silent = outcome(lambda: ring.lookup(key, start_id).path)
+                assert silent == recorded
+                if expected[0] == "raised":
+                    assert recorded == expected
+                    continue
+                path, expected_vias = expected[1]
+                assert recorded == ("ok", path)
+                assert vias == expected_vias
+                assert edges == list(zip(path, path[1:]))

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from hashlib import sha256
 
 import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem, SystemCounters
 from repro.metrics.latency import LatencyCollector, phase_percentiles
+from repro.net.latency import SeededLatency
+from repro.net.message import Message
 from repro.net.transport import TrafficStats
 from repro.obs import (
     NULL_TRACE,
@@ -21,6 +24,7 @@ from repro.obs import (
 )
 from repro.ranges.interval import IntRange
 from repro.sim.query import AsyncQueryEngine
+from repro.workloads.generators import ZipfRangeWorkload
 
 
 class TestMetricsRegistry:
@@ -126,6 +130,142 @@ class TestRegistryBackedFacades:
         a.queries += 1
         assert a.queries == 1
         assert b.queries == 0
+
+    def test_attribute_and_dict_contract(self):
+        """What callers of the facades rely on, whatever the storage."""
+        registry = MetricsRegistry()
+        stats = TrafficStats(registry=registry)
+        messages = registry.counter("net.messages")
+        by_kind = registry.counter("net.messages_by_kind")
+        # Zero on missing, for scalars and for keys, without creating them.
+        assert stats.messages == 0 and stats.latency_ms == 0
+        assert stats.by_kind["never-seen"] == 0
+        assert stats.by_kind == {} and "never-seen" not in stats.by_kind
+        # Read-modify-write, plain assignment and the registry agree.
+        stats.messages += 3
+        stats.messages += 4
+        assert stats.messages == messages.get() == 7
+        stats.messages = 0
+        assert stats.messages == messages.get() == 0
+        messages.inc(5)  # written behind the facade's back
+        assert stats.messages == 5
+        # record()/record_routing_hops() land in the same series.
+        stats.record_routing_hops(2, size_bytes=10, latency_ms=1.5)
+        stats.record(Message(1, 2, "match-request", size_bytes=64), 0.25)
+        assert stats.messages == messages.get() == 8
+        assert stats.bytes == 84 and stats.latency_ms == 1.75
+        assert stats.by_kind == {"route-hop": 2, "match-request": 1}
+        assert by_kind.get(kind="route-hop") == 2
+        assert stats.sent_by_peer == {1: 1} and stats.received_by_peer == {2: 1}
+        assert stats.scalar_values()["messages"] == 8
+        del stats.by_kind["route-hop"]
+        assert stats.by_kind == {"match-request": 1}
+        assert by_kind.get(kind="route-hop") == 0
+        stats.reset()
+        assert stats.messages == 0 and stats.latency_ms == 0.0
+        assert stats.by_kind == {} and by_kind.total() == 0
+        assert registry.counter("net.sent_by_peer").total() == 0
+
+    def test_label_order_does_not_split_a_series(self):
+        counter = MetricsRegistry().counter("c")
+        counter.inc(a=1, b=2)
+        counter.inc(2, b=2, a=1)
+        assert counter.get(b=2, a=1) == counter.get(a=1, b=2) == 3
+        assert [labels for labels, _ in counter.items()] == [{"a": 1, "b": 2}]
+        counter.set(9, b=2, a=1)
+        assert counter.total() == 9
+        # Unlabeled and single-label series stay apart from it.
+        counter.inc()
+        counter.inc(a=1)
+        assert counter.get() == 1 and counter.get(a=1) == 1
+
+    def test_exports_of_a_seeded_run_are_byte_identical(self):
+        """The registry's JSON and text exports after a fixed run over both
+        in-process transports (failover, drops, a mid-run reset, traced and
+        untraced queries).  The digests were taken at the commit before the
+        facades bound their series; a change to *what* is counted moves
+        them, a change to how cheaply it is counted must not."""
+        system = RangeSelectionSystem(
+            SystemConfig(n_peers=40, seed=99, replicas=2)
+        )
+        ranges = ZipfRangeWorkload(
+            system.config.domain, 60, seed=9, pool_size=25
+        ).ranges()
+        for query in ranges[:20]:
+            system.query(query)
+        system.crash_peer(system.router.node_ids[3])
+        for query in ranges[20:30]:
+            system.query(query, trace=system.start_trace(query))
+        system.recover_peer(system.router.node_ids[3])
+        engine = AsyncQueryEngine(
+            system, seed=99, latency=SeededLatency(10.0, 100.0, seed=99),
+            drop_probability=0.05,
+        )
+        engine.crash_peer(system.router.node_ids[7])
+        for query in ranges[30:45]:
+            engine.run(query)
+        engine.net.stats.reset()
+        for query in ranges[45:]:
+            engine.run(query, trace=engine.start_trace(query))
+        exports = (system.metrics.to_json(), system.metrics.report())
+        assert [sha256(text.encode()).hexdigest() for text in exports] == [
+            "401cf38e4d2238d8328d33afcd218d3ba2206c1e0c366facd35e64205bd11460",
+            "a3ca63da8a755cad51fc8b2fedcc210423f9dad234f935561365de2fc128457c",
+        ]
+
+
+#: The ways into ``obs.registry`` that ``benchmarks/e2e`` counts as one
+#: registry operation each (``workloads._patch_registry``).
+REGISTRY_ENTRY_POINTS = (
+    (Counter, ("inc", "set", "get")),
+    (HistogramMetric, ("observe",)),
+    (LabeledCounterDict, ("__setitem__",)),
+    (MetricsRegistry, ("counter", "gauge", "histogram")),
+)
+
+
+class TestHotPathAccountingBudget:
+    """A wall-clock-free stand-in for ``obs.registry_calls``: what an
+    untraced query may spend on bookkeeping, counted in registry
+    operations, so a facade regression fails here and not in a benchmark."""
+
+    #: One overlay hop: messages, bytes, latency_ms, by_kind.
+    OPS_PER_HOP = 4
+    #: One request or reply: the same plus sent_by_peer, received_by_peer.
+    OPS_PER_MESSAGE = 6
+
+    def test_untraced_sync_query_stays_within_budget(self, monkeypatch):
+        system = RangeSelectionSystem(SystemConfig(n_peers=1000, seed=5))
+        ranges = ZipfRangeWorkload(
+            system.config.domain, 80, seed=9, pool_size=30
+        ).ranges()
+        for query in ranges[:40]:
+            system.query(query)
+        operations = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                operations[0] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for cls, methods in REGISTRY_ENTRY_POINTS:
+            for method in methods:
+                monkeypatch.setattr(cls, method, counted(getattr(cls, method)))
+        stats = system.network.stats
+        messages_before = stats.messages
+        hops_before = stats.by_kind["route-hop"]
+        operations[0] = 0
+        for query in ranges[40:]:
+            system.query(query)
+        spent = operations[0]
+        hops = stats.by_kind["route-hop"] - hops_before
+        others = stats.messages - messages_before - hops
+        assert hops > 500 and others >= 40 * system.config.l
+        # Nothing per query, per chain or per clock reading on top of the
+        # per-message charges: reads go through the facade attributes.
+        assert spent <= self.OPS_PER_HOP * hops + self.OPS_PER_MESSAGE * others
 
 
 class TestSpanAndTrace:

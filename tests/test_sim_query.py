@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
+from repro.errors import DuplicateNodeError
 from repro.net.latency import ConstantLatency, SeededLatency
 from repro.ranges.interval import IntRange
 from repro.sim import AsyncQueryEngine, RetryPolicy
@@ -128,3 +133,139 @@ class TestDeterministicTiming:
         for chain in result.chains:
             assert chain.route_ms == pytest.approx(chain.hops * 1.0)
             assert chain.completed_ms == pytest.approx(chain.route_ms + 2.0)
+
+
+# ----------------------------------------------------------------------
+# pick_origin: the memoised alive list against the per-call scan
+# ----------------------------------------------------------------------
+
+
+def oracle_pick_origin(engine: AsyncQueryEngine) -> int:
+    """``AsyncQueryEngine.pick_origin`` as it was before the alive list
+    was memoised — body kept verbatim — drawing from a *copy* of the
+    engine's RNG so the engine's own next draw starts from the same state."""
+    self = copy.copy(engine)
+    self._rng = copy.deepcopy(engine._rng)
+    alive = [nid for nid in self.system.router.node_ids if self.net.is_alive(nid)]
+    if not alive:
+        raise RuntimeError("no alive peer can originate a query")
+    return alive[int(self._rng.integers(len(alive)))]
+
+
+def assert_same_origin(engine: AsyncQueryEngine) -> None:
+    try:
+        expected = oracle_pick_origin(engine)
+    except RuntimeError as error:
+        with pytest.raises(RuntimeError, match=str(error)):
+            engine.pick_origin()
+        return
+    assert engine.pick_origin() == expected
+
+
+#: One step of a liveness/membership history: (operation, selector).
+#: The selector picks the peer (or the new peer's name) the step acts on.
+ORIGIN_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["crash", "recover", "schedule", "tick", "unregister",
+             "register", "join", "leave", "query"]
+        ),
+        st.integers(0, 10_000),
+    ),
+    max_size=25,
+)
+
+
+def apply_origin_step(engine: AsyncQueryEngine, name: str, pick: int) -> None:
+    system, net, sim = engine.system, engine.net, engine.sim
+    ids = system.router.node_ids
+    peer = ids[pick % len(ids)]
+    chord = system.ring is not None
+    if name == "crash":
+        engine.crash_peer(peer)
+    elif name == "recover":
+        engine.recover_peer(peer)
+    elif name == "schedule":
+        # Fires during a later "tick" or "query", not now.
+        net.faults.schedule_crash(
+            sim, peer, at_ms=sim.now + 1.0,
+            recover_at_ms=sim.now + 3.0 if pick % 2 else None,
+        )
+    elif name == "tick":
+        sim.run(until=sim.now + 1.5)
+    elif name == "unregister":
+        net.unregister(peer)
+    elif name == "register":
+        # Also the way a peer that joined the overlay mid-run comes
+        # alive for the engine; peers CAN admitted have no store.
+        handler = (
+            system.peer_handler(peer) if peer in system.stores
+            else (lambda message: None)
+        )
+        net.register(peer, handler)
+    elif name == "join":
+        if chord:
+            system.join_peer(f"late-{pick}")
+        else:
+            system.router.overlay.join(f"late-{pick}")
+    elif name == "leave" and len(ids) > 2:
+        if chord:
+            system.leave_peer(peer)
+        else:
+            system.router.overlay.leave(peer)
+    elif name == "query":
+        engine.run(IntRange(100 + pick % 50, 300), origin=ids[0])
+
+
+class TestPickOriginOracle:
+    @pytest.mark.parametrize("overlay", ["chord", "can"])
+    @settings(max_examples=40, deadline=None)
+    @given(steps=ORIGIN_STEPS)
+    def test_same_draw_as_the_per_call_scan(self, overlay, steps):
+        system = RangeSelectionSystem(
+            SystemConfig(n_peers=6, seed=3, overlay=overlay)
+        )
+        engine = AsyncQueryEngine(
+            system, seed=3, policy=RetryPolicy(timeout_ms=50.0, max_retries=0)
+        )
+        assert_same_origin(engine)
+        for name, pick in steps:
+            try:
+                apply_origin_step(engine, name, pick)
+            except DuplicateNodeError:
+                pass  # hypothesis drew the same late joiner twice
+            assert_same_origin(engine)
+            assert_same_origin(engine)  # and again from the memo
+
+    @pytest.mark.parametrize("overlay", ["chord", "can"])
+    def test_nothing_alive_raises_then_recovers(self, overlay):
+        system = RangeSelectionSystem(
+            SystemConfig(n_peers=5, seed=3, overlay=overlay)
+        )
+        engine = AsyncQueryEngine(system, seed=3)
+        ids = system.router.node_ids
+        for peer in ids:
+            engine.net.faults.schedule_crash(engine.sim, peer, at_ms=2.0)
+        assert_same_origin(engine)
+        engine.sim.run(until=5.0)
+        with pytest.raises(RuntimeError, match="no alive peer"):
+            engine.pick_origin()
+        assert_same_origin(engine)
+        engine.recover_peer(ids[2])
+        assert engine.pick_origin() == ids[2]
+
+    def test_reregistering_every_peer_costs_one_rebuild(self):
+        """``register`` stays O(1): the harness re-registers every peer's
+        handler, and the list is rebuilt once, on the next pick."""
+        engine = make_engine(n_peers=40)
+        engine.pick_origin()
+        built = engine._alive
+        for peer in engine.system.router.node_ids:
+            engine.net.register(peer, engine.system.peer_handler(peer))
+        assert engine._alive is built
+        assert_same_origin(engine)
+        assert engine._alive is not built
+        rebuilt = engine._alive
+        for _ in range(5):
+            assert_same_origin(engine)
+        assert engine._alive is rebuilt

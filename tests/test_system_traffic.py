@@ -8,6 +8,7 @@ from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
 from repro.net.transport import TrafficStats
 from repro.ranges.interval import IntRange
+from repro.sim.query import AsyncQueryEngine
 from repro.workloads.generators import ZipfRangeWorkload
 
 
@@ -59,3 +60,66 @@ class TestCacheEconomics:
         stores = system.network.stats.by_kind.get("store-request", 0)
         assert stores < 0.2 * 5 * len(second_half)
         assert warm_messages < 40
+
+
+def traffic(stats: TrafficStats) -> tuple:
+    return (
+        stats.scalar_values(), dict(stats.by_kind),
+        dict(stats.sent_by_peer), dict(stats.received_by_peer),
+    )
+
+
+def sync_path(config: SystemConfig):
+    system = RangeSelectionSystem(config)
+    for peer in system.router.node_ids[::3]:
+        system.crash_peer(peer)
+    return system.query, system.start_trace, system.network.stats
+
+
+def sim_path(config: SystemConfig):
+    engine = AsyncQueryEngine(
+        RangeSelectionSystem(config), seed=config.seed, drop_probability=0.05
+    )
+    for peer in engine.system.router.node_ids[::3]:
+        engine.crash_peer(peer)
+    return engine.run, engine.start_trace, engine.net.stats
+
+
+class TestTracingDoesNotChangeTheAccounting:
+    """An untraced query skips the per-hop trace work (no recorder handed
+    to the router, no ``route-hop`` events built); what it answers and
+    what it charges must not depend on that."""
+
+    @pytest.mark.parametrize("path", [sync_path, sim_path])
+    def test_same_results_same_traffic(self, path):
+        config = SystemConfig(n_peers=120, seed=44, replicas=2)
+        queries = ZipfRangeWorkload(
+            config.domain, 40, seed=9, pool_size=15
+        ).ranges()
+        run, _, plain_stats = path(config)
+        plain = [run(query) for query in queries]
+        run, start_trace, traced_stats = path(config)
+        traces = [start_trace(query) for query in queries]
+        traced = [run(query, trace=t) for query, t in zip(queries, traces)]
+        assert plain == traced
+        assert traffic(plain_stats) == traffic(traced_stats)
+        assert plain_stats.messages > 0 and plain_stats.failovers > 0
+        # The traced side still carries every hop, edge by edge.
+        chains = [chain for trace in traces for chain in trace.find("chain")]
+        for chain in chains:
+            hops = chain.events_named("route-hop")
+            assert len(hops) == chain.attrs["hops"]
+            for before, after in zip(hops, hops[1:]):
+                assert before.attrs["target"] == after.attrs["source"]
+            if hops:
+                assert hops[-1].attrs["target"] == chain.attrs["owner"]
+            for hop in hops:
+                assert set(hop.attrs) == {"source", "target", "via", "delay_ms"}
+                assert hop.attrs["via"].startswith(("finger[", "successor"))
+                assert hop.attrs["delay_ms"] >= 0
+        # by_kind also counts the one hop each failover step is charged.
+        assert traced_stats.by_kind["route-hop"] == sum(
+            len(chain.events_named("route-hop"))
+            + len(chain.events_named("failover"))
+            for chain in chains
+        )
