@@ -4,7 +4,8 @@ The paper's step 5 stores a partition at the owners of its ``l``
 identifiers; the replication layer keeps ``r`` copies of each on the
 owner's ring successors.  *Where should an identifier's copies live?* is
 answered by :class:`ReplicaPlacement`, shared by the in-process system,
-the socket client's topology view and every peer server's ring mirror.
+the socket client's topology view and every peer server's ring mirror;
+the first two also hash ranges, through :class:`HashedPlacement`.
 *Given who holds an entry and who should, what closes the gap?* is
 answered by :func:`plan_placement`, a pure diff; rebalance, hand-off and
 repair — in-process, simulated and live — are thin executors of its plan.
@@ -15,9 +16,12 @@ from __future__ import annotations
 from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 from repro.chord.hashing import rehash_for_placement
+from repro.core.config import SystemConfig
 from repro.db.partition import PartitionDescriptor
+from repro.lsh import DomainMinHashIndex, LSHIdentifierScheme, family_for_domain
+from repro.ranges.interval import IntRange
 
-__all__ = ["Action", "Key", "ReplicaPlacement", "plan_placement"]
+__all__ = ["Action", "HashedPlacement", "Key", "ReplicaPlacement", "plan_placement"]
 
 #: One cached entry, system-wide: (identifier, descriptor).
 Key = tuple[int, PartitionDescriptor]
@@ -79,6 +83,35 @@ class ReplicaPlacement:
                 if peer not in candidates:
                     candidates.append(peer)
         return candidates
+
+
+class HashedPlacement(ReplicaPlacement):
+    """Replica placement behind the hashing front: the seeded LSH scheme
+    of ``config``, which turns a range into the identifiers to place."""
+
+    def __init__(self, config: SystemConfig) -> None:
+        self.config = config
+        family = family_for_domain(config.family, config.domain)
+        self.scheme = LSHIdentifierScheme.from_family(
+            family, l=config.l, k=config.k, seed=config.seed, id_bits=config.id_bits
+        )
+        self._accel: DomainMinHashIndex | None = None
+        if config.accelerate:
+            self._accel = DomainMinHashIndex(self.scheme, config.domain)
+
+    def identifiers_for(self, r: IntRange) -> list[int]:
+        """The ``l`` identifiers of ``r``.
+
+        Uses the O(1) range-minimum index when the range lies inside the
+        configured domain; ranges over other attribute domains (the SQL
+        front end hashes ages, ids and date codes alike) fall back to the
+        direct vectorized path.  Both paths produce identical identifiers.
+        """
+        if self._accel is not None:
+            domain = self.config.domain
+            if r.start >= domain.low and r.end <= domain.high:
+                return self._accel.identifiers(r)
+        return self.scheme.identifiers(r)
 
 
 class Action(NamedTuple):

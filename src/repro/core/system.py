@@ -21,10 +21,9 @@ from typing import Callable
 from repro.core.config import SystemConfig
 from repro.core.matcher import Matcher, matcher_by_name
 from repro.core.overlays import ChordRouter, build_overlay
-from repro.core.placement import Key, ReplicaPlacement, plan_placement
+from repro.core.placement import HashedPlacement, Key, plan_placement
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import ConfigError, PeerUnavailableError
-from repro.lsh import DomainMinHashIndex, LSHIdentifierScheme, family_for_domain
 from repro.net.message import Message
 from repro.net.transport import SimulatedNetwork
 from repro.obs.log import get_logger
@@ -37,7 +36,6 @@ from repro.obs.trace import NULL_TRACE, QueryTrace
 from repro.ranges.interval import IntRange
 from repro.rpc.engine import MatchReply, QueryEngine
 from repro.rpc.peer import PeerLogic
-from repro.rpc.transports import SyncTransport
 from repro.storage.store import LRUEviction, NoEviction, PeerStore
 from repro.util.rng import derive_rng
 
@@ -146,18 +144,11 @@ class SystemCounters(RegistryBackedCounters):
         self.by_origin = self._labeled("queries_by_origin", "origin")
 
 
-class RangeSelectionSystem(ReplicaPlacement):
+class RangeSelectionSystem(HashedPlacement):
     """All peers, the ring, the hash scheme, and the query procedure."""
 
     def __init__(self, config: SystemConfig) -> None:
-        self.config = config
-        family = family_for_domain(config.family, config.domain)
-        self.scheme = LSHIdentifierScheme.from_family(
-            family, l=config.l, k=config.k, seed=config.seed, id_bits=config.id_bits
-        )
-        self._accel: DomainMinHashIndex | None = None
-        if config.accelerate:
-            self._accel = DomainMinHashIndex(self.scheme, config.domain)
+        super().__init__(config)
         self.matcher: Matcher = matcher_by_name(config.matcher)
         self.router = build_overlay(
             config.overlay,
@@ -176,18 +167,17 @@ class RangeSelectionSystem(ReplicaPlacement):
         #: SystemCounters, and any engine/collector bound to this system
         #: all publish here (one export surface; see :mod:`repro.obs`).
         self.metrics = MetricsRegistry()
-        self.network = SimulatedNetwork(registry=self.metrics)
+        #: The synchronous network, which is also the shared query
+        #: engine's transport: requests on it settle immediately, so the
+        #: engine's futures are already resolved when :meth:`locate` /
+        #: :meth:`query` / :meth:`store_partition` return.
+        self.network = self.transport = SimulatedNetwork(registry=self.metrics)
         self.stores: dict[int, PeerStore] = {}
         for node_id in self.router.node_ids:
             self._register_peer(node_id)
         self._rng = derive_rng(config.seed, "system/origins")
         self.counters = SystemCounters(registry=self.metrics)
-        #: The synchronous transport + the shared query engine bound to it.
-        #: Requests on :class:`~repro.rpc.transports.SyncTransport` settle
-        #: immediately, so the engine's futures are already resolved when
-        #: :meth:`locate` / :meth:`query` / :meth:`store_partition` return.
-        self.transport = SyncTransport(self.network)
-        self._engine = QueryEngine(self, self.transport)
+        self._engine = QueryEngine(self, self.network)
 
     # ------------------------------------------------------------------
     # Peer wiring
@@ -223,25 +213,7 @@ class RangeSelectionSystem(ReplicaPlacement):
         return handler
 
     # ------------------------------------------------------------------
-    # Hashing
-    # ------------------------------------------------------------------
-
-    def identifiers_for(self, r: IntRange) -> list[int]:
-        """The ``l`` identifiers of ``r``.
-
-        Uses the O(1) range-minimum index when the range lies inside the
-        configured domain; ranges over other attribute domains (the SQL
-        front end hashes ages, ids and date codes alike) fall back to the
-        direct vectorized path.  Both paths produce identical identifiers.
-        """
-        if self._accel is not None:
-            domain = self.config.domain
-            if r.start >= domain.low and r.end <= domain.high:
-                return self._accel.identifiers(r)
-        return self.scheme.identifiers(r)
-
-    # ------------------------------------------------------------------
-    # Faults (replica sets come from ReplicaPlacement)
+    # Faults (hashing and replica sets come from HashedPlacement)
     # ------------------------------------------------------------------
 
     def crash_peer(self, node_id: int) -> None:
@@ -274,7 +246,7 @@ class RangeSelectionSystem(ReplicaPlacement):
         if query is not None:
             attrs.setdefault("query", str(query))
         attrs.setdefault("path", "sync")
-        return QueryTrace(clock=lambda: self.network.stats.latency_ms, **attrs)
+        return QueryTrace(clock=self.network.now, **attrs)
 
     def locate(
         self,

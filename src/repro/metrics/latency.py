@@ -20,7 +20,7 @@ from repro.obs.registry import (
     RegistryBackedCounters,
     registry_field,
 )
-from repro.sim.query import TimedQueryResult
+from repro.rpc.engine import TimedQueryResult
 
 __all__ = [
     "PhasePercentiles",

@@ -9,7 +9,9 @@ programs and extension experiments can report network cost.
 
 For experiments that need *time* rather than counts — delivery delay,
 loss, crashes, timeouts — the event-driven transport lives in
-:mod:`repro.sim`, layered on the same latency models.
+:mod:`repro.sim`, delivering over the same peer directory
+(:class:`PeerNetwork`) and latency models.  Both are the query engine's
+:class:`Transport`.
 """
 
 from repro.net.latency import (
@@ -19,10 +21,12 @@ from repro.net.latency import (
     UniformLatency,
 )
 from repro.net.message import Message
-from repro.net.transport import SimulatedNetwork, TrafficStats
+from repro.net.transport import PeerNetwork, SimulatedNetwork, TrafficStats, Transport
 
 __all__ = [
     "Message",
+    "Transport",
+    "PeerNetwork",
     "SimulatedNetwork",
     "TrafficStats",
     "LatencyModel",

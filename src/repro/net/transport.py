@@ -1,7 +1,30 @@
-"""The simulated transport: synchronous delivery with full accounting."""
+"""The in-process transport: the engine's interface and the peer directory.
+
+A :class:`Transport` is everything the query engine needs from a network:
+a clock, liveness, timers, one-hop routing charges, and a request/reply
+primitive that settles a :class:`~repro.sim.futures.SimFuture`.
+:class:`PeerNetwork` holds, once, what both in-process networks share —
+the peers' handlers, who is crashed, the latency model, the traffic
+counters — and each network adds its delivery discipline:
+
+- :class:`SimulatedNetwork` (here) has no clock of its own (``now()``
+  reads the cumulative simulated wire time), timers fire immediately, and
+  requests settle before ``request()`` returns — so the
+  continuation-passing engine executes each lookup chain to completion
+  before starting the next, reproducing the classic synchronous path
+  exactly.
+- :class:`~repro.sim.network.AsyncNetwork` delivers on a
+  :class:`~repro.sim.kernel.Simulator`.  Timers and requests settle at
+  later virtual instants, so the ``l`` chains genuinely interleave.
+
+The third transport, :class:`repro.rpc.client.SocketTransport`, speaks real
+asyncio TCP sockets and lives with the client (it needs the wire protocol
+and a membership mirror).
+"""
 
 from __future__ import annotations
 
+from abc import ABC, abstractmethod
 from typing import Any, Callable, Sequence
 
 from repro.errors import PeerUnavailableError, UnknownPeerError
@@ -12,10 +35,16 @@ from repro.obs.registry import (
     RegistryBackedCounters,
     registry_field,
 )
+from repro.sim.faults import FaultInjector
+from repro.sim.futures import SimFuture
 
-__all__ = ["SimulatedNetwork", "TrafficStats"]
+__all__ = ["DONE", "Observer", "PeerNetwork", "SimulatedNetwork", "TrafficStats", "Transport"]
 
 Handler = Callable[[Message], Any]
+
+#: Observer callback: ``(event_name, attrs)`` — the engine turns these into
+#: ``net-*`` trace events on the active chain span.
+Observer = Callable[[str, dict], None]
 
 
 class TrafficStats(RegistryBackedCounters):
@@ -106,7 +135,7 @@ class TrafficStats(RegistryBackedCounters):
         a routing message.  ``latency_ms`` is the *total* wire time of the
         hop sequence (each traversed edge costs real latency, so leaving it
         at zero understates ``latency_ms`` whenever a latency model is in
-        play — prefer :meth:`SimulatedNetwork.charge_route`).
+        play — prefer :meth:`PeerNetwork.charge_route`).
         """
         if hops < 0:
             raise ValueError("hops cannot be negative")
@@ -137,83 +166,142 @@ class TrafficStats(RegistryBackedCounters):
         self.received_by_peer.clear()
 
 
-class SimulatedNetwork:
-    """Synchronous message delivery between registered peers.
+class _ImmediateHandle:
+    """Cancellation handle for work that already ran."""
 
-    Peers register a handler keyed by their overlay id; :meth:`send`
-    delivers immediately (simulation time, not wall time) and returns the
-    handler's reply, so request/response exchanges read naturally at call
-    sites while every message is still counted.
-    """
+    def cancel(self) -> None:  # pragma: no cover - trivial
+        pass
 
-    def __init__(
-        self,
-        latency: LatencyModel | None = None,
-        registry: MetricsRegistry | None = None,
-    ) -> None:
-        self._handlers: dict[int, Handler] = {}
-        self._crashed: set[int] = set()
-        self.latency = latency if latency is not None else ConstantLatency()
-        self.stats = TrafficStats(registry=registry)
 
-    def register(self, peer_id: int, handler: Handler) -> None:
-        """Attach ``handler`` for messages addressed to ``peer_id``."""
-        self._handlers[peer_id] = handler
+#: What ``call_later`` / ``hop`` return when there is nothing to cancel.
+DONE = _ImmediateHandle()
 
-    def unregister(self, peer_id: int) -> None:
-        """Detach a peer (it stops receiving messages)."""
-        self._handlers.pop(peer_id, None)
-        self._crashed.discard(peer_id)
 
-    def is_registered(self, peer_id: int) -> bool:
-        """Whether a peer currently has a handler."""
-        return peer_id in self._handlers
+class Transport(ABC):
+    """What the query engine needs from a network."""
 
-    # -- faults (mirrors AsyncNetwork's crash surface) -----------------
+    #: The transport's traffic counters (messages, bytes, failovers).
+    stats: TrafficStats
 
-    def crash(self, peer_id: int) -> None:
-        """Fail-stop ``peer_id``: sends to it raise
-        :class:`~repro.errors.PeerUnavailableError` until it recovers.
+    @abstractmethod
+    def now(self) -> float:
+        """The transport's clock, in milliseconds.
 
-        The synchronous transport cannot model a silent timeout (there is
-        no clock to wait out), so unreachability is immediate and loud —
-        the degraded-mode *outcome* matches the event-driven transport,
-        only the waiting is elided.
+        Synchronous transports report cumulative simulated wire time, the
+        event-driven transport virtual time, the socket transport wall
+        time; the engine only ever subtracts two readings.
         """
-        self._crashed.add(peer_id)
 
-    def recover(self, peer_id: int) -> None:
-        """Un-crash ``peer_id`` (idempotent)."""
-        self._crashed.discard(peer_id)
-
+    @abstractmethod
     def is_alive(self, peer_id: int) -> bool:
-        """Registered and not currently crashed."""
-        return peer_id in self._handlers and peer_id not in self._crashed
+        """Whether ``peer_id`` is believed reachable."""
 
-    def send(
+    @abstractmethod
+    def call_later(self, delay_ms: float, fn: Callable[[], None]) -> Any:
+        """Schedule ``fn`` after ``delay_ms``; returns a handle with
+        ``cancel()``.  A clockless transport runs ``fn`` immediately."""
+
+    @abstractmethod
+    def hop(
+        self, hop_from: int, hop_to: int, fn: Callable[[float], None]
+    ) -> Any:
+        """Charge one overlay routing edge, then run ``fn(delay_ms)`` at
+        the instant the hop lands.  Returns a cancellable handle."""
+
+    @abstractmethod
+    def request(
         self,
         sender: int,
         recipient: int,
         kind: str,
         payload: Any = None,
+        *,
         size_bytes: int = 64,
-    ) -> Any:
-        """Deliver one message and return the recipient handler's result."""
-        handler = self._handlers.get(recipient)
-        if handler is None:
-            raise UnknownPeerError(recipient)
-        if recipient in self._crashed:
-            raise PeerUnavailableError(recipient)
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
-        )
-        delay = self.latency.sample_ms(sender, recipient)
-        self.stats.record(message, delay)
-        return handler(message)
+        rank: int = 0,
+        observer: Observer | None = None,
+        trace_ctx: Any = None,
+    ) -> SimFuture:
+        """One request/reply exchange; resolves with the handler's answer
+        or rejects when the recipient is unreachable within its budget —
+        crashed, unknown to the transport, or silent.
+
+        ``rank`` is the replica rank of the attempt: rank 0 (the owner)
+        runs under the transport's base retry policy, higher ranks under
+        its single-attempt failover budget.  Transports without timers
+        ignore policies — unreachable means an immediate rejection.
+
+        ``trace_ctx`` is an optional distributed-trace context
+        (:class:`repro.obs.distributed.TraceContext`).  Only transports
+        that cross process boundaries propagate it; the in-process
+        transports ignore it because their "peers" share the caller's
+        trace object already.
+        """
+
+
+class PeerNetwork(Transport):
+    """The peer directory both in-process networks deliver over.
+
+    Peers register a handler keyed by their overlay id; a
+    :class:`~repro.sim.faults.FaultInjector` holds who is crashed.  What
+    a message costs is charged here (``stats``, ``latency``); *when* it
+    arrives is the subclass's delivery discipline.
+    """
+
+    def __init__(
+        self, latency: LatencyModel, faults: FaultInjector, stats: TrafficStats
+    ) -> None:
+        self.latency = latency
+        self.faults = faults
+        self.stats = stats
+        self._handlers: dict[int, Handler] = {}
+        self._membership_epoch = 0
+
+    # -- membership ----------------------------------------------------
+
+    def register(self, peer_id: int, handler: Handler) -> None:
+        """Attach ``handler`` for messages addressed to ``peer_id``."""
+        self._handlers[peer_id] = handler
+        self._membership_epoch += 1
+
+    def unregister(self, peer_id: int) -> None:
+        """Detach a peer (it stops receiving messages).  Its crash flag
+        leaves with it: the same id registered again comes back alive."""
+        self._handlers.pop(peer_id, None)
+        self.faults.recover(peer_id)
+        self._membership_epoch += 1
+
+    def is_registered(self, peer_id: int) -> bool:
+        """Whether a peer currently has a handler."""
+        return peer_id in self._handlers
+
+    @property
+    def peer_count(self) -> int:
+        """Number of registered peers."""
+        return len(self._handlers)
+
+    # -- faults --------------------------------------------------------
+
+    def crash(self, peer_id: int) -> None:
+        """Fail-stop ``peer_id``: it stays registered but answers nothing
+        until it recovers."""
+        self.faults.crash(peer_id)
+
+    def recover(self, peer_id: int) -> None:
+        """Un-crash ``peer_id`` (idempotent)."""
+        self.faults.recover(peer_id)
+
+    def is_alive(self, peer_id: int) -> bool:
+        """Registered and not currently crashed."""
+        return peer_id in self._handlers and not self.faults.is_crashed(peer_id)
+
+    @property
+    def liveness_epoch(self) -> int:
+        """Moves whenever :meth:`is_alive` may answer differently: on
+        :meth:`register` / :meth:`unregister` and on every crash or
+        recovery the fault injector performs, scheduled ones included."""
+        return self._membership_epoch + self.faults.crash_epoch
+
+    # -- accounting ----------------------------------------------------
 
     def charge_route(self, path: Sequence[int], size_bytes: int = 32) -> float:
         """Account for a routed lookup, edge by edge.
@@ -231,7 +319,106 @@ class SimulatedNetwork:
         )
         return total
 
-    @property
-    def peer_count(self) -> int:
-        """Number of registered peers."""
-        return len(self._handlers)
+    def hop(
+        self, hop_from: int, hop_to: int, fn: Callable[[float], None]
+    ) -> Any:
+        """A one-edge :meth:`charge_route`, landing when ``call_later`` says."""
+        delay = self.latency.sample_ms(hop_from, hop_to)
+        self.stats.record_routing_hops(1, latency_ms=delay)
+        return self.call_later(delay, lambda: fn(delay))
+
+
+class SimulatedNetwork(PeerNetwork):
+    """Synchronous message delivery between registered peers.
+
+    :meth:`send` delivers immediately (simulation time, not wall time)
+    and returns the handler's reply, so request/response exchanges read
+    naturally at call sites while every message is still counted.  As the
+    engine's transport, every exchange completes (and is charged) before
+    the call returns, so the engine's continuations run depth-first and a
+    query is fully resolved when ``engine.query(...)`` returns its
+    (already settled) future.
+    """
+
+    def __init__(
+        self,
+        latency: LatencyModel | None = None,
+        registry: MetricsRegistry | None = None,
+    ) -> None:
+        super().__init__(
+            latency if latency is not None else ConstantLatency(),
+            FaultInjector(),
+            TrafficStats(registry=registry),
+        )
+
+    def send(
+        self,
+        sender: int,
+        recipient: int,
+        kind: str,
+        payload: Any = None,
+        size_bytes: int = 64,
+    ) -> Any:
+        """Deliver one message and return the recipient handler's result.
+
+        A crashed recipient raises
+        :class:`~repro.errors.PeerUnavailableError`: the synchronous
+        transport cannot model a silent timeout (there is no clock to
+        wait out), so unreachability is immediate and loud — the
+        degraded-mode *outcome* matches the event-driven transport, only
+        the waiting is elided.
+        """
+        handler = self._handlers.get(recipient)
+        if handler is None:
+            raise UnknownPeerError(recipient)
+        if self.faults.is_crashed(recipient):
+            raise PeerUnavailableError(recipient)
+        message = Message(
+            sender=sender,
+            recipient=recipient,
+            kind=kind,
+            payload=payload,
+            size_bytes=size_bytes,
+        )
+        delay = self.latency.sample_ms(sender, recipient)
+        self.stats.record(message, delay)
+        return handler(message)
+
+    # -- the engine's transport: everything settles before returning ----
+
+    def now(self) -> float:
+        return self.stats.latency_ms
+
+    def call_later(self, delay_ms: float, fn: Callable[[], None]) -> Any:
+        fn()
+        return DONE
+
+    def request(
+        self,
+        sender: int,
+        recipient: int,
+        kind: str,
+        payload: Any = None,
+        *,
+        size_bytes: int = 64,
+        rank: int = 0,
+        observer: Observer | None = None,
+        trace_ctx: Any = None,
+    ) -> SimFuture:
+        future: SimFuture = SimFuture()
+        if observer is not None:
+            observer("send", {"attempt": 0, "to": recipient, "kind": kind})
+        before = self.stats.latency_ms
+        try:
+            value = self.send(
+                sender, recipient, kind, payload=payload, size_bytes=size_bytes
+            )
+        except (PeerUnavailableError, UnknownPeerError) as exc:
+            # No clock, no timeout: unreachability is known immediately,
+            # the degenerate zero-budget case of the retry policy.
+            future.reject(exc)
+            return future
+        if observer is not None:
+            observer("reply", {"ms": self.stats.latency_ms - before})
+        future.resolve(value)
+        return future

@@ -3,7 +3,7 @@
 Three pieces turn the transport-agnostic
 :class:`~repro.rpc.engine.QueryEngine` into a real network client:
 
-- :class:`SocketTransport` — the third :class:`~repro.rpc.transports.Transport`.
+- :class:`SocketTransport` — the third :class:`~repro.net.transport.Transport`.
   ``request()`` sends one exchange down the recipient's long-lived
   connection and settles a :class:`~repro.sim.futures.SimFuture` when the
   reply frame with its ``id`` lands, so the ``l`` lookup chains of one
@@ -33,7 +33,7 @@ from repro.chord.hashing import node_id_for_address
 from repro.chord.ring import ChordRing
 from repro.core.config import SystemConfig
 from repro.core.overlays import ChordRouter
-from repro.core.placement import ReplicaPlacement
+from repro.core.placement import HashedPlacement
 from repro.core.system import SIM_ATTRIBUTE, SIM_RELATION, SystemCounters
 from repro.errors import (
     OpenCircuitError,
@@ -41,8 +41,7 @@ from repro.errors import (
     ReproError,
     RequestTimeoutError,
 )
-from repro.lsh import DomainMinHashIndex, LSHIdentifierScheme, family_for_domain
-from repro.net.transport import TrafficStats
+from repro.net.transport import DONE, Observer, TrafficStats, Transport
 from repro.obs.distributed import (
     FlightRecorder,
     StitchReport,
@@ -60,7 +59,6 @@ from repro.obs.trace import QueryTrace
 from repro.ranges.interval import IntRange
 from repro.rpc import wire
 from repro.rpc.engine import QueryEngine, TimedQueryResult
-from repro.rpc.transports import Observer, Transport
 from repro.sim.futures import SimFuture
 from repro.sim.policies import AdaptiveTimeout, CircuitBreaker, JitteredBackoff
 from repro.util.rng import derive_rng
@@ -68,17 +66,6 @@ from repro.util.rng import derive_rng
 __all__ = ["SocketTransport", "ClientSystem", "ClusterClient", "ClusterScraper"]
 
 logger = get_logger("rpc.client")
-
-
-class _Handle:
-    """Cancellation handle over an asyncio timer (or nothing)."""
-
-    def __init__(self, inner: Any = None) -> None:
-        self._inner = inner
-
-    def cancel(self) -> None:
-        if self._inner is not None:
-            self._inner.cancel()
 
 
 class SocketTransport(Transport):
@@ -114,7 +101,7 @@ class SocketTransport(Transport):
         seed: int = 0,
     ) -> None:
         self.endpoints = dict(endpoints)
-        self._stats = TrafficStats(registry=registry)
+        self.stats = TrafficStats(registry=registry)
         self.timeout_ms = timeout_ms
         self.retries = retries
         #: Peers that refused a connection; cleared by a successful ping.
@@ -146,10 +133,6 @@ class SocketTransport(Transport):
                 name="rpc/backoff",
             )
 
-    @property
-    def stats(self) -> TrafficStats:
-        return self._stats
-
     def now(self) -> float:
         return (time.monotonic() - self._epoch) * 1000.0
 
@@ -165,7 +148,7 @@ class SocketTransport(Transport):
 
     def call_later(self, delay_ms: float, fn: Callable[[], None]) -> Any:
         loop = asyncio.get_running_loop()
-        return _Handle(loop.call_later(delay_ms / 1000.0, fn))
+        return loop.call_later(delay_ms / 1000.0, fn)
 
     def hop(
         self, hop_from: int, hop_to: int, fn: Callable[[float], None]
@@ -175,7 +158,7 @@ class SocketTransport(Transport):
         # keep hop accounting comparable across transports.
         self.stats.record_routing_hops(1)
         fn(0.0)
-        return _Handle()
+        return DONE
 
     def request(
         self,
@@ -310,7 +293,7 @@ class SocketTransport(Transport):
         await asyncio.gather(*tasks, return_exceptions=True)
 
 
-class ClientSystem(ReplicaPlacement):
+class ClientSystem(HashedPlacement):
     """The engine's topology contract, served from a membership map.
 
     Mirrors the hashing/placement/replication views of
@@ -327,17 +310,9 @@ class ClientSystem(ReplicaPlacement):
         *,
         registry: MetricsRegistry | None = None,
     ) -> None:
-        self.config = config
+        super().__init__(config)
         self.members = dict(members)
         self.metrics = registry if registry is not None else MetricsRegistry()
-        family = family_for_domain(config.family, config.domain)
-        self.scheme = LSHIdentifierScheme.from_family(
-            family, l=config.l, k=config.k, seed=config.seed,
-            id_bits=config.id_bits,
-        )
-        self._accel: DomainMinHashIndex | None = None
-        if config.accelerate:
-            self._accel = DomainMinHashIndex(self.scheme, config.domain)
         ring = ChordRing(
             m=config.id_bits, successor_list_size=max(4, config.replicas)
         )
@@ -351,13 +326,6 @@ class ClientSystem(ReplicaPlacement):
             node_id: self.members[ring.node(node_id).address]
             for node_id in ring.node_ids
         }
-
-    def identifiers_for(self, r: IntRange) -> list[int]:
-        if self._accel is not None:
-            domain = self.config.domain
-            if r.start >= domain.low and r.end <= domain.high:
-                return self._accel.identifiers(r)
-        return self.scheme.identifiers(r)
 
 
 class ClusterClient:

@@ -14,7 +14,7 @@ Query procedure, exactly as the paper's pseudocode sketches it:
    the peers holding the computed identifiers."
 
 The engine is written in continuation-passing style against the
-:class:`~repro.rpc.transports.Transport` interface: every chain advances
+:class:`~repro.net.transport.Transport` interface: every chain advances
 through ``hop -> hop -> ... -> attempt -> (failover ->) reply`` callbacks.
 On the event-driven transport those callbacks fire at later virtual
 instants and the ``l`` chains interleave; on the synchronous transport
@@ -44,11 +44,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.db.partition import Partition, PartitionDescriptor
+from repro.net.transport import Transport
 from repro.obs.distributed import TraceContext
 from repro.obs.log import get_logger
 from repro.obs.trace import NULL_TRACE, QueryTrace, Span
 from repro.ranges.interval import IntRange
-from repro.rpc.transports import Transport
 from repro.sim.futures import SimFuture, gather
 from repro.sim.policies import HedgePolicy
 

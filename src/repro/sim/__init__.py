@@ -46,8 +46,6 @@ _EXPORTS = {
     "CircuitBreaker": "repro.sim.policies",
     "HedgePolicy": "repro.sim.policies",
     "AsyncQueryEngine": "repro.sim.query",
-    "ChainOutcome": "repro.sim.query",
-    "TimedQueryResult": "repro.sim.query",
     "ReplicaRepairer": "repro.sim.repair",
     "RepairStats": "repro.sim.repair",
 }

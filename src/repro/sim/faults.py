@@ -30,8 +30,9 @@ __all__ = ["FaultInjector"]
 
 
 class FaultInjector:
-    """Loss, crash and grey-failure state consulted by
-    :class:`~repro.sim.network.AsyncNetwork`."""
+    """Loss, crash and grey-failure state: the crashed set of every
+    :class:`~repro.net.transport.PeerNetwork`, the rest for
+    :class:`~repro.sim.network.AsyncNetwork` alone."""
 
     def __init__(self, drop_probability: float = 0.0, seed: int = 0) -> None:
         self.drop_probability = drop_probability

@@ -2,7 +2,9 @@
 
 Where :class:`~repro.net.transport.SimulatedNetwork` delivers synchronously
 and instantly (right for hop-count experiments), :class:`AsyncNetwork`
-delivers on a :class:`~repro.sim.kernel.Simulator` clock: every message
+delivers over the same peer directory
+(:class:`~repro.net.transport.PeerNetwork`) on a
+:class:`~repro.sim.kernel.Simulator` clock: every message
 takes latency sampled from a :class:`~repro.net.latency.LatencyModel`,
 may be dropped in flight, and is silently swallowed by a crashed recipient.
 Requests therefore need timeouts — :meth:`request` arms a retry schedule
@@ -46,7 +48,7 @@ from repro.errors import (
 )
 from repro.net.latency import LatencyModel, SeededLatency
 from repro.net.message import Message
-from repro.net.transport import TrafficStats
+from repro.net.transport import Observer, PeerNetwork, TrafficStats
 from repro.obs.registry import MetricsRegistry
 from repro.sim.faults import FaultInjector
 from repro.sim.futures import SimFuture
@@ -54,8 +56,6 @@ from repro.sim.kernel import Simulator, Timer
 from repro.sim.policies import AdaptiveTimeout, CircuitBreaker, JitteredBackoff
 
 __all__ = ["AsyncNetwork", "RetryPolicy"]
-
-Handler = Callable[[Message], Any]
 
 #: Size of the busy reply a shedding peer sends (it carries no payload).
 BUSY_REPLY_BYTES = 16
@@ -106,7 +106,7 @@ class _ServiceQueue:
         self.free_at = 0.0  # virtual time the server next idles
 
 
-class AsyncNetwork:
+class AsyncNetwork(PeerNetwork):
     """Peers exchanging delayed, droppable messages on a virtual clock."""
 
     def __init__(
@@ -118,6 +118,8 @@ class AsyncNetwork:
         registry: "MetricsRegistry | None" = None,
         queue_capacity: int = 0,
         service_time_ms: float = 0.0,
+        policy: RetryPolicy | None = None,
+        failover_policy: RetryPolicy | None = None,
     ) -> None:
         if queue_capacity < 0:
             raise ValueError("queue capacity cannot be negative")
@@ -127,13 +129,27 @@ class AsyncNetwork:
             # With zero service time same-instant arrivals would race the
             # zero-delay completion events and shed nondeterministically.
             raise ValueError("a bounded queue needs a positive service time")
+        super().__init__(
+            latency if latency is not None else SeededLatency(seed=seed),
+            FaultInjector(drop_probability, seed=seed),
+            # Namespaced apart from the synchronous transport's "net.*" so
+            # a system running both keeps the two accountings distinct in
+            # one shared registry.
+            TrafficStats(registry=registry, namespace="sim.net"),
+        )
         self.sim = sim
-        self.latency = latency if latency is not None else SeededLatency(seed=seed)
-        self.faults = FaultInjector(drop_probability, seed=seed)
-        # Namespaced apart from the synchronous transport's "net.*" so a
-        # system running both keeps the two accountings distinct in one
-        # shared registry.
-        self.stats = TrafficStats(registry=registry, namespace="sim.net")
+        #: The retry schedule of a :meth:`request` to an identifier's owner.
+        self.policy = policy if policy is not None else RetryPolicy()
+        #: Budget for each failover attempt down the successor list: one
+        #: try under the base timeout, so a chain's worst case grows
+        #: linearly in replicas tried, not multiplicatively.
+        self.failover_policy = (
+            failover_policy
+            if failover_policy is not None
+            else RetryPolicy(
+                timeout_ms=self.policy.timeout_ms, max_retries=0, backoff=1.0
+            )
+        )
         #: 0 disables the queue model entirely: handlers run the instant a
         #: request arrives, exactly the pre-overload-layer behaviour.
         self.queue_capacity = queue_capacity
@@ -143,50 +159,12 @@ class AsyncNetwork:
         self.adaptive: AdaptiveTimeout | None = None
         self.backoff: JitteredBackoff | None = None
         self.breaker: CircuitBreaker | None = None
-        self._handlers: dict[int, Handler] = {}
         self._queues: dict[int, _ServiceQueue] = {}
-        self._membership_epoch = 0
-
-    # -- membership (mirrors SimulatedNetwork) -------------------------
-
-    def register(self, peer_id: int, handler: Handler) -> None:
-        """Attach ``handler`` for messages addressed to ``peer_id``."""
-        self._handlers[peer_id] = handler
-        self._membership_epoch += 1
 
     def unregister(self, peer_id: int) -> None:
-        """Detach a peer (it stops receiving messages)."""
-        self._handlers.pop(peer_id, None)
+        """Detach a peer; its service queue leaves with it."""
+        super().unregister(peer_id)
         self._queues.pop(peer_id, None)
-        self._membership_epoch += 1
-
-    def is_registered(self, peer_id: int) -> bool:
-        return peer_id in self._handlers
-
-    @property
-    def peer_count(self) -> int:
-        return len(self._handlers)
-
-    # -- faults --------------------------------------------------------
-
-    def crash(self, peer_id: int) -> None:
-        """Fail-stop ``peer_id``: it stays registered but answers nothing."""
-        self.faults.crash(peer_id)
-
-    def recover(self, peer_id: int) -> None:
-        """Un-crash ``peer_id``."""
-        self.faults.recover(peer_id)
-
-    def is_alive(self, peer_id: int) -> bool:
-        """Registered and not currently crashed."""
-        return self.is_registered(peer_id) and not self.faults.is_crashed(peer_id)
-
-    @property
-    def liveness_epoch(self) -> int:
-        """Moves whenever :meth:`is_alive` may answer differently: on
-        :meth:`register` / :meth:`unregister` and on every crash or
-        recovery the fault injector performs, scheduled ones included."""
-        return self._membership_epoch + self.faults.crash_epoch
 
     # -- load introspection --------------------------------------------
 
@@ -327,12 +305,17 @@ class AsyncNetwork:
         recipient: int,
         kind: str,
         payload: Any = None,
+        *,
         size_bytes: int = 64,
         reply_size_bytes: int = 64,
+        rank: int = 0,
         policy: RetryPolicy | None = None,
-        observer: Callable[[str, dict], None] | None = None,
+        observer: Observer | None = None,
+        trace_ctx: Any = None,
     ) -> SimFuture[Any]:
-        """A reliable-ish exchange: :meth:`send` under a retry schedule.
+        """A reliable-ish exchange: :meth:`send` under a retry schedule —
+        ``policy`` when given, else the network's :attr:`policy` for the
+        owner (``rank`` 0) and its :attr:`failover_policy` for replicas.
 
         Resolves with the first reply to arrive (late replies from earlier
         attempts count); rejects with
@@ -357,7 +340,8 @@ class AsyncNetwork:
         ``timeout`` when the request as a whole gives up.  The tracing
         layer maps these onto span events.
         """
-        policy = policy if policy is not None else RetryPolicy()
+        if policy is None:
+            policy = self.policy if rank == 0 else self.failover_policy
         out: SimFuture[Any] = SimFuture()
         started = self.sim.now
         attempt_no = 0
@@ -456,13 +440,10 @@ class AsyncNetwork:
         launch_attempt()
         return out
 
-    def charge_route(self, path: tuple[int, ...], size_bytes: int = 32) -> float:
-        """Account for a hop-by-hop route; returns its total latency in ms
-        (same contract as :meth:`SimulatedNetwork.charge_route`)."""
-        total = 0.0
-        for hop_from, hop_to in zip(path, path[1:]):
-            total += self.latency.sample_ms(hop_from, hop_to)
-        self.stats.record_routing_hops(
-            max(0, len(path) - 1), size_bytes=size_bytes, latency_ms=total
-        )
-        return total
+    # -- the engine's transport: timers (and so hops) land on the clock --
+
+    def now(self) -> float:
+        return self.sim.now
+
+    def call_later(self, delay_ms: float, fn: Callable[[], None]) -> Timer:
+        return self.sim.call_later(delay_ms, fn)

@@ -11,8 +11,8 @@ timed-out chain, not a hung query.
 
 The procedure itself lives in :class:`repro.rpc.engine.QueryEngine` — the
 one implementation shared with the synchronous and socket paths — bound
-here to a :class:`~repro.rpc.transports.SimTransport` over an
-:class:`~repro.sim.network.AsyncNetwork`.  This module keeps the
+here to an :class:`~repro.sim.network.AsyncNetwork`, the event-driven
+:class:`~repro.net.transport.Transport`.  This module keeps the
 simulation-facing surface: fault control, seeded origin choice, open-loop
 workloads, and the config-gated overload protections.
 
@@ -47,13 +47,12 @@ from repro.core.system import (
     SIM_RELATION,
     RangeSelectionSystem,
 )
-from repro.net.latency import LatencyModel, SeededLatency
+from repro.net.latency import LatencyModel
 from repro.obs.log import get_logger
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import QueryTrace
 from repro.ranges.interval import IntRange
-from repro.rpc.engine import ChainOutcome, QueryEngine, TimedQueryResult
-from repro.rpc.transports import SimTransport
+from repro.rpc.engine import QueryEngine, TimedQueryResult
 from repro.sim.futures import SimFuture
 from repro.sim.kernel import Simulator
 from repro.sim.network import AsyncNetwork, RetryPolicy
@@ -65,7 +64,7 @@ from repro.sim.policies import (
 )
 from repro.util.rng import derive_rng
 
-__all__ = ["AsyncQueryEngine", "ChainOutcome", "TimedQueryResult"]
+__all__ = ["AsyncQueryEngine"]
 
 logger = get_logger("sim.query")
 
@@ -94,13 +93,11 @@ class AsyncQueryEngine:
         self.sim = sim if sim is not None else Simulator()
         if seed is None:
             seed = system.config.seed
-        if latency is None:
-            latency = SeededLatency(seed=seed)
         config = system.config
         bound_registry = registry if registry is not None else system.metrics
         # The engine's transport publishes into the system's unified
         # registry (as "sim.net.*") unless told otherwise.
-        self.net = AsyncNetwork(
+        self.net = self.transport = AsyncNetwork(
             self.sim,
             latency=latency,
             drop_probability=drop_probability,
@@ -110,6 +107,8 @@ class AsyncQueryEngine:
             service_time_ms=(
                 1000.0 / config.service_rate if config.service_rate > 0 else 0.0
             ),
+            policy=policy,
+            failover_policy=failover_policy,
         )
         # Overload protections, all config-gated so the default config
         # leaves the event-driven path byte-identical to the base model.
@@ -117,9 +116,7 @@ class AsyncQueryEngine:
             self.net.adaptive = AdaptiveTimeout()
             self.net.backoff = JitteredBackoff(seed=seed, name="sim/backoff")
         if config.breaker:
-            self.net.breaker = CircuitBreaker(
-                clock=lambda: self.sim.now, registry=bound_registry
-            )
+            self.net.breaker = CircuitBreaker(clock=self.net.now, registry=bound_registry)
             self.net.breaker.transition_hook = (
                 lambda peer, old, new: logger.info(
                     "breaker for peer %d: %s -> %s at t=%.1f",
@@ -127,45 +124,27 @@ class AsyncQueryEngine:
                 )
             )
         self.quorum_m = config.quorum
-        self.quorum_threshold = config.quorum_threshold
-        self.policy = policy if policy is not None else RetryPolicy()
         # The hedge delay is capped at the retry timeout: waiting longer
         # than the timeout to launch a backup is pointless, because at the
         # timeout the original attempt retries or fails over anyway.  The
         # cap also keeps the live-p95 trigger useful when stragglers are
         # common enough (>5% of chains) to contaminate the p95 itself.
         self.hedge: HedgePolicy | None = (
-            HedgePolicy(registry=bound_registry, ceiling_ms=self.policy.timeout_ms)
+            HedgePolicy(registry=bound_registry, ceiling_ms=self.net.policy.timeout_ms)
             if config.hedge
             else None
         )
-        #: Budget for each *failover* attempt down the successor list.  The
-        #: default gives every replica one try under the base timeout (no
-        #: retries), so a chain's worst case grows linearly in replicas
-        #: tried, not multiplicatively.
-        self.failover_policy = (
-            failover_policy
-            if failover_policy is not None
-            else RetryPolicy(
-                timeout_ms=self.policy.timeout_ms, max_retries=0, backoff=1.0
-            )
-        )
-        self.fetch_rows = fetch_rows
         for node_id in system.router.node_ids:
             self.net.register(node_id, system.peer_handler(node_id))
         self._rng = derive_rng(seed, "sim/origins")
         #: :meth:`pick_origin`'s alive peers, and the epochs they date from.
         self._alive: list[int] = []
         self._alive_as_of: tuple[int, int] | None = None
-        self.transport = SimTransport(
-            self.sim, self.net,
-            policy=self.policy, failover_policy=self.failover_policy,
-        )
         self._engine = QueryEngine(
             system,
-            self.transport,
+            self.net,
             quorum_m=self.quorum_m,
-            quorum_threshold=self.quorum_threshold,
+            quorum_threshold=config.quorum_threshold,
             hedge=self.hedge,
             fetch_rows=fetch_rows,
         )
@@ -225,7 +204,7 @@ class AsyncQueryEngine:
         if query is not None:
             attrs.setdefault("query", str(query))
         attrs.setdefault("path", "sim")
-        return QueryTrace(clock=lambda: self.sim.now, **attrs)
+        return QueryTrace(clock=self.net.now, **attrs)
 
     def query(
         self,

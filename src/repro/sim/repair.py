@@ -99,7 +99,7 @@ class ReplicaRepairer:
             raise ValueError("repair interval must be positive")
         self.engine = engine
         self.interval_ms = interval_ms
-        self.policy = policy if policy is not None else engine.policy
+        self.policy = policy if policy is not None else engine.net.policy
         self.stats = RepairStats(registry=engine.system.metrics)
         self._timer = None
         self._running = False

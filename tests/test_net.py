@@ -5,14 +5,21 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import UnknownPeerError
+from repro.errors import (
+    PeerUnavailableError,
+    RequestTimeoutError,
+    UnknownPeerError,
+)
 from repro.net import (
     ConstantLatency,
     Message,
+    PeerNetwork,
     SeededLatency,
     SimulatedNetwork,
+    Transport,
     UniformLatency,
 )
+from repro.sim import AsyncNetwork, RetryPolicy, Simulator
 
 
 class TestMessage:
@@ -135,3 +142,157 @@ class TestSimulatedNetwork:
         net = SimulatedNetwork(latency=ConstantLatency(4.0))
         assert net.charge_route((7,)) == 0.0
         assert net.stats.messages == 0
+
+
+# -- one peer directory under both in-process networks ----------------------
+
+NETWORKS = {
+    "sync": lambda: SimulatedNetwork(latency=SeededLatency(seed=3)),
+    "sim": lambda: AsyncNetwork(Simulator(), latency=SeededLatency(seed=3)),
+}
+
+
+@pytest.fixture(params=sorted(NETWORKS))
+def make(request):
+    return NETWORKS[request.param]
+
+
+def settle(net: PeerNetwork) -> None:
+    """Let everything in flight land (the sync network has nothing to run)."""
+    if isinstance(net, AsyncNetwork):
+        net.sim.run()
+
+
+def traffic(net: PeerNetwork) -> tuple:
+    stats = net.stats
+    return (stats.messages, stats.bytes, stats.latency_ms, dict(stats.by_kind))
+
+
+class TestPeerNetworkContract:
+    def test_both_are_the_engines_transport(self, make):
+        net = make()
+        assert isinstance(net, PeerNetwork) and isinstance(net, Transport)
+
+    def test_directory(self, make):
+        net = make()
+        assert net.peer_count == 0
+        assert not net.is_registered(7) and not net.is_alive(7)
+        net.register(7, lambda msg: None)
+        net.register(8, lambda msg: None)
+        assert net.peer_count == 2
+        assert net.is_registered(7) and net.is_alive(7)
+        net.unregister(7)
+        net.unregister(7)  # idempotent
+        assert net.peer_count == 1
+        assert not net.is_registered(7) and not net.is_alive(7)
+
+    def test_crash_and_recover(self, make):
+        net = make()
+        net.register(7, lambda msg: None)
+        net.crash(7)
+        assert net.is_registered(7) and not net.is_alive(7)
+        assert net.peer_count == 1
+        net.recover(7)
+        net.recover(7)  # idempotent
+        assert net.is_alive(7)
+
+    def test_a_departed_peer_takes_its_crash_flag_with_it(self, make):
+        net = make()
+        net.register(7, lambda msg: None)
+        net.crash(7)
+        net.unregister(7)
+        net.register(7, lambda msg: None)
+        assert net.is_alive(7)
+
+    def test_liveness_epoch_moves_with_every_change_and_only_then(self, make):
+        net = make()
+        epochs = [net.liveness_epoch]
+        for change in (
+            lambda: net.register(7, lambda msg: None),
+            lambda: net.crash(7),
+            lambda: net.recover(7),
+            lambda: net.crash(7),
+            lambda: net.unregister(7),
+        ):
+            change()
+            epochs.append(net.liveness_epoch)
+        assert epochs == sorted(set(epochs))
+        net.is_alive(7)
+        net.charge_route((1, 2))
+        assert net.liveness_epoch == epochs[-1]
+
+    def test_charge_route_samples_every_edge(self, make):
+        net, model = make(), SeededLatency(seed=3)
+        edges = [(1, 5), (5, 9), (9, 2)]
+        expected = sum(model.sample_ms(a, b) for a, b in edges)
+        assert net.charge_route((1, 5, 9, 2)) == pytest.approx(expected)
+        assert traffic(net) == (3, 96, pytest.approx(expected), {"route-hop": 3})
+        assert net.charge_route((7,)) == 0.0
+        assert net.stats.messages == 3
+
+    def test_hop_charges_exactly_what_charge_route_does(self, make):
+        net, twin = make(), make()
+        landed: list[float] = []
+        net.hop(1, 5, landed.append)
+        settle(net)
+        assert landed == [twin.charge_route((1, 5))]
+        assert traffic(net) == traffic(twin)
+        assert net.now() == landed[0]  # the hop took its own delay
+
+    def test_request_to_an_unknown_peer_rejects(self, make):
+        net = make()
+        future = net.request(1, 99, "ping")
+        settle(net)
+        assert isinstance(future.exception(), UnknownPeerError)
+        assert net.stats.messages == 0
+
+    def test_request_to_a_crashed_peer_rejects(self, make):
+        net = make()
+        net.register(7, lambda msg: "pong")
+        net.crash(7)
+        future = net.request(1, 7, "ping")
+        settle(net)
+        # Loud at once without a clock, a timed-out budget with one.
+        assert isinstance(
+            future.exception(), (PeerUnavailableError, RequestTimeoutError)
+        )
+        net.recover(7)
+        future = net.request(1, 7, "ping")
+        settle(net)
+        assert future.result() == "pong"
+
+
+class TestAsyncNetworkRequestBudget:
+    """Which retry schedule an ``AsyncNetwork.request`` runs under."""
+
+    @staticmethod
+    def attempts(net: AsyncNetwork, **options) -> int:
+        future = net.request(1, 7, "ping", **options)
+        net.sim.run()
+        return future.exception().attempts
+
+    def make_net(self, **policies) -> AsyncNetwork:
+        net = AsyncNetwork(Simulator(), latency=ConstantLatency(5.0), **policies)
+        net.register(7, lambda msg: "pong")
+        net.crash(7)
+        return net
+
+    def test_rank_picks_the_budget(self):
+        net = self.make_net(policy=RetryPolicy(timeout_ms=50.0, max_retries=2))
+        assert self.attempts(net) == 3
+        assert self.attempts(net, rank=0) == 3
+        # Replicas get one try under the owner's base timeout.
+        assert net.failover_policy == RetryPolicy(50.0, max_retries=0, backoff=1.0)
+        assert self.attempts(net, rank=1) == 1
+        assert self.attempts(net, rank=2) == 1
+
+    def test_a_given_failover_policy_is_kept(self):
+        net = self.make_net(failover_policy=RetryPolicy(20.0, max_retries=1))
+        assert net.policy == RetryPolicy()
+        assert self.attempts(net, rank=1) == 2
+
+    def test_an_explicit_policy_wins_at_any_rank(self):
+        net = self.make_net()
+        explicit = RetryPolicy(timeout_ms=10.0, max_retries=4, backoff=1.0)
+        assert self.attempts(net, policy=explicit) == 5
+        assert self.attempts(net, rank=1, policy=explicit) == 5

@@ -2,7 +2,7 @@
 
 The paper's query procedure is implemented once
 (:class:`repro.rpc.engine.QueryEngine`); the synchronous, discrete-event
-and socket paths differ only in their :class:`~repro.rpc.transports.Transport`.
+and socket paths differ only in their :class:`~repro.net.transport.Transport`.
 With zero faults and a fixed seed, the same workload through all three
 must produce identical result sets, identical system counters and
 identical trace span shapes — any divergence means a transport leaked
@@ -293,6 +293,39 @@ def test_trace_shape_has_expected_skeleton(sync_run):
 def test_counters_identical_across_transports(sync_run, sim_run, socket_run):
     assert sync_run[2] == sim_run[2]
     assert sync_run[2] == socket_run[2]
+
+
+def test_unknown_recipient_fails_over_identically_in_process():
+    # A peer gone from the network but still on the ring: a request to it
+    # rejects (it used to raise out of the synchronous query), and the
+    # chain walks on to the next replica — same answers, same counters.
+    def requery(system, network, start_trace, run):
+        network.unregister(
+            system.replica_owners(system.identifiers_for(QUERIES[0])[0])[0]
+        )
+        rows, shapes = [], []
+        for query, origin in zip(QUERIES, origins()):
+            trace = start_trace(query)
+            result = run(query, origin=origin, trace=trace)
+            rows.append(
+                (
+                    str(result.matched) if result.matched is not None else None,
+                    result.exact,
+                    result.stored,
+                    result.similarity,
+                    result.recall,
+                )
+            )
+            shapes.append(trace_shape(trace))
+        return rows, shapes, counters_row(system.counters)
+
+    sync = warmed_system()
+    sync_run = requery(sync, sync.network, sync.start_trace, sync.query)
+    engine = AsyncQueryEngine(warmed_system(), seed=SEED)
+    sim_run = requery(engine.system, engine.net, engine.start_trace, engine.run)
+    assert sync_run == sim_run
+    assert all(row[0] is not None for row in sync_run[0])
+    assert sync.counters.failovers > 0 and sync.counters.failed_lookups == 0
 
 
 # -- the same, with buckets on the vectorised match path --------------------

@@ -60,12 +60,12 @@ class TestAsyncFailover:
         engine.crash_peer(victim)
         degraded = engine.run(query)
         # The failed-over chain waits out the owner's full retry schedule.
-        assert degraded.total_ms > healthy.total_ms + engine.policy.timeout_ms
+        assert degraded.total_ms > healthy.total_ms + engine.net.policy.timeout_ms
 
     def test_default_failover_budget_is_single_attempt(self):
         engine = make_engine()
-        assert engine.failover_policy.total_attempts == 1
-        assert engine.failover_policy.timeout_ms == engine.policy.timeout_ms
+        assert engine.net.failover_policy.total_attempts == 1
+        assert engine.net.failover_policy.timeout_ms == engine.net.policy.timeout_ms
 
     def test_unreplicated_chain_still_times_out(self):
         engine = make_engine(replicas=1)
