@@ -387,7 +387,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--no-wal-fsync",
         action="store_true",
-        help="skip the per-append fsync (faster, but an OS crash may "
+        help="skip the per-commit fsync (faster, but an OS crash may "
         "lose acknowledged writes; process crashes are still covered)",
     )
 

@@ -4,10 +4,12 @@ Three pieces turn the transport-agnostic
 :class:`~repro.rpc.engine.QueryEngine` into a real network client:
 
 - :class:`SocketTransport` — the third :class:`~repro.net.transport.Transport`.
-  ``request()`` sends one exchange down the recipient's long-lived
-  connection and settles a :class:`~repro.sim.futures.SimFuture` when the
-  reply frame with its ``id`` lands, so the ``l`` lookup chains of one
-  query run concurrently, multiplexed over one TCP connection per peer.
+  ``request()`` posts one exchange — a parked future and a timeout
+  handle, no task — on the recipient's long-lived connection and settles
+  a :class:`~repro.sim.futures.SimFuture` when the reply frame with its
+  ``id`` lands, so the ``l`` lookup chains of one query run concurrently,
+  multiplexed over one TCP connection per peer, and the ``l·r`` stores
+  of a miss leave in one write per peer.
   Routing hops stay *virtual*: the client mirrors the
   full ring, so the owner of an identifier is a local computation, and
   each traversed finger edge is charged to the traffic stats without a
@@ -24,6 +26,7 @@ Three pieces turn the transport-agnostic
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import os
 import time
 from collections import Counter
@@ -72,11 +75,13 @@ class SocketTransport(Transport):
     """The engine's transport over asyncio TCP connections.
 
     Must be used from inside a running event loop (the
-    :class:`ClusterClient` drives one); ``request()`` spawns one task per
-    exchange and settles the returned future from the loop.  Exchanges
-    ride the connections of :attr:`connections`, the cache its owner
-    lends it — one long-lived connection per recipient, so an exchange
-    costs a frame each way, not a TCP handshake.
+    :class:`ClusterClient` drives one); ``request()`` posts the exchange
+    before it returns and settles the returned future from the reply's
+    done-callback.  Exchanges ride the connections of :attr:`connections`,
+    the cache its owner lends it — one long-lived connection per
+    recipient, so an exchange costs a frame each way, not a TCP
+    handshake, and the frames one tick produces for a peer share one
+    write.
 
     With ``policies=True`` (the default) the transport runs the adaptive
     mechanisms of :mod:`repro.sim.policies` against real sockets: a
@@ -107,9 +112,10 @@ class SocketTransport(Transport):
         #: Peers that refused a connection; cleared by a successful ping.
         self.dead: set[int] = set()
         #: The owner's connection cache (it outlives this transport, which
-        #: every ``refresh()`` rebuilds); ``None`` connects per exchange.
+        #: every ``refresh()`` rebuilds).
         self.connections: wire.Connections | None = None
-        self._tasks: set[asyncio.Task] = set()
+        #: Exchanges whose future has not settled yet.
+        self._live: set[_Request] = set()
         self._epoch = time.monotonic()
         self.adaptive: AdaptiveTimeout | None = None
         self.breaker: CircuitBreaker | None = None
@@ -173,124 +179,131 @@ class SocketTransport(Transport):
         trace_ctx: TraceContext | None = None,
     ) -> SimFuture:
         future: SimFuture = SimFuture()
-        attempts = (self.retries + 1) if rank == 0 else 1
-        task = asyncio.get_running_loop().create_task(
-            self._exchange(
-                future, sender, recipient, kind, payload,
-                size_bytes=size_bytes, attempts=attempts, observer=observer,
-                trace_ctx=trace_ctx,
-            )
-        )
-        self._tasks.add(task)
-        task.add_done_callback(self._tasks.discard)
-        return future
-
-    async def _exchange(
-        self,
-        future: SimFuture,
-        sender: int,
-        recipient: int,
-        kind: str,
-        payload: Any,
-        *,
-        size_bytes: int,
-        attempts: int,
-        observer: Observer | None,
-        trace_ctx: TraceContext | None = None,
-    ) -> None:
-        host, port = self.endpoints[recipient]
-        # The context rides as an optional envelope field; old servers
-        # ignore it, so traced and untraced requests interoperate freely.
-        trace_wire = trace_ctx.to_wire() if trace_ctx is not None else None
         if self.breaker is not None and not self.breaker.allow(recipient):
             # Fail fast: the engine sees a failed settle and walks on to
             # the next replica without waiting out a timeout.
             if observer is not None:
                 observer("breaker-open", {"to": recipient})
-            if not future.done:
-                future.reject(OpenCircuitError(recipient))
+            future.reject(OpenCircuitError(recipient))
+            return future
+        # The context rides as an optional envelope field; old servers
+        # ignore it, so traced and untraced requests interoperate.
+        envelope = {
+            "sender": sender, "peer_id": recipient,
+            "trace": trace_ctx.to_wire() if trace_ctx is not None else None,
+        }
+        attempts = (self.retries + 1) if rank == 0 else 1
+        exchange = _Request(
+            self, future, recipient, kind, payload, envelope, size_bytes, attempts, observer
+        )
+        self._live.add(exchange)
+        future.add_done_callback(exchange.finished)
+        exchange.send()
+        return future
+
+    def close(self) -> None:
+        """Abandon the exchanges nobody settled (requests the engine gave
+        up on): nothing stays parked, no timer armed."""
+        for exchange in list(self._live):
+            exchange.finished()
+
+
+@dataclasses.dataclass(eq=False)
+class _Request:
+    """One engine request over sockets: up to ``attempts`` exchanges with
+    the recipient, settling the engine's future at the end."""
+
+    transport: SocketTransport
+    future: SimFuture
+    recipient: int
+    kind: str
+    payload: Any
+    envelope: dict
+    size_bytes: int
+    attempts: int
+    observer: Observer | None
+    attempt: int = 0
+    waited: float = 0.0
+    #: What the current attempt waits on: its reply, or its backoff.
+    pending: "asyncio.Future | asyncio.TimerHandle | None" = None
+
+    def send(self) -> None:
+        """Post the next attempt."""
+        transport, recipient = self.transport, self.recipient
+        if self.observer is not None:
+            self.observer(
+                "send", {"attempt": self.attempt, "to": recipient, "kind": self.kind}
+            )
+        timeout_ms = transport.timeout_ms
+        if transport.adaptive is not None:
+            adaptive = transport.adaptive.timeout_ms(recipient)
+            if adaptive is not None:
+                timeout_ms = adaptive
+        self.started = time.monotonic()
+        # Over the cache ``wire.call`` hands back the posted exchange, a
+        # future already: ``ensure_future`` makes no task to wait for it.
+        self.pending = asyncio.ensure_future(
+            wire.call(
+                *transport.endpoints[recipient], self.kind, self.payload,
+                timeout_ms=timeout_ms, connections=transport.connections,
+                **self.envelope,
+            )
+        )
+        self.pending.add_done_callback(self.settle)
+
+    def settle(self, reply: asyncio.Future) -> None:
+        transport, recipient, observer = self.transport, self.recipient, self.observer
+        stats, breaker, future = transport.stats, transport.breaker, self.future
+        if reply.cancelled() or future.done:
             return
-        waited = 0.0
-        for attempt in range(attempts):
-            if future.done:
-                return  # cancelled (hedge loser / quorum leftover)
-            if observer is not None:
-                observer(
-                    "send", {"attempt": attempt, "to": recipient, "kind": kind}
-                )
-            timeout_ms = self.timeout_ms
-            if self.adaptive is not None:
-                adaptive = self.adaptive.timeout_ms(recipient)
-                if adaptive is not None:
-                    timeout_ms = adaptive
-            started = time.monotonic()
-            try:
-                value = await wire.call(
-                    host, port, kind, payload,
-                    sender=sender, peer_id=recipient,
-                    timeout_ms=timeout_ms,
-                    trace=trace_wire,
-                    connections=self.connections,
-                )
-            except PeerUnavailableError as exc:
-                # A refused connection is definitive — no retry budget
-                # spent, the peer is marked dead for failover planning.
-                self.dead.add(recipient)
-                self.stats.timeouts += 1
-                if self.breaker is not None:
-                    self.breaker.record_failure(recipient)
-                if observer is not None:
-                    observer("unreachable", {"to": recipient})
-                if not future.done:
-                    future.reject(exc)
-                return
-            except RequestTimeoutError:
-                waited += (time.monotonic() - started) * 1000.0
-                self.stats.timeouts += 1
-                if self.breaker is not None:
-                    self.breaker.record_failure(recipient)
-                if attempt + 1 < attempts:
-                    self.stats.retries += 1
-                    if observer is not None:
-                        observer("retry", {"attempt": attempt + 1})
-                    if self.backoff is not None:
-                        await asyncio.sleep(
-                            self.backoff.delay_ms(attempt) / 1000.0
-                        )
-                    continue
-                if not future.done:
-                    future.reject(
-                        RequestTimeoutError(recipient, attempts, waited)
-                    )
-                return
-            except ReproError as exc:
-                if not future.done:
-                    future.reject(exc)
-                return
-            elapsed_ms = (time.monotonic() - started) * 1000.0
-            self.stats.messages += 2  # request + reply frames
-            self.stats.bytes += size_bytes + 64
-            self.stats.latency_ms += elapsed_ms
-            self.stats.by_kind[kind] += 1
-            if self.breaker is not None:
-                self.breaker.record_success(recipient)
-            if self.adaptive is not None and attempt == 0:
+        error = reply.exception()
+        elapsed_ms = (time.monotonic() - self.started) * 1000.0
+        if error is None:
+            stats.messages += 2  # request + reply frames
+            stats.bytes += self.size_bytes + 64
+            stats.latency_ms += elapsed_ms
+            stats.by_kind[self.kind] += 1
+            if breaker is not None:
+                breaker.record_success(recipient)
+            if transport.adaptive is not None and self.attempt == 0:
                 # Karn's rule: only unambiguous (first-try) samples feed
                 # the estimator.
-                self.adaptive.observe(recipient, elapsed_ms)
+                transport.adaptive.observe(recipient, elapsed_ms)
             if observer is not None:
                 observer("reply", {"ms": elapsed_ms})
-            if not future.done:
-                future.resolve(value)
-            return
+            return future.resolve(reply.result())
+        if not isinstance(error, (PeerUnavailableError, RequestTimeoutError)):
+            return future.reject(error)  # the peer's own error reply
+        stats.timeouts += 1
+        if breaker is not None:
+            breaker.record_failure(recipient)
+        if isinstance(error, PeerUnavailableError):
+            # A refused connection is definitive — no retry budget
+            # spent, the peer is marked dead for failover planning.
+            transport.dead.add(recipient)
+            if observer is not None:
+                observer("unreachable", {"to": recipient})
+            return future.reject(error)
+        self.waited += elapsed_ms
+        self.attempt += 1
+        if self.attempt == self.attempts:
+            return future.reject(
+                RequestTimeoutError(recipient, self.attempts, self.waited)
+            )
+        stats.retries += 1
+        if observer is not None:
+            observer("retry", {"attempt": self.attempt})
+        delay_ms = 0.0
+        if transport.backoff is not None:
+            delay_ms = transport.backoff.delay_ms(self.attempt - 1)
+        self.pending = transport.call_later(delay_ms, self.send)
 
-    async def close(self) -> None:
-        """Cancel exchanges nobody waits for any more (hedge losers,
-        requests the engine abandoned) and let them unwind."""
-        tasks = list(self._tasks)
-        for task in tasks:
-            task.cancel()
-        await asyncio.gather(*tasks, return_exceptions=True)
+    def finished(self, _settled: SimFuture | None = None) -> None:
+        """The future settled — by :meth:`settle`, or cancelled under it
+        (a hedge loser) — or the transport closed: let go of the attempt."""
+        self.transport._live.discard(self)
+        if self.pending is not None:
+            self.pending.cancel()
 
 
 class ClientSystem(HashedPlacement):
@@ -390,16 +403,13 @@ class ClusterClient:
             except OSError:
                 logger.warning("client flight dump to %s failed", path)
 
-    async def _hang_up(self) -> None:
-        await self.transport.close()
-        await self.connections.close()
-
     def close(self) -> None:
         """Stop in-flight exchanges and close every connection; the loop
         too, when this client made it."""
         if self.loop.is_closed():
             return
-        self._run(self._hang_up())
+        self.transport.close()
+        self._run(self.connections.close())
         if self._owns_loop:
             self.loop.close()
 
@@ -427,7 +437,7 @@ class ClusterClient:
         previously_dead: set[int] = set()
         if self.transport is not None:
             previously_dead = self.transport.dead
-            self._run(self.transport.close())
+            self.transport.close()
         self.system = ClientSystem(config, members)
         self.transport = SocketTransport(
             self.system.endpoints,
@@ -574,15 +584,16 @@ class ClusterClient:
 
     # -- cluster control -------------------------------------------------
 
+    async def _call(self, address: str, kind: str, payload: Any = None) -> Any:
+        host, port = self.endpoint_of(address)
+        return await wire.call(
+            host, port, kind, payload,
+            timeout_ms=self.timeout_ms, connections=self.connections,
+        )
+
     def call(self, address: str, kind: str, payload: Any = None) -> Any:
         """One control RPC to a member, by address."""
-        host, port = self.endpoint_of(address)
-        return self._run(
-            wire.call(
-                host, port, kind, payload,
-                timeout_ms=self.timeout_ms, connections=self.connections,
-            )
-        )
+        return self._run(self._call(address, kind, payload))
 
     def ping(self, address: str) -> bool:
         try:
@@ -600,14 +611,9 @@ class ClusterClient:
     ) -> list:
         """One peer's stored entries as (id, descriptor, partition, primary),
         paged through the ``entries`` RPC."""
-        host, port = self.endpoint_of(address)
         return self._run(
             wire.fetch_entries(
-                lambda page: wire.call(
-                    host, port, "entries", page,
-                    timeout_ms=self.timeout_ms, connections=self.connections,
-                ),
-                page_size,
+                lambda page: self._call(address, "entries", page), page_size
             )
         )
 

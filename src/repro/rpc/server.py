@@ -53,6 +53,7 @@ from __future__ import annotations
 import asyncio
 import os
 import random
+import signal
 import time
 from typing import Any
 
@@ -88,6 +89,13 @@ CONTROL_TIMEOUT_MS = 5_000.0
 #: Version tag of the ``telemetry`` RPC reply.  Scrapers check it before
 #: interpreting the body; bumping it is the contract for shape changes.
 TELEMETRY_VERSION = 1
+
+#: The kinds :meth:`PeerServer._handle` serves.  Anything else is counted
+#: as ``kind="unknown"``: garbage off the wire must not mint label series.
+SERVED_KINDS = frozenset(DATA_KINDS) | frozenset(
+    "hello join member-update swim-ping ping-req suspect has-entries "
+    "repair-push chaos-set entries metrics telemetry leave ping shutdown".split()
+)
 
 #: Every this-many SWIM ticks, probe a tombstoned member instead of a
 #: live one.  A dead peer that was merely paused (SIGSTOP) answers the
@@ -189,10 +197,17 @@ class PeerServer(ReplicaPlacement):
         #: Durable store under ``--data-dir`` (WAL + snapshot + meta);
         #: None keeps the pre-durability, purely in-memory behavior.
         self.durability = (
-            PeerDurability(data_dir, fsync=wal_fsync, compact_every=compact_every)
+            PeerDurability(
+                data_dir, fsync=wal_fsync, compact_every=compact_every,
+                registry=self.metrics,
+            )
             if data_dir
             else None
         )
+        #: Replies produced this event-loop tick, as ``(writer, request id,
+        #: frame, kind label, arrival ms)``, and the callback that ends it.
+        self._replies: list[tuple] = []
+        self._tick: asyncio.Handle | None = None
         #: Concurrently-executing requests right now (all kinds).
         self._inflight = 0
         self._requests = self.metrics.counter(
@@ -328,13 +343,14 @@ class PeerServer(ReplicaPlacement):
         reconciliation round runs once the ring mirror is adopted.
         """
         restored = None
+        self._loop = asyncio.get_running_loop()
         if self.durability is not None:
             restored = self.durability.recover(self.store)
             persisted = self.durability.load_incarnation()
             if persisted is not None:
                 self.table.set_incarnation(persisted + 1)
             self._persist_incarnation()
-            self.durability.attach(self.store)
+            self.durability.attach(self.store, self._end_tick_soon)
             self.metrics.counter(
                 "restore.entries",
                 help="entries rebuilt from disk at startup",
@@ -419,6 +435,8 @@ class PeerServer(ReplicaPlacement):
         tasks = list(self._tasks)  # background loops, requests in flight
         for task in tasks:
             task.cancel()
+        # Nothing journaled stays buffered, and no finished reply unsent.
+        self._end_tick()
         # Connection readers end on the EOF of their own closed socket:
         # before Python 3.12 the stream protocol logs a cancelled one as
         # an error.
@@ -434,6 +452,35 @@ class PeerServer(ReplicaPlacement):
             self.durability.close()
 
     # -- durability ------------------------------------------------------
+
+    def _end_tick_soon(self, _commit: Any = None) -> None:
+        """Called for every reply produced and (as the journal's commit
+        scheduler) every record written: one :meth:`_end_tick` follows."""
+        if self._tick is None:
+            self._tick = self._loop.call_soon(self._end_tick)
+
+    def _end_tick(self) -> None:
+        """Commit before ack: one journal commit covers whatever this
+        event-loop tick wrote, then the tick's replies leave, one write
+        per connection — as error replies, should the commit fail."""
+        self._tick = None
+        replies, self._replies = self._replies, []
+        failure = None
+        if self.durability is not None:
+            try:
+                self.durability.commit()
+            except (OSError, ReproError) as exc:
+                logger.exception("journal commit failed on %s", self.address)
+                failure = exc
+        batches: dict[asyncio.StreamWriter, list[bytes]] = {}
+        now = self._now_ms()  # service time ends here: a store's includes the commit
+        for writer, request_id, frame, label, started in replies:
+            self._service_ms.observe(now - started, kind=label)
+            if failure is not None:
+                frame = _error_frame(request_id, failure)
+            batches.setdefault(writer, []).append(frame)
+        for writer, frames in batches.items():
+            wire.write_frames(writer, frames, self._wire)
 
     def _persist_incarnation(self) -> None:
         """Write the current SWIM incarnation to the data dir (if any).
@@ -958,8 +1005,6 @@ class PeerServer(ReplicaPlacement):
     # -- request dispatch --------------------------------------------------
 
     async def _handle(self, kind: str, payload: Any) -> Any:
-        if kind in DATA_KINDS:
-            return self.logic.handle(kind, payload)
         if kind == "hello":
             endpoints = self.table.endpoints()
             return {
@@ -1194,9 +1239,11 @@ class PeerServer(ReplicaPlacement):
     ) -> None:
         """Read one connection's request frames for as long as it lives.
 
-        Each request runs as its own task, so a handler that waits (a
-        ``ping-req`` on a third peer) delays nothing queued behind it;
-        replies go out in completion order, matched by ``id``.
+        The data-plane kinds never wait, so every such frame already
+        received is served before the loop gets control back.  Any other
+        kind (and all of them under chaos) runs as its own task, so a
+        handler that waits (a ``ping-req`` on a third peer) delays nothing
+        behind it.  Replies leave when the tick ends, matched by ``id``.
         """
         if self._stopped.is_set():
             writer.close()  # accepted just as close() ran
@@ -1205,47 +1252,68 @@ class PeerServer(ReplicaPlacement):
         self._inbound[reading] = writer
         self._wire.accepts.inc()
         self._wire.connections_open.inc()
-        # drain() from several tasks at once asserts on Python 3.10.
-        write_lock = asyncio.Lock()
         try:
             while True:
+                if writer.transport.get_write_buffer_size():
+                    # Backpressure: no more requests are read from a
+                    # caller that is not taking its replies.
+                    await writer.drain()
                 request = await wire.read_frame(reader, self._wire.bytes_in)
                 if request is None:
                     return
                 if request.get("from") in self.chaos_blocked:
                     return  # partitioned: hang up, like a dead link
-                self._spawn(self._serve_request(request, writer, write_lock))
-        except (ConnectionResetError, asyncio.IncompleteReadError):
-            return  # client hung up mid-exchange; nothing to answer
-        except wire.WireError:
-            return  # torn or corrupt frame; drop the connection
+                if request.get("kind") in DATA_KINDS and not (
+                    self.chaos_delay_ms or self.chaos_drop
+                ):
+                    self._serve_data(request, writer)
+                else:
+                    self._spawn(self._serve_request(request, writer))
+        except (OSError, wire.WireError):
+            return  # hung up mid-exchange, or a torn or corrupt frame
         finally:
             del self._inbound[reading]
             self._wire.connections_open.inc(-1)
             writer.close()
 
+    def _serve_data(self, request: dict, writer: asyncio.StreamWriter) -> None:
+        """Run one data-plane request to its reply, right here."""
+        kind, books = self._admit(request)
+        try:
+            outcome = self.logic.handle(kind, wire.decode_value(request.get("payload")))
+        except Exception as exc:  # noqa: BLE001 - reported to caller
+            outcome = exc
+        self._answer(request, writer, books, outcome)
+
     async def _serve_request(
-        self,
-        request: dict,
-        writer: asyncio.StreamWriter,
-        write_lock: asyncio.Lock,
+        self, request: dict, writer: asyncio.StreamWriter
     ) -> None:
-        """Run one request and write its reply, echoing the ``id``."""
+        """Run one request as a task and answer it, echoing the ``id``."""
         # Chaos acts on this request alone; the connection, and whatever
         # else is in flight on it, carries on.
         if self.chaos_delay_ms > 0:
             await asyncio.sleep(self.chaos_delay_ms / 1000.0)
         if self.chaos_drop > 0.0 and self._chaos_rng.random() < self.chaos_drop:
             return  # injected loss: no reply, the caller's timeout fires
+        kind, books = self._admit(request)
+        try:
+            outcome = await self._handle(kind, wire.decode_value(request.get("payload")))
+        except Exception as exc:  # noqa: BLE001 - reported to caller
+            outcome = exc
+        self._answer(request, writer, books, outcome)
+
+    def _admit(self, request: dict) -> tuple[str, tuple]:
+        """Open the books on one request: its kind, and ``(metric label,
+        arrival ms, span fragment)`` for :meth:`_answer` to close."""
         kind = str(request.get("kind"))
+        label = kind if kind in SERVED_KINDS else "unknown"
         # A garbled or missing trace envelope degrades the request
         # to untraced (``from_wire`` returns None) — propagation
         # can add observability but never fail a request.
         ctx = TraceContext.from_wire(request.get("trace"))
         self._inflight += 1
-        self._requests.inc(kind=kind)
+        self._requests.inc(kind=label)
         self._inflight_gauge.set(self._inflight)
-        started = self._now_ms()
         fragment: SpanFragment | None = None
         if (ctx is not None and ctx.sampled) or kind in DATA_KINDS:
             fragment = SpanFragment(
@@ -1255,77 +1323,50 @@ class PeerServer(ReplicaPlacement):
                 parent_span_id=ctx.parent_span_id if ctx is not None else None,
                 attrs={"kind": kind, "inflight": self._inflight},
             )
+        return kind, (label, self._now_ms(), fragment)
+
+    def _answer(
+        self,
+        request: dict,
+        writer: asyncio.StreamWriter,
+        books: tuple,
+        outcome: Any,
+    ) -> None:
+        """Close the books on one request and queue its reply — the
+        handler's value, or the exception it raised — for the tick's end."""
+        label, started, fragment = books
+        request_id = request.get("id", 0)
         try:
-            value = await self._handle(
-                kind, wire.decode_value(request.get("payload"))
-            )
+            if isinstance(outcome, Exception):
+                raise outcome
             frame = wire.encode_frame(
-                {
-                    "id": request.get("id", 0),
-                    "ok": True,
-                    "value": wire.encode_value(value),
-                }
+                {"id": request_id, "ok": True, "value": wire.encode_value(outcome)}
             )
-            if fragment is not None:
-                fragment.end(outcome="ok")
+            error = None
         except Exception as exc:  # noqa: BLE001 - reported to caller
-            frame = wire.encode_frame(
-                {
-                    "id": request.get("id", 0),
-                    "ok": False,
-                    "error": str(exc),
-                    "error_type": type(exc).__name__,
-                }
-            )
-            if fragment is not None:
-                fragment.end(outcome="error", error=type(exc).__name__)
-        finally:
-            self._inflight -= 1
-            self._inflight_gauge.set(self._inflight)
-            self._service_ms.observe(self._now_ms() - started, kind=kind)
-            if fragment is not None:
-                self.flight.record_span(fragment)
-        if writer.is_closing():
-            return  # the caller hung up; nobody to answer
-        try:
-            async with write_lock:
-                writer.write(frame)
-                await writer.drain()
-        except OSError:
-            return  # the caller hung up while the reply drained
-        self._wire.bytes_out.inc(len(frame))
+            frame = _error_frame(request_id, exc)
+            error = type(exc).__name__
+        self._inflight -= 1
+        self._inflight_gauge.set(self._inflight)
+        if fragment is not None:
+            if error is None:
+                fragment.end(outcome="ok")
+            else:
+                fragment.end(outcome="error", error=error)
+            self.flight.record_span(fragment)
+        self._replies.append((writer, request_id, frame, label, started))
+        self._end_tick_soon()
 
 
-async def run_server(
-    address: str,
-    config: SystemConfig,
-    *,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    bootstrap: tuple[str, int] | None = None,
-    swim_interval_ms: float = 0.0,
-    suspect_timeout_ms: float | None = None,
-    swim_proxies: int = 2,
-    repair_interval_ms: float = 0.0,
-    flight_dir: str | None = None,
-    data_dir: str | None = None,
-    wal_fsync: bool = True,
-    compact_every: int = 512,
-) -> None:
-    """Start one peer and serve until asked to stop (``repro serve``)."""
-    server = PeerServer(
-        address,
-        config,
-        host=host,
-        port=port,
-        bootstrap=bootstrap,
-        swim_interval_ms=swim_interval_ms,
-        suspect_timeout_ms=suspect_timeout_ms,
-        swim_proxies=swim_proxies,
-        repair_interval_ms=repair_interval_ms,
-        flight_dir=flight_dir,
-        data_dir=data_dir,
-        wal_fsync=wal_fsync,
-        compact_every=compact_every,
-    )
+def _error_frame(request_id: Any, error: Exception) -> bytes:
+    reply = {"id": request_id, "ok": False, "error": str(error)}
+    return wire.encode_frame({**reply, "error_type": type(error).__name__})
+
+
+async def run_server(address: str, config: SystemConfig, **options: Any) -> None:
+    """Start one peer and serve until asked to stop (``repro serve``);
+    ``options`` are :class:`PeerServer`'s.  SIGTERM is a graceful stop:
+    :meth:`PeerServer.close` commits the journal before it goes."""
+    server = PeerServer(address, config, **options)
+    asyncio.get_running_loop().add_signal_handler(signal.SIGTERM, server._stopped.set)
     await server.serve_forever()

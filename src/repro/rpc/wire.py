@@ -21,10 +21,13 @@ whose ``id`` no request is waiting for is discarded (counted as
 ``wire.late_replies`` when that request already timed out).
 
 :class:`Connection` is the one exchange primitive: it owns the socket and
-a reader task, parks one future per in-flight ``id`` and fails them all
-when the peer hangs up or sends bytes that violate the framing.
-:class:`Connections` caches one per ``(host, port)`` for owners that
-live long (a :class:`~repro.rpc.client.ClusterClient`, a
+a reader task, parks one :class:`Exchange` — a future plus a timeout
+handle, no task — per in-flight ``id`` and fails them all when the peer
+hangs up or sends bytes that violate the framing.  Either end sends the
+frames one event-loop tick produces for a connection in one ``write``
+(:func:`write_frames`).
+:class:`Connections` caches one connection per ``(host, port)`` for
+owners that live long (a :class:`~repro.rpc.client.ClusterClient`, a
 :class:`~repro.rpc.server.PeerServer`); :func:`call` without a cache
 opens one connection for one request and closes it.
 
@@ -76,6 +79,8 @@ __all__ = [
     "write_frame",
     "read_frame",
     "WireMetrics",
+    "write_frames",
+    "Exchange",
     "Connection",
     "Connections",
     "ConnectionLostError",
@@ -229,12 +234,16 @@ class WireMetrics:
         self.bytes_out = registry.counter(
             "wire.bytes_out", help="frame bytes written"
         )
+        self.frames_out = registry.counter("wire.frames_out", help="frames written")
+        self.writes = registry.counter(
+            "wire.writes", help="socket writes, each carrying frames_out / writes frames"
+        )
         self.bytes_in = registry.counter(
             "wire.bytes_in", help="frame bytes read"
         )
         self.late_replies = registry.counter(
             "wire.late_replies",
-            help="replies discarded because their request had timed out",
+            help="replies discarded: their request had timed out or been abandoned",
         )
         self.stale_retries = registry.counter(
             "wire.stale_retries",
@@ -322,13 +331,93 @@ class ConnectionLostError(PeerUnavailableError):
     """
 
 
+def write_frames(
+    writer: asyncio.StreamWriter, frames: list[bytes], metrics: WireMetrics
+) -> None:
+    """Send what one event-loop tick queued for one connection end in one
+    ``write``.  A write that fails is the reader's to report: it sees the
+    same dead socket."""
+    if frames and not writer.is_closing():
+        data = b"".join(frames)
+        writer.write(data)
+        metrics.writes.inc()
+        metrics.frames_out.inc(len(frames))
+        metrics.bytes_out.inc(len(data))
+
+
+class Exchange(asyncio.Future):
+    """One request/reply in flight on a :class:`Connection`: what to send,
+    and the future of the reply.  It is settled from the event loop by
+    whichever comes first — the reply carrying its ``id``, its
+    ``timeout_ms`` timer, or the connection's end; waiting for it takes a
+    callback or an ``await``, no task of its own.  Cancelling it (or the
+    coroutine awaiting it) abandons the request on the spot: nothing
+    stays parked, no timer stays armed, and the reply, should it still
+    come, is dropped by its ``id``.
+
+    ``sender_address`` identifies the calling *peer* (servers calling
+    servers set it); the chaos connection filter uses it to enforce
+    partitions, and clients leave it unset.  ``trace`` is the optional
+    distributed-trace envelope (:class:`repro.obs.distributed.TraceContext`
+    wire form); peers that predate it ignore the extra field, so traced
+    and untraced requests are interchangeable on the wire.
+    """
+
+    #: Where to re-send, once, if the connection this was posted on turns
+    #: out to have gone stale.
+    cache: "Connections | None" = None
+    connection: "Connection | None" = None
+    id = -1
+    timer: asyncio.TimerHandle | None = None
+
+    def __init__(
+        self,
+        kind: str,
+        payload: Any = None,
+        *,
+        sender: int = -1,
+        sender_address: str | None = None,
+        peer_id: int = -1,
+        timeout_ms: float | None = None,
+        trace: dict | None = None,
+    ) -> None:
+        super().__init__(loop=asyncio.get_running_loop())
+        self.request = {"kind": kind, "sender": sender, "payload": encode_value(payload)}
+        if sender_address is not None:
+            self.request["from"] = sender_address
+        if trace is not None:
+            self.request["trace"] = trace
+        self.peer_id = peer_id
+        self.timeout_ms = timeout_ms
+
+    def settle(self, value: Any, error: BaseException | None) -> None:
+        self.abandon()
+        if self.done():
+            return  # cancelled: nobody waits
+        if error is None:
+            self.set_result(value)
+        else:
+            self.set_exception(error)
+
+    def abandon(self) -> None:
+        if self.connection is not None:
+            self.connection._pending.pop(self.id, None)
+        if self.timer is not None:
+            self.timer.cancel()
+            self.timer = None
+
+    def cancel(self, msg: Any = None) -> bool:
+        self.abandon()
+        return super().cancel(msg)
+
+
 class Connection:
     """One connection to one endpoint, carrying any number of exchanges.
 
     A single task opens the socket and then reads reply frames for as
-    long as the connection lives, resolving the future parked under each
-    reply's ``id``.  Requests that arrive while the socket is still
-    opening share that one ``open_connection``.
+    long as the connection lives, settling the exchange parked under each
+    reply's ``id``.  Requests posted while the socket is still opening
+    queue behind that one ``open_connection``.
     """
 
     def __init__(
@@ -338,11 +427,12 @@ class Connection:
         self.port = port
         self._metrics = metrics if metrics is not None else WireMetrics()
         self._next_id = 0
-        self._pending: dict[int, asyncio.Future] = {}
+        self._pending: dict[int, Exchange] = {}
         self._writer: asyncio.StreamWriter | None = None
-        # drain() from several tasks at once asserts on Python 3.10.
-        self._write_lock = asyncio.Lock()
-        self._opened: asyncio.Future | None = None
+        #: Frames posted this tick (or while the socket opens), and
+        #: whether the flush that sends them is scheduled.
+        self._frames: list[bytes] = []
+        self._flushing = False
         self._task: asyncio.Task | None = None
         #: Why the connection closed; ``None`` while it is usable.
         self._cause: BaseException | None = None
@@ -372,7 +462,7 @@ class Connection:
         self._writer = writer
         self._metrics.connects.inc()
         self._metrics.connections_open.inc()
-        self._opened.set_result(None)
+        self._flush()
         try:
             while True:
                 reply = await read_frame(reader, self._metrics.bytes_in)
@@ -381,107 +471,113 @@ class Connection:
                 self._settle(reply)
         except (EOFError, OSError, WireError) as exc:
             self._shut(exc)
+        finally:
+            # A continuation that raised must not leave the other
+            # exchanges parked on a reader that is gone.
+            self._shut(ConnectionError("connection reader stopped"))
+
+    def _flush(self) -> None:
+        self._flushing = False
+        write_frames(self._writer, self._frames, self._metrics)
+        self._frames.clear()
 
     def _settle(self, reply: dict) -> None:
         request_id = reply.get("id")
         if type(request_id) is not int:
             return  # not an id this side can have issued
-        future = self._pending.get(request_id)
-        if future is not None and not future.done():
-            future.set_result(reply)
-        elif 0 <= request_id < self._next_id:
-            # Issued here and no longer waited for: its request timed out.
-            self._metrics.late_replies.inc()
+        exchange = self._pending.get(request_id)
+        if exchange is None:
+            if 0 <= request_id < self._next_id:
+                # Issued here and no longer waited for: timed out, or
+                # abandoned.
+                self._metrics.late_replies.inc()
+            return
+        value = error = None
+        if reply.get("ok"):
+            try:
+                value = decode_value(reply.get("value"))
+            except (TypeError, ValueError, KeyError) as exc:
+                # Still parked: it fails with the rest, as garbage does.
+                raise WireError(f"reply value does not decode: {exc}") from exc
+        else:
+            message = reply.get("error", "remote peer reported an error")
+            error = _ERROR_TYPES.get(reply.get("error_type", ""), RemoteError)(message)
+        exchange.settle(value, error)
+
+    def _expire(self, exchange: Exchange) -> None:
+        exchange.settle(
+            None, RequestTimeoutError(exchange.peer_id, 1, exchange.timeout_ms)
+        )
 
     def _shut(self, cause: BaseException) -> None:
         """Close the socket and fail everything parked on it."""
         if self._cause is not None:
             return
         self._cause = cause
+        self._frames.clear()
+        for exchange in list(self._pending.values()):
+            self._fail(exchange)
         if self._writer is not None:
             self._writer.close()
             self._metrics.connections_open.inc(-1)
-        if self._opened is not None and not self._opened.done():
-            self._opened.set_exception(cause)
-            self._opened.exception()  # retrieved: nobody may be waiting
-        for future in self._pending.values():
-            if not future.done():
-                future.set_exception(cause)
+
+    def _fail(self, exchange: Exchange) -> None:
+        """Settle one exchange with why this connection cannot serve it —
+        or, when it was reused and merely hung up, re-send it, once."""
+        # Refused, or answered with garbage: the peer's doing.  Anything
+        # else is a hang-up, which on a reused connection proves nothing.
+        definitive = self._writer is None or isinstance(self._cause, WireError)
+        cache, exchange.cache = exchange.cache, None
+        if cache is not None and not definitive:
+            exchange.abandon()
+            cache.metrics.stale_retries.inc()
+            cache.get(self.host, self.port).post(exchange)
+            return
+        error = (PeerUnavailableError if definitive else ConnectionLostError)(
+            exchange.peer_id
+        )
+        error.__cause__ = self._cause
+        exchange.settle(None, error)
 
     # -- requests ----------------------------------------------------------
 
-    async def request(
-        self,
-        kind: str,
-        payload: Any = None,
-        *,
-        sender: int = -1,
-        sender_address: str | None = None,
-        peer_id: int = -1,
-        timeout_ms: float | None = None,
-        trace: dict | None = None,
-    ) -> Any:
-        """One request/reply exchange; see :func:`call` for the contract.
-
-        A timeout abandons this request only: the connection and its
-        other exchanges carry on, and the reply, should it still come, is
-        dropped by its ``id``.
+    def post(self, exchange: Exchange) -> Exchange:
+        """Park ``exchange`` under this connection's next ``id`` and queue
+        its frame for the one write that ends this event-loop tick.  The
+        timeout covers connect, queueing and the wait for the reply.
         """
-        request = {"kind": kind, "sender": sender, "payload": encode_value(payload)}
-        if sender_address is not None:
-            request["from"] = sender_address
-        if trace is not None:
-            request["trace"] = trace
-        exchange = self._exchange(request, peer_id)
-        if timeout_ms is None:
-            reply = await exchange
-        else:
-            try:
-                reply = await asyncio.wait_for(exchange, timeout_ms / 1000.0)
-            except asyncio.TimeoutError as exc:
-                raise RequestTimeoutError(peer_id, 1, timeout_ms) from exc
-        if reply.get("ok"):
-            return decode_value(reply.get("value"))
-        error_type = reply.get("error_type", "")
-        message = reply.get("error", "remote peer reported an error")
-        raise _ERROR_TYPES.get(error_type, RemoteError)(message)
-
-    async def _exchange(self, request: dict, peer_id: int) -> dict:
+        if self._cause is not None:
+            self._fail(exchange)
+            return exchange
+        loop = asyncio.get_running_loop()
         if self._task is None:
-            loop = asyncio.get_running_loop()
-            self._opened = loop.create_future()
             self._task = loop.create_task(self._run())
-        request_id = None
-        try:
-            if not self._opened.done():
-                # Shielded: one waiter's timeout must not cancel the open
-                # the others share.
-                await asyncio.shield(self._opened)
-            if self._cause is not None:
-                raise self._cause
-            request_id = request["id"] = self._next_id
-            self._next_id += 1
-            frame = encode_frame(request)
-            reply = asyncio.get_running_loop().create_future()
-            self._pending[request_id] = reply
-            async with self._write_lock:
-                self._writer.write(frame)
-                await self._writer.drain()
-            self._metrics.bytes_out.inc(len(frame))
-            return await reply
-        except (OSError, EOFError, WireError) as exc:
-            self._shut(exc)  # a failed write: the reader may not know yet
-            if self._writer is None or isinstance(exc, WireError):
-                # Refused, or answered with garbage: the peer's doing.
-                raise PeerUnavailableError(peer_id) from exc
-            raise ConnectionLostError(peer_id) from exc
-        finally:
-            self._pending.pop(request_id, None)
+        exchange.connection = self
+        exchange.id = exchange.request["id"] = self._next_id
+        self._frames.append(encode_frame(exchange.request))
+        self._next_id += 1
+        self._pending[exchange.id] = exchange
+        if exchange.timeout_ms is not None:
+            exchange.timer = loop.call_later(
+                exchange.timeout_ms / 1000.0, self._expire, exchange
+            )
+        if not self._flushing and self._writer is not None:
+            self._flushing = True
+            loop.call_soon(self._flush)
+        return exchange
+
+    def request(self, kind: str, payload: Any = None, **options: Any) -> Exchange:
+        """Post one request/reply exchange, to be awaited; see :func:`call`
+        for the contract.  A timeout abandons this request only: the
+        connection and its other exchanges carry on."""
+        return self.post(Exchange(kind, payload, **options))
 
     # -- teardown ----------------------------------------------------------
 
     def close(self) -> None:
         """Hang up; requests still in flight fail as if the peer had."""
+        for exchange in self._pending.values():
+            exchange.cache = None  # our own doing: nothing to retry
         self._shut(ConnectionError("connection closed"))
         if self._task is not None:
             self._task.cancel()
@@ -518,9 +614,9 @@ class Connections:
             self._live[(host, port)] = connection
         return connection
 
-    async def request(
+    def request(
         self, host: str, port: int, kind: str, payload: Any = None, **options: Any
-    ) -> Any:
+    ) -> Exchange:
         """:meth:`Connection.request` over the cached connection.
 
         A reused connection that turns out to have hung up — the peer was
@@ -528,15 +624,11 @@ class Connections:
         the request sent once more; only that fresh attempt's refusal or
         hang-up is the peer's.
         """
+        exchange = Exchange(kind, payload, **options)
         connection = self.get(host, port)
-        reused = connection.established
-        try:
-            return await connection.request(kind, payload, **options)
-        except ConnectionLostError:
-            if not reused:
-                raise
-        self.metrics.stale_retries.inc()
-        return await self.get(host, port).request(kind, payload, **options)
+        if connection.established:
+            exchange.cache = self
+        return connection.post(exchange)
 
     def retain(self, endpoints: Iterable[tuple[str, int]]) -> None:
         """Close every connection whose endpoint is not in ``endpoints``."""
@@ -555,24 +647,22 @@ class Connections:
             await connection.wait_closed()
 
 
-async def call(
+def call(
     host: str,
     port: int,
     kind: str,
     payload: Any = None,
     *,
-    sender: int = -1,
-    sender_address: str | None = None,
-    peer_id: int = -1,
-    timeout_ms: float | None = None,
-    trace: dict | None = None,
     connections: Connections | None = None,
-) -> Any:
-    """One request/reply with a peer.
+    **options: Any,
+) -> Awaitable[Any]:
+    """One request/reply with a peer; ``options`` are :class:`Exchange`'s.
 
-    Over ``connections`` when the caller owns a cache (the exchange joins
-    whatever else is in flight on the cached connection); otherwise over
-    a connection opened for this request and closed after it.
+    Over ``connections`` when the caller owns a cache: the exchange is
+    posted there and then (so the caller must be inside the running loop)
+    beside whatever else is in flight on the cached connection, and is
+    itself the awaitable returned.  Otherwise a coroutine that opens a
+    connection for this request and closes it after.
 
     Raises :class:`~repro.errors.PeerUnavailableError` when the peer
     refuses the connection, hangs up mid-exchange, or answers with bytes
@@ -580,20 +670,13 @@ async def call(
     :class:`~repro.errors.RequestTimeoutError` when ``timeout_ms`` elapses
     — the same exceptions the in-process transports use, so callers (the
     query engine above all) need no socket-specific handling.
-
-    ``sender_address`` identifies the calling *peer* (servers calling
-    servers set it); the chaos connection filter uses it to enforce
-    partitions, and clients leave it unset.  ``trace`` is the optional
-    distributed-trace envelope (:class:`repro.obs.distributed.TraceContext`
-    wire form); peers that predate it ignore the extra field, so traced
-    and untraced requests are interchangeable on the wire.
     """
-    options = {
-        "sender": sender, "sender_address": sender_address,
-        "peer_id": peer_id, "timeout_ms": timeout_ms, "trace": trace,
-    }
     if connections is not None:
-        return await connections.request(host, port, kind, payload, **options)
+        return connections.request(host, port, kind, payload, **options)
+    return _call_once(host, port, kind, payload, options)
+
+
+async def _call_once(host: str, port: int, kind: str, payload: Any, options: dict) -> Any:
     connection = Connection(host, port)
     try:
         return await connection.request(kind, payload, **options)

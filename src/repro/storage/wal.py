@@ -1,10 +1,12 @@
 """Write-ahead log and crash-restart durability for one peer's store.
 
 A live :class:`~repro.rpc.server.PeerServer` is in-memory; this module
-makes it survive its own SIGKILL.  The contract is *append before ack*:
-every entry mutation (store, repair push, handoff, eviction) is journaled
-to an fsync'd append-only log before the server replies to the request
-that caused it, so any write a client saw acknowledged is on disk.
+makes it survive its own SIGKILL.  The contract is *commit before ack*:
+every entry mutation (store, repair push, handoff, eviction) is written
+to an append-only log as it happens, and the server commits the log —
+one ``flush`` + ``fsync`` for everything written since the last — before
+it replies to a request that caused one, so any write a client saw
+acknowledged is on disk.  A crash loses only records nobody was told of.
 
 On-disk layout under one ``--data-dir`` (one directory per peer)::
 
@@ -21,11 +23,11 @@ and replay salvages every complete record before it (the same policy as
 :func:`repro.util.read_jsonl_tolerant` for flight-recorder JSONL).
 
 Compaction folds the journal into an atomic-rename snapshot every
-``compact_every`` appends.  The snapshot records the last WAL sequence
-number it covers; the snapshot rename happens *before* the journal is
-truncated, so a crash between the two leaves records the snapshot
-already contains — replay skips any record with ``seq <= wal_seq`` and
-recovery stays idempotent.
+``compact_every`` committed records, behind the commit that got there.
+The snapshot records the last WAL sequence number it covers; the
+snapshot rename happens *before* the journal is truncated, so a crash
+between the two leaves records the snapshot already contains — replay
+skips any record with ``seq <= wal_seq`` and recovery stays idempotent.
 """
 
 from __future__ import annotations
@@ -34,9 +36,11 @@ import json
 import os
 import struct
 from pathlib import Path
-from typing import Any
+from time import perf_counter
+from typing import Any, Callable
 
 from repro.errors import StorageError
+from repro.obs.registry import MetricsRegistry
 from repro.rpc import wire
 from repro.storage.snapshot import (
     load_peer_snapshot,
@@ -102,10 +106,10 @@ def decode_wal_record(record: dict) -> dict:
 class WalWriter:
     """Appends length-prefixed JSON records to the journal.
 
-    ``fsync=True`` (the default) makes every append durable before the
-    caller proceeds — the "append before ack" half of the contract.
-    Benchmarks and tests may disable it to measure/exercise the encode
-    and framing path without paying for disk flushes.
+    :meth:`write` frames a record into the file buffer, :meth:`sync` makes
+    what was written durable and :meth:`append` is one of each.
+    Benchmarks and tests may pass ``fsync=False`` to measure/exercise the
+    encode and framing path without paying for disk flushes.
     """
 
     def __init__(self, path: "str | Path", *, fsync: bool = True, seq: int = 0):
@@ -115,8 +119,8 @@ class WalWriter:
         self._handle = open(self.path, "ab")
         self.appended = 0
 
-    def append(self, record: dict) -> int:
-        """Write one record; returns its assigned sequence number."""
+    def write(self, record: dict) -> int:
+        """Buffer one record; returns its assigned sequence number."""
         self.seq += 1
         body = json.dumps(
             {"seq": self.seq, **record}, separators=(",", ":")
@@ -126,19 +130,25 @@ class WalWriter:
                 f"WAL record of {len(body)} bytes exceeds MAX_RECORD_BYTES"
             )
         self._handle.write(_LENGTH.pack(len(body)) + body)
+        self.appended += 1
+        return self.seq
+
+    def sync(self) -> None:
         self._handle.flush()
         if self.fsync:
             os.fsync(self._handle.fileno())
-        self.appended += 1
-        return self.seq
+
+    def append(self, record: dict) -> int:
+        """One durable append: :meth:`write`, then :meth:`sync`."""
+        seq = self.write(record)
+        self.sync()
+        return seq
 
     def truncate(self) -> None:
         """Drop every journaled record (after a successful compaction)."""
         self._handle.seek(0)
         self._handle.truncate()
-        self._handle.flush()
-        if self.fsync:
-            os.fsync(self._handle.fileno())
+        self.sync()
 
     def close(self) -> None:
         if not self._handle.closed:
@@ -210,6 +220,7 @@ class PeerDurability:
         *,
         fsync: bool = True,
         compact_every: int = 512,
+        registry: MetricsRegistry | None = None,
     ) -> None:
         if compact_every <= 0:
             raise StorageError("compact_every must be positive")
@@ -219,10 +230,19 @@ class PeerDurability:
         self.compact_every = compact_every
         self._store: PeerStore | None = None
         self._writer: WalWriter | None = None
+        self._uncommitted = 0  # records written since the last commit
         self._since_compact = 0
         self._seq_floor = 0
         self._valid_wal_bytes: int | None = None
         self.compactions = 0
+        registry = registry if registry is not None else MetricsRegistry()
+        self._fsync_ms = registry.histogram(
+            "wal.fsync_ms", help="flush + fsync time of one commit",
+            edges=(0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 1000),
+        )
+        self._records_per_commit = registry.histogram(
+            "wal.records_per_commit", help="records one commit made durable"
+        )
 
     # ------------------------------------------------------------------
     # Paths
@@ -293,8 +313,15 @@ class PeerDurability:
     # Journaling
     # ------------------------------------------------------------------
 
-    def attach(self, store: PeerStore) -> None:
+    def attach(
+        self, store: PeerStore, schedule: Callable[[Callable], None] | None = None
+    ) -> None:
         """Start journaling ``store``'s mutations (call after recover).
+
+        A mutation is only written; ``schedule(commit)``, called after
+        each, decides when :meth:`commit` makes it durable — at once by
+        default, once per event-loop tick under a server — and whoever
+        schedules must hold acknowledgements back until then.
 
         If recovery found a torn tail, the journal is truncated back to
         its readable prefix first — appending past torn bytes would put
@@ -316,12 +343,26 @@ class PeerDurability:
         self._writer = WalWriter(
             self.wal_path, fsync=self.fsync, seq=self._seq_floor
         )
+        self._schedule = schedule or (lambda commit: commit())
         store.mutation_hook = self._on_mutation
 
     def _on_mutation(self, op: dict) -> None:
         assert self._writer is not None
-        self._writer.append(encode_wal_record(op))
-        self._since_compact += 1
+        self._writer.write(encode_wal_record(op))
+        self._uncommitted += 1
+        self._schedule(self.commit)
+
+    def commit(self) -> None:
+        """The commit point: one ``flush`` + ``fsync`` for every record
+        written since the last, then the compaction check."""
+        if self._writer is None or not self._uncommitted:
+            return
+        started = perf_counter()
+        self._writer.sync()
+        self._fsync_ms.observe((perf_counter() - started) * 1000.0)
+        self._records_per_commit.observe(self._uncommitted)
+        self._since_compact += self._uncommitted
+        self._uncommitted = 0
         if self._since_compact >= self.compact_every:
             self.compact()
 
@@ -371,9 +412,10 @@ class PeerDurability:
         os.replace(tmp, self.meta_path)
 
     def close(self) -> None:
-        """Detach the hook and close the journal."""
+        """Detach the hook, commit what is buffered, close the journal."""
         if self._store is not None and self._store.mutation_hook is self._on_mutation:
             self._store.mutation_hook = None
         if self._writer is not None:
+            self.commit()
             self._writer.close()
         self._store = None

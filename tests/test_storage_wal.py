@@ -10,6 +10,7 @@ torn journal tail and a missing or partial snapshot.
 from __future__ import annotations
 
 import json
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -450,3 +451,108 @@ class TestTolerantReaders:
         from repro.obs.distributed import read_jsonl_tolerant as from_obs
 
         assert from_obs is read_jsonl_tolerant
+
+
+class TestCommitBeforeAck:
+    """Group commit: mutations are written as they happen and made
+    durable by ``commit``; what a crash may lose is exactly what was
+    never committed, hence never acknowledged."""
+
+    @staticmethod
+    def deferred(tmp_path, **options) -> tuple[PeerStore, PeerDurability, list]:
+        live = PeerStore(17)
+        durability = PeerDurability(tmp_path / "live", fsync=False, **options)
+        scheduled: list = []
+        durability.attach(live, scheduled.append)
+        return live, durability, scheduled
+
+    @staticmethod
+    def crash(tmp_path) -> PeerStore:
+        """What a process killed right now would come back with: the
+        data dir as the OS has it, buffered bytes gone."""
+        image = tmp_path / f"crash-{len(list(tmp_path.iterdir()))}"
+        shutil.copytree(tmp_path / "live", image)
+        recovered = PeerStore(17)
+        PeerDurability(image, fsync=False).recover(recovered)
+        return recovered
+
+    def test_write_buffers_and_sync_makes_durable(self, tmp_path):
+        path = tmp_path / "wal.log"
+        writer = WalWriter(path, fsync=False)
+        assert writer.write(encode_wal_record(store_op(1, desc(0, 9)))) == 1
+        assert writer.write(encode_wal_record(store_op(2, desc(10, 19)))) == 2
+        assert read_wal_tolerant(path)[0] == []
+        writer.sync()
+        assert [r["seq"] for r in read_wal_tolerant(path)[0]] == [1, 2]
+        assert writer.append(encode_wal_record(store_op(3, desc(20, 29)))) == 3
+        assert [r["seq"] for r in read_wal_tolerant(path)[0]] == [1, 2, 3]
+        writer.close()
+
+    def test_default_schedule_commits_every_record_at_once(self, tmp_path):
+        live = PeerStore(17)
+        durability = PeerDurability(tmp_path, fsync=False)
+        durability.attach(live)
+        live.store(1, desc(0, 9))
+        assert len(read_wal_tolerant(durability.wal_path)[0]) == 1
+        durability.close()
+
+    def test_the_scheduler_is_handed_commit_after_every_record(self, tmp_path):
+        live, durability, scheduled = self.deferred(tmp_path)
+        for i in range(3):
+            live.store(i, desc(i * 10, i * 10 + 9))
+        assert scheduled == [durability.commit] * 3
+        durability.close()
+
+    def test_crash_between_write_and_commit_loses_unacked_records_only(self, tmp_path):
+        live, durability, _ = self.deferred(tmp_path)
+        for i in range(3):
+            live.store(i, desc(i * 10, i * 10 + 9))
+        durability.commit()  # the ack point of these three
+        acked = state_of(live)
+        live.store(7, desc(70, 79))
+        live.remove(0, desc(0, 9), via="handoff")
+        assert state_of(self.crash(tmp_path)) == acked
+        # A tail torn mid-flush changes nothing: it is salvaged around.
+        with open(durability.wal_path, "ab") as handle:
+            handle.write(struct.pack("!I", 200) + b'{"seq":4,"op":"st')
+        assert state_of(self.crash(tmp_path)) == acked
+        durability.close()
+
+    def test_close_commits_what_is_still_buffered(self, tmp_path):
+        live, durability, _ = self.deferred(tmp_path)
+        for i in range(4):
+            live.store(i, desc(i * 10, i * 10 + 9))
+        assert state_of(self.crash(tmp_path)) == ({}, 0)
+        durability.close()
+        assert state_of(self.crash(tmp_path)) == state_of(live)
+
+    def test_compaction_waits_for_the_commit(self, tmp_path):
+        live, durability, _ = self.deferred(tmp_path, compact_every=3)
+        for i in range(5):
+            live.store(i, desc(i * 10, i * 10 + 9))
+        assert durability.compactions == 0 and not durability.snapshot_path.exists()
+        durability.commit()
+        assert durability.compactions == 1
+        # Snapshot first, covering all five; the journal is empty again.
+        assert load_peer_snapshot(durability.snapshot_path)["wal_seq"] == 5
+        assert read_wal_tolerant(durability.wal_path)[0] == []
+        assert state_of(self.crash(tmp_path)) == state_of(live)
+        durability.close()
+
+    def test_commit_metrics_count_records_and_fsyncs(self, tmp_path):
+        from repro.obs.registry import MetricsRegistry
+
+        registry = MetricsRegistry()
+        live = PeerStore(17)
+        durability = PeerDurability(tmp_path, fsync=False, registry=registry)
+        scheduled: list = []
+        durability.attach(live, scheduled.append)
+        for i in range(3):
+            live.store(i, desc(i * 10, i * 10 + 9))
+        durability.commit()
+        durability.commit()  # nothing new: not a commit
+        live.store(9, desc(90, 99))
+        durability.close()
+        per_commit = registry.histogram("wal.records_per_commit")
+        assert (per_commit.count(), per_commit.sum()) == (2, 4.0)
+        assert registry.histogram("wal.fsync_ms").count() == 2
