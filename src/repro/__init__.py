@@ -19,94 +19,63 @@ See ``examples/`` for the SQL front end and the experiment harness, and
 ``DESIGN.md`` for the system inventory.
 """
 
-from repro.core.adaptive import AdaptivePaddingController
-from repro.core.composite import CompositeAnswer, query_composite
-from repro.core.config import SystemConfig
-from repro.core.matcher import ContainmentMatcher, JaccardMatcher, matcher_by_name
-from repro.core.multiattr import (
-    MultiAttributeQuery,
-    MultiAttributeResult,
-    query_multi_attribute,
-)
-from repro.core.overlays import CanRouter, ChordRouter, OverlayRouter, build_overlay
-from repro.core.p2pdb import P2PDatabase, P2PQueryReport
-from repro.core.stats_planner import AdaptiveRoutingProvider, CostModel
-from repro.core.system import RangeQueryResult, RangeSelectionSystem
-from repro.can.network import CanOverlay
-from repro.chord.ring import ChordRing
-from repro.db.catalog import Catalog, medical_catalog, medical_schema
-from repro.db.partition import Partition, PartitionDescriptor
-from repro.lsh import (
-    ApproxMinWiseFamily,
-    DomainMinHashIndex,
-    LinearFamily,
-    LSHIdentifierScheme,
-    MinWiseFamily,
-    family_by_name,
-)
-from repro.ranges.domain import Domain
-from repro.ranges.interval import IntRange
-from repro.ranges.rangeset import RangeSet
-from repro.similarity.measures import containment, jaccard
-from repro.storage.snapshot import load_system, save_system
-from repro.workloads.generators import (
-    ClusteredRangeWorkload,
-    UniformRangeWorkload,
-    ZipfRangeWorkload,
-)
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+_EXPORTS = {
     # ranges & similarity
-    "IntRange",
-    "RangeSet",
-    "Domain",
-    "jaccard",
-    "containment",
+    "IntRange": "repro.ranges.interval",
+    "RangeSet": "repro.ranges.rangeset",
+    "Domain": "repro.ranges.domain",
+    "jaccard": "repro.similarity.measures",
+    "containment": "repro.similarity.measures",
     # hashing
-    "MinWiseFamily",
-    "ApproxMinWiseFamily",
-    "LinearFamily",
-    "LSHIdentifierScheme",
-    "DomainMinHashIndex",
-    "family_by_name",
+    "MinWiseFamily": "repro.lsh",
+    "ApproxMinWiseFamily": "repro.lsh",
+    "LinearFamily": "repro.lsh",
+    "LSHIdentifierScheme": "repro.lsh",
+    "DomainMinHashIndex": "repro.lsh",
+    "family_by_name": "repro.lsh",
     # overlays
-    "ChordRing",
-    "CanOverlay",
-    "OverlayRouter",
-    "ChordRouter",
-    "CanRouter",
-    "build_overlay",
+    "ChordRing": "repro.chord.ring",
+    "CanOverlay": "repro.can.network",
+    "OverlayRouter": "repro.core.overlays",
+    "ChordRouter": "repro.core.overlays",
+    "CanRouter": "repro.core.overlays",
+    "build_overlay": "repro.core.overlays",
     # system
-    "SystemConfig",
-    "RangeSelectionSystem",
-    "RangeQueryResult",
-    "JaccardMatcher",
-    "ContainmentMatcher",
-    "matcher_by_name",
-    "AdaptivePaddingController",
-    "AdaptiveRoutingProvider",
-    "CostModel",
-    "CompositeAnswer",
-    "query_composite",
-    "MultiAttributeQuery",
-    "MultiAttributeResult",
-    "query_multi_attribute",
+    "SystemConfig": "repro.core.config",
+    "RangeSelectionSystem": "repro.core.system",
+    "RangeQueryResult": "repro.core.system",
+    "JaccardMatcher": "repro.core.matcher",
+    "ContainmentMatcher": "repro.core.matcher",
+    "matcher_by_name": "repro.core.matcher",
+    "AdaptivePaddingController": "repro.core.adaptive",
+    "AdaptiveRoutingProvider": "repro.core.stats_planner",
+    "CostModel": "repro.core.stats_planner",
+    "CompositeAnswer": "repro.core.composite",
+    "query_composite": "repro.core.composite",
+    "MultiAttributeQuery": "repro.core.multiattr",
+    "MultiAttributeResult": "repro.core.multiattr",
+    "query_multi_attribute": "repro.core.multiattr",
     # database front end
-    "Catalog",
-    "medical_schema",
-    "medical_catalog",
-    "Partition",
-    "PartitionDescriptor",
-    "P2PDatabase",
-    "P2PQueryReport",
+    "Catalog": "repro.db.catalog",
+    "medical_schema": "repro.db.catalog",
+    "medical_catalog": "repro.db.catalog",
+    "Partition": "repro.db.partition",
+    "PartitionDescriptor": "repro.db.partition",
+    "P2PDatabase": "repro.core.p2pdb",
+    "P2PQueryReport": "repro.core.p2pdb",
     # persistence
-    "save_system",
-    "load_system",
+    "save_system": "repro.storage.snapshot",
+    "load_system": "repro.storage.snapshot",
     # workloads
-    "UniformRangeWorkload",
-    "ZipfRangeWorkload",
-    "ClusteredRangeWorkload",
-]
+    "UniformRangeWorkload": "repro.workloads.generators",
+    "ZipfRangeWorkload": "repro.workloads.generators",
+    "ClusteredRangeWorkload": "repro.workloads.generators",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

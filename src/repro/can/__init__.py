@@ -13,8 +13,16 @@ bucket identifier — including the LSH identifiers — owns a deterministic
 point in the space.
 """
 
-from repro.can.network import CanOverlay
-from repro.can.node import CanNode
-from repro.can.space import Point, Zone, point_for_key
+from repro._lazy import lazy_exports
 
-__all__ = ["CanOverlay", "CanNode", "Zone", "Point", "point_for_key"]
+_EXPORTS = {
+    "CanOverlay": "repro.can.network",
+    "CanNode": "repro.can.node",
+    "Zone": "repro.can.space",
+    "Point": "repro.can.space",
+    "point_for_key": "repro.can.space",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

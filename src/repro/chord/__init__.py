@@ -11,18 +11,18 @@ lookup with hop counting, and node join/leave with stabilization (used by
 the churn extension).
 """
 
-from repro.chord.hashing import key_id, node_id_for_address
-from repro.chord.idspace import IdSpace
-from repro.chord.lookup import LookupResult
-from repro.chord.node import ChordNode
-from repro.chord.ring import ChordRing, DepartureHandoff
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "IdSpace",
-    "ChordNode",
-    "ChordRing",
-    "DepartureHandoff",
-    "LookupResult",
-    "node_id_for_address",
-    "key_id",
-]
+_EXPORTS = {
+    "IdSpace": "repro.chord.idspace",
+    "ChordNode": "repro.chord.node",
+    "ChordRing": "repro.chord.ring",
+    "DepartureHandoff": "repro.chord.ring",
+    "LookupResult": "repro.chord.lookup",
+    "node_id_for_address": "repro.chord.hashing",
+    "key_id": "repro.chord.hashing",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -27,6 +27,11 @@ from repro.errors import ChordError, DuplicateNodeError, EmptyRingError, NodeNot
 
 __all__ = ["ChordRing", "DepartureHandoff"]
 
+#: Nodes whose finger tables :meth:`ChordRing.build` computes per array
+#: pass: large enough to amortise the numpy calls, small enough that the
+#: scratch arrays (rows x m x 8 bytes, a handful of them) stay under a MB.
+_BUILD_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class DepartureHandoff:
@@ -219,19 +224,29 @@ class ChordRing:
         ids = self._sorted_ids
         n = len(ids)
         arr = np.asarray(ids, dtype=np.uint64)
+        # Every finger start of a block of nodes, ``(id + 2^i) mod 2^m``
+        # as a rows x m array (uint64 addition wraps at 2^64 by itself),
+        # and the successor of each in one search; past the highest id is
+        # the lowest.  Indexing an object array hands back the ints of
+        # ``ids`` themselves, a row per node: n objects shared by all
+        # tables, not n x m fresh ones.  Blocks bound the scratch arrays.
+        powers = np.uint64(1) << np.arange(self.space.m, dtype=np.uint64)
+        mask = np.uint64(self.space.mask)
+        members = np.asarray(ids, dtype=object)
+        fingers: list[list[int]] = []
+        for low in range(0, n, _BUILD_BLOCK):
+            starts = (arr[low : low + _BUILD_BLOCK, None] + powers) & mask
+            positions = np.searchsorted(arr, starts)
+            positions[positions == n] = 0
+            fingers += members[positions].tolist()
+        length = min(self.successor_list_size, n - 1)
+        around = ids + ids[:length]
         for index, node_id in enumerate(ids):
             node = self._nodes[node_id]
             node.successor_id = ids[(index + 1) % n]
             node.predecessor_id = ids[index - 1]
-            node.successor_list = self._static_successor_list(index)
-            starts = [
-                self.space.finger_start(node_id, i) for i in range(self.space.m)
-            ]
-            # Vectorized successor-of for all finger starts at once.
-            positions = np.searchsorted(arr, np.asarray(starts, dtype=np.uint64))
-            node.fingers = [
-                ids[int(pos)] if pos < n else ids[0] for pos in positions
-            ]
+            node.successor_list = around[index + 1 : index + 1 + length]
+            node.fingers = fingers[index]
 
     # ------------------------------------------------------------------
     # Routing

@@ -9,7 +9,9 @@ Usage::
     python -m repro info                       # configuration summary
 
 The CLI is a thin shell over the library; everything it does is available
-programmatically (see README quickstart).
+programmatically (see README quickstart).  Each sub-command imports what
+it runs inside its handler: ``repro serve`` is the start-up path of every
+peer process, and must not pay for the SQL front end of ``repro sql``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,7 @@ import argparse
 import sys
 from typing import Sequence
 
-from repro.core.config import SystemConfig
-from repro.core.p2pdb import P2PDatabase
-from repro.core.system import RangeSelectionSystem
-from repro.db.catalog import medical_catalog
 from repro.errors import ReproError
-from repro.ranges.domain import Domain
-from repro.ranges.interval import IntRange
 
 __all__ = ["main", "build_parser"]
 
@@ -613,6 +609,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _run_demo(args: argparse.Namespace, out) -> int:
+    from repro.core.config import SystemConfig
+    from repro.core.system import RangeSelectionSystem
+    from repro.ranges.interval import IntRange
+
     config = SystemConfig(
         n_peers=args.peers, seed=args.seed, overlay=args.overlay
     )
@@ -634,6 +634,12 @@ def _run_demo(args: argparse.Namespace, out) -> int:
 
 
 def _run_sql(args: argparse.Namespace, out) -> int:
+    from repro.core.config import SystemConfig
+    from repro.core.p2pdb import P2PDatabase
+    from repro.core.system import RangeSelectionSystem
+    from repro.db.catalog import medical_catalog
+    from repro.ranges.domain import Domain
+
     catalog = medical_catalog(n_patients=args.patients)
     system = RangeSelectionSystem(
         SystemConfig(
@@ -661,6 +667,8 @@ def _run_sql(args: argparse.Namespace, out) -> int:
 
 
 def _run_simulate(args: argparse.Namespace, out) -> int:
+    from repro.core.config import SystemConfig
+    from repro.core.system import RangeSelectionSystem
     from repro.metrics.latency import LatencyCollector
     from repro.net.latency import SeededLatency
     from repro.sim import AsyncQueryEngine, ReplicaRepairer, RetryPolicy
@@ -828,10 +836,13 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
 
 
 def _run_metrics(args: argparse.Namespace, out) -> int:
-    from repro.workloads.generators import UniformRangeWorkload
-
     if args.connect is not None:
         return _run_metrics_connect(args, out)
+
+    from repro.core.config import SystemConfig
+    from repro.core.system import RangeSelectionSystem
+    from repro.workloads.generators import UniformRangeWorkload
+
     config = SystemConfig(
         n_peers=args.peers,
         seed=args.seed,
@@ -930,6 +941,8 @@ def _run_metrics_connect(args: argparse.Namespace, out) -> int:
 def _run_health(args: argparse.Namespace, out) -> int:
     import json
 
+    from repro.core.config import SystemConfig
+    from repro.core.system import RangeSelectionSystem
     from repro.obs.health import TelemetrySampler, health_check
     from repro.util.rng import derive_rng
     from repro.workloads.generators import UniformRangeWorkload
@@ -999,6 +1012,7 @@ def _run_serve(args: argparse.Namespace, out) -> int:
     import asyncio
     import json
 
+    from repro.core.config import SystemConfig
     from repro.rpc import wire
     from repro.rpc.server import run_server
 
@@ -1038,6 +1052,7 @@ def _run_serve(args: argparse.Namespace, out) -> int:
 def _run_cluster(args: argparse.Namespace, out) -> int:
     import time
 
+    from repro.core.config import SystemConfig
     from repro.rpc import drills
     from repro.rpc.chaos import ChaosSchedule
     from repro.rpc.cluster import LocalCluster
@@ -1155,6 +1170,7 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
 
 
 def _run_client(args: argparse.Namespace, out) -> int:
+    from repro.ranges.interval import IntRange
     from repro.rpc.client import ClusterClient
 
     start_text, _, end_text = args.query.partition(":")
@@ -1281,6 +1297,7 @@ def _run_trace(args: argparse.Namespace, out) -> int:
     import time
 
     from repro.obs.distributed import format_trace
+    from repro.ranges.interval import IntRange
     from repro.rpc.client import ClusterClient
 
     start_text, _, end_text = args.query.partition(":")
@@ -1339,6 +1356,8 @@ def _run_experiments(args: argparse.Namespace, out) -> int:
 
 
 def _run_info(out) -> int:
+    from repro.core.config import SystemConfig
+
     config = SystemConfig()
     print(f"default config: {config.describe()}", file=out)
     print(

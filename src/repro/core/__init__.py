@@ -11,45 +11,32 @@ the owners when no exact match exists.
 located through the system, joins computed locally at the querying peer.
 """
 
-from repro.core.adaptive import AdaptivePaddingController
-from repro.core.composite import CompositeAnswer, query_composite
-from repro.core.config import SystemConfig
-from repro.core.matcher import (
-    ContainmentMatcher,
-    JaccardMatcher,
-    Matcher,
-    matcher_by_name,
-)
-from repro.core.multiattr import (
-    MultiAttributeQuery,
-    MultiAttributeResult,
-    query_multi_attribute,
-)
-from repro.core.overlays import CanRouter, ChordRouter, OverlayRouter, build_overlay
-from repro.core.p2pdb import P2PDatabase, P2PQueryReport
-from repro.core.stats_planner import AdaptiveRoutingProvider, CostModel
-from repro.core.system import RangeQueryResult, RangeSelectionSystem
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SystemConfig",
-    "RangeSelectionSystem",
-    "RangeQueryResult",
-    "Matcher",
-    "JaccardMatcher",
-    "ContainmentMatcher",
-    "matcher_by_name",
-    "OverlayRouter",
-    "ChordRouter",
-    "CanRouter",
-    "build_overlay",
-    "AdaptiveRoutingProvider",
-    "CostModel",
-    "P2PDatabase",
-    "P2PQueryReport",
-    "AdaptivePaddingController",
-    "CompositeAnswer",
-    "query_composite",
-    "MultiAttributeQuery",
-    "MultiAttributeResult",
-    "query_multi_attribute",
-]
+_EXPORTS = {
+    "SystemConfig": "repro.core.config",
+    "RangeSelectionSystem": "repro.core.system",
+    "RangeQueryResult": "repro.core.system",
+    "Matcher": "repro.core.matcher",
+    "JaccardMatcher": "repro.core.matcher",
+    "ContainmentMatcher": "repro.core.matcher",
+    "matcher_by_name": "repro.core.matcher",
+    "OverlayRouter": "repro.core.overlays",
+    "ChordRouter": "repro.core.overlays",
+    "CanRouter": "repro.core.overlays",
+    "build_overlay": "repro.core.overlays",
+    "AdaptiveRoutingProvider": "repro.core.stats_planner",
+    "CostModel": "repro.core.stats_planner",
+    "P2PDatabase": "repro.core.p2pdb",
+    "P2PQueryReport": "repro.core.p2pdb",
+    "AdaptivePaddingController": "repro.core.adaptive",
+    "CompositeAnswer": "repro.core.composite",
+    "query_composite": "repro.core.composite",
+    "MultiAttributeQuery": "repro.core.multiattr",
+    "MultiAttributeResult": "repro.core.multiattr",
+    "query_multi_attribute": "repro.core.multiattr",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

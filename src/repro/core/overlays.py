@@ -10,11 +10,13 @@ this small interface and selected by ``SystemConfig.overlay``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.can.network import CanOverlay
 from repro.chord.ring import ChordRing
 from repro.errors import ConfigError
+
+if TYPE_CHECKING:
+    from repro.can.network import CanOverlay
 
 __all__ = ["OverlayRouter", "ChordRouter", "CanRouter", "build_overlay"]
 
@@ -135,6 +137,10 @@ class CanRouter(OverlayRouter):
 
     @classmethod
     def build(cls, n_peers: int, dimensions: int = 2, seed: int = 0) -> "CanRouter":
+        # Imported where a CAN overlay is built: a Chord-only process (a
+        # live peer) never loads the CAN modules.
+        from repro.can.network import CanOverlay
+
         overlay = CanOverlay(dimensions=dimensions)
         overlay.build(n_peers, seed=seed)
         return cls(overlay)

@@ -16,34 +16,28 @@ examples and the full-query front end need:
   the "well known algebraic optimization technique" of Section 2.
 """
 
-from repro.db.catalog import Catalog, medical_catalog, medical_schema
-from repro.db.partition import Partition, PartitionDescriptor
-from repro.db.predicates import (
-    EqualityPredicate,
-    Predicate,
-    RangePredicate,
-    TruePredicate,
-)
-from repro.db.relation import Relation
-from repro.db.stats import EquiWidthHistogram, TableStatistics, analyze
-from repro.db.schema import Attribute, AttrType, GlobalSchema, RelationSchema
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AttrType",
-    "Attribute",
-    "RelationSchema",
-    "GlobalSchema",
-    "Relation",
-    "Partition",
-    "PartitionDescriptor",
-    "Predicate",
-    "RangePredicate",
-    "EqualityPredicate",
-    "TruePredicate",
-    "Catalog",
-    "EquiWidthHistogram",
-    "TableStatistics",
-    "analyze",
-    "medical_schema",
-    "medical_catalog",
-]
+_EXPORTS = {
+    "AttrType": "repro.db.schema",
+    "Attribute": "repro.db.schema",
+    "RelationSchema": "repro.db.schema",
+    "GlobalSchema": "repro.db.schema",
+    "Relation": "repro.db.relation",
+    "Partition": "repro.db.partition",
+    "PartitionDescriptor": "repro.db.partition",
+    "Predicate": "repro.db.predicates",
+    "RangePredicate": "repro.db.predicates",
+    "EqualityPredicate": "repro.db.predicates",
+    "TruePredicate": "repro.db.predicates",
+    "Catalog": "repro.db.catalog",
+    "EquiWidthHistogram": "repro.db.stats",
+    "TableStatistics": "repro.db.stats",
+    "analyze": "repro.db.stats",
+    "medical_schema": "repro.db.catalog",
+    "medical_catalog": "repro.db.catalog",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

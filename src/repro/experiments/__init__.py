@@ -26,37 +26,27 @@ Extensions (Sections 5.3 and 6 of the paper):
   :mod:`repro.experiments.ext_overload`
 """
 
-from repro.experiments.ext_adaptive_padding import AdaptivePaddingExperiment
-from repro.experiments.ext_churn_recall import ChurnRecallExperiment
-from repro.experiments.ext_composite import CompositeAnswerExperiment
-from repro.experiments.ext_ideal_family import IdealFamilyAblation
-from repro.experiments.ext_local_index import LocalIndexExperiment
-from repro.experiments.ext_overlay_compare import OverlayComparisonExperiment
-from repro.experiments.ext_overload import OverloadExperiment
-from repro.experiments.ext_stats_planning import StatsPlanningExperiment
-from repro.experiments.fig5_timing import HashTimingExperiment
-from repro.experiments.fig6_7_quality import MatchQualityExperiment, QualityOutcome
-from repro.experiments.fig8_recall import RecallExperiment
-from repro.experiments.fig9_containment import ContainmentMatchingExperiment
-from repro.experiments.fig10_padding import PaddingExperiment
-from repro.experiments.fig11_load import LoadBalanceExperiment
-from repro.experiments.fig12_pathlen import PathLengthExperiment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "HashTimingExperiment",
-    "MatchQualityExperiment",
-    "QualityOutcome",
-    "RecallExperiment",
-    "ContainmentMatchingExperiment",
-    "PaddingExperiment",
-    "LoadBalanceExperiment",
-    "PathLengthExperiment",
-    "LocalIndexExperiment",
-    "AdaptivePaddingExperiment",
-    "IdealFamilyAblation",
-    "CompositeAnswerExperiment",
-    "OverlayComparisonExperiment",
-    "StatsPlanningExperiment",
-    "ChurnRecallExperiment",
-    "OverloadExperiment",
-]
+_EXPORTS = {
+    "HashTimingExperiment": "repro.experiments.fig5_timing",
+    "MatchQualityExperiment": "repro.experiments.fig6_7_quality",
+    "QualityOutcome": "repro.experiments.fig6_7_quality",
+    "RecallExperiment": "repro.experiments.fig8_recall",
+    "ContainmentMatchingExperiment": "repro.experiments.fig9_containment",
+    "PaddingExperiment": "repro.experiments.fig10_padding",
+    "LoadBalanceExperiment": "repro.experiments.fig11_load",
+    "PathLengthExperiment": "repro.experiments.fig12_pathlen",
+    "LocalIndexExperiment": "repro.experiments.ext_local_index",
+    "AdaptivePaddingExperiment": "repro.experiments.ext_adaptive_padding",
+    "IdealFamilyAblation": "repro.experiments.ext_ideal_family",
+    "CompositeAnswerExperiment": "repro.experiments.ext_composite",
+    "OverlayComparisonExperiment": "repro.experiments.ext_overlay_compare",
+    "StatsPlanningExperiment": "repro.experiments.ext_stats_planning",
+    "ChurnRecallExperiment": "repro.experiments.ext_churn_recall",
+    "OverloadExperiment": "repro.experiments.ext_overload",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

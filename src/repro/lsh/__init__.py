@@ -14,75 +14,32 @@ min-hashes into ``l`` 32-bit identifiers via XOR, exactly as the paper's
 querying-peer pseudocode does.
 """
 
-from repro.lsh.accel import DomainMinHashIndex
-from repro.lsh.approx import ApproxMinWiseFamily, ApproxMinWisePermutation
-from repro.lsh.base import MinHash, Permutation, PermutationFamily
-from repro.lsh.bitshuffle import BitShufflePermutation, MinWiseFamily
-from repro.lsh.groups import HashGroup, LSHIdentifierScheme
-from repro.lsh.linear import LinearFamily, LinearPermutation
-from repro.lsh.table import TablePermutation, TablePermutationFamily
-from repro.lsh.theory import (
-    collision_probability,
-    group_match_probability,
-    recommend_parameters,
-    step_quality,
-)
+from repro._lazy import lazy_exports
 
-FAMILIES = {
-    "min-wise": MinWiseFamily,
-    "approx-min-wise": ApproxMinWiseFamily,
-    "linear": LinearFamily,
-    "table": TablePermutationFamily,
+_EXPORTS = {
+    "Permutation": "repro.lsh.base",
+    "PermutationFamily": "repro.lsh.base",
+    "MinHash": "repro.lsh.base",
+    "BitShufflePermutation": "repro.lsh.bitshuffle",
+    "MinWiseFamily": "repro.lsh.bitshuffle",
+    "ApproxMinWisePermutation": "repro.lsh.approx",
+    "ApproxMinWiseFamily": "repro.lsh.approx",
+    "LinearPermutation": "repro.lsh.linear",
+    "LinearFamily": "repro.lsh.linear",
+    "TablePermutation": "repro.lsh.table",
+    "TablePermutationFamily": "repro.lsh.table",
+    "HashGroup": "repro.lsh.groups",
+    "LSHIdentifierScheme": "repro.lsh.groups",
+    "DomainMinHashIndex": "repro.lsh.accel",
+    "collision_probability": "repro.lsh.theory",
+    "group_match_probability": "repro.lsh.theory",
+    "step_quality": "repro.lsh.theory",
+    "recommend_parameters": "repro.lsh.theory",
+    "FAMILIES": "repro.lsh.families",
+    "family_by_name": "repro.lsh.families",
+    "family_for_domain": "repro.lsh.families",
 }
 
+__all__ = list(_EXPORTS)
 
-def family_by_name(name: str, **kwargs: object) -> PermutationFamily:
-    """Instantiate a permutation family from its canonical name."""
-    try:
-        cls = FAMILIES[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown hash family {name!r}; choose from {sorted(FAMILIES)}"
-        ) from None
-    return cls(**kwargs)  # type: ignore[arg-type]
-
-
-def family_for_domain(name: str, domain) -> PermutationFamily:
-    """Instantiate a family sized to an attribute domain.
-
-    Linear permutations take the smallest prime above the domain maximum
-    (the Broder construction); table permutations cover exactly the
-    domain's code space; the bit-shuffle families are domain-independent.
-    """
-    from repro.lsh.linear import next_prime_above
-
-    if name == "linear":
-        return LinearFamily(p=next_prime_above(int(domain.high)))
-    if name == "table":
-        return TablePermutationFamily(domain_size=int(domain.high) + 1)
-    return family_by_name(name)
-
-
-__all__ = [
-    "Permutation",
-    "PermutationFamily",
-    "MinHash",
-    "BitShufflePermutation",
-    "MinWiseFamily",
-    "ApproxMinWisePermutation",
-    "ApproxMinWiseFamily",
-    "LinearPermutation",
-    "LinearFamily",
-    "TablePermutation",
-    "TablePermutationFamily",
-    "HashGroup",
-    "LSHIdentifierScheme",
-    "DomainMinHashIndex",
-    "collision_probability",
-    "group_match_probability",
-    "step_quality",
-    "recommend_parameters",
-    "FAMILIES",
-    "family_by_name",
-    "family_for_domain",
-]
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

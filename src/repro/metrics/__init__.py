@@ -1,36 +1,23 @@
 """Experiment metrics: per-query logs and the paper's summary statistics."""
 
-from repro.metrics.collector import QueryLog, QueryRecord
-from repro.metrics.latency import (
-    LatencyCollector,
-    PhasePercentiles,
-    phase_percentiles,
-)
-from repro.metrics.recall import (
-    recall_cdf,
-    recall_comparison,
-    fraction_fully_answered,
-    fraction_at_least,
-)
-from repro.metrics.report import (
-    format_histogram,
-    format_recall_cdf,
-    format_series,
-    format_table,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QueryLog",
-    "QueryRecord",
-    "LatencyCollector",
-    "PhasePercentiles",
-    "phase_percentiles",
-    "recall_cdf",
-    "recall_comparison",
-    "fraction_fully_answered",
-    "fraction_at_least",
-    "format_table",
-    "format_series",
-    "format_histogram",
-    "format_recall_cdf",
-]
+_EXPORTS = {
+    "QueryLog": "repro.metrics.collector",
+    "QueryRecord": "repro.metrics.collector",
+    "LatencyCollector": "repro.metrics.latency",
+    "PhasePercentiles": "repro.metrics.latency",
+    "phase_percentiles": "repro.metrics.latency",
+    "recall_cdf": "repro.metrics.recall",
+    "recall_comparison": "repro.metrics.recall",
+    "fraction_fully_answered": "repro.metrics.recall",
+    "fraction_at_least": "repro.metrics.recall",
+    "format_table": "repro.metrics.report",
+    "format_series": "repro.metrics.report",
+    "format_histogram": "repro.metrics.report",
+    "format_recall_cdf": "repro.metrics.report",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -14,23 +14,20 @@ loss, crashes, timeouts — the event-driven transport lives in
 :class:`Transport`.
 """
 
-from repro.net.latency import (
-    ConstantLatency,
-    LatencyModel,
-    SeededLatency,
-    UniformLatency,
-)
-from repro.net.message import Message
-from repro.net.transport import PeerNetwork, SimulatedNetwork, TrafficStats, Transport
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Message",
-    "Transport",
-    "PeerNetwork",
-    "SimulatedNetwork",
-    "TrafficStats",
-    "LatencyModel",
-    "ConstantLatency",
-    "UniformLatency",
-    "SeededLatency",
-]
+_EXPORTS = {
+    "Message": "repro.net.message",
+    "Transport": "repro.net.transport",
+    "PeerNetwork": "repro.net.transport",
+    "SimulatedNetwork": "repro.net.transport",
+    "TrafficStats": "repro.net.transport",
+    "LatencyModel": "repro.net.latency",
+    "ConstantLatency": "repro.net.latency",
+    "UniformLatency": "repro.net.latency",
+    "SeededLatency": "repro.net.latency",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

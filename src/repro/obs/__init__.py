@@ -14,78 +14,46 @@ time series, a :class:`RingAuditor` checking overlay invariants, and
 load-skew analytics over per-node load.
 """
 
-from repro.obs.health import (
-    AuditFinding,
-    AuditReport,
-    HealthReport,
-    RingAuditor,
-    SkewStats,
-    TelemetrySampler,
-    gini,
-    health_check,
-    hot_identifiers,
-    load_histogram,
-    max_mean_ratio,
-    skew_stats,
-)
-from repro.obs.distributed import (
-    FlightRecorder,
-    SpanFragment,
-    StitchReport,
-    TraceContext,
-    format_trace,
-    new_trace_id,
-    read_jsonl_tolerant,
-    stitch_trace,
-)
-from repro.obs.log import configure_logging, get_logger
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    HistogramMetric,
-    LabeledCounterDict,
-    MetricsRegistry,
-    RegistryBackedCounters,
-    TimeSeriesMetric,
-    registry_field,
-    write_jsonl,
-)
-from repro.obs.trace import NULL_TRACE, QueryTrace, Span, TraceEvent
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "HistogramMetric",
-    "TimeSeriesMetric",
-    "LabeledCounterDict",
-    "MetricsRegistry",
-    "RegistryBackedCounters",
-    "registry_field",
-    "write_jsonl",
-    "NULL_TRACE",
-    "QueryTrace",
-    "Span",
-    "TraceEvent",
-    "FlightRecorder",
-    "SpanFragment",
-    "StitchReport",
-    "TraceContext",
-    "format_trace",
-    "new_trace_id",
-    "read_jsonl_tolerant",
-    "stitch_trace",
-    "AuditFinding",
-    "AuditReport",
-    "HealthReport",
-    "RingAuditor",
-    "SkewStats",
-    "TelemetrySampler",
-    "configure_logging",
-    "get_logger",
-    "gini",
-    "health_check",
-    "hot_identifiers",
-    "load_histogram",
-    "max_mean_ratio",
-    "skew_stats",
-]
+_EXPORTS = {
+    "Counter": "repro.obs.registry",
+    "Gauge": "repro.obs.registry",
+    "HistogramMetric": "repro.obs.registry",
+    "TimeSeriesMetric": "repro.obs.registry",
+    "LabeledCounterDict": "repro.obs.registry",
+    "MetricsRegistry": "repro.obs.registry",
+    "RegistryBackedCounters": "repro.obs.registry",
+    "registry_field": "repro.obs.registry",
+    "write_jsonl": "repro.obs.registry",
+    "NULL_TRACE": "repro.obs.trace",
+    "QueryTrace": "repro.obs.trace",
+    "Span": "repro.obs.trace",
+    "TraceEvent": "repro.obs.trace",
+    "FlightRecorder": "repro.obs.distributed",
+    "SpanFragment": "repro.obs.distributed",
+    "StitchReport": "repro.obs.distributed",
+    "TraceContext": "repro.obs.distributed",
+    "format_trace": "repro.obs.distributed",
+    "new_trace_id": "repro.obs.distributed",
+    "read_jsonl_tolerant": "repro.obs.distributed",
+    "stitch_trace": "repro.obs.distributed",
+    "AuditFinding": "repro.obs.health",
+    "AuditReport": "repro.obs.health",
+    "HealthReport": "repro.obs.health",
+    "RingAuditor": "repro.obs.health",
+    "SkewStats": "repro.obs.health",
+    "TelemetrySampler": "repro.obs.health",
+    "configure_logging": "repro.obs.log",
+    "get_logger": "repro.obs.log",
+    "gini": "repro.obs.health",
+    "health_check": "repro.obs.health",
+    "hot_identifiers": "repro.obs.health",
+    "load_histogram": "repro.obs.health",
+    "max_mean_ratio": "repro.obs.health",
+    "skew_stats": "repro.obs.health",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

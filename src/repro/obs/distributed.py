@@ -249,9 +249,15 @@ class FlightRecorder:
 
     def record_span(self, fragment: SpanFragment) -> SpanFragment:
         """Retain one (finished or still-open) span fragment."""
-        self._entries.append({"type": "span", **fragment.to_dict()})
-        self.recorded += 1
+        self.record_span_entry({"type": "span", **fragment.to_dict()})
         return fragment
+
+    def record_span_entry(self, entry: dict[str, Any]) -> None:
+        """Retain a span already in entry form, ``{"type": "span",
+        **SpanFragment.to_dict()}`` — a server's request path fills that
+        dict in directly, one per request, with no object in between."""
+        self._entries.append(entry)
+        self.recorded += 1
 
     def record_event(self, name: str, **attrs: Any) -> None:
         """Retain one standalone point event (breaker flip, eviction...)."""

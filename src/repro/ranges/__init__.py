@@ -9,8 +9,14 @@ multi-predicate selections and from measuring how much of a query several
 cached partitions jointly cover.
 """
 
-from repro.ranges.domain import Domain
-from repro.ranges.interval import IntRange
-from repro.ranges.rangeset import RangeSet
+from repro._lazy import lazy_exports
 
-__all__ = ["IntRange", "RangeSet", "Domain"]
+_EXPORTS = {
+    "IntRange": "repro.ranges.interval",
+    "RangeSet": "repro.ranges.rangeset",
+    "Domain": "repro.ranges.domain",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -25,20 +25,17 @@ imported directly by the CLI; importing this package pulls in only the
 engine.
 """
 
-from repro.rpc.engine import (
-    ChainOutcome,
-    LocatePhase,
-    MatchReply,
-    QueryEngine,
-    StoreOutcome,
-    TimedQueryResult,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "QueryEngine",
-    "MatchReply",
-    "ChainOutcome",
-    "LocatePhase",
-    "StoreOutcome",
-    "TimedQueryResult",
-]
+_EXPORTS = {
+    "QueryEngine": "repro.rpc.engine",
+    "MatchReply": "repro.rpc.engine",
+    "ChainOutcome": "repro.rpc.engine",
+    "LocatePhase": "repro.rpc.engine",
+    "StoreOutcome": "repro.rpc.engine",
+    "TimedQueryResult": "repro.rpc.engine",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

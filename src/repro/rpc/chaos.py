@@ -28,10 +28,13 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.errors import ReproError
 from repro.obs.log import get_logger
-from repro.rpc.cluster import LocalCluster
+
+if TYPE_CHECKING:
+    from repro.rpc.cluster import LocalCluster
 
 __all__ = ["ChaosEvent", "ChaosSchedule", "ChaosRunner", "ACTIONS"]
 

@@ -3,12 +3,14 @@
 :class:`LocalCluster` is the process-level harness behind
 ``repro cluster``, the CI live-cluster smoke job and
 ``examples/live_cluster.py``: it starts one OS process per peer
-(``python -m repro serve``), waits for each peer's ready line before
-starting the next (so joins — and the data hand-offs they trigger — are
-strictly ordered), and can remove peers both ways the paper's fault model
-distinguishes: a graceful ``leave`` (RPC; the peer hands its data off
-first) and an abrupt :meth:`kill` (SIGKILL; recovery is entirely the
-replica chain's and anti-entropy repair's problem).
+(``python -m repro serve``) — the bootstrap alone, then all the others at
+once, returning when every peer's member view lists every peer (the
+processes boot side by side; the joins, and the data hand-offs they
+trigger, stay ordered: the bootstrap serves one at a time) — and can
+remove peers both ways the paper's fault model distinguishes: a graceful
+``leave`` (RPC; the peer hands its data off first) and an abrupt
+:meth:`kill` (SIGKILL; recovery is entirely the replica chain's and
+anti-entropy repair's problem).
 
 Every wait is bounded, so a wedged peer fails the harness instead of
 hanging it (the CI job adds its own outer ``timeout`` as a backstop).
@@ -33,6 +35,7 @@ from repro.errors import ReproError
 from repro.obs.log import get_logger
 from repro.rpc import wire
 from repro.rpc.client import ClusterClient
+from repro.rpc.drills import views_complete, wait_for
 from repro.rpc.server import READY_PREFIX
 
 __all__ = ["LocalCluster", "ClusterError"]
@@ -42,6 +45,15 @@ logger = get_logger("rpc.cluster")
 
 class ClusterError(ReproError):
     """A peer process failed to start, answer, or stop in time."""
+
+
+def _reap(process: subprocess.Popen) -> int:
+    """Kill a child that never became a peer; returns its exit status."""
+    process.kill()
+    status = process.wait()
+    if process.stdout is not None:
+        process.stdout.close()
+    return status
 
 
 def _src_path() -> str:
@@ -106,21 +118,64 @@ class LocalCluster:
     # -- lifecycle -------------------------------------------------------
 
     def start(self) -> "LocalCluster":
-        """Spawn all peers; the first is the bootstrap."""
-        for index in range(self.n_peers):
-            self.spawn(f"peer-{index}")
+        """Spawn all peers — the first alone, it is the bootstrap; the
+        rest at once — and return when every view lists every peer.
+        A start that fails leaves nothing behind."""
+        try:
+            self.launch([f"peer-{number}" for number in range(self.n_peers)])
+        except BaseException:
+            self.shutdown()
+            raise
         return self
 
     def spawn(self, address: str) -> tuple[str, int]:
-        """Start one peer process and wait for its ready line.
+        """Start one peer process; see :meth:`launch`."""
+        return self.launch([address])[address]
+
+    def launch(self, addresses: list[str]) -> dict[str, tuple[str, int]]:
+        """Start a peer process per address, all at once.
+
+        Time to serving is one start-up, not one per peer, cores
+        permitting: every process is started before any ready line is
+        awaited, so the interpreter start-ups and imports overlap, and
+        the ready lines are collected as they arrive.  The joins
+        themselves stay ordered — the bootstrap peer serves one ``join``
+        at a time.  With no live peer to join through (a fresh cluster, a
+        cold restart) the first address is brought up alone and seeds the
+        ring for the rest.
 
         A child that dies before its ready line — the classic cause being
         an ``EADDRINUSE`` race on the ephemeral port it was handed — is
         retried with a fresh OS-picked port up to ``spawn_attempts``
-        times, so one unlucky bind does not fail the whole cluster start.
+        times, so one unlucky bind does not fail the whole launch; the
+        other children are not disturbed.  A child that runs but stays
+        silent is not retried.  Either failure stops every child of this
+        call that is not yet ready.
+
+        Returns the new endpoints once every live peer's view lists every
+        live peer: what starting the peers one after another guaranteed
+        by construction, checked instead of assumed (a ``member-update``
+        that failed to deliver would otherwise surface as a short ring in
+        some later query).
         """
-        if address in self.processes:
-            raise ClusterError(f"peer {address!r} already running")
+        for address in addresses:
+            if address in self.processes:
+                raise ClusterError(f"peer {address!r} already running")
+        # With nobody to join through, the first address seeds the ring.
+        alone = 0 if any(map(self.alive, self.endpoints)) else 1
+        self._start_processes(addresses[:alone])
+        self._start_processes(addresses[alone:])
+        try:
+            wait_for(
+                lambda: views_complete(self),
+                "every peer's view to list every live peer",
+                self.startup_timeout_s,
+            )
+        except ReproError as exc:
+            raise ClusterError(str(exc)) from exc
+        return {address: self.endpoints[address] for address in addresses}
+
+    def _command(self, address: str) -> list[str]:
         command = [
             sys.executable, "-m", "repro", "serve",
             "--address", address,
@@ -138,83 +193,81 @@ class LocalCluster:
             command += ["--data-dir", os.path.join(self.data_root, address)]
             if self.compact_every is not None:
                 command += ["--compact-every", str(self.compact_every)]
-        if self.endpoints:
-            try:
-                boot_host, boot_port = self.bootstrap_endpoint()
-            except ClusterError:
-                # Every known peer is dead — a cold full-cluster restart.
-                # The first peer back rebuilds the ring from its disk
-                # state and becomes the new bootstrap for the rest.
-                pass
-            else:
-                command += ["--bootstrap", f"{boot_host}:{boot_port}"]
+        try:
+            boot_host, boot_port = self.bootstrap_endpoint()
+        except ClusterError:
+            # No live peer — a fresh cluster, or a cold full-cluster
+            # restart.  The first peer (back) seeds the ring, from its
+            # disk state if it has one, and is the bootstrap of the rest.
+            pass
+        else:
+            command += ["--bootstrap", f"{boot_host}:{boot_port}"]
+        return command
+
+    def _start_processes(self, addresses: list[str]) -> None:
+        """Start ``addresses`` and record each as its ready line arrives."""
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             path
             for path in (_src_path(), env.get("PYTHONPATH", ""))
             if path
         )
-        failure: ClusterError | None = None
-        for attempt in range(self.spawn_attempts):
-            process = subprocess.Popen(
-                command,
+
+        def popen(address: str) -> subprocess.Popen:
+            return subprocess.Popen(
+                self._command(address),
                 stdout=subprocess.PIPE,
                 stderr=subprocess.DEVNULL,
                 env=env,
                 text=True,
             )
-            try:
-                endpoint = self._await_ready(address, process)
-            except ClusterError as exc:
-                process.kill()
-                process.wait()
-                if process.stdout is not None:
-                    process.stdout.close()
-                failure = exc
-                # Only an early exit is worth retrying (a bind race); a
-                # peer that is running but silent stays broken.
-                if "exited with" not in str(exc):
-                    raise
-                logger.warning(
-                    "peer %s spawn attempt %d failed (%s); retrying",
-                    address, attempt + 1, exc,
-                )
-                continue
-            self.processes[address] = process
-            self.endpoints[address] = endpoint
-            logger.info("peer %s up at %s:%d", address, *endpoint)
-            return endpoint
-        assert failure is not None
-        raise failure
 
-    def _await_ready(
-        self, address: str, process: subprocess.Popen
-    ) -> tuple[str, int]:
-        assert process.stdout is not None
+        pending = {address: popen(address) for address in addresses}
+        attempts = dict.fromkeys(addresses, 1)
         deadline = time.monotonic() + self.startup_timeout_s
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise ClusterError(f"peer {address!r} not ready in time")
-            if process.poll() is not None:
-                raise ClusterError(
-                    f"peer {address!r} exited with {process.returncode} "
-                    "before becoming ready"
+        try:
+            while pending:
+                streams = {
+                    process.stdout: address
+                    for address, process in pending.items()
+                }
+                readable, _, _ = select.select(
+                    list(streams), [], [], max(0.0, deadline - time.monotonic())
                 )
-            readable, _, _ = select.select([process.stdout], [], [], remaining)
-            if not readable:
-                continue
-            line = process.stdout.readline()
-            if not line:
-                raise ClusterError(f"peer {address!r} closed stdout early")
-            if not line.startswith(READY_PREFIX):
-                continue
-            fields = dict(
-                token.split("=", 1)
-                for token in line.strip().split()
-                if "=" in token
-            )
-            return (fields["host"], int(fields["port"]))
+                if not readable:
+                    raise ClusterError(
+                        f"peer(s) {', '.join(sorted(pending))} not ready in time"
+                    )
+                for stream in readable:
+                    address = streams[stream]
+                    line = stream.readline()
+                    if line.startswith(READY_PREFIX):
+                        fields = dict(
+                            token.split("=", 1)
+                            for token in line.strip().split()
+                            if "=" in token
+                        )
+                        endpoint = (fields["host"], int(fields["port"]))
+                        self.processes[address] = pending.pop(address)
+                        self.endpoints[address] = endpoint
+                        logger.info("peer %s up at %s:%d", address, *endpoint)
+                    elif not line:
+                        # End of file: it died before becoming ready.
+                        status = _reap(pending.pop(address))
+                        if attempts[address] >= self.spawn_attempts:
+                            raise ClusterError(
+                                f"peer {address!r} exited with {status} "
+                                "before becoming ready"
+                            )
+                        logger.warning(
+                            "peer %s exited with %s on spawn attempt %d; "
+                            "retrying", address, status, attempts[address],
+                        )
+                        attempts[address] += 1
+                        pending[address] = popen(address)
+        finally:
+            for process in pending.values():
+                _reap(process)
 
     def bootstrap_endpoint(self) -> tuple[str, int]:
         """The endpoint of the longest-lived peer still running."""
@@ -249,25 +302,31 @@ class LocalCluster:
         logger.info("peer %s killed", address)
 
     def restart(self, address: str) -> tuple[str, int]:
-        """Bring a killed peer back under its old address.
+        """Bring one killed peer back; see :meth:`restart_all`."""
+        return self.restart_all([address])[address]
 
-        The process record is recycled and :meth:`spawn` runs again with
-        the same ``--data-dir`` (when the cluster is durable), so the
-        peer recovers its store from disk, resumes its persisted SWIM
-        incarnation, and rejoins the ring — under a fresh OS-picked port,
-        which the rejoin gossips to every mirror.
+    def restart_all(self, addresses: list[str]) -> dict[str, tuple[str, int]]:
+        """Bring killed peers back under their old addresses, together.
+
+        The process records are recycled and :meth:`launch` runs again
+        with the same ``--data-dir`` each (when the cluster is durable),
+        so every peer recovers its store from disk, resumes its persisted
+        SWIM incarnation, and rejoins the ring — under a fresh OS-picked
+        port, which the rejoin gossips to every mirror.
         """
-        process = self.processes.get(address)
-        if process is not None and process.poll() is None:
-            raise ClusterError(f"peer {address!r} is still running")
-        if process is not None:
-            if process.stdout is not None:
+        for address in addresses:
+            process = self.processes.get(address)
+            if process is not None and process.poll() is None:
+                raise ClusterError(f"peer {address!r} is still running")
+        for address in addresses:
+            process = self.processes.pop(address, None)
+            if process is not None and process.stdout is not None:
                 process.stdout.close()
-            del self.processes[address]
-        self.endpoints.pop(address, None)
-        endpoint = self.spawn(address)
-        logger.info("peer %s restarted at %s:%d", address, *endpoint)
-        return endpoint
+            self.endpoints.pop(address, None)
+        endpoints = self.launch(addresses)
+        for address, endpoint in endpoints.items():
+            logger.info("peer %s restarted at %s:%d", address, *endpoint)
+        return endpoints
 
     def pause(self, address: str) -> None:
         """Freeze a peer with SIGSTOP — alive but unresponsive, the

@@ -29,7 +29,7 @@ from repro.rpc.chaos import ChaosRunner, ChaosSchedule
 from repro.rpc.client import ClusterScraper
 
 __all__ = [
-    "live_set", "member_view", "converged", "healed", "wait_for",
+    "live_set", "member_view", "converged", "views_complete", "healed", "wait_for",
     "replica_victim", "mean_recall", "peer_snapshots", "counter_sum",
     "histogram_summary", "LiveChurnWave", "kill_wave", "pause_wave",
     "partition_wave", "DrillResult", "smoke_drill", "chaos_drill",
@@ -62,11 +62,13 @@ def member_view(cluster, address: str) -> set[str]:
     return set(cluster.call(address, "hello", timeout_ms=2_000.0)["members"])
 
 
-def _views_agree(cluster, peers: Iterable[str], members: set[str]) -> bool:
-    """Every one of ``peers`` serves exactly ``members``; a view that
-    cannot be fetched agrees with nothing."""
+def _every_view(
+    cluster, peers: Iterable[str], holds: Callable[[set[str]], bool]
+) -> bool:
+    """``holds`` of the member view of every one of ``peers``; a view
+    that cannot be fetched holds nothing."""
     try:
-        return all(member_view(cluster, a) == members for a in sorted(peers))
+        return all(holds(member_view(cluster, a)) for a in sorted(peers))
     except ReproError:
         return False
 
@@ -74,7 +76,17 @@ def _views_agree(cluster, peers: Iterable[str], members: set[str]) -> bool:
 def converged(cluster) -> bool:
     """Every live peer's member view equals the live set."""
     live = live_set(cluster)
-    return _views_agree(cluster, live, live)
+    return _every_view(cluster, live, lambda view: view == live)
+
+
+def views_complete(cluster) -> bool:
+    """Every live peer's member view lists every live peer: the barrier
+    ``LocalCluster.launch`` returns behind.  :func:`converged` but for
+    the dead — a view may still list a killed peer nobody has evicted
+    (yet, or ever: SWIM may be off), and a peer brought (back) up next to
+    it is no less up for that."""
+    live = live_set(cluster)
+    return _every_view(cluster, live, lambda view: view >= live)
 
 
 def healed(cluster, client) -> bool:
@@ -257,7 +269,7 @@ def partition_wave(
     before = peer_snapshots(cluster)
     cluster.partition(minority, majority)
     detect_ms = wait_for(
-        lambda: _views_agree(cluster, majority, set(majority)),
+        lambda: _every_view(cluster, majority, lambda view: view == set(majority)),
         "the majority side to evict the minority",
         timeout_s,
     )
@@ -438,8 +450,7 @@ def restart_drill(
                 )
                 return DrillResult("restart", reason, warm_recall)
         say("restart drill: zero surviving in-memory copies of the probed identifier")
-        for address in holders:
-            cluster.restart(address)
+        cluster.restart_all(holders)
         heal_ms = _reconverged(cluster, timeout_s)
         if heal_ms is None:
             reason = f"membership never reconverged within {timeout_s:g}s of the restarts"
@@ -483,9 +494,8 @@ def cold_restart_drill(
             cluster.kill(address)
     say(f"cold restart: killed all {len(addresses)} peer(s)")
     # The first peer back finds no live bootstrap and seeds a fresh ring
-    # from its disk state; the rest join through it.
-    for address in addresses:
-        cluster.restart(address)
+    # from its disk state; the rest join through it, all at once.
+    cluster.restart_all(addresses)
     heal_ms = _reconverged(cluster, timeout_s)
     if heal_ms is None:
         reason = f"membership never reconverged within {timeout_s:g}s of the cold restart"

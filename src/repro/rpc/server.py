@@ -51,6 +51,7 @@ the overlay, not the observer.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import os
 import random
 import signal
@@ -64,7 +65,7 @@ from repro.core.matcher import matcher_by_name
 from repro.core.overlays import ChordRouter
 from repro.core.placement import Action, ReplicaPlacement, plan_placement
 from repro.errors import PeerUnavailableError, ReproError
-from repro.obs.distributed import FlightRecorder, SpanFragment, TraceContext
+from repro.obs.distributed import FlightRecorder, TraceContext, wall_ms
 from repro.obs.log import get_logger
 from repro.obs.registry import MetricsRegistry
 from repro.rpc import wire
@@ -193,6 +194,7 @@ class PeerServer(ReplicaPlacement):
         #: Always-on black box of recent server-side spans and events;
         #: dumped to ``flight_dir`` on SWIM evictions when configured.
         self.flight = FlightRecorder(address, capacity=flight_capacity)
+        self._span_ids = itertools.count(1)
         self.flight_dir = flight_dir
         #: Durable store under ``--data-dir`` (WAL + snapshot + meta);
         #: None keeps the pre-durability, purely in-memory behavior.
@@ -228,7 +230,12 @@ class PeerServer(ReplicaPlacement):
         #: Replica copies the last repair round found missing; the
         #: telemetry RPC and SWIM health piggyback both report it.
         self._pending_repair = 0
+        #: ``(store mutations, member records)`` as the last repair round
+        #: that found nothing to do saw them; None after any other round.
+        self._repaired: tuple | None = None
         self._server: asyncio.AbstractServer | None = None
+        #: Serialises the ``join`` requests this peer serves as bootstrap.
+        self._joining = asyncio.Lock()
         self._stopped = asyncio.Event()
         self._repair_now = asyncio.Event()
         self._tasks: set[asyncio.Task] = set()
@@ -393,7 +400,9 @@ class PeerServer(ReplicaPlacement):
                 sender_address=self.address,
                 timeout_ms=CONTROL_TIMEOUT_MS,
             )
-            self.table.replace(reply)
+            # A merge, not a replacement: a member-update naming a later
+            # joiner may have landed while this reply was in flight.
+            self.table.adopt(reply, self._now_ms())
             # The adopted map may carry this address as a tombstone (or
             # at a stale incarnation) from a previous life; restore the
             # identity the restart resumed before anything gossips.
@@ -868,7 +877,7 @@ class PeerServer(ReplicaPlacement):
                 # missing (the digest makes repeat rounds cheap).
                 self._repair_now.set()
 
-    async def _converge(self, *, shed: bool) -> tuple[int, int]:
+    async def _converge(self, *, shed: bool) -> tuple[int, int, int]:
         """Execute the placement plan for this peer's entries.
 
         The plan (this peer's store against the mirrored, non-dead ring)
@@ -878,7 +887,8 @@ class PeerServer(ReplicaPlacement):
         role flags follow its rank in both directions and, with ``shed``,
         entries it no longer replicates are dropped after the pushes.
         Unreachable targets are skipped; the next round retries them.
-        Returns ``(created, missing)``.
+        Returns ``(created, missing, unreached)``: copies pushed, copies
+        the digests showed missing, digest targets that never answered.
         """
         partitions = {
             (identifier, entry.descriptor): entry.partition
@@ -895,6 +905,7 @@ class PeerServer(ReplicaPlacement):
                 drops.append(action)
         created = 0
         missing = 0
+        unreached = 0
         for address, copies in wanted.items():
             digest = [(copy.identifier, copy.descriptor) for copy in copies]
             try:
@@ -907,6 +918,7 @@ class PeerServer(ReplicaPlacement):
                     "repair.push.peer_failures",
                     help="repair digests whose target never answered",
                 ).inc()
+                unreached += 1
                 continue
             for copy, has in zip(copies, present):
                 if has:
@@ -943,14 +955,35 @@ class PeerServer(ReplicaPlacement):
                 self.store.remove(
                     action.identifier, action.descriptor, via="handoff"
                 )
-        return created, missing
+        return created, missing, unreached
 
     async def repair_round(self) -> int:
         """One anti-entropy pass from this peer's entries outward: the
         placement executor without shedding (repair only adds copies),
-        plus the round's books.  Returns the copies created."""
+        plus the round's books.  Returns the copies created.
+
+        A round re-plans the whole store and ships every key to every
+        co-replica as a digest — linear in the store, every interval, on
+        every peer.  So a round is skipped while neither this peer's
+        entries nor the member table have changed since a round that
+        reached every target and found every copy in place: the same
+        questions would get the same answers.  (A target that lost an
+        entry by itself — only LRU eviction does that — is not re-filled
+        until something else moves; a restarted one re-announces itself
+        at a new incarnation, which is a change.)
+        """
+        inputs = (self.store.mutations, self.table.records())
+        if inputs == self._repaired:
+            self.metrics.counter(
+                "repair.push.idle_rounds",
+                help="anti-entropy rounds skipped: nothing changed since "
+                "a round that found every copy in place",
+            ).inc()
+            return 0
         started = self._now_ms()
-        created, missing = await self._converge(shed=False)
+        created, missing, unreached = await self._converge(shed=False)
+        # An unanswered digest is not a clean one.
+        self._repaired = None if missing or unreached else inputs
         self.metrics.counter(
             "repair.push.rounds", help="anti-entropy rounds run"
         ).inc()
@@ -1023,14 +1056,19 @@ class PeerServer(ReplicaPlacement):
             }
         if kind == "join":
             address = str(payload["address"])
-            self.table.add(
-                address, str(payload["host"]), int(payload["port"])
-            )
-            self._rebuild_ring()
-            reply = self._membership_payload()
-            await self._broadcast_membership(exclude={address})
-            await self.rebalance()
-            return reply
+            # One join at a time: a whole cluster may be knocking at once
+            # (``LocalCluster`` spawns its peers concurrently), and a
+            # hand-off planned against one ring must not be executed
+            # against the next.  The reply is built last, so it names
+            # everything this peer learned while the join ran.
+            async with self._joining:
+                self.table.add(
+                    address, str(payload["host"]), int(payload["port"])
+                )
+                self._rebuild_ring()
+                await self._broadcast_membership(exclude={address})
+                await self.rebalance()
+                return self._membership_payload()
         if kind == "member-update":
             outcome = self.table.merge(payload, self._now_ms())
             self._after_merge(outcome)
@@ -1304,7 +1342,7 @@ class PeerServer(ReplicaPlacement):
 
     def _admit(self, request: dict) -> tuple[str, tuple]:
         """Open the books on one request: its kind, and ``(metric label,
-        arrival ms, span fragment)`` for :meth:`_answer` to close."""
+        arrival ms, flight entry)`` for :meth:`_answer` to close."""
         kind = str(request.get("kind"))
         label = kind if kind in SERVED_KINDS else "unknown"
         # A garbled or missing trace envelope degrades the request
@@ -1314,16 +1352,26 @@ class PeerServer(ReplicaPlacement):
         self._inflight += 1
         self._requests.inc(kind=label)
         self._inflight_gauge.set(self._inflight)
-        fragment: SpanFragment | None = None
+        entry: dict | None = None
         if (ctx is not None and ctx.sampled) or kind in DATA_KINDS:
-            fragment = SpanFragment(
-                f"serve:{kind}",
-                self.address,
-                trace_id=ctx.trace_id if ctx is not None else None,
-                parent_span_id=ctx.parent_span_id if ctx is not None else None,
-                attrs={"kind": kind, "inflight": self._inflight},
-            )
-        return kind, (label, self._now_ms(), fragment)
+            # The server-side span, written straight in the form the
+            # flight recorder keeps and the telemetry RPC ships (a
+            # ``SpanFragment.to_dict()`` tagged "span").  The id only has
+            # to be unique within one stitched trace, whose fragments
+            # come from a handful of peers: address + a counter will do.
+            entry = {
+                "type": "span",
+                "name": f"serve:{kind}",
+                "node": self.address,
+                "trace_id": ctx.trace_id if ctx is not None else None,
+                "parent_span_id": ctx.parent_span_id if ctx is not None else None,
+                "span_id": f"frag-{self.address}-{next(self._span_ids)}",
+                "start_wall_ms": wall_ms(),
+                "end_wall_ms": None,
+                "attrs": {"kind": kind, "inflight": self._inflight},
+                "events": [],
+            }
+        return kind, (label, self._now_ms(), entry)
 
     def _answer(
         self,
@@ -1334,7 +1382,7 @@ class PeerServer(ReplicaPlacement):
     ) -> None:
         """Close the books on one request and queue its reply — the
         handler's value, or the exception it raised — for the tick's end."""
-        label, started, fragment = books
+        label, started, entry = books
         request_id = request.get("id", 0)
         try:
             if isinstance(outcome, Exception):
@@ -1348,12 +1396,15 @@ class PeerServer(ReplicaPlacement):
             error = type(exc).__name__
         self._inflight -= 1
         self._inflight_gauge.set(self._inflight)
-        if fragment is not None:
+        if entry is not None:
+            attrs = entry["attrs"]
             if error is None:
-                fragment.end(outcome="ok")
+                attrs["outcome"] = "ok"
             else:
-                fragment.end(outcome="error", error=error)
-            self.flight.record_span(fragment)
+                attrs["outcome"] = "error"
+                attrs["error"] = error
+            entry["end_wall_ms"] = wall_ms()
+            self.flight.record_span_entry(entry)
         self._replies.append((writer, request_id, frame, label, started))
         self._end_tick_soon()
 

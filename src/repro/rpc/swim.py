@@ -261,10 +261,10 @@ class MembershipTable:
     def reassert_self(self, incarnation: int) -> bool:
         """Force our own record alive at (at least) ``incarnation``.
 
-        :meth:`replace` adopts a bootstrap peer's map wholesale, and that
-        map may carry this address as a tombstone from a previous life —
-        or at a stale, lower incarnation.  Restore the record the rejoin
-        announced; returns True when anything changed.
+        :meth:`adopt` takes the bootstrap peer's record of this address
+        when it outranks ours, and that record may be a tombstone from a
+        previous life.  Restore the record the rejoin announced; returns
+        True when anything changed.
         """
         me = self._members[self.self_address]
         if me.state == ALIVE and me.incarnation >= incarnation:
@@ -302,23 +302,42 @@ class MembershipTable:
             },
         }
 
-    def replace(self, payload: dict) -> None:
-        """Adopt a full remote table (a joiner bootstrapping its mirror).
+    def records(self) -> tuple:
+        """Every record in gossip form, as one comparable value: two are
+        equal exactly when no member was added, dropped or re-addressed
+        and none changed state or incarnation in between."""
+        return tuple(
+            (address, *member.record())
+            for address, member in self._members.items()
+        )
 
-        Keeps our own record if the remote view lacks it (it cannot: the
-        join reply includes the joiner), otherwise trusts the remote map
-        wholesale.
+    def adopt(self, payload: dict, now_ms: float) -> None:
+        """Fold a join reply into this mirror (a joiner bootstrapping).
+
+        The reply is a snapshot the bootstrap peer took at some point of
+        the join, and it races the ``member-update`` broadcasts of later
+        joins: a joiner may already have merged news the snapshot
+        predates.  So adoption is a merge — an unknown member is added,
+        a known one only moves up the ``(incarnation, state)``
+        precedence, and nothing already known is forgotten.  Unlike
+        :meth:`merge` our own record follows the same rule (the reply
+        may carry it at a later incarnation, or as a tombstone of a
+        previous life): :meth:`reassert_self` settles it afterwards.
         """
-        me = self._members[self.self_address]
-        self._members = {}
         for address, record in payload["members"].items():
             host, port, state, incarnation = record
+            state, incarnation = str(state), int(incarnation)
+            if state not in _RANK:
+                continue  # unknown state from a future version; skip
+            local = self._members.get(address)
+            if local is not None and (incarnation, _RANK[state]) <= (
+                local.incarnation, _RANK[local.state]
+            ):
+                continue  # we already know as much, or better
             self._members[address] = Member(
-                str(host), int(port), state=str(state),
-                incarnation=int(incarnation),
+                str(host), int(port), state=state, incarnation=incarnation,
+                suspected_at=now_ms if state == SUSPECT else None,
             )
-        if self.self_address not in self._members:
-            self._members[self.self_address] = me
         self.epoch = max(self.epoch, int(payload["epoch"]))
 
     def merge(self, payload: dict, now_ms: float) -> MergeOutcome:

@@ -29,9 +29,7 @@ Exports resolve lazily (PEP 562): the low-level kernel modules
 :mod:`repro.sim.query` here would close that loop.
 """
 
-from __future__ import annotations
-
-import importlib
+from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "Simulator": "repro.sim.kernel",
@@ -52,15 +50,4 @@ _EXPORTS = {
 
 __all__ = list(_EXPORTS)
 
-
-def __getattr__(name: str):
-    module_name = _EXPORTS.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.sim' has no attribute {name!r}")
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> "list[str]":
-    return sorted(set(globals()) | set(__all__))
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,30 +7,21 @@ containment does not — which is why the system *hashes* with Jaccard
 (min-wise permutations) and only *matches within a bucket* with containment.
 """
 
-from repro.similarity.distance import (
-    distance,
-    find_triangle_violation,
-    satisfies_triangle_inequality,
-)
-from repro.similarity.measures import (
-    MEASURES,
-    containment,
-    dice,
-    jaccard,
-    overlap_coefficient,
-    recall_of_match,
-    similarity_measure,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "jaccard",
-    "containment",
-    "dice",
-    "overlap_coefficient",
-    "recall_of_match",
-    "similarity_measure",
-    "MEASURES",
-    "distance",
-    "satisfies_triangle_inequality",
-    "find_triangle_violation",
-]
+_EXPORTS = {
+    "jaccard": "repro.similarity.measures",
+    "containment": "repro.similarity.measures",
+    "dice": "repro.similarity.measures",
+    "overlap_coefficient": "repro.similarity.measures",
+    "recall_of_match": "repro.similarity.measures",
+    "similarity_measure": "repro.similarity.measures",
+    "MEASURES": "repro.similarity.measures",
+    "distance": "repro.similarity.distance",
+    "satisfies_triangle_inequality": "repro.similarity.distance",
+    "find_triangle_violation": "repro.similarity.distance",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

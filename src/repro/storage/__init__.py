@@ -8,19 +8,17 @@ capacity-bounded LRU eviction (an extension — the paper assumes unbounded
 caches).
 """
 
-from repro.storage.bucket import Bucket, StoredEntry
-from repro.storage.store import EvictionPolicy, LRUEviction, NoEviction, PeerStore
+from repro._lazy import lazy_exports
 
-# NOTE: repro.storage.snapshot is intentionally *not* imported here: it
-# depends on repro.core.system (which itself imports repro.storage.store),
-# so pulling it in at package-import time would create an import cycle.
-# Import it explicitly: ``from repro.storage.snapshot import save_system``.
+_EXPORTS = {
+    "Bucket": "repro.storage.bucket",
+    "StoredEntry": "repro.storage.bucket",
+    "PeerStore": "repro.storage.store",
+    "EvictionPolicy": "repro.storage.store",
+    "NoEviction": "repro.storage.store",
+    "LRUEviction": "repro.storage.store",
+}
 
-__all__ = [
-    "Bucket",
-    "StoredEntry",
-    "PeerStore",
-    "EvictionPolicy",
-    "NoEviction",
-    "LRUEviction",
-]
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

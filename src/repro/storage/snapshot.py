@@ -22,14 +22,17 @@ import dataclasses
 import json
 import os
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from repro.core.config import SystemConfig
-from repro.core.system import RangeSelectionSystem
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import StorageError
 from repro.ranges.domain import Domain
 from repro.ranges.interval import IntRange
 from repro.storage.store import PeerStore
+
+if TYPE_CHECKING:
+    from repro.core.system import RangeSelectionSystem
 
 __all__ = [
     "snapshot_system",
@@ -123,6 +126,11 @@ def restore_system(snapshot: dict) -> RangeSelectionSystem:
         raise StorageError(
             f"unsupported snapshot format {snapshot.get('format')!r}"
         )
+    # Imported here: the peer-store half of this module is the WAL's
+    # compaction format, loaded by every live peer, which runs no
+    # in-process system.
+    from repro.core.system import RangeSelectionSystem
+
     system = RangeSelectionSystem(_config_from_dict(snapshot["config"]))
     for record in snapshot["entries"]:
         descriptor = _descriptor_from_record(record)

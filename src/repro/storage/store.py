@@ -90,6 +90,9 @@ class PeerStore:
         self.stores_served = 0
         #: Optional durability observer; see :data:`MutationHook`.
         self.mutation_hook: MutationHook | None = None
+        #: Counts what the hook is told of, hook or no hook: equal before
+        #: and after means the entries (and their roles) did not change.
+        self.mutations = 0
 
     # ------------------------------------------------------------------
     # Mutation
@@ -125,6 +128,7 @@ class PeerStore:
                 primary=primary,
             )
         )
+        self.mutations += 1
         if self.mutation_hook is not None:
             self._journal_store(identifier, bucket.get(descriptor), via)
         if added:
@@ -150,6 +154,7 @@ class PeerStore:
         if entry is None or entry.primary == primary:
             return False
         entry.primary = primary
+        self.mutations += 1
         if self.mutation_hook is not None:
             self._journal_store(identifier, entry, via)
         return True
@@ -185,15 +190,17 @@ class PeerStore:
         removed = bucket.remove(descriptor) is not None
         if removed and len(bucket) == 0:
             del self._buckets[identifier]
-        if removed and self.mutation_hook is not None:
-            self.mutation_hook(
-                {
-                    "op": "remove",
-                    "via": via,
-                    "identifier": identifier,
-                    "descriptor": descriptor,
-                }
-            )
+        if removed:
+            self.mutations += 1
+            if self.mutation_hook is not None:
+                self.mutation_hook(
+                    {
+                        "op": "remove",
+                        "via": via,
+                        "identifier": identifier,
+                        "descriptor": descriptor,
+                    }
+                )
         return removed
 
     def apply_store(

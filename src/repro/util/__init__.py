@@ -5,46 +5,31 @@ import from here, but ``repro.util`` imports nothing from the rest of the
 library.
 """
 
-from repro.util.bitops import (
-    bit_length_of_space,
-    extract_bits,
-    is_power_of_two,
-    ones_positions,
-    popcount,
-    random_key_with_ones,
-    reverse_bits,
-)
-from repro.util.rng import SeedSequenceFactory, derive_rng, spawn_rngs
-from repro.util.stats import (
-    DiscretePdf,
-    Histogram,
-    SummaryStats,
-    cdf_points,
-    percentile,
-    summarize,
-)
-from repro.util.timer import Timer, time_call
-from repro.util.tolerant import parse_json_record, read_jsonl_tolerant
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SeedSequenceFactory",
-    "derive_rng",
-    "spawn_rngs",
-    "popcount",
-    "ones_positions",
-    "extract_bits",
-    "reverse_bits",
-    "is_power_of_two",
-    "bit_length_of_space",
-    "random_key_with_ones",
-    "percentile",
-    "summarize",
-    "SummaryStats",
-    "Histogram",
-    "DiscretePdf",
-    "cdf_points",
-    "Timer",
-    "time_call",
-    "parse_json_record",
-    "read_jsonl_tolerant",
-]
+_EXPORTS = {
+    "SeedSequenceFactory": "repro.util.rng",
+    "derive_rng": "repro.util.rng",
+    "spawn_rngs": "repro.util.rng",
+    "popcount": "repro.util.bitops",
+    "ones_positions": "repro.util.bitops",
+    "extract_bits": "repro.util.bitops",
+    "reverse_bits": "repro.util.bitops",
+    "is_power_of_two": "repro.util.bitops",
+    "bit_length_of_space": "repro.util.bitops",
+    "random_key_with_ones": "repro.util.bitops",
+    "percentile": "repro.util.stats",
+    "summarize": "repro.util.stats",
+    "SummaryStats": "repro.util.stats",
+    "Histogram": "repro.util.stats",
+    "DiscretePdf": "repro.util.stats",
+    "cdf_points": "repro.util.stats",
+    "Timer": "repro.util.timer",
+    "time_call": "repro.util.timer",
+    "parse_json_record": "repro.util.tolerant",
+    "read_jsonl_tolerant": "repro.util.tolerant",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

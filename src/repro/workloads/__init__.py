@@ -8,18 +8,16 @@ are rarely uniform, and the extension experiments use them to show how the
 scheme behaves when popular ranges repeat.
 """
 
-from repro.workloads.generators import (
-    ClusteredRangeWorkload,
-    RangeWorkload,
-    UniformRangeWorkload,
-    ZipfRangeWorkload,
-)
-from repro.workloads.trace import WorkloadTrace
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RangeWorkload",
-    "UniformRangeWorkload",
-    "ZipfRangeWorkload",
-    "ClusteredRangeWorkload",
-    "WorkloadTrace",
-]
+_EXPORTS = {
+    "RangeWorkload": "repro.workloads.generators",
+    "UniformRangeWorkload": "repro.workloads.generators",
+    "ZipfRangeWorkload": "repro.workloads.generators",
+    "ClusteredRangeWorkload": "repro.workloads.generators",
+    "WorkloadTrace": "repro.workloads.trace",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -117,6 +118,46 @@ class TestStaticBuild:
         result = ring.lookup(150, start_id=10)
         assert result.owner_id == 200
         assert result.hops == 1
+
+    @pytest.mark.parametrize("m", [8, 32, 64])
+    @pytest.mark.parametrize("n", [1, 2, 3, 1000])
+    def test_build_equals_the_per_node_loop_it_replaced(self, m, n, monkeypatch):
+        """``build`` computes the tables in array passes over blocks of
+        nodes; the loop it replaced, kept here verbatim, is the oracle."""
+        # 1000 nodes are many blocks and a ragged last one.
+        monkeypatch.setattr("repro.chord.ring._BUILD_BLOCK", 96)
+        ring = ChordRing(m=m, successor_list_size=4)
+        mask = ring.space.mask
+        # Both ends of the identifier space, where the starts wrap.
+        for node_id in (0, mask)[:n]:
+            ring.add_node(node_id=node_id)
+        rng = random.Random(m * 10_007 + n)
+        while len(ring) < min(n, mask + 1):  # m = 8 has room for 256
+            try:
+                ring.add_node(node_id=rng.randrange(mask + 1))
+            except DuplicateNodeError:
+                pass
+        ring.build()
+
+        ids = ring._sorted_ids
+        n = len(ids)
+        arr = np.asarray(ids, dtype=np.uint64)
+        for index, node_id in enumerate(ids):
+            node = ring._nodes[node_id]
+            assert node.successor_id == ids[(index + 1) % n]
+            assert node.predecessor_id == ids[index - 1]
+            assert node.successor_list == ring._static_successor_list(index)
+            starts = [
+                ring.space.finger_start(node_id, i) for i in range(ring.space.m)
+            ]
+            positions = np.searchsorted(arr, np.asarray(starts, dtype=np.uint64))
+            expected = [
+                ids[int(pos)] if pos < n else ids[0] for pos in positions
+            ]
+            assert node.fingers == expected
+            assert all(type(finger) is int for finger in node.fingers)
+            assert all(type(peer) is int for peer in node.successor_list)
+        ring.check_invariants()
 
 
 class TestLookup:

@@ -408,3 +408,24 @@ def test_paused_peer_is_suspected_then_rejoins_with_entries(healing):
     assert healing["pause_entries_kept"], "entries lost across SIGSTOP"
     assert healing["pause"].members == HEAL_PEERS - 1
     assert healing["pause"].recall >= healing["warm_recall"] - 1e-9
+
+
+# -- concurrent bring-up: six real processes started at once -----------------
+
+
+def test_a_ring_started_concurrently_is_converged_and_replicates():
+    """No SWIM: membership is whatever the join path left behind."""
+    config = SystemConfig(n_peers=6, replicas=HEAL_REPLICAS, seed=3)
+    with LocalCluster(6, config, swim_interval_ms=0.0) as cluster:
+        # start() returned behind its barrier: nothing left to wait for.
+        assert drills.converged(cluster)
+        with cluster.client() as client:
+            assert len(client.members) == 6
+            for start in range(0, 1000, 50):  # 20 disjoint ranges: 20 stores
+                assert client.query(IntRange(start, start + 30)).stored
+        drills.wait_for(
+            lambda: replication_met(cluster, HEAL_REPLICAS),
+            "every store at three copies",
+            WAIT_S,
+        )
+        assert drills.converged(cluster)

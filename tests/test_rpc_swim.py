@@ -162,15 +162,62 @@ def test_depart_declares_self_dead():
     assert other.state_of("a") == DEAD
 
 
-def test_payload_replace_round_trip():
+def test_payload_adopt_round_trip():
     table = table_of("a", "b", "c")
     table.suspect("b", now_ms=10.0)
     mirror = MembershipTable("c", "127.0.0.1", 9999)
-    mirror.replace(table.payload())
+    mirror.adopt(table.payload(), now_ms=50.0)
     assert set(mirror.members) == {"a", "b", "c"}
     assert mirror.state_of("b") == SUSPECT
+    # An adopted suspicion ages on the adopter's clock, like a merged one.
+    assert mirror.expired_suspects(now_ms=150.0, timeout_ms=100.0) == ["b"]
     # The joiner keeps (or adopts) its own record.
     assert mirror.get("c") is not None
+
+
+def test_adopt_never_forgets_a_member_or_downgrades_an_incarnation():
+    joiner = MembershipTable("b", "127.0.0.1", 1001)
+    # What a member-update told the joiner while its join reply was in
+    # flight: a later joiner "c", and "a" refuting at incarnation 2.
+    joiner.merge(
+        {
+            "epoch": 9,
+            "members": {
+                "a": ["127.0.0.1", 1000, ALIVE, 2],
+                "c": ["127.0.0.1", 1002, ALIVE, 0],
+            },
+        },
+        now_ms=0.0,
+    )
+    # The reply was built before either: no "c", "a" still at 0.
+    joiner.adopt(
+        {
+            "epoch": 3,
+            "members": {
+                "a": ["127.0.0.1", 1000, ALIVE, 0],
+                "b": ["127.0.0.1", 1001, ALIVE, 0],
+                "d": ["127.0.0.1", 1003, DEAD, 1],
+                "e": ["127.0.0.1", 1004, "zombie", 7],
+            },
+        },
+        now_ms=0.0,
+    )
+    assert joiner.state_of("c") == ALIVE
+    assert joiner.get("a").incarnation == 2
+    assert joiner.state_of("d") == DEAD  # news is still taken
+    assert joiner.get("e") is None  # a state from a future version is not
+    assert joiner.epoch >= 9
+
+
+def test_adopt_takes_a_tombstone_of_our_previous_life_for_reassert_to_beat():
+    joiner = MembershipTable("b", "127.0.0.1", 1001)
+    joiner.adopt(
+        {"epoch": 4, "members": {"b": ["127.0.0.1", 1001, DEAD, 3]}},
+        now_ms=0.0,
+    )
+    assert joiner.state_of("b") == DEAD
+    assert joiner.reassert_self(0)
+    assert joiner.state_of("b") == ALIVE and joiner.incarnation == 4
 
 
 def test_merge_ignores_unknown_states_and_keeps_epoch_monotonic():
