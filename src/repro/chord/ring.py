@@ -126,15 +126,24 @@ class ChordRing:
 
     def add_nodes(self, count: int, address_prefix: str = "peer") -> list[ChordNode]:
         """Add ``count`` nodes named ``<prefix>-0 ...``; skips SHA-1 collisions
-        by probing successive suffixes so exactly ``count`` nodes are added."""
+        by probing successive suffixes so exactly ``count`` nodes are added.
+
+        The same nodes :meth:`add_node` would add one address at a time,
+        with the member list sorted once instead of shifted per node.
+        """
+        nodes = self._nodes
+        m = self.space.m
         added: list[ChordNode] = []
         suffix = 0
         while len(added) < count:
-            try:
-                added.append(self.add_node(f"{address_prefix}-{suffix}"))
-            except DuplicateNodeError:
-                pass
+            address = f"{address_prefix}-{suffix}"
+            node_id = node_id_for_address(address, m)
+            if node_id not in nodes:
+                nodes[node_id] = node = ChordNode(node_id=node_id, address=address)
+                added.append(node)
             suffix += 1
+        self._sorted_ids = sorted(nodes)
+        self.membership_epoch += len(added)
         return added
 
     def remove_node(self, node_id: int) -> ChordNode:

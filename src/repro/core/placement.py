@@ -87,10 +87,28 @@ class ReplicaPlacement:
 
 class HashedPlacement(ReplicaPlacement):
     """Replica placement behind the hashing front: the seeded LSH scheme
-    of ``config``, which turns a range into the identifiers to place."""
+    of ``config``, which turns a range into the identifiers to place.
 
-    def __init__(self, config: SystemConfig) -> None:
+    The front — ``l x k`` sampled permutations and, with ``accelerate``,
+    the range-minimum index over the domain — is complete when the
+    constructor returns.  It depends on :data:`HASHING_FIELDS` alone, so a
+    ``previous`` placement whose config agrees on them hands its front
+    over instead of having an identical one built.
+    """
+
+    #: The config fields the scheme and its index are built from.
+    HASHING_FIELDS = ("family", "domain", "l", "k", "seed", "id_bits", "accelerate")
+
+    def __init__(
+        self, config: SystemConfig, previous: "HashedPlacement | None" = None
+    ) -> None:
         self.config = config
+        if previous is not None and all(
+            getattr(config, name) == getattr(previous.config, name)
+            for name in self.HASHING_FIELDS
+        ):
+            self.scheme, self._accel = previous.scheme, previous._accel
+            return
         family = family_for_domain(config.family, config.domain)
         self.scheme = LSHIdentifierScheme.from_family(
             family, l=config.l, k=config.k, seed=config.seed, id_bits=config.id_bits

@@ -24,7 +24,6 @@ from repro.core.overlays import ChordRouter, build_overlay
 from repro.core.placement import HashedPlacement, Key, plan_placement
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import ConfigError, PeerUnavailableError
-from repro.net.message import Message
 from repro.net.transport import SimulatedNetwork
 from repro.obs.log import get_logger
 from repro.obs.registry import (
@@ -36,7 +35,8 @@ from repro.obs.trace import NULL_TRACE, QueryTrace
 from repro.ranges.interval import IntRange
 from repro.rpc.engine import MatchReply, QueryEngine
 from repro.rpc.peer import PeerLogic
-from repro.storage.store import LRUEviction, NoEviction, PeerStore
+from repro.storage.store import EvictionPolicy, LRUEviction, NoEviction, PeerStore
+from repro.util.collector import gc_paused
 from repro.util.rng import derive_rng
 
 __all__ = ["RangeSelectionSystem", "RangeQueryResult", "LocateResult", "MatchReply"]
@@ -148,48 +148,56 @@ class RangeSelectionSystem(HashedPlacement):
     """All peers, the ring, the hash scheme, and the query procedure."""
 
     def __init__(self, config: SystemConfig) -> None:
-        super().__init__(config)
-        self.matcher: Matcher = matcher_by_name(config.matcher)
-        self.router = build_overlay(
-            config.overlay,
-            config.n_peers,
-            id_bits=config.id_bits,
-            dimensions=config.can_dimensions,
-            seed=config.seed,
-            successor_list_size=max(4, config.replicas),
-        )
-        #: The underlying Chord ring when the overlay is Chord (used by the
-        #: churn helpers and Chord-specific tests); None under CAN.
-        self.ring = (
-            self.router.ring if isinstance(self.router, ChordRouter) else None
-        )
-        #: The unified metrics registry: the transport's TrafficStats, the
-        #: SystemCounters, and any engine/collector bound to this system
-        #: all publish here (one export surface; see :mod:`repro.obs`).
-        self.metrics = MetricsRegistry()
-        #: The synchronous network, which is also the shared query
-        #: engine's transport: requests on it settle immediately, so the
-        #: engine's futures are already resolved when :meth:`locate` /
-        #: :meth:`query` / :meth:`store_partition` return.
-        self.network = self.transport = SimulatedNetwork(registry=self.metrics)
-        self.stores: dict[int, PeerStore] = {}
-        for node_id in self.router.node_ids:
-            self._register_peer(node_id)
-        self._rng = derive_rng(config.seed, "system/origins")
-        self.counters = SystemCounters(registry=self.metrics)
-        self._engine = QueryEngine(self, self.network)
+        # Everything built here lives as long as the system does: nothing
+        # for the cyclic collector to find, and at 10,000 peers its
+        # re-scans cost as much as the build itself (DESIGN section 17).
+        with gc_paused():
+            super().__init__(config)
+            self.matcher: Matcher = matcher_by_name(config.matcher)
+            self.router = build_overlay(
+                config.overlay,
+                config.n_peers,
+                id_bits=config.id_bits,
+                dimensions=config.can_dimensions,
+                seed=config.seed,
+                successor_list_size=max(4, config.replicas),
+            )
+            #: The underlying Chord ring when the overlay is Chord (used by the
+            #: churn helpers and Chord-specific tests); None under CAN.
+            self.ring = (
+                self.router.ring if isinstance(self.router, ChordRouter) else None
+            )
+            #: The unified metrics registry: the transport's TrafficStats, the
+            #: SystemCounters, and any engine/collector bound to this system
+            #: all publish here (one export surface; see :mod:`repro.obs`).
+            self.metrics = MetricsRegistry()
+            #: The synchronous network, which is also the shared query
+            #: engine's transport: requests on it settle immediately, so the
+            #: engine's futures are already resolved when :meth:`locate` /
+            #: :meth:`query` / :meth:`store_partition` return.
+            self.network = self.transport = SimulatedNetwork(registry=self.metrics)
+            #: One policy object for every store: both policies keep their
+            #: state on the store and its entries, none of their own.
+            self._eviction: EvictionPolicy = (
+                LRUEviction(config.max_partitions_per_peer)
+                if config.max_partitions_per_peer
+                else NoEviction()
+            )
+            self.stores: dict[int, PeerStore] = {}
+            self._register_peers(self.router.node_ids)
+            self._rng = derive_rng(config.seed, "system/origins")
+            self.counters = SystemCounters(registry=self.metrics)
+            self._engine = QueryEngine(self, self.network)
 
     # ------------------------------------------------------------------
     # Peer wiring
     # ------------------------------------------------------------------
 
-    def _register_peer(self, node_id: int) -> None:
-        if config_cap := self.config.max_partitions_per_peer:
-            eviction: LRUEviction | NoEviction = LRUEviction(config_cap)
-        else:
-            eviction = NoEviction()
-        self.stores[node_id] = PeerStore(node_id, eviction)
-        self.network.register(node_id, self._make_handler(node_id))
+    def _register_peers(self, node_ids: list[int]) -> None:
+        """An empty store and a registered handler for each of ``node_ids``."""
+        for node_id in node_ids:
+            self.stores[node_id] = PeerStore(node_id, self._eviction)
+            self.network.register(node_id, self._make_handler(node_id))
 
     def peer_handler(self, node_id: int):
         """The message handler of one peer, for wiring onto other
@@ -200,17 +208,12 @@ class RangeSelectionSystem(HashedPlacement):
     def _make_handler(self, node_id: int):
         # One PeerLogic per peer: the same dispatch the socket server
         # runs, so the data plane cannot drift between transports.
-        logic = PeerLogic(
+        return PeerLogic(
             node_id,
             self.stores[node_id],
             self.matcher,
             local_index=self.config.local_index,
-        )
-
-        def handler(message: Message):
-            return logic.handle(message.kind, message.payload)
-
-        return handler
+        ).deliver
 
     # ------------------------------------------------------------------
     # Faults (hashing and replica sets come from HashedPlacement)
@@ -442,7 +445,7 @@ class RangeSelectionSystem(HashedPlacement):
         if self.ring is None:
             raise ConfigError("the churn helpers require the chord overlay")
         node = self.ring.add_node(address)
-        self._register_peer(node.node_id)
+        self._register_peers([node.node_id])
         self.ring.build()
         self.rebalance()
         return node

@@ -20,6 +20,7 @@ _EXPORTS = {
     "Permutation": "repro.lsh.base",
     "PermutationFamily": "repro.lsh.base",
     "MinHash": "repro.lsh.base",
+    "BitPositionPermutation": "repro.lsh.bitshuffle",
     "BitShufflePermutation": "repro.lsh.bitshuffle",
     "MinWiseFamily": "repro.lsh.bitshuffle",
     "ApproxMinWisePermutation": "repro.lsh.approx",

@@ -11,69 +11,30 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import HashFamilyError
-from repro.lsh.base import Permutation, PermutationFamily
-from repro.lsh.bitshuffle import shuffle_once
-from repro.util.bitops import is_power_of_two, ones_positions, popcount, random_key_with_ones
+from repro.lsh.base import PermutationFamily
+from repro.lsh.bitshuffle import BitPositionPermutation, check_width, shuffle_once
+from repro.util.bitops import popcount, random_key_with_ones
 
 __all__ = ["ApproxMinWisePermutation", "ApproxMinWiseFamily"]
 
 
-class ApproxMinWisePermutation(Permutation):
+class ApproxMinWisePermutation(BitPositionPermutation):
     """One shuffle iteration of the full network: a single ``width``-bit key
     with ``width/2`` ones, bits moved to upper/lower halves in order."""
 
     def __init__(self, key: int, width: int = 32) -> None:
-        if not is_power_of_two(width) or width < 2:
-            raise HashFamilyError("width must be a power of two >= 2")
+        check_width(width)
         if not 0 <= key < (1 << width):
             raise HashFamilyError(f"key does not fit in {width} bits")
         if popcount(key) != width // 2:
             raise HashFamilyError(f"key must have exactly {width // 2} ones")
         self.key = key
-        self.width = width
-        self.space_size = 1 << width
-        # Destination of each input bit under the single iteration.
-        half = width // 2
-        ones = ones_positions(key, width)
-        zeros = [j for j in range(width) if not (key >> j) & 1]
-        dest = [0] * width
-        for rank, j in enumerate(zeros):
-            dest[j] = rank
-        for rank, j in enumerate(ones):
-            dest[j] = half + rank
-        self._dest = dest
-        self._byte_tables: list[np.ndarray] | None = None
+        super().__init__([key], width)
 
     def apply(self, x: int) -> int:
         """Single-iteration shuffle of ``x`` (the honest per-element cost)."""
         self.validate_input(x)
         return shuffle_once(x, self.key, self.width, self.width)
-
-    def _build_byte_tables(self) -> list[np.ndarray]:
-        n_bytes = (self.width + 7) // 8
-        tables: list[np.ndarray] = []
-        for byte_index in range(n_bytes):
-            table = np.zeros(256, dtype=np.uint64)
-            base = byte_index * 8
-            for byte_value in range(256):
-                scattered = 0
-                for bit in range(8):
-                    src = base + bit
-                    if src < self.width and (byte_value >> bit) & 1:
-                        scattered |= 1 << self._dest[src]
-                table[byte_value] = scattered
-            tables.append(table)
-        return tables
-
-    def apply_array(self, xs: np.ndarray) -> np.ndarray:
-        arr = np.asarray(xs, dtype=np.uint64)
-        if self._byte_tables is None:
-            self._byte_tables = self._build_byte_tables()
-        out = np.zeros(arr.shape, dtype=np.uint64)
-        for byte_index, table in enumerate(self._byte_tables):
-            chunk = (arr >> np.uint64(8 * byte_index)) & np.uint64(0xFF)
-            out |= table[chunk.astype(np.intp)]
-        return out
 
     def __repr__(self) -> str:
         return (
@@ -88,8 +49,7 @@ class ApproxMinWiseFamily(PermutationFamily):
     name = "approx-min-wise"
 
     def __init__(self, width: int = 32) -> None:
-        if not is_power_of_two(width) or width < 2:
-            raise HashFamilyError("width must be a power of two >= 2")
+        check_width(width)
         self.width = width
 
     def sample(self, rng: np.random.Generator) -> ApproxMinWisePermutation:

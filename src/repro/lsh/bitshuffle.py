@@ -23,7 +23,25 @@ from repro.errors import HashFamilyError
 from repro.lsh.base import Permutation, PermutationFamily
 from repro.util.bitops import is_power_of_two, ones_positions, popcount, random_key_with_ones
 
-__all__ = ["BitShufflePermutation", "MinWiseFamily", "shuffle_once", "bit_position_map"]
+__all__ = [
+    "BitPositionPermutation",
+    "BitShufflePermutation",
+    "MinWiseFamily",
+    "shuffle_once",
+    "bit_position_map",
+    "check_width",
+]
+
+#: Bit ``b`` of every byte value, as a 256 x 8 array of zeros and ones.
+_BYTE_BITS = (
+    np.arange(256, dtype=np.uint64)[:, None] >> np.arange(8, dtype=np.uint64)
+) & np.uint64(1)
+
+
+def check_width(width: int) -> None:
+    """Raise unless ``width`` can be halved down to 2-bit blocks."""
+    if not is_power_of_two(width) or width < 2:
+        raise HashFamilyError("width must be a power of two >= 2")
 
 
 def shuffle_once(x: int, key: int, block_size: int, width: int) -> int:
@@ -75,20 +93,58 @@ def bit_position_map(width: int, keys: list[int]) -> list[int]:
     return dest
 
 
-class BitShufflePermutation(Permutation):
+class BitPositionPermutation(Permutation):
+    """A permutation of the ``width``-bit space that moves bit positions.
+
+    Both shuffle families are this: ``keys`` is the cascade
+    :func:`bit_position_map` follows, one key for the approximate family
+    and ``log2(width)`` for the full network.  The map, the per-byte
+    scatter tables built from it and :meth:`apply_array` live here once;
+    subclasses validate their keys and supply the honest scalar
+    :meth:`apply`.  The tables are built in the constructor, so a
+    permutation is ready for arrays as soon as it exists.
+    """
+
+    def __init__(self, keys: list[int], width: int) -> None:
+        self.width = width
+        self.space_size = 1 << width
+        self._dest = bit_position_map(width, keys)
+        self._byte_tables = self._build_byte_tables()
+
+    def _build_byte_tables(self) -> list[np.ndarray]:
+        """Per-byte scatter tables, ``(width + 7) // 8`` of 256 slots:
+        the image of ``x`` is the OR of one lookup per byte of ``x``.
+
+        Input bit ``src`` weighs ``1 << dest[src]``; a byte value's slot
+        is the sum of the weights of its set bits, which are disjoint, so
+        the sum is the OR.  One product fills every slot of every table.
+        """
+        n_bytes = (self.width + 7) // 8
+        weights = np.zeros(n_bytes * 8, dtype=np.uint64)
+        weights[: self.width] = np.uint64(1) << np.asarray(self._dest, dtype=np.uint64)
+        return list(np.ascontiguousarray((_BYTE_BITS @ weights.reshape(n_bytes, 8).T).T))
+
+    def apply_array(self, xs: np.ndarray) -> np.ndarray:
+        arr = np.asarray(xs, dtype=np.uint64)
+        out = np.zeros(arr.shape, dtype=np.uint64)
+        for byte_index, table in enumerate(self._byte_tables):
+            chunk = (arr >> np.uint64(8 * byte_index)) & np.uint64(0xFF)
+            out |= table[chunk.astype(np.intp)]
+        return out
+
+
+class BitShufflePermutation(BitPositionPermutation):
     """A fully-cascaded bit-shuffle permutation of the ``width``-bit space.
 
     ``keys`` must contain one key per iteration with block sizes
     ``width, width/2, ..., 2`` and exactly half the block's bits set in each
     key.  The scalar :meth:`apply` performs the honest iteration-by-
     iteration shuffle (preserving the paper's computational cost for the
-    Figure 5 experiment); :meth:`apply_array` uses precomputed byte lookup
-    tables for the large-scale quality experiments.
+    Figure 5 experiment); arrays go through the inherited byte tables.
     """
 
     def __init__(self, keys: list[int], width: int = 32) -> None:
-        if not is_power_of_two(width) or width < 2:
-            raise HashFamilyError("width must be a power of two >= 2")
+        check_width(width)
         expected_levels = width.bit_length() - 1  # log2(width)
         if len(keys) != expected_levels:
             raise HashFamilyError(
@@ -105,15 +161,8 @@ class BitShufflePermutation(Permutation):
                     f"key {level} must have exactly {block_size // 2} ones"
                 )
             block_size //= 2
-        self.width = width
         self.keys = list(keys)
-        self.space_size = 1 << width
-        self._dest = bit_position_map(width, self.keys)
-        self._byte_tables: list[np.ndarray] | None = None
-
-    # ------------------------------------------------------------------
-    # Scalar (reference / cost-model) path
-    # ------------------------------------------------------------------
+        super().__init__(self.keys, width)
 
     def apply(self, x: int) -> int:
         """Shuffle ``x`` one iteration at a time, as Figure 3 describes."""
@@ -135,37 +184,6 @@ class BitShufflePermutation(Permutation):
             out |= ((x >> src) & 1) << dst
         return out
 
-    # ------------------------------------------------------------------
-    # Vectorized path
-    # ------------------------------------------------------------------
-
-    def _build_byte_tables(self) -> list[np.ndarray]:
-        """Per-byte scatter tables: image = OR of one lookup per input byte."""
-        n_bytes = (self.width + 7) // 8
-        tables: list[np.ndarray] = []
-        for byte_index in range(n_bytes):
-            table = np.zeros(256, dtype=np.uint64)
-            base = byte_index * 8
-            for byte_value in range(256):
-                scattered = 0
-                for bit in range(8):
-                    src = base + bit
-                    if src < self.width and (byte_value >> bit) & 1:
-                        scattered |= 1 << self._dest[src]
-                table[byte_value] = scattered
-            tables.append(table)
-        return tables
-
-    def apply_array(self, xs: np.ndarray) -> np.ndarray:
-        arr = np.asarray(xs, dtype=np.uint64)
-        if self._byte_tables is None:
-            self._byte_tables = self._build_byte_tables()
-        out = np.zeros(arr.shape, dtype=np.uint64)
-        for byte_index, table in enumerate(self._byte_tables):
-            chunk = (arr >> np.uint64(8 * byte_index)) & np.uint64(0xFF)
-            out |= table[chunk.astype(np.intp)]
-        return out
-
     def __repr__(self) -> str:
         return f"BitShufflePermutation(width={self.width}, keys={self.keys!r})"
 
@@ -176,8 +194,7 @@ class MinWiseFamily(PermutationFamily):
     name = "min-wise"
 
     def __init__(self, width: int = 32) -> None:
-        if not is_power_of_two(width) or width < 2:
-            raise HashFamilyError("width must be a power of two >= 2")
+        check_width(width)
         self.width = width
 
     def sample(self, rng: np.random.Generator) -> BitShufflePermutation:

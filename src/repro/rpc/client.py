@@ -322,8 +322,9 @@ class ClientSystem(HashedPlacement):
         members: dict[str, tuple[str, int]],
         *,
         registry: MetricsRegistry | None = None,
+        previous: "ClientSystem | None" = None,
     ) -> None:
-        super().__init__(config)
+        super().__init__(config, previous)
         self.members = dict(members)
         self.metrics = registry if registry is not None else MetricsRegistry()
         ring = ChordRing(
@@ -373,7 +374,7 @@ class ClusterClient:
         #: One long-lived connection per member endpoint, shared by the
         #: query transport and the control calls.
         self.connections = wire.Connections(self.metrics)
-        self.system: ClientSystem
+        self.system: ClientSystem | None = None
         self.transport: SocketTransport | None = None
         self.engine: QueryEngine
         self._rng = None
@@ -438,7 +439,9 @@ class ClusterClient:
         if self.transport is not None:
             previously_dead = self.transport.dead
             self.transport.close()
-        self.system = ClientSystem(config, members)
+        # Membership moves; the hashing front of an unchanged config does
+        # not, and the mirror it replaces already built it.
+        self.system = ClientSystem(config, members, previous=self.system)
         self.transport = SocketTransport(
             self.system.endpoints,
             registry=self.system.metrics,

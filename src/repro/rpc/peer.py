@@ -11,13 +11,16 @@ socket :class:`~repro.rpc.server.PeerServer` cannot drift apart.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.core.matcher import Matcher
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import ConfigError
 from repro.ranges.interval import IntRange
 from repro.storage.store import PeerStore
+
+if TYPE_CHECKING:  # a live peer serves frames, not in-process messages
+    from repro.net.message import Message
 
 __all__ = ["PeerLogic", "DATA_KINDS"]
 
@@ -40,6 +43,10 @@ class PeerLogic:
         self.store = store
         self.matcher = matcher
         self.local_index = local_index
+
+    def deliver(self, message: Message) -> Any:
+        """The in-process networks' handler: a message in, the reply out."""
+        return self.handle(message.kind, message.payload)
 
     def handle(self, kind: str, payload: Any) -> Any:
         """Serve one request; raises ``ConfigError`` for unknown kinds."""

@@ -1,4 +1,5 @@
-"""Shared utilities: deterministic RNG streams, bit operations, statistics.
+"""Shared utilities: deterministic RNG streams, bit operations, statistics,
+a pause for the cyclic collector.
 
 These helpers are deliberately dependency-light; every other subpackage may
 import from here, but ``repro.util`` imports nothing from the rest of the
@@ -24,6 +25,7 @@ _EXPORTS = {
     "Histogram": "repro.util.stats",
     "DiscretePdf": "repro.util.stats",
     "cdf_points": "repro.util.stats",
+    "gc_paused": "repro.util.collector",
     "Timer": "repro.util.timer",
     "time_call": "repro.util.timer",
     "parse_json_record": "repro.util.tolerant",

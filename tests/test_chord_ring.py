@@ -42,6 +42,37 @@ class TestMembership:
         assert len(added) == 100
         assert len(ring) == 100
 
+    @pytest.mark.parametrize("m", [8, 16, 32])
+    @pytest.mark.parametrize("count", [0, 1, 3, 150])
+    @pytest.mark.parametrize("resident", [0, 40])
+    def test_add_nodes_equals_the_add_node_loop_it_replaced(self, m, count, resident):
+        def one_by_one(ring: ChordRing, count: int, prefix: str) -> list[ChordNode]:
+            added, suffix = [], 0
+            while len(added) < count:
+                try:
+                    added.append(ring.add_node(f"{prefix}-{suffix}"))
+                except DuplicateNodeError:
+                    pass  # m = 8: 150 + 40 ids out of 256 collide often
+                suffix += 1
+            return added
+
+        bulk, loop = ChordRing(m=m), ChordRing(m=m)
+        # Members already on the ring must be skipped like any collision,
+        # and stay sorted in among the new ones.
+        one_by_one(bulk, resident, "resident")
+        one_by_one(loop, resident, "resident")
+        epoch = bulk.membership_epoch
+        added = bulk.add_nodes(count)
+        expected = one_by_one(loop, count, "peer")
+        assert added == expected  # same ids and addresses, in probe order
+        assert bulk.membership_epoch == epoch + count == loop.membership_epoch
+        assert bulk.node_ids == loop.node_ids == sorted(bulk.node_ids)
+        if len(bulk):
+            bulk.build()
+            loop.build()
+            for node_id in loop.node_ids:
+                assert bulk.node(node_id) == loop.node(node_id)  # fingers, successors
+
     def test_duplicate_id_rejected(self):
         ring = ChordRing()
         ring.add_node(node_id=5)

@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+import dataclasses
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.placement import Action, plan_placement
+from repro.core.config import SystemConfig
+from repro.core.placement import Action, HashedPlacement, plan_placement
 from repro.db.partition import PartitionDescriptor
+from repro.ranges.domain import Domain
 from repro.ranges.interval import IntRange
 
 ID_SPACE = 64
@@ -111,3 +116,43 @@ def test_plan_order_is_holders_order_then_rank_then_drops():
         Action("copy", *b, node=10, primary=True, source=20),
         Action("set_role", *b, node=20, primary=False),
     ]
+
+
+# ---------------------------------------------------------------------------
+# The hashing front is handed over, not rebuilt, when nothing it is built
+# from changed
+# ---------------------------------------------------------------------------
+
+
+def test_front_is_reused_across_configs_that_hash_alike():
+    old = HashedPlacement(SystemConfig(n_peers=8, k=4))
+    new = HashedPlacement(SystemConfig(n_peers=9, replicas=3, k=4), previous=old)
+    assert new.scheme is old.scheme and new._accel is old._accel
+    assert new.config.replicas == 3  # placement still follows its own config
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"family": "linear"},
+        {"domain": Domain("value", 0, 500)},
+        {"l": 2},
+        {"k": 5},
+        {"seed": 7},
+        {"id_bits": 24},
+        {"accelerate": False},
+    ],
+    ids=lambda change: next(iter(change)),
+)
+def test_front_is_rebuilt_when_a_hashing_field_changes(change):
+    (field,) = change
+    assert field in HashedPlacement.HASHING_FIELDS
+    base = SystemConfig(n_peers=8, k=4)
+    config = dataclasses.replace(base, **change)
+    old = HashedPlacement(base)
+    new = HashedPlacement(config, previous=old)
+    fresh = HashedPlacement(config)
+    assert new.scheme is not old.scheme
+    for r in (IntRange(0, 0), IntRange(17, 410), IntRange(0, 500)):
+        assert new.identifiers_for(r) == fresh.identifiers_for(r)
+    assert (new._accel is None) == (fresh._accel is None)

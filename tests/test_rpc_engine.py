@@ -12,6 +12,7 @@ semantics into the procedure.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 
 import pytest
 
@@ -241,7 +242,9 @@ def sim_run():
 
 @pytest.fixture(scope="module")
 def socket_run():
-    return run_socket()
+    # Default policies off, for the reason given above ``overfull_runs``:
+    # one stall past 100 ms would add a ``retry`` span on this side only.
+    return run_socket(policies=False)
 
 
 def test_socket_ring_matches_in_process_ring(sync_run, socket_run):
@@ -493,5 +496,32 @@ def test_joins_leave_one_primary_per_key_at_its_owner():
         # repair loop off (the default here).
         client.leave(servers[3].address)
         assert_one_primary_at_each_owner(7)
+    finally:
+        close_ring(loop, servers)
+
+
+def test_refresh_keeps_the_hashing_front_until_the_config_moves():
+    config = SystemConfig(n_peers=2, seed=SEED)
+    loop = asyncio.new_event_loop()
+    servers = boot_ring(loop, ADDRESSES[:2], config)
+    try:
+        client = ClusterClient((servers[0].host, servers[0].port), loop=loop)
+        first = client.system
+        probe = IntRange(120, 480)
+        servers = boot_ring(loop, ADDRESSES[2:3], config, servers)
+        client.refresh()
+        # A new member: a new mirror and ring, the same scheme and index.
+        assert client.system is not first and len(client.members) == 3
+        assert client.system.scheme is first.scheme
+        assert client.system._accel is first._accel
+        # The bootstrap now announces another seed: every function differs.
+        reseeded = dataclasses.replace(config, seed=SEED + 1)
+        servers[0].config = reseeded
+        client.refresh()
+        assert client.system.scheme is not first.scheme
+        assert client.system.identifiers_for(probe) == (
+            RangeSelectionSystem(reseeded).identifiers_for(probe)
+        )
+        assert client.system.identifiers_for(probe) != first.identifiers_for(probe)
     finally:
         close_ring(loop, servers)
