@@ -39,7 +39,6 @@ def main() -> None:
         SystemConfig(
             n_peers=150,
             seed=11,
-            accelerate=False,  # the SQL front end hashes many attribute domains
             domain=Domain("value", 0, 10**6),
         )
     )

@@ -645,7 +645,6 @@ def _run_sql(args: argparse.Namespace, out) -> int:
         SystemConfig(
             n_peers=args.peers,
             seed=args.seed,
-            accelerate=False,
             matcher="containment",
             domain=Domain("value", 0, 10**6),
         )

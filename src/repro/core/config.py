@@ -31,7 +31,6 @@ class SystemConfig:
     padding: float = 0.0
     store_on_miss: bool = True
     local_index: bool = False
-    accelerate: bool = True
     max_partitions_per_peer: int | None = None
     placement: str = "rehash"
     #: Which DHT routes identifiers to owners: "chord" (the paper's choice)

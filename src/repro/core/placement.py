@@ -18,7 +18,8 @@ from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 from repro.chord.hashing import rehash_for_placement
 from repro.core.config import SystemConfig
 from repro.db.partition import PartitionDescriptor
-from repro.lsh import DomainMinHashIndex, LSHIdentifierScheme, family_for_domain
+from repro.errors import ConfigError
+from repro.lsh import LSHIdentifierScheme, family_for_domain
 from repro.ranges.interval import IntRange
 
 __all__ = ["Action", "HashedPlacement", "Key", "ReplicaPlacement", "plan_placement"]
@@ -89,15 +90,15 @@ class HashedPlacement(ReplicaPlacement):
     """Replica placement behind the hashing front: the seeded LSH scheme
     of ``config``, which turns a range into the identifiers to place.
 
-    The front — ``l x k`` sampled permutations and, with ``accelerate``,
-    the range-minimum index over the domain — is complete when the
-    constructor returns.  It depends on :data:`HASHING_FIELDS` alone, so a
-    ``previous`` placement whose config agrees on them hands its front
-    over instead of having an identical one built.
+    The front — ``l x k`` sampled permutations, stacked for their
+    interval minima — is complete when the constructor returns.  It
+    depends on :data:`HASHING_FIELDS` alone, so a ``previous`` placement
+    whose config agrees on them hands its front over instead of having an
+    identical one built.
     """
 
-    #: The config fields the scheme and its index are built from.
-    HASHING_FIELDS = ("family", "domain", "l", "k", "seed", "id_bits", "accelerate")
+    #: The config fields the scheme is built from.
+    HASHING_FIELDS = ("family", "domain", "l", "k", "seed", "id_bits")
 
     def __init__(
         self, config: SystemConfig, previous: "HashedPlacement | None" = None
@@ -107,28 +108,23 @@ class HashedPlacement(ReplicaPlacement):
             getattr(config, name) == getattr(previous.config, name)
             for name in self.HASHING_FIELDS
         ):
-            self.scheme, self._accel = previous.scheme, previous._accel
+            self.scheme = previous.scheme
             return
         family = family_for_domain(config.family, config.domain)
         self.scheme = LSHIdentifierScheme.from_family(
             family, l=config.l, k=config.k, seed=config.seed, id_bits=config.id_bits
         )
-        self._accel: DomainMinHashIndex | None = None
-        if config.accelerate:
-            self._accel = DomainMinHashIndex(self.scheme, config.domain)
+        domain = config.domain
+        if domain.low < 0 or domain.high >= self.scheme.space_size:
+            raise ConfigError(
+                f"domain [{domain.low}, {domain.high}] reaches past the "
+                f"{config.family} space [0, {self.scheme.space_size})"
+            )
 
     def identifiers_for(self, r: IntRange) -> list[int]:
-        """The ``l`` identifiers of ``r``.
-
-        Uses the O(1) range-minimum index when the range lies inside the
-        configured domain; ranges over other attribute domains (the SQL
-        front end hashes ages, ids and date codes alike) fall back to the
-        direct vectorized path.  Both paths produce identical identifiers.
-        """
-        if self._accel is not None:
-            domain = self.config.domain
-            if r.start >= domain.low and r.end <= domain.high:
-                return self._accel.identifiers(r)
+        """The ``l`` identifiers of ``r``, in the configured domain or any
+        other the family's space covers (the SQL front end hashes ages,
+        ids and date codes alike)."""
         return self.scheme.identifiers(r)
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.lsh import DomainMinHashIndex, LSHIdentifierScheme, family_for_domain
+from repro.lsh import LSHIdentifierScheme, family_for_domain
 from repro.chord.hashing import rehash_for_placement
 from repro.chord.ring import ChordRing
 from repro.metrics.report import format_table
@@ -136,9 +136,8 @@ class LoadBalanceExperiment:
             k=self.k,
             seed=self.seed,
         )
-        index = DomainMinHashIndex(scheme, self.domain)
         ranges = unique_uniform_ranges(n_unique, self.domain, self.seed)
-        rows = [index.identifiers(r) for r in ranges]
+        rows = [scheme.identifiers(r) for r in ranges]
         flat = np.asarray(rows, dtype=np.uint64).reshape(-1)
         if self.placement == "rehash":
             flat = np.asarray(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.lsh import DomainMinHashIndex, LSHIdentifierScheme, family_for_domain
+from repro.lsh import LSHIdentifierScheme, family_for_domain
 from repro.chord.hashing import rehash_for_placement
 from repro.chord.ring import ChordRing
 from repro.experiments.fig11_load import unique_uniform_ranges
@@ -102,11 +102,10 @@ class PathLengthExperiment:
             k=self.k,
             seed=self.seed,
         )
-        index = DomainMinHashIndex(scheme, self.domain)
         ranges = unique_uniform_ranges(
             self.unique_partitions, self.domain, self.seed
         )
-        rows = [index.identifiers(r) for r in ranges]
+        rows = [scheme.identifiers(r) for r in ranges]
         flat = np.asarray(rows, dtype=np.uint64).reshape(-1)
         if self.placement == "rehash":
             flat = np.asarray(

@@ -19,6 +19,7 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "Permutation": "repro.lsh.base",
     "PermutationFamily": "repro.lsh.base",
+    "PermutationStack": "repro.lsh.base",
     "MinHash": "repro.lsh.base",
     "BitPositionPermutation": "repro.lsh.bitshuffle",
     "BitShufflePermutation": "repro.lsh.bitshuffle",
@@ -29,9 +30,8 @@ _EXPORTS = {
     "LinearFamily": "repro.lsh.linear",
     "TablePermutation": "repro.lsh.table",
     "TablePermutationFamily": "repro.lsh.table",
-    "HashGroup": "repro.lsh.groups",
     "LSHIdentifierScheme": "repro.lsh.groups",
-    "DomainMinHashIndex": "repro.lsh.accel",
+    "DomainMinHashIndex": "repro.lsh.groups",
     "collision_probability": "repro.lsh.theory",
     "group_match_probability": "repro.lsh.theory",
     "step_quality": "repro.lsh.theory",

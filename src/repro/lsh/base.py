@@ -6,10 +6,10 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from repro.errors import InvalidRangeError
+from repro.errors import HashFamilyError
 from repro.ranges.interval import IntRange
 
-__all__ = ["Permutation", "PermutationFamily", "MinHash"]
+__all__ = ["Permutation", "PermutationFamily", "PermutationStack", "MinHash"]
 
 
 class Permutation(ABC):
@@ -26,15 +26,10 @@ class Permutation(ABC):
     def apply(self, x: int) -> int:
         """Image of a single value (reference, element-at-a-time path)."""
 
-    def apply_array(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized image of a ``uint64`` array of values.
-
-        Default falls back to the scalar path; subclasses override with a
-        numpy implementation.
-        """
-        return np.fromiter(
-            (self.apply(int(x)) for x in xs), dtype=np.uint64, count=len(xs)
-        )
+    @classmethod
+    @abstractmethod
+    def stack(cls, perms: list["Permutation"]) -> "PermutationStack":
+        """``perms``, all of this class and one space, evaluated together."""
 
     def validate_input(self, x: int) -> None:
         """Raise ``ValueError`` when ``x`` is outside the permuted space."""
@@ -42,6 +37,31 @@ class Permutation(ABC):
             raise ValueError(
                 f"value {x} outside permutation space [0, {self.space_size})"
             )
+
+
+class PermutationStack(ABC):
+    """Permutations of one class and space, hashed together.  A range is
+    two integers, and each class finds every stacked ``pi``'s minimum over
+    ``[start, end]`` from them in closed form (DESIGN §17.1)."""
+
+    def __init__(self, perms: list[Permutation]) -> None:
+        if len({(type(p), p.space_size) for p in perms}) != 1:
+            raise HashFamilyError("stacked permutations must share a class and a space")
+        self.space_size = perms[0].space_size
+
+    def min_over(self, start: int, end: int) -> np.ndarray:
+        """``min(pi([start, end]))`` of every stacked ``pi``, as ``uint64``;
+        raises ``ValueError``, as :meth:`Permutation.apply` does, outside
+        the space."""
+        if not 0 <= start <= end < self.space_size:
+            raise ValueError(
+                f"range [{start}, {end}] outside permutation space [0, {self.space_size})"
+            )
+        return self._min_over(start, end)
+
+    @abstractmethod
+    def _min_over(self, start: int, end: int) -> np.ndarray:
+        """:meth:`min_over` of a range inside the space."""
 
 
 class PermutationFamily(ABC):
@@ -54,38 +74,18 @@ class PermutationFamily(ABC):
     def sample(self, rng: np.random.Generator) -> Permutation:
         """Draw one permutation from the family."""
 
-    def sample_minhash(self, rng: np.random.Generator) -> "MinHash":
-        """Draw a permutation and wrap it as a :class:`MinHash`."""
-        return MinHash(self.sample(rng))
-
-    def sample_many(self, count: int, rng: np.random.Generator) -> list["MinHash"]:
-        """Draw ``count`` independent min-hash functions."""
-        if count <= 0:
-            raise ValueError("count must be positive")
-        return [self.sample_minhash(rng) for _ in range(count)]
-
 
 class MinHash:
     """``h(Q) = min(pi(Q))`` for one sampled permutation ``pi``.
 
     The property this buys (Section 3.3): for a truly min-wise independent
     family, ``Pr[h(Q) = h(R)]`` equals the Jaccard similarity of ``Q`` and
-    ``R``.
+    ``R``.  Schemes hash ranges through :meth:`PermutationStack.min_over`;
+    this class keeps the per-element definition.
     """
 
     def __init__(self, permutation: Permutation) -> None:
         self.permutation = permutation
-
-    def hash_values(self, values: "list[int] | np.ndarray") -> int:
-        """Min-hash of an arbitrary value set (vectorized)."""
-        arr = np.asarray(values, dtype=np.uint64)
-        if arr.size == 0:
-            raise InvalidRangeError("cannot min-hash an empty value set")
-        return int(self.permutation.apply_array(arr).min())
-
-    def hash_range(self, r: IntRange) -> int:
-        """Min-hash of the value set ``{r.start, ..., r.end}``."""
-        return self.hash_values(r.to_array())
 
     def hash_range_slow(self, r: IntRange) -> int:
         """Element-at-a-time min-hash, used by the Figure 5 cost experiment.

@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import HashFamilyError
-from repro.lsh.base import Permutation, PermutationFamily
+from repro.lsh.base import Permutation, PermutationFamily, PermutationStack
 from repro.util.bitops import is_power_of_two, ones_positions, popcount, random_key_with_ones
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "MinWiseFamily",
     "shuffle_once",
     "bit_position_map",
+    "block_starts",
     "check_width",
 ]
 
@@ -99,10 +100,11 @@ class BitPositionPermutation(Permutation):
     Both shuffle families are this: ``keys`` is the cascade
     :func:`bit_position_map` follows, one key for the approximate family
     and ``log2(width)`` for the full network.  The map, the per-byte
-    scatter tables built from it and :meth:`apply_array` live here once;
-    subclasses validate their keys and supply the honest scalar
-    :meth:`apply`.  The tables are built in the constructor, so a
-    permutation is ready for arrays as soon as it exists.
+    scatter tables built from it, :meth:`apply_array` and the interval
+    minimum (:class:`BitPositionStack`) live here once; subclasses
+    validate their keys and supply the honest scalar :meth:`apply`.  The
+    tables are built in the constructor, so a permutation is ready for
+    arrays as soon as it exists.
     """
 
     def __init__(self, keys: list[int], width: int) -> None:
@@ -132,6 +134,46 @@ class BitPositionPermutation(Permutation):
             out |= table[chunk.astype(np.intp)]
         return out
 
+    @classmethod
+    def stack(cls, perms: list["BitPositionPermutation"]) -> "BitPositionStack":
+        return BitPositionStack(perms)
+
+
+def block_starts(start: int, end: int) -> list[int]:
+    """The starts ``B <= end`` of the aligned blocks ``[B, B + lowbit(B))``
+    that follow one another from ``start``: together they cover ``[start,
+    end]``, and since the lowest set bit at least doubles from one start
+    to the next there is at most one per bit.  ``B = 0`` is the block of
+    everything."""
+    starts = [start]
+    while start and (start := start + (start & -start)) <= end:
+        starts.append(start)
+    return starts
+
+
+class BitPositionStack(PermutationStack):
+    """Interval minima of bit-position permutations, in closed form: on an
+    aligned block ``[B, B + 2^j)``, ``pi(B + y) = pi(B) | pi(y)`` over
+    disjoint bits, so no value of the block maps below ``pi(B)`` and a
+    range's minimum is the least image of its :func:`block_starts`
+    (DESIGN §17.1).  Every function's byte tables are stacked as
+    ``(256, functions)`` per byte; bytes above ``end``'s top byte are zero
+    in every start and ``table[0] == 0``, so they are skipped."""
+
+    def __init__(self, perms: list[BitPositionPermutation]) -> None:
+        super().__init__(perms)
+        self._tables = [
+            np.stack(per_byte, axis=1) for per_byte in zip(*(p._byte_tables for p in perms))
+        ]
+
+    def _min_over(self, start: int, end: int) -> np.ndarray:
+        starts = block_starts(start, end)
+        images = self._tables[0].take([s & 0xFF for s in starts], axis=0)
+        for byte_index in range(1, (end.bit_length() + 7) // 8):
+            shift = 8 * byte_index
+            images |= self._tables[byte_index].take([(s >> shift) & 0xFF for s in starts], axis=0)
+        return images.min(axis=0)
+
 
 class BitShufflePermutation(BitPositionPermutation):
     """A fully-cascaded bit-shuffle permutation of the ``width``-bit space.
@@ -145,10 +187,10 @@ class BitShufflePermutation(BitPositionPermutation):
 
     def __init__(self, keys: list[int], width: int = 32) -> None:
         check_width(width)
-        expected_levels = width.bit_length() - 1  # log2(width)
-        if len(keys) != expected_levels:
+        expected_keys = width.bit_length() - 1  # log2(width)
+        if len(keys) != expected_keys:
             raise HashFamilyError(
-                f"width {width} needs {expected_levels} keys, got {len(keys)}"
+                f"width {width} needs {expected_keys} keys, got {len(keys)}"
             )
         block_size = width
         for level, key in enumerate(keys):
@@ -172,17 +214,6 @@ class BitShufflePermutation(BitPositionPermutation):
             x = shuffle_once(x, key, block_size, self.width)
             block_size //= 2
         return x
-
-    def apply_via_map(self, x: int) -> int:
-        """Shuffle ``x`` using the precomputed bit-position map.
-
-        Must agree with :meth:`apply`; tests assert the equivalence.
-        """
-        self.validate_input(x)
-        out = 0
-        for src, dst in enumerate(self._dest):
-            out |= ((x >> src) & 1) << dst
-        return out
 
     def __repr__(self) -> str:
         return f"BitShufflePermutation(width={self.width}, keys={self.keys!r})"

@@ -9,17 +9,16 @@ a group's ``k`` hash values into one identifier with XOR
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from repro.errors import HashFamilyError
 from repro.lsh.base import MinHash, PermutationFamily
 from repro.lsh.theory import group_match_probability
+from repro.ranges.domain import Domain
 from repro.ranges.interval import IntRange
 from repro.util.rng import derive_rng
 
-__all__ = ["HashGroup", "LSHIdentifierScheme", "DEFAULT_K", "DEFAULT_L"]
+__all__ = ["DomainMinHashIndex", "LSHIdentifierScheme", "DEFAULT_K", "DEFAULT_L"]
 
 #: The paper's parameter choice: "we chose the values for parameters k and l
 #: to be 20 and 5 respectively, because these values make the function
@@ -28,51 +27,31 @@ DEFAULT_K = 20
 DEFAULT_L = 5
 
 
-@dataclass
-class HashGroup:
-    """One group of ``k`` min-hash functions, XOR-combined to an identifier."""
-
-    functions: list[MinHash]
-    id_mask: int
-
-    def identifier(self, r: IntRange) -> int:
-        """XOR of the group's ``k`` min-hashes of ``r`` (vectorized path)."""
-        ident = 0
-        for fn in self.functions:
-            ident ^= fn.hash_range(r)
-        return ident & self.id_mask
-
-    def identifier_slow(self, r: IntRange) -> int:
-        """Same identifier via the element-at-a-time path (Figure 5 costs)."""
-        ident = 0
-        for fn in self.functions:
-            ident ^= fn.hash_range_slow(r)
-        return ident & self.id_mask
-
-    @property
-    def k(self) -> int:
-        """Number of hash functions in the group."""
-        return len(self.functions)
-
-
 class LSHIdentifierScheme:
     """Maps a selection range to ``l`` identifiers in the 32-bit space.
 
     This object is the system's hashing front end: the same instance must be
     shared by every peer (all peers agree on the global hash functions, just
-    as they agree on the global schema).
+    as they agree on the global schema).  Its ``l x k`` permutations are
+    stacked once (:meth:`Permutation.stack`), and a range's minima under
+    all of them come from one closed-form call, whatever its width.
     """
 
-    def __init__(self, groups: list[HashGroup], id_bits: int = 32) -> None:
+    def __init__(self, groups: list[list[MinHash]], id_bits: int = 32) -> None:
         if not groups:
             raise HashFamilyError("need at least one hash group")
-        ks = {g.k for g in groups}
+        ks = {len(g) for g in groups}
         if len(ks) != 1:
             raise HashFamilyError(f"all groups must share one k, got sizes {ks}")
         if not 1 <= id_bits <= 64:
             raise HashFamilyError("id_bits must be within [1, 64]")
         self.groups = groups
         self.id_bits = id_bits
+        self.id_mask = (1 << id_bits) - 1
+        perms = [fn.permutation for fn in self.all_functions()]
+        self._stack = perms[0].stack(perms)
+        #: Size of the permuted space: every hashed value lies below it.
+        self.space_size = self._stack.space_size
 
     # ------------------------------------------------------------------
     # Construction
@@ -96,11 +75,7 @@ class LSHIdentifierScheme:
         if l <= 0 or k <= 0:
             raise HashFamilyError("l and k must be positive")
         rng = derive_rng(seed, f"lsh/{family.name}")
-        mask = (1 << id_bits) - 1
-        groups = [
-            HashGroup(functions=family.sample_many(k, rng), id_mask=mask)
-            for _ in range(l)
-        ]
+        groups = [[MinHash(family.sample(rng)) for _ in range(k)] for _ in range(l)]
         return cls(groups, id_bits=id_bits)
 
     # ------------------------------------------------------------------
@@ -115,19 +90,31 @@ class LSHIdentifierScheme:
     @property
     def k(self) -> int:
         """Hash functions per group."""
-        return self.groups[0].k
+        return len(self.groups[0])
+
+    def minhashes(self, r: IntRange) -> np.ndarray:
+        """All ``l*k`` min-hashes of ``r``, group-major, as ``uint64``:
+        one stacked interval minimum."""
+        return self._stack.min_over(r.start, r.end)
 
     def identifiers(self, r: IntRange) -> list[int]:
-        """The ``l`` identifiers of range ``r`` (vectorized hashing)."""
-        return [g.identifier(r) for g in self.groups]
+        """The ``l`` identifiers of range ``r``."""
+        return combine_hashes_xor(self.minhashes(r), self.l, self.k, self.id_mask).tolist()
 
     def identifiers_slow(self, r: IntRange) -> list[int]:
-        """The same identifiers via the element-at-a-time cost model."""
-        return [g.identifier_slow(r) for g in self.groups]
+        """The same identifiers, one value through one permutation at a
+        time: the cost Figure 5 measures, and the tests' oracle."""
+        identifiers = []
+        for group in self.groups:
+            ident = 0
+            for fn in group:
+                ident ^= fn.hash_range_slow(r)
+            identifiers.append(ident & self.id_mask)
+        return identifiers
 
     def all_functions(self) -> list[MinHash]:
         """Every min-hash function, group-major (group 0 first)."""
-        return [fn for g in self.groups for fn in g.functions]
+        return [fn for g in self.groups for fn in g]
 
     # ------------------------------------------------------------------
     # Theory
@@ -144,11 +131,22 @@ class LSHIdentifierScheme:
 
 
 def combine_hashes_xor(hash_values: np.ndarray, l: int, k: int, mask: int) -> np.ndarray:
-    """XOR-reduce a group-major vector of ``l*k`` hash values to ``l`` ids.
-
-    Shared by the accelerated evaluator; kept here so the combination rule
-    lives in exactly one place.
-    """
+    """XOR-reduce a group-major vector of ``l*k`` hash values to ``l`` ids."""
     arr = np.asarray(hash_values, dtype=np.uint64).reshape(l, k)
     combined = np.bitwise_xor.reduce(arr, axis=1)
     return combined & np.uint64(mask)
+
+
+class DomainMinHashIndex:
+    """A scheme's identifiers for ranges inside one domain only, raising
+    :class:`~repro.errors.DomainError` outside it.  The benchmark's probes
+    still name it."""
+
+    def __init__(self, scheme: LSHIdentifierScheme, domain: Domain) -> None:
+        self.scheme = scheme
+        self.domain = domain
+
+    def identifiers(self, r: IntRange) -> list[int]:
+        """The ``l`` identifiers of ``r``, which must lie in the domain."""
+        self.domain.validate_range(r)
+        return self.scheme.identifiers(r)

@@ -13,13 +13,14 @@ import numpy as np
 
 from repro.errors import HashFamilyError
 
-from repro.lsh.base import Permutation, PermutationFamily
+from repro.lsh.base import Permutation, PermutationFamily, PermutationStack
 
 __all__ = [
     "LinearPermutation",
     "LinearFamily",
     "MERSENNE_31",
     "is_probable_prime",
+    "min_of_progression",
     "next_prime_above",
 ]
 
@@ -68,12 +69,20 @@ def is_probable_prime(n: int) -> bool:
     return True
 
 
+def check_modulus(p: int) -> None:
+    """Raise unless ``p`` is a prime of at most 2^32, so that with ``a, b,
+    x < p`` the array path's ``a*x + b`` stays below 2^64."""
+    if not is_probable_prime(p):
+        raise HashFamilyError(f"modulus {p} is not prime")
+    if p > 1 << 32:
+        raise HashFamilyError(f"modulus {p} exceeds 2^32: a*x + b would wrap in uint64")
+
+
 class LinearPermutation(Permutation):
     """``pi(x) = (a*x + b) mod p`` with ``p`` prime and ``1 <= a < p``."""
 
     def __init__(self, a: int, b: int, p: int = MERSENNE_31) -> None:
-        if not is_probable_prime(p):
-            raise HashFamilyError(f"modulus {p} is not prime")
+        check_modulus(p)
         if not 1 <= a < p:
             raise HashFamilyError("coefficient a must satisfy 1 <= a < p")
         if not 0 <= b < p:
@@ -88,11 +97,12 @@ class LinearPermutation(Permutation):
         return (self.a * x + self.b) % self.p
 
     def apply_array(self, xs: np.ndarray) -> np.ndarray:
-        # Work in Python-int-free uint64 space: a*x can exceed 64 bits when
-        # a and x are both ~2^31, so split the multiply via object dtype only
-        # when necessary.  Here a < 2^31 and x < 2^31 so a*x < 2^62: safe.
         arr = np.asarray(xs, dtype=np.uint64)
         return (np.uint64(self.a) * arr + np.uint64(self.b)) % np.uint64(self.p)
+
+    @classmethod
+    def stack(cls, perms: list["LinearPermutation"]) -> "LinearStack":
+        return LinearStack(perms)
 
     def inverse(self, y: int) -> int:
         """The preimage of ``y`` (useful in tests of bijectivity)."""
@@ -109,11 +119,44 @@ class LinearFamily(PermutationFamily):
     name = "linear"
 
     def __init__(self, p: int = MERSENNE_31) -> None:
-        if not is_probable_prime(p):
-            raise HashFamilyError(f"modulus {p} is not prime")
+        check_modulus(p)
         self.p = p
 
     def sample(self, rng: np.random.Generator) -> LinearPermutation:
         a = int(rng.integers(1, self.p))
         b = int(rng.integers(0, self.p))
         return LinearPermutation(a, b, self.p)
+
+
+def min_of_progression(n: int, m: int, a: int, b: int) -> int:
+    """``min((a*x + b) % m for x in range(n))`` for ``0 <= a, b < m`` and
+    ``n >= 1``, in O(log m) rounds: a new low follows only a wrap past
+    ``m``, and the values right after the wraps are a progression mod
+    ``a <= m/2`` (DESIGN §17.1)."""
+    best = b
+    while a:
+        if 2 * a > m:
+            b, a = (b + a * (n - 1)) % m, m - a
+        best = min(best, b)
+        wraps = (a * (n - 1) + b) // m
+        if not wraps:
+            return best
+        n, m, a, b = wraps, a, -m % a, (b - m) % a
+    return min(best, b)
+
+
+class LinearStack(PermutationStack):
+    """Interval minima of linear permutations: over ``[s, e]`` each
+    function's images are a progression mod ``p`` from ``(a*s + b) mod
+    p``, whose least term :func:`min_of_progression` finds."""
+
+    def __init__(self, perms: list[LinearPermutation]) -> None:
+        super().__init__(perms)
+        self._coefficients = [(perm.a, perm.b) for perm in perms]
+
+    def _min_over(self, start: int, end: int) -> np.ndarray:
+        p, n = self.space_size, end - start + 1
+        return np.array(
+            [min_of_progression(n, p, a, (a * start + b) % p) for a, b in self._coefficients],
+            dtype=np.uint64,
+        )

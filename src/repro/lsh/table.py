@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.errors import HashFamilyError
-from repro.lsh.base import Permutation, PermutationFamily
+from repro.lsh.base import Permutation, PermutationFamily, PermutationStack
 
 __all__ = ["TablePermutation", "TablePermutationFamily"]
 
@@ -46,6 +46,23 @@ class TablePermutation(Permutation):
     def apply_array(self, xs: np.ndarray) -> np.ndarray:
         arr = np.asarray(xs, dtype=np.uint64)
         return self._mapped[arr.astype(np.intp)]
+
+    @classmethod
+    def stack(cls, perms: list["TablePermutation"]) -> "TableStack":
+        return TableStack(perms)
+
+
+class TableStack(PermutationStack):
+    """Interval minima of table permutations: a slice minimum over every
+    function's images, stacked as ``(space_size, functions)`` so a range
+    is one contiguous block of rows.  The space is the domain."""
+
+    def __init__(self, perms: list[TablePermutation]) -> None:
+        super().__init__(perms)
+        self._images = np.stack([p._mapped for p in perms], axis=1)
+
+    def _min_over(self, start: int, end: int) -> np.ndarray:
+        return self._images[start : end + 1].min(axis=0)
 
 
 class TablePermutationFamily(PermutationFamily):

@@ -94,7 +94,10 @@ def _config_to_dict(config: SystemConfig) -> dict:
 
 
 def _config_from_dict(raw: dict) -> SystemConfig:
-    data = dict(raw)
+    # Skip fields an older writer recorded that the config has since
+    # dropped, so its snapshots still load.
+    known = {field.name for field in dataclasses.fields(SystemConfig)}
+    data = {key: value for key, value in raw.items() if key in known}
     domain = data.pop("domain")
     return SystemConfig(
         domain=Domain(domain["name"], domain["low"], domain["high"]), **data

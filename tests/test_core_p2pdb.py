@@ -29,7 +29,6 @@ def db():
         SystemConfig(
             n_peers=40,
             seed=31,
-            accelerate=False,
             domain=Domain("value", 0, 10**6),
         )
     )
@@ -81,7 +80,6 @@ class TestApproximateMode:
             SystemConfig(
                 n_peers=40,
                 seed=77,
-                accelerate=False,
                 matcher="containment",
                 domain=Domain("value", 0, 10**6),
             )
@@ -161,7 +159,6 @@ class TestDescriptorOnlyEntries:
             SystemConfig(
                 n_peers=20,
                 seed=88,
-                accelerate=False,
                 matcher="containment",
                 domain=Domain("value", 0, 10**6),
             )
@@ -190,7 +187,6 @@ class TestPartialCoverageReporting:
             SystemConfig(
                 n_peers=20,
                 seed=89,
-                accelerate=False,
                 matcher="containment",
                 domain=Domain("value", 0, 10**6),
             )

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.core.config import SystemConfig
 from repro.core.placement import Action, HashedPlacement, plan_placement
 from repro.db.partition import PartitionDescriptor
+from repro.errors import ConfigError, HashFamilyError
 from repro.ranges.domain import Domain
 from repro.ranges.interval import IntRange
 
@@ -127,7 +128,7 @@ def test_plan_order_is_holders_order_then_rank_then_drops():
 def test_front_is_reused_across_configs_that_hash_alike():
     old = HashedPlacement(SystemConfig(n_peers=8, k=4))
     new = HashedPlacement(SystemConfig(n_peers=9, replicas=3, k=4), previous=old)
-    assert new.scheme is old.scheme and new._accel is old._accel
+    assert new.scheme is old.scheme
     assert new.config.replicas == 3  # placement still follows its own config
 
 
@@ -140,7 +141,6 @@ def test_front_is_reused_across_configs_that_hash_alike():
         {"k": 5},
         {"seed": 7},
         {"id_bits": 24},
-        {"accelerate": False},
     ],
     ids=lambda change: next(iter(change)),
 )
@@ -155,4 +155,19 @@ def test_front_is_rebuilt_when_a_hashing_field_changes(change):
     assert new.scheme is not old.scheme
     for r in (IntRange(0, 0), IntRange(17, 410), IntRange(0, 500)):
         assert new.identifiers_for(r) == fresh.identifiers_for(r)
-    assert (new._accel is None) == (fresh._accel is None)
+
+
+@pytest.mark.parametrize(
+    "family,domain,error",
+    [
+        ("approx-min-wise", Domain("value", 0, 1 << 32), ConfigError),
+        ("min-wise", Domain("value", -5, 1000), ConfigError),
+        ("table", Domain("value", -1, 1000), ConfigError),
+        ("linear", Domain("value", 0, 10**12), HashFamilyError),
+    ],
+    ids=["past-2^32", "negative", "table-negative", "linear-modulus-past-2^32"],
+)
+def test_a_domain_past_the_familys_space_is_rejected(family, domain, error):
+    with pytest.raises(error):
+        HashedPlacement(SystemConfig(n_peers=8, k=4, family=family, domain=domain))
+

@@ -83,7 +83,6 @@ class TestDatabaseRoundTrip:
             SystemConfig(
                 n_peers=60,
                 seed=12,
-                accelerate=False,
                 matcher="containment",
                 domain=Domain("value", 0, 10**6),
             )
@@ -114,7 +113,6 @@ class TestDatabaseRoundTrip:
             SystemConfig(
                 n_peers=30,
                 seed=13,
-                accelerate=False,
                 domain=Domain("value", 0, 10**6),
             )
         )

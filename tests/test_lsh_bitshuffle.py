@@ -52,8 +52,9 @@ class TestBitPositionMap:
         family = MinWiseFamily(width=32)
         for _ in range(5):
             perm = family.sample(rng)
-            for x in [0, 1, 255, 1000, 123456, (1 << 32) - 1]:
-                assert perm.apply(x) == perm.apply_via_map(x)
+            xs = [0, 1, 255, 1000, 123456, (1 << 32) - 1]
+            by_map = perm.apply_array(np.array(xs, dtype=np.uint64))  # byte tables of the map
+            assert by_map.tolist() == [perm.apply(x) for x in xs]
 
     def test_map_is_permutation_of_positions(self, rng):
         family = MinWiseFamily(width=16)
@@ -111,26 +112,31 @@ class TestBitShufflePermutation:
         assert bin(perm.apply(x)).count("1") == bin(x).count("1")
 
 
+def min_over(perm, r: IntRange) -> int:
+    """The closed-form min-hash of ``r`` under ``perm`` alone."""
+    return int(perm.stack([perm]).min_over(r.start, r.end)[0])
+
+
 class TestMinHash:
     def test_hash_range_matches_slow_path(self, rng):
         mh = MinHash(MinWiseFamily(width=32).sample(rng))
         for r in [IntRange(0, 100), IntRange(30, 50), IntRange(999, 1000)]:
-            assert mh.hash_range(r) == mh.hash_range_slow(r)
+            assert min_over(mh.permutation, r) == mh.hash_range_slow(r)
 
     def test_min_is_attained(self, rng):
-        mh = MinHash(MinWiseFamily(width=32).sample(rng))
+        perm = MinWiseFamily(width=32).sample(rng)
         r = IntRange(10, 30)
-        images = [mh.permutation.apply(v) for v in r]
-        assert mh.hash_range(r) == min(images)
+        images = [perm.apply(v) for v in r]
+        assert min_over(perm, r) == min(images)
 
     def test_subset_min_dominates(self, rng):
         """min over a superset is <= min over a subset."""
-        mh = MinHash(MinWiseFamily(width=32).sample(rng))
-        assert mh.hash_range(IntRange(0, 100)) <= mh.hash_range(IntRange(20, 80))
+        perm = MinWiseFamily(width=32).sample(rng)
+        assert min_over(perm, IntRange(0, 100)) <= min_over(perm, IntRange(20, 80))
 
     def test_identical_ranges_always_collide(self, rng):
-        mh = MinHash(MinWiseFamily(width=32).sample(rng))
-        assert mh.hash_range(IntRange(5, 25)) == mh.hash_range(IntRange(5, 25))
+        perm = MinWiseFamily(width=32).sample(rng)
+        assert min_over(perm, IntRange(5, 25)) == min_over(perm, IntRange(5, 25))
 
     def test_sampling_is_seed_deterministic(self):
         a = MinWiseFamily().sample(derive_rng(7, "s"))

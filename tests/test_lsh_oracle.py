@@ -2,10 +2,11 @@
 
 ``BitPositionPermutation`` builds its byte tables with one array product;
 the nested loop it replaced is kept here, verbatim, as the oracle.  The
-sparse-table levels of ``DomainMinHashIndex`` are checked against tables
-built that way for every registered family, and the identifiers a default
-system hashes to are pinned by digests taken at the commit before the
-rewrite.  Nothing here reads a clock.
+window minima a sparse-table index over the domain used to hold are built
+that way for every registered family and read back through the scheme's
+closed-form ``min_over``, and the identifiers a default system hashes to
+are pinned by digests taken before either rewrite.  Nothing here reads a
+clock.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.core.placement import HashedPlacement
-from repro.lsh.accel import DomainMinHashIndex
 from repro.lsh.approx import ApproxMinWiseFamily, ApproxMinWisePermutation
 from repro.lsh.bitshuffle import (
     BitPositionPermutation,
@@ -128,7 +128,7 @@ def test_tables_are_built_by_the_constructor():
     assert int(perm.apply_array(np.array([1], dtype=np.uint64))[0]) == perm.apply(1)
 
 
-def reference_levels(scheme: LSHIdentifierScheme, domain: Domain) -> list[np.ndarray]:
+def reference_window_minima(scheme: LSHIdentifierScheme, domain: Domain) -> list[np.ndarray]:
     """The sparse table from scalar images or loop-built byte tables:
     ``levels[j][f, i]`` is the minimum of function ``f`` over the
     ``2**j`` domain values from ``domain.low + i``."""
@@ -163,14 +163,16 @@ def test_index_levels_equal_the_reference_for_every_family(family, domain):
     scheme = LSHIdentifierScheme.from_family(
         family_for_domain(family, domain), l=2, k=5, seed=24
     )
-    index = DomainMinHashIndex(scheme, domain)
-    expected = reference_levels(scheme, domain)
-    assert len(index._levels) == len(expected)
-    for built, reference in zip(index._levels, expected):
-        assert np.array_equal(built, reference)
+    for j, reference in enumerate(reference_window_minima(scheme, domain)):
+        span = 1 << j
+        windows = [
+            scheme.minhashes(IntRange(start, start + span - 1))
+            for start in range(domain.low, domain.low + reference.shape[1])
+        ]
+        assert np.array_equal(np.stack(windows, axis=1), reference)
     for r in (domain.full_range(), IntRange(domain.low, domain.low), IntRange(40, 613)):
-        assert index.minhashes(r).dtype == np.uint64
-        assert index.identifiers(r) == scheme.identifiers(r)
+        assert scheme.minhashes(r).dtype == np.uint64
+        assert scheme.identifiers(r) == scheme.identifiers_slow(r)
 
 
 #: sha256 over ``identifiers_for`` of the ranges ``digest`` draws, taken

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.errors import HashFamilyError
-from repro.lsh.base import MinHash
 from repro.lsh.table import TablePermutation, TablePermutationFamily
 from repro.ranges.interval import IntRange
 from repro.util.rng import derive_rng
@@ -63,8 +62,8 @@ class TestSemantics:
         hits = 0
         trials = 600
         for i in range(trials):
-            mh = MinHash(family.sample(derive_rng(i, "ideal")))
-            if mh.hash_range(q) == mh.hash_range(r):
+            stack = TablePermutation.stack([family.sample(derive_rng(i, "ideal"))])
+            if stack.min_over(q.start, q.end)[0] == stack.min_over(r.start, r.end)[0]:
                 hits += 1
         empirical = hits / trials
         assert abs(empirical - target) < 0.06

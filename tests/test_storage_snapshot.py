@@ -92,3 +92,9 @@ class TestValidation:
         )
         restored = restore_system(snapshot_system(system))
         assert restored.config == system.config
+
+    def test_a_field_the_config_has_dropped_is_ignored(self):
+        system = RangeSelectionSystem(SystemConfig(n_peers=12, seed=76))
+        snapshot = snapshot_system(system)
+        snapshot["config"]["retired_option"] = True
+        assert restore_system(snapshot).config == system.config
