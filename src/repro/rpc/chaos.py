@@ -210,32 +210,10 @@ class ChaosRunner:
 
     def apply(self, event: ChaosEvent) -> None:
         """Deliver one fault to the cluster (skips already-dead targets)."""
-        cluster = self.cluster
+        cluster, action = self.cluster, event.action
+        target = event.targets[0] if event.targets else None
         try:
-            if event.action == "kill":
-                if cluster.alive(event.targets[0]):
-                    cluster.kill(event.targets[0])
-            elif event.action == "pause":
-                if cluster.alive(event.targets[0]):
-                    cluster.pause(event.targets[0])
-            elif event.action == "resume":
-                if cluster.alive(event.targets[0]):
-                    cluster.resume(event.targets[0])
-            elif event.action == "delay":
-                if cluster.alive(event.targets[0]):
-                    cluster.chaos_set(
-                        event.targets[0],
-                        delay_ms=event.amount,
-                        seed=self.schedule.seed,
-                    )
-            elif event.action == "drop":
-                if cluster.alive(event.targets[0]):
-                    cluster.chaos_set(
-                        event.targets[0],
-                        drop=event.amount,
-                        seed=self.schedule.seed,
-                    )
-            elif event.action == "partition":
+            if action == "partition":
                 side = [a for a in event.targets if cluster.alive(a)]
                 rest = [
                     a
@@ -244,13 +222,21 @@ class ChaosRunner:
                 ]
                 if side and rest:
                     cluster.partition(side, rest)
-            elif event.action == "restart":
-                if not cluster.alive(event.targets[0]):
-                    cluster.restart(event.targets[0])
-            elif event.action == "heal":
+            elif action == "heal":
                 cluster.heal()
-            else:  # pragma: no cover - schedule generation guards this
-                raise ReproError(f"unknown chaos action {event.action!r}")
+            elif action == "restart":
+                if not cluster.alive(target):
+                    cluster.restart(target)
+            elif action not in ("kill", "pause", "resume", "delay", "drop"):
+                raise ReproError(f"unknown chaos action {action!r}")
+            elif not cluster.alive(target):
+                pass  # a fault for a peer that is gone already
+            elif action == "delay":
+                cluster.chaos_set(target, delay_ms=event.amount, seed=self.schedule.seed)
+            elif action == "drop":
+                cluster.chaos_set(target, drop=event.amount, seed=self.schedule.seed)
+            else:
+                getattr(cluster, action)(target)  # kill, pause or resume
         except ReproError as exc:
             # A fault that cannot land (target just died on its own, say)
             # must not abort the run — chaos is best-effort by nature.

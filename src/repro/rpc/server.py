@@ -206,7 +206,7 @@ class PeerServer(ReplicaPlacement):
             if data_dir
             else None
         )
-        #: Replies produced this event-loop tick, as ``(writer, request id,
+        #: Replies produced this event-loop tick, as ``(transport, request id,
         #: frame, kind label, arrival ms)``, and the callback that ends it.
         self._replies: list[tuple] = []
         self._tick: asyncio.Handle | None = None
@@ -225,8 +225,8 @@ class PeerServer(ReplicaPlacement):
         #: ``wire.*`` series also count this peer's inbound side.
         self.connections = wire.Connections(self.metrics)
         self._wire = self.connections.metrics
-        #: Inbound connections: the task reading each, and its writer.
-        self._inbound: dict[asyncio.Task, asyncio.StreamWriter] = {}
+        #: Inbound connections: the protocol of each, and its transport.
+        self._inbound: dict[_RequestProtocol, asyncio.Transport] = {}
         #: Replica copies the last repair round found missing; the
         #: telemetry RPC and SWIM health piggyback both report it.
         self._pending_repair = 0
@@ -378,8 +378,8 @@ class PeerServer(ReplicaPlacement):
                     restored["snapshot_entries"], restored["wal_records"],
                     restored["torn_records"],
                 )
-        self._server = await asyncio.start_server(
-            self._serve_connection, self.host, self.port
+        self._server = await self._loop.create_server(
+            lambda: _RequestProtocol(self), self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
         self.table.set_endpoint(self.host, self.port)
@@ -446,12 +446,14 @@ class PeerServer(ReplicaPlacement):
             task.cancel()
         # Nothing journaled stays buffered, and no finished reply unsent.
         self._end_tick()
-        # Connection readers end on the EOF of their own closed socket:
-        # before Python 3.12 the stream protocol logs a cancelled one as
-        # an error.
-        for writer in self._inbound.values():
-            writer.close()
-        await asyncio.gather(*tasks, *self._inbound, return_exceptions=True)
+        # Hang up every inbound connection (after its last replies) and
+        # wait until each is gone.
+        inbound = list(self._inbound.items())
+        for _, transport in inbound:
+            transport.close()
+        await asyncio.gather(
+            *tasks, *(protocol.lost for protocol, _ in inbound), return_exceptions=True
+        )
         await self.connections.close()
         if self._server is not None:
             # From Python 3.12 this waits for every accepted connection
@@ -481,15 +483,15 @@ class PeerServer(ReplicaPlacement):
             except (OSError, ReproError) as exc:
                 logger.exception("journal commit failed on %s", self.address)
                 failure = exc
-        batches: dict[asyncio.StreamWriter, list[bytes]] = {}
+        batches: dict[asyncio.Transport, list[bytes]] = {}
         now = self._now_ms()  # service time ends here: a store's includes the commit
-        for writer, request_id, frame, label, started in replies:
+        for transport, request_id, frame, label, started in replies:
             self._service_ms.observe(now - started, kind=label)
             if failure is not None:
                 frame = _error_frame(request_id, failure)
-            batches.setdefault(writer, []).append(frame)
-        for writer, frames in batches.items():
-            wire.write_frames(writer, frames, self._wire)
+            batches.setdefault(transport, []).append(frame)
+        for transport, frames in batches.items():
+            wire.write_frames(transport, frames, self._wire)
 
     def _persist_incarnation(self) -> None:
         """Write the current SWIM incarnation to the data dir (if any).
@@ -565,9 +567,6 @@ class PeerServer(ReplicaPlacement):
 
     # -- membership gossip -----------------------------------------------
 
-    def _membership_payload(self) -> dict:
-        return self.table.payload()
-
     async def _broadcast_membership(self, exclude: set[str]) -> None:
         """Push the current member map to every live peer, concurrently.
 
@@ -575,7 +574,7 @@ class PeerServer(ReplicaPlacement):
         queued for re-delivery (the SWIM loop pings it next, piggybacking
         the full table) and counted as ``member.update_failed``.
         """
-        payload = self._membership_payload()
+        payload = self.table.payload()
         targets = [
             address
             for address in self.table.peers(ALIVE, SUSPECT)
@@ -707,7 +706,7 @@ class PeerServer(ReplicaPlacement):
         """Ping a member, piggybacking our table; returns its table."""
         try:
             reply = await self._call_member(
-                address, "swim-ping", self._membership_payload(),
+                address, "swim-ping", self.table.payload(),
                 timeout_ms=self.ping_timeout_ms,
             )
         except ReproError:
@@ -1068,7 +1067,7 @@ class PeerServer(ReplicaPlacement):
                 self._rebuild_ring()
                 await self._broadcast_membership(exclude={address})
                 await self.rebalance()
-                return self._membership_payload()
+                return self.table.payload()
         if kind == "member-update":
             outcome = self.table.merge(payload, self._now_ms())
             self._after_merge(outcome)
@@ -1085,7 +1084,7 @@ class PeerServer(ReplicaPlacement):
             # reads "epoch"/"members", so peers that predate the field
             # (and the chaos connection filter) ignore it — bit-compatible
             # by construction.
-            return {**self._membership_payload(), "health": self._health_payload()}
+            return {**self.table.payload(), "health": self._health_payload()}
         if kind == "ping-req":
             return await self._serve_ping_req(payload)
         if kind == "suspect":
@@ -1148,7 +1147,7 @@ class PeerServer(ReplicaPlacement):
         ).inc()
         try:
             reply = await wire.call(
-                host, port, "swim-ping", self._membership_payload(),
+                host, port, "swim-ping", self.table.payload(),
                 sender=self.node_id, sender_address=self.address,
                 timeout_ms=timeout_ms, connections=self.connections,
             )
@@ -1160,41 +1159,19 @@ class PeerServer(ReplicaPlacement):
         return False
 
     def _serve_suspect(self, payload: Any) -> Any:
-        """Apply one gossiped suspicion record (possibly about us)."""
+        """Apply one gossiped suspicion record.  One about this peer is
+        refuted by the merge, and answered with the whole table."""
         address = str(payload["address"])
-        incarnation = int(payload["incarnation"])
-        if address == self.address:
-            if incarnation >= self.table.incarnation:
-                # Someone suspects us and we are obviously alive: refute.
-                me = self.table.get(self.address)
-                me.incarnation = incarnation
-                self.table.refute()
-                self.metrics.counter(
-                    "swim.refuted",
-                    help="times this peer refuted an accusation against it",
-                ).inc()
-                logger.info(
-                    "peer %s: refuting suspicion, incarnation now %d",
-                    self.address, self.table.incarnation,
-                )
-                self._persist_incarnation()
-                self._spawn(self._broadcast_membership(exclude=set()))
-            return self._membership_payload()
+        record = [
+            str(payload.get("host", "")), int(payload.get("port", 0)),
+            SUSPECT, int(payload["incarnation"]),
+        ]
         outcome = self.table.merge(
-            {
-                "epoch": 0,
-                "members": {
-                    address: [
-                        str(payload.get("host", "")),
-                        int(payload.get("port", 0)),
-                        SUSPECT,
-                        incarnation,
-                    ]
-                },
-            },
-            self._now_ms(),
+            {"epoch": 0, "members": {address: record}}, self._now_ms()
         )
         self._after_merge(outcome)
+        if address == self.address:
+            return self.table.payload()
         return outcome.changed
 
     def _serve_telemetry(self, payload: Any) -> dict:
@@ -1216,12 +1193,8 @@ class PeerServer(ReplicaPlacement):
                 "node": self.address,
                 "spans": self.flight.spans_for(str(body["spans_for"])),
             }
-        entries = 0
-        primaries = 0
-        for _identifier, entry in self.store.entries():
-            entries += 1
-            if entry.primary:
-                primaries += 1
+        roles = [entry.primary for _identifier, entry in self.store.entries()]
+        entries, primaries = len(roles), sum(roles)
         return {
             "version": TELEMETRY_VERSION,
             "node": self.address,
@@ -1272,60 +1245,16 @@ class PeerServer(ReplicaPlacement):
             "blocked": sorted(self.chaos_blocked),
         }
 
-    async def _serve_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Read one connection's request frames for as long as it lives.
-
-        The data-plane kinds never wait, so every such frame already
-        received is served before the loop gets control back.  Any other
-        kind (and all of them under chaos) runs as its own task, so a
-        handler that waits (a ``ping-req`` on a third peer) delays nothing
-        behind it.  Replies leave when the tick ends, matched by ``id``.
-        """
-        if self._stopped.is_set():
-            writer.close()  # accepted just as close() ran
-            return
-        reading = asyncio.current_task()
-        self._inbound[reading] = writer
-        self._wire.accepts.inc()
-        self._wire.connections_open.inc()
-        try:
-            while True:
-                if writer.transport.get_write_buffer_size():
-                    # Backpressure: no more requests are read from a
-                    # caller that is not taking its replies.
-                    await writer.drain()
-                request = await wire.read_frame(reader, self._wire.bytes_in)
-                if request is None:
-                    return
-                if request.get("from") in self.chaos_blocked:
-                    return  # partitioned: hang up, like a dead link
-                if request.get("kind") in DATA_KINDS and not (
-                    self.chaos_delay_ms or self.chaos_drop
-                ):
-                    self._serve_data(request, writer)
-                else:
-                    self._spawn(self._serve_request(request, writer))
-        except (OSError, wire.WireError):
-            return  # hung up mid-exchange, or a torn or corrupt frame
-        finally:
-            del self._inbound[reading]
-            self._wire.connections_open.inc(-1)
-            writer.close()
-
-    def _serve_data(self, request: dict, writer: asyncio.StreamWriter) -> None:
+    def _serve_data(self, request: dict, transport: asyncio.Transport) -> None:
         """Run one data-plane request to its reply, right here."""
         kind, books = self._admit(request)
         try:
             outcome = self.logic.handle(kind, wire.decode_value(request.get("payload")))
         except Exception as exc:  # noqa: BLE001 - reported to caller
             outcome = exc
-        self._answer(request, writer, books, outcome)
+        self._answer(request, transport, books, outcome)
 
-    async def _serve_request(
-        self, request: dict, writer: asyncio.StreamWriter
-    ) -> None:
+    async def _serve_request(self, request: dict, transport: asyncio.Transport) -> None:
         """Run one request as a task and answer it, echoing the ``id``."""
         # Chaos acts on this request alone; the connection, and whatever
         # else is in flight on it, carries on.
@@ -1338,7 +1267,7 @@ class PeerServer(ReplicaPlacement):
             outcome = await self._handle(kind, wire.decode_value(request.get("payload")))
         except Exception as exc:  # noqa: BLE001 - reported to caller
             outcome = exc
-        self._answer(request, writer, books, outcome)
+        self._answer(request, transport, books, outcome)
 
     def _admit(self, request: dict) -> tuple[str, tuple]:
         """Open the books on one request: its kind, and ``(metric label,
@@ -1376,7 +1305,7 @@ class PeerServer(ReplicaPlacement):
     def _answer(
         self,
         request: dict,
-        writer: asyncio.StreamWriter,
+        transport: asyncio.Transport,
         books: tuple,
         outcome: Any,
     ) -> None:
@@ -1405,8 +1334,64 @@ class PeerServer(ReplicaPlacement):
                 attrs["error"] = error
             entry["end_wall_ms"] = wall_ms()
             self.flight.record_span_entry(entry)
-        self._replies.append((writer, request_id, frame, label, started))
+        self._replies.append((transport, request_id, frame, label, started))
         self._end_tick_soon()
+
+
+class _RequestProtocol(asyncio.BufferedProtocol):
+    """The serving end of one inbound connection.
+
+    Every request a read completes is dispatched from the callback: the
+    data-plane kinds never wait, so each is served right there; any other
+    kind (and all of them under chaos) runs as its own task, so a handler
+    that waits (a ``ping-req`` on a third peer) delays nothing behind it.
+    Replies leave when the tick ends, matched by ``id``.
+    """
+
+    def __init__(self, server: "PeerServer") -> None:
+        self.server = server
+        self.decoder = wire.FrameDecoder(server._wire.bytes_in)
+        self.get_buffer = self.decoder.get_buffer
+        #: Resolved when the transport is gone.
+        self.lost = server._loop.create_future()
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        self.transport = transport
+        # Backpressure: a caller that is not taking its replies is not
+        # read from until it does.
+        self.pause_writing = transport.pause_reading
+        self.resume_writing = transport.resume_reading
+        if self.server._stopped.is_set():
+            transport.close()  # accepted just as close() ran
+            return
+        self.server._inbound[self] = transport
+        self.server._wire.accepts.inc()
+        self.server._wire.connections_open.inc()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        server, transport = self.server, self.transport
+        # Whatever raises here — a torn or corrupt frame, a request the
+        # dispatch chokes on — drops the connection; left to asyncio, it
+        # would only be logged.
+        try:
+            for request in self.decoder.buffer_updated(nbytes):
+                if request.get("from") in server.chaos_blocked:
+                    transport.close()  # partitioned: hang up, like a dead link
+                    return
+                if request.get("kind") in DATA_KINDS and not (
+                    server.chaos_delay_ms or server.chaos_drop
+                ):
+                    server._serve_data(request, transport)
+                else:
+                    server._spawn(server._serve_request(request, transport))
+        except Exception:  # noqa: BLE001 - the caller sees a hang-up
+            logger.debug("dropping a connection to %s", server.address, exc_info=True)
+            transport.close()
+
+    def connection_lost(self, exc: BaseException | None) -> None:
+        if self.server._inbound.pop(self, None) is not None:
+            self.server._wire.connections_open.inc(-1)
+        self.lost.set_result(None)
 
 
 def _error_frame(request_id: Any, error: Exception) -> bytes:

@@ -20,12 +20,12 @@ slow handler never holds up the requests queued behind it.  A reply
 whose ``id`` no request is waiting for is discarded (counted as
 ``wire.late_replies`` when that request already timed out).
 
-:class:`Connection` is the one exchange primitive: it owns the socket and
-a reader task, parks one :class:`Exchange` — a future plus a timeout
-handle, no task — per in-flight ``id`` and fails them all when the peer
-hangs up or sends bytes that violate the framing.  Either end sends the
-frames one event-loop tick produces for a connection in one ``write``
-(:func:`write_frames`).
+:class:`Connection` is the one exchange primitive: the protocol of its
+socket, decoding replies with the sans-io :class:`FrameDecoder` as reads
+land, it parks one :class:`Exchange` — a future plus a timeout handle, no
+task — per in-flight ``id`` and fails them all when the peer hangs up or
+breaks the framing.  Either end sends the frames one event-loop tick
+produces for a connection in one ``write`` (:func:`write_frames`).
 :class:`Connections` caches one connection per ``(host, port)`` for
 owners that live long (a :class:`~repro.rpc.client.ClusterClient`, a
 :class:`~repro.rpc.server.PeerServer`); :func:`call` without a cache
@@ -76,8 +76,7 @@ __all__ = [
     "encode_value",
     "decode_value",
     "encode_frame",
-    "write_frame",
-    "read_frame",
+    "FrameDecoder",
     "WireMetrics",
     "write_frames",
     "Exchange",
@@ -110,17 +109,10 @@ class RemoteError(ReproError):
 
 
 class WireError(ReproError, ValueError):
-    """The byte stream violated the framing protocol.
-
-    Raised for a length prefix past :data:`MAX_FRAME_BYTES`, a frame body
-    that is not valid JSON (garbage bytes under a plausible prefix), a
-    JSON body that is not an object, and a peer that died *mid-frame*
-    (the prefix arrived but the body never completed).  A clean EOF
-    before any prefix byte is not an error — :func:`read_frame` returns
-    ``None`` for that — but every torn, oversized or corrupt frame
-    surfaces as this one typed error so servers can drop the connection
-    and clients can treat the peer as unavailable, and nothing ever
-    hangs on a half-delivered frame.
+    """The byte stream violated the framing protocol: one typed error
+    for every torn, oversized or corrupt frame (:class:`FrameDecoder`), so
+    servers can drop the connection and clients can treat the peer as
+    unavailable, and nothing ever hangs on a half-delivered frame.
     """
 
 
@@ -187,8 +179,7 @@ def decode_value(value: Any) -> Any:
 
 def config_to_wire(config: SystemConfig) -> dict:
     """A :class:`~repro.core.config.SystemConfig` as a JSON-safe dict."""
-    body = dataclasses.asdict(config)
-    return body
+    return dataclasses.asdict(config)
 
 
 def config_from_wire(body: dict) -> SystemConfig:
@@ -263,51 +254,71 @@ def encode_frame(document: dict) -> bytes:
     return _LENGTH.pack(len(body)) + body
 
 
-async def write_frame(writer: asyncio.StreamWriter, document: dict) -> None:
-    """Send one length-prefixed JSON frame."""
-    writer.write(encode_frame(document))
-    await writer.drain()
+class FrameDecoder:
+    """Frames out of a byte stream, with no I/O of its own (sans-io).
 
-
-async def read_frame(
-    reader: asyncio.StreamReader, bytes_in: Counter | None = None
-) -> dict | None:
-    """Read one frame; ``None`` on a clean EOF before the length prefix.
-
-    Anything else that violates the framing — an oversized or torn frame,
-    a body that is not a JSON object — raises :class:`WireError`.
+    :meth:`feed` appends bytes and returns the frames they complete, in
+    order; a protocol lends its transport :meth:`get_buffer` and hands each
+    read to :meth:`buffer_updated`.  Framing violations raise
+    :class:`WireError`: a length prefix past :data:`MAX_FRAME_BYTES` as soon
+    as it is in, a body that is not a UTF-8 JSON object once complete, and
+    a torn prefix or body at :meth:`eof` (which passes between frames).
     ``bytes_in`` is charged the size of every complete frame.
     """
-    try:
-        prefix = await reader.readexactly(_LENGTH.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean EOF between frames
-        raise WireError(
-            f"peer died {len(exc.partial)} byte(s) into a length prefix"
-        ) from exc
-    except ConnectionResetError:
-        return None
-    (length,) = _LENGTH.unpack(prefix)
-    if length > MAX_FRAME_BYTES:
-        raise WireError(f"peer announced a {length}-byte frame; refusing")
-    try:
-        body = await reader.readexactly(length)
-    except (asyncio.IncompleteReadError, ConnectionResetError) as exc:
-        raise WireError(
-            f"peer died mid-frame ({length} bytes announced)"
-        ) from exc
-    if bytes_in is not None:
-        bytes_in.inc(_LENGTH.size + length)
-    try:
-        document = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise WireError(f"frame body is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise WireError(
-            f"frame body is {type(document).__name__}, expected an object"
-        )
-    return document
+
+    #: The most one read brings.
+    READ_SIZE = 64 * 1024
+
+    def __init__(self, bytes_in: Counter | None = None) -> None:
+        self._bytes_in = bytes_in
+        self._read = memoryview(bytearray(self.READ_SIZE))
+        #: Received and not yet decoded: a partial frame, at most.
+        self._pending = bytearray()
+
+    def get_buffer(self, sizehint: int = -1) -> memoryview:
+        return self._read
+
+    def buffer_updated(self, nbytes: int) -> list[dict]:
+        return self.feed(self._read[:nbytes])
+
+    def feed(self, data: bytes | memoryview) -> list[dict]:
+        pending = self._pending
+        pending += data
+        frames = []
+        start, end = 0, len(pending)
+        with memoryview(pending) as view:
+            while end - start >= _LENGTH.size:
+                (length,) = _LENGTH.unpack_from(view, start)
+                if length > MAX_FRAME_BYTES:
+                    raise WireError(f"peer announced a {length}-byte frame; refusing")
+                stop = start + _LENGTH.size + length
+                if stop > end:
+                    break
+                if self._bytes_in is not None:
+                    self._bytes_in.inc(stop - start)
+                try:
+                    document = _parse(str(view[start + _LENGTH.size : stop], "utf-8"))
+                except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+                    raise WireError(f"frame body is not valid JSON: {exc}") from exc
+                if type(document) is not dict:
+                    raise WireError(
+                        f"frame body is {type(document).__name__}, expected an object"
+                    )
+                frames.append(document)
+                start = stop
+        del pending[:start]
+        return frames
+
+    def eof(self) -> None:
+        pending = self._pending
+        if len(pending) >= _LENGTH.size:
+            (length,) = _LENGTH.unpack_from(pending)
+            raise WireError(f"peer died mid-frame ({length} bytes announced)")
+        if pending:
+            raise WireError(f"peer died {len(pending)} byte(s) into a length prefix")
+
+
+_parse = json.JSONDecoder().decode
 
 
 # ---------------------------------------------------------------------------
@@ -316,10 +327,7 @@ async def read_frame(
 
 #: Error types a peer may report, mapped back to library exceptions so
 #: the engine's failover logic works unchanged over sockets.
-_ERROR_TYPES = {
-    "ConfigError": ConfigError,
-    "StorageError": StorageError,
-}
+_ERROR_TYPES = {"ConfigError": ConfigError, "StorageError": StorageError}
 
 
 class ConnectionLostError(PeerUnavailableError):
@@ -332,14 +340,14 @@ class ConnectionLostError(PeerUnavailableError):
 
 
 def write_frames(
-    writer: asyncio.StreamWriter, frames: list[bytes], metrics: WireMetrics
+    transport: asyncio.WriteTransport, frames: list[bytes], metrics: WireMetrics
 ) -> None:
     """Send what one event-loop tick queued for one connection end in one
-    ``write``.  A write that fails is the reader's to report: it sees the
-    same dead socket."""
-    if frames and not writer.is_closing():
+    ``write``.  A write that fails is the protocol's to report: the
+    transport closes and tells it."""
+    if frames and not transport.is_closing():
         data = b"".join(frames)
-        writer.write(data)
+        transport.write(data)
         metrics.writes.inc()
         metrics.frames_out.inc(len(frames))
         metrics.bytes_out.inc(len(data))
@@ -411,13 +419,13 @@ class Exchange(asyncio.Future):
         return super().cancel(msg)
 
 
-class Connection:
+class Connection(asyncio.BufferedProtocol):
     """One connection to one endpoint, carrying any number of exchanges.
 
-    A single task opens the socket and then reads reply frames for as
-    long as the connection lives, settling the exchange parked under each
-    reply's ``id``.  Requests posted while the socket is still opening
-    queue behind that one ``open_connection``.
+    It is the protocol of its one transport: a task opens the socket and
+    waits for it to be lost, and in between each reply a read completes
+    settles the exchange parked under its ``id``.  Requests posted while
+    the socket opens queue behind that one connect.
     """
 
     def __init__(
@@ -426,14 +434,17 @@ class Connection:
         self.host = host
         self.port = port
         self._metrics = metrics if metrics is not None else WireMetrics()
+        self._decoder = FrameDecoder(self._metrics.bytes_in)
+        self.get_buffer = self._decoder.get_buffer
         self._next_id = 0
         self._pending: dict[int, Exchange] = {}
-        self._writer: asyncio.StreamWriter | None = None
+        self._transport: asyncio.Transport | None = None
         #: Frames posted this tick (or while the socket opens), and
         #: whether the flush that sends them is scheduled.
         self._frames: list[bytes] = []
         self._flushing = False
         self._task: asyncio.Task | None = None
+        self._lost: asyncio.Future | None = None
         #: Why the connection closed; ``None`` while it is usable.
         self._cause: BaseException | None = None
 
@@ -444,41 +455,58 @@ class Connection:
     @property
     def established(self) -> bool:
         """The socket is open: a request sent now reuses it."""
-        return self._writer is not None and self._cause is None
+        return self._transport is not None and self._cause is None
 
     @property
     def unwound(self) -> bool:
         """Closed, and its task has finished: nothing left to wait for."""
         return self.closed and (self._task is None or self._task.done())
 
-    # -- the connection's one task ---------------------------------------
+    # -- the connection's one task, and its transport's callbacks ----------
 
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
+        self._lost = loop.create_future()
         try:
-            reader, writer = await asyncio.open_connection(self.host, self.port)
+            await loop.create_connection(lambda: self, self.host, self.port)
         except OSError as exc:
             self._shut(exc)
             return
-        self._writer = writer
+        await self._lost
+
+    def connection_made(self, transport: asyncio.BaseTransport) -> None:
+        if self._cause is not None:  # closed while it was connecting
+            transport.close()
+            return
+        self._transport = transport
         self._metrics.connects.inc()
         self._metrics.connections_open.inc()
         self._flush()
+
+    def buffer_updated(self, nbytes: int) -> None:
+        # Whatever raises here — garbage, a reply value that does not
+        # decode — shuts the connection and fails what is parked on it;
+        # left to asyncio, it would only be logged.
         try:
-            while True:
-                reply = await read_frame(reader, self._metrics.bytes_in)
-                if reply is None:
-                    raise EOFError("peer closed the connection")
+            for reply in self._decoder.buffer_updated(nbytes):
                 self._settle(reply)
-        except (EOFError, OSError, WireError) as exc:
+        except Exception as exc:  # noqa: BLE001 - every exchange learns of it
             self._shut(exc)
-        finally:
-            # A continuation that raised must not leave the other
-            # exchanges parked on a reader that is gone.
-            self._shut(ConnectionError("connection reader stopped"))
+
+    def eof_received(self) -> None:
+        try:
+            self._decoder.eof()
+        except WireError as exc:  # hung up inside a frame
+            self._shut(exc)
+        self._shut(EOFError("peer closed the connection"))
+
+    def connection_lost(self, exc: BaseException | None) -> None:
+        self._shut(exc or EOFError("peer closed the connection"))
+        self._lost.set_result(None)
 
     def _flush(self) -> None:
         self._flushing = False
-        write_frames(self._writer, self._frames, self._metrics)
+        write_frames(self._transport, self._frames, self._metrics)
         self._frames.clear()
 
     def _settle(self, reply: dict) -> None:
@@ -517,8 +545,8 @@ class Connection:
         self._frames.clear()
         for exchange in list(self._pending.values()):
             self._fail(exchange)
-        if self._writer is not None:
-            self._writer.close()
+        if self._transport is not None:
+            self._transport.close()
             self._metrics.connections_open.inc(-1)
 
     def _fail(self, exchange: Exchange) -> None:
@@ -526,7 +554,7 @@ class Connection:
         or, when it was reused and merely hung up, re-send it, once."""
         # Refused, or answered with garbage: the peer's doing.  Anything
         # else is a hang-up, which on a reused connection proves nothing.
-        definitive = self._writer is None or isinstance(self._cause, WireError)
+        definitive = self._transport is None or isinstance(self._cause, WireError)
         cache, exchange.cache = exchange.cache, None
         if cache is not None and not definitive:
             exchange.abandon()
@@ -561,7 +589,7 @@ class Connection:
             exchange.timer = loop.call_later(
                 exchange.timeout_ms / 1000.0, self._expire, exchange
             )
-        if not self._flushing and self._writer is not None:
+        if not self._flushing and self._transport is not None:
             self._flushing = True
             loop.call_soon(self._flush)
         return exchange
@@ -579,18 +607,13 @@ class Connection:
         for exchange in self._pending.values():
             exchange.cache = None  # our own doing: nothing to retry
         self._shut(ConnectionError("connection closed"))
-        if self._task is not None:
-            self._task.cancel()
+        if self._task is not None and self._transport is None:
+            self._task.cancel()  # still connecting
 
     async def wait_closed(self) -> None:
         """Wait for a closed connection's task and socket to unwind."""
         if self._task is not None:
             await asyncio.gather(self._task, return_exceptions=True)
-        if self._writer is not None:
-            try:
-                await self._writer.wait_closed()
-            except OSError:  # pragma: no cover - teardown race
-                pass
 
 
 class Connections:

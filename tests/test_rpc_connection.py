@@ -17,6 +17,7 @@ from repro.core.config import SystemConfig
 from repro.errors import PeerUnavailableError, RequestTimeoutError
 from repro.rpc import wire
 from repro.rpc.server import PeerServer
+from tests.framing import read_frame, write_frame
 
 # A reader or serve task left behind surfaces when its loop is gone.
 pytestmark = pytest.mark.filterwarnings(
@@ -63,7 +64,7 @@ class ScriptedPeer:
         self.writers.append(writer)
         self._readers.append(asyncio.current_task())
         try:
-            while (frame := await wire.read_frame(reader)) is not None:
+            while (frame := await read_frame(reader)) is not None:
                 self.requests.put_nowait((frame, writer))
         finally:
             writer.close()
@@ -76,7 +77,7 @@ class ScriptedPeer:
 
     @staticmethod
     async def answer(writer, request_id, value) -> None:
-        await wire.write_frame(
+        await write_frame(
             writer, {"id": request_id, "ok": True, "value": value}
         )
 
@@ -158,6 +159,73 @@ def test_garbage_reply_fails_every_request_and_drops_the_connection():
             assert [type(o) for o in outcomes] == [PeerUnavailableError] * 2
             assert connection.closed
             await connection.wait_closed()
+
+    run(scenario())
+
+
+def loop_reports() -> list[dict]:
+    """What the running loop reports from now on instead of logging it:
+    an exception that escaped a callback lands here."""
+    reported: list[dict] = []
+    asyncio.get_running_loop().set_exception_handler(
+        lambda loop, context: reported.append(context)
+    )
+    return reported
+
+
+def test_a_reply_that_does_not_decode_fails_every_exchange_at_once():
+    async def scenario():
+        reported = loop_reports()
+        loop = asyncio.get_running_loop()
+        async with ScriptedPeer() as peer:
+            connection = wire.Connection(HOST, peer.port)
+            tasks = in_flight(connection, 1, 2, peer_id=6, timeout_ms=60_000.0)
+            ((frame, writer), _) = await peer.received(2)
+            started = loop.time()
+            await peer.answer(writer, frame["id"], {"$range": [1]})
+            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+            assert [type(o) for o in outcomes] == [PeerUnavailableError] * 2
+            assert loop.time() - started < 2.0  # not at the timeout
+            assert connection.closed
+            await connection.wait_closed()
+        assert not reported
+
+    run(scenario())
+
+
+def test_a_request_the_dispatch_chokes_on_drops_the_connection_at_once():
+    async def scenario():
+        reported = loop_reports()
+        loop = asyncio.get_running_loop()
+        server = PeerServer("peer-0", SystemConfig(n_peers=1, seed=5, replicas=1))
+        await server.start()
+        connection = wire.Connection(server.host, server.port)
+        try:
+            assert await connection.request("ping") is True
+
+            def choke(request):
+                raise RuntimeError("a bug in the dispatch")
+
+            server._admit = choke
+            started = loop.time()
+            outcomes = await asyncio.gather(
+                *(
+                    connection.request(
+                        "fetch-partition", None, peer_id=2, timeout_ms=60_000.0
+                    )
+                    for _ in range(2)
+                ),
+                return_exceptions=True,
+            )
+            assert [type(o) for o in outcomes] == [wire.ConnectionLostError] * 2
+            assert loop.time() - started < 2.0  # not at the timeout
+            await connection.wait_closed()
+            assert server.connections.metrics.connections_open.get() == 0
+        finally:
+            connection.close()
+            await connection.wait_closed()
+            await server.close()
+        assert not reported
 
     run(scenario())
 
@@ -266,7 +334,7 @@ def test_replies_with_unknown_or_malformed_ids_are_ignored():
             ((frame, writer),) = await peer.received(1)
             for bogus in (999, -1, "0", None, [0], {"id": 0}, True, 0.0):
                 await peer.answer(writer, bogus, "not yours")
-            await wire.write_frame(writer, {"ok": True, "value": "no id"})
+            await write_frame(writer, {"ok": True, "value": "no id"})
             await peer.answer(writer, frame["id"], "yours")
             assert await task == "yours"
             assert connections.metrics.late_replies.get() == 0

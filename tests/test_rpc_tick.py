@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+import socket
 
 import pytest
 
@@ -24,6 +25,7 @@ from repro.rpc import wire
 from repro.rpc.client import SocketTransport, _Request
 from repro.rpc.server import PeerServer
 from repro.storage import wal
+from tests.framing import read_frame
 from tests.test_rpc_connection import HOST, ScriptedPeer, run
 
 pytestmark = pytest.mark.filterwarnings(
@@ -55,7 +57,7 @@ async def boot(data_dir=None) -> PeerServer:
 
 
 async def replies(reader, count: int) -> dict[int, dict]:
-    got = [await wire.read_frame(reader) for _ in range(count)]
+    got = [await read_frame(reader) for _ in range(count)]
     return {reply["id"]: reply for reply in got}
 
 
@@ -91,14 +93,14 @@ class Journal:
 
     def record(self, server: PeerServer) -> None:
         """Wrap the transport of every connection the server has open."""
-        for index, writer in enumerate(server._inbound.values()):
-            real = writer.transport.write
+        for index, transport in enumerate(server._inbound.values()):
+            real = transport.write
 
             def write(data, real=real, index=index):
                 self.events.append(("write", index, len(bytes(data))))
                 real(data)
 
-            writer.transport.write = write
+            transport.write = write
 
     @property
     def kinds(self) -> list[str]:
@@ -234,7 +236,7 @@ def test_close_commits_what_is_journaled_and_answers_what_is_parked(tmp_path):
         await server.close()
         acked = await replies(reader, 3)
         assert sorted(acked) == [1, 2, 3] and all(r["ok"] for r in acked.values())
-        assert await wire.read_frame(reader) is None  # then the hang-up
+        assert await read_frame(reader) is None  # then the hang-up
         writer.close()
 
         reborn = await boot(data_dir)
@@ -517,5 +519,45 @@ def test_cancelled_and_closed_exchanges_leave_nothing_parked_or_armed():
             assert not connection._pending and not transport._live and not armed(loop)
             assert not backing_off.done and not waiting.done
             await transport.connections.close()
+
+    run(scenario())
+
+
+# -- (f) backpressure: a caller that takes no replies is not read from ----------
+
+
+def test_a_caller_that_reads_no_replies_stops_being_read_then_gets_every_reply():
+    async def scenario():
+        server = await boot()
+        count = 25_000
+        served = server.metrics.counter("server.requests")
+        sock = socket.socket()
+        # Small kernel buffers on both ends, so the replies back up into
+        # the server's own write buffer instead of into the kernel.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        sock.setblocking(False)
+        await asyncio.get_running_loop().sock_connect(sock, (server.host, server.port))
+        reader, writer = await asyncio.open_connection(sock=sock)
+        try:
+            writer.write(frame(0, "ping", None))  # the connection exists
+            await replies(reader, 1)
+            (inbound,) = server._inbound.values()
+            inbound.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096
+            )
+            writer.write(b"".join(frame(i, "ping", None) for i in range(1, count + 1)))
+            stalled, last = 0, -1
+            while stalled < 5:
+                await asyncio.sleep(0.02)
+                now = served.get(kind="ping")
+                stalled, last = (stalled + 1 if now == last else 0), now
+            assert last < count  # stopped reading while nobody took replies
+            got = [await read_frame(reader) for _ in range(count)]
+            assert sorted(reply["id"] for reply in got) == list(range(1, count + 1))
+            assert all(reply["ok"] for reply in got)
+            assert served.get(kind="ping") == count + 1
+        finally:
+            writer.close()
+            await server.close()
 
     run(scenario())

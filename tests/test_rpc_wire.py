@@ -7,6 +7,8 @@ import json
 import struct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
 from repro.db.partition import Partition, PartitionDescriptor
@@ -15,9 +17,11 @@ from repro.errors import (
     PeerUnavailableError,
     RequestTimeoutError,
 )
+from repro.obs.registry import MetricsRegistry
 from repro.ranges.domain import Domain
 from repro.ranges.interval import IntRange
 from repro.rpc import wire
+from tests.framing import read_frame, write_frame
 
 
 def roundtrip(value):
@@ -96,16 +100,16 @@ def test_frame_roundtrip_over_loopback():
         received = []
 
         async def serve(reader, writer):
-            frame = await wire.read_frame(reader)
+            frame = await read_frame(reader)
             received.append(frame)
-            await wire.write_frame(writer, {"ok": True, "echo": frame})
+            await write_frame(writer, {"ok": True, "echo": frame})
             writer.close()
 
         server = await asyncio.start_server(serve, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        await wire.write_frame(writer, {"kind": "ping", "payload": [1, 2]})
-        reply = await wire.read_frame(reader)
+        await write_frame(writer, {"kind": "ping", "payload": [1, 2]})
+        reply = await read_frame(reader)
         writer.close()
         server.close()
         await server.wait_closed()
@@ -124,34 +128,13 @@ def test_read_frame_returns_none_on_eof():
         server = await asyncio.start_server(serve, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
         reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        frame = await wire.read_frame(reader)
+        frame = await read_frame(reader)
         writer.close()
         server.close()
         await server.wait_closed()
         return frame
 
     assert run(scenario()) is None
-
-
-def test_oversized_length_prefix_is_refused():
-    async def scenario():
-        async def serve(reader, writer):
-            writer.write(struct.pack("!I", wire.MAX_FRAME_BYTES + 1))
-            await writer.drain()
-            writer.close()
-
-        server = await asyncio.start_server(serve, "127.0.0.1", 0)
-        port = server.sockets[0].getsockname()[1]
-        reader, writer = await asyncio.open_connection("127.0.0.1", port)
-        try:
-            with pytest.raises(ValueError):
-                await wire.read_frame(reader)
-        finally:
-            writer.close()
-            server.close()
-            await server.wait_closed()
-
-    run(scenario())
 
 
 def test_call_maps_refused_connection_to_peer_unavailable():
@@ -173,7 +156,8 @@ def test_call_maps_refused_connection_to_peer_unavailable():
 def test_call_times_out_against_a_silent_peer():
     async def scenario():
         async def serve(reader, writer):
-            await asyncio.sleep(30)  # never answer
+            await reader.read()  # never answer; done when the caller hangs up
+            writer.close()
 
         server = await asyncio.start_server(serve, "127.0.0.1", 0)
         port = server.sockets[0].getsockname()[1]
@@ -191,24 +175,28 @@ def test_call_times_out_against_a_silent_peer():
 
 # -- adversarial framing -----------------------------------------------------
 #
-# A peer on the open network can hand the reader any byte stream.  Every
-# malformed stream must surface as a typed WireError promptly — never a
-# hang, never a raw struct/json/asyncio exception leaking upward.
+# A peer on the open network can hand the decoder any byte stream.  Every
+# malformed stream must surface as a typed WireError — never a raw
+# struct/json/unicode exception leaking upward.  The decoder does no I/O,
+# so these feed it bytes directly: no sockets, no loop.
 
 
-def read_bytes(*chunks: bytes, seconds: float = 5.0):
-    """read_frame over a reader preloaded with raw bytes, as if a peer
-    sent them then hung up.  The deadline turns a would-be hang into a
-    loud failure."""
+def read_bytes(*chunks: bytes):
+    """The first frame a FrameDecoder finds in ``chunks``, fed one by
+    one, as if a peer sent them then hung up; ``None`` if there is none."""
+    decoder = wire.FrameDecoder()
+    frames = []
+    for chunk in chunks:
+        frames.extend(decoder.feed(chunk))
+    decoder.eof()
+    return frames[0] if frames else None
 
-    async def scenario():
-        reader = asyncio.StreamReader()
-        for chunk in chunks:
-            reader.feed_data(chunk)
-        reader.feed_eof()
-        return await asyncio.wait_for(wire.read_frame(reader), timeout=seconds)
 
-    return run(scenario())
+def test_oversized_length_prefix_is_refused():
+    # Refused on the prefix alone: nothing of the body is buffered.
+    decoder = wire.FrameDecoder()
+    with pytest.raises(ValueError, match="refusing"):
+        decoder.feed(struct.pack("!I", wire.MAX_FRAME_BYTES + 1))
 
 
 def test_torn_length_prefix_raises_wire_error():
@@ -256,13 +244,47 @@ def test_valid_frame_after_feed_still_parses():
     assert frame == {"kind": "ping"}
 
 
+documents = st.dictionaries(
+    st.text(max_size=8),
+    st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=20),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+        max_leaves=12,
+    ),
+    max_size=5,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    frames=st.lists(documents, min_size=1, max_size=8),
+    cuts=st.lists(st.integers(min_value=0), max_size=40),
+    one_byte=st.booleans(),
+)
+def test_any_chunking_of_a_stream_decodes_to_the_same_frames(frames, cuts, one_byte):
+    stream = b"".join(wire.encode_frame(document) for document in frames)
+    if one_byte:
+        bounds = list(range(len(stream) + 1))
+    else:
+        bounds = sorted({0, len(stream), *(cut % (len(stream) + 1) for cut in cuts)})
+    bytes_in = MetricsRegistry().counter("wire.bytes_in")
+    decoder = wire.FrameDecoder(bytes_in)
+    decoded = []
+    for start, stop in zip(bounds, bounds[1:]):
+        decoded.extend(decoder.feed(stream[start:stop]))
+    decoder.eof()
+    assert decoded == frames
+    assert bytes_in.get() == len(stream)
+
+
 def test_call_survives_garbage_reply_as_peer_unavailable():
     # End to end: a server that answers with framing garbage must surface
     # to the caller as PeerUnavailableError (retryable), not a hang or a
     # leaked json/struct exception.
     async def scenario():
         async def serve(reader, writer):
-            await wire.read_frame(reader)
+            await read_frame(reader)
             writer.write(b"\x00\x00\x00\x08garbage!")
             await writer.drain()
             writer.close()
@@ -288,7 +310,7 @@ def test_call_survives_garbage_reply_as_peer_unavailable():
 def test_call_survives_mid_frame_death_as_peer_unavailable():
     async def scenario():
         async def serve(reader, writer):
-            await wire.read_frame(reader)
+            await read_frame(reader)
             writer.write(struct.pack("!I", 1 << 20) + b"only-a-little")
             await writer.drain()
             writer.close()  # die with most of the frame unsent
@@ -444,8 +466,8 @@ def test_telemetry_snapshot_is_versioned_and_timestamped():
 def test_call_maps_remote_error_types():
     async def scenario():
         async def serve(reader, writer):
-            await wire.read_frame(reader)
-            await wire.write_frame(
+            await read_frame(reader)
+            await write_frame(
                 writer,
                 {
                     "id": 0,
