@@ -47,7 +47,7 @@ _EXPORTS = {
     # system
     "SystemConfig": "repro.core.config",
     "RangeSelectionSystem": "repro.core.system",
-    "RangeQueryResult": "repro.core.system",
+    "TimedQueryResult": "repro.rpc.engine",
     "JaccardMatcher": "repro.core.matcher",
     "ContainmentMatcher": "repro.core.matcher",
     "matcher_by_name": "repro.core.matcher",

@@ -668,7 +668,7 @@ def _run_sql(args: argparse.Namespace, out) -> int:
 def _run_simulate(args: argparse.Namespace, out) -> int:
     from repro.core.config import SystemConfig
     from repro.core.system import RangeSelectionSystem
-    from repro.metrics.latency import LatencyCollector
+    from repro.metrics.collector import QueryLog
     from repro.net.latency import SeededLatency
     from repro.sim import AsyncQueryEngine, ReplicaRepairer, RetryPolicy
     from repro.util.rng import derive_rng
@@ -770,7 +770,7 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
         )
         sampler.sample_once()
         sampler.start()
-    collector = LatencyCollector(registry=system.metrics)
+    log = QueryLog()
     dead_queries = 0
     for index, query in enumerate(
         UniformRangeWorkload(config.domain, args.queries, seed=args.seed + 2).ranges()
@@ -779,7 +779,7 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
         if args.trace is not None and index == 0:
             trace = engine.start_trace(query)
         result = engine.run(query, trace=trace)
-        collector.add(result)
+        log.add(result)
         if result.timeouts == len(result.chains) and not result.found:
             dead_queries += 1
         if trace is not None:
@@ -796,7 +796,7 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
             f"{args.sample_interval:g} ms intervals",
             file=out,
         )
-    print(collector.report(), file=out)
+    print(log.report(), file=out)
     stats = engine.net.stats
     overload_traffic = ""
     if stats.busy_shed or stats.hedges:

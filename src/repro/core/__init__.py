@@ -16,7 +16,6 @@ from repro._lazy import lazy_exports
 _EXPORTS = {
     "SystemConfig": "repro.core.config",
     "RangeSelectionSystem": "repro.core.system",
-    "RangeQueryResult": "repro.core.system",
     "Matcher": "repro.core.matcher",
     "JaccardMatcher": "repro.core.matcher",
     "ContainmentMatcher": "repro.core.matcher",

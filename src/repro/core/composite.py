@@ -18,10 +18,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.system import LocateResult, RangeSelectionSystem
+from repro.core.system import RangeSelectionSystem
 from repro.db.partition import PartitionDescriptor
 from repro.ranges.interval import IntRange
 from repro.ranges.rangeset import RangeSet
+from repro.rpc.engine import LocatePhase
 
 __all__ = ["CompositeAnswer", "query_composite"]
 
@@ -60,12 +61,12 @@ class CompositeAnswer:
         )
 
 
-def compose_replies(query: IntRange, located: LocateResult) -> CompositeAnswer:
+def compose_replies(query: IntRange, located: LocatePhase) -> CompositeAnswer:
     """Build a composite answer from a locate result."""
     parts = tuple(
-        reply.descriptor
-        for reply in located.replies
-        if reply.descriptor is not None
+        chain.reply.descriptor
+        for chain in located.chains
+        if chain.reply is not None and chain.reply.descriptor is not None
     )
     clipped = [
         part.range.intersect(query)
@@ -105,16 +106,7 @@ def query_composite(
     """
     if origin is None:
         origin = system.pick_origin()
-    effective_padding = (
-        system.config.padding if padding is None else padding
-    )
-    hashed = query
-    if effective_padding > 0:
-        hashed = query.pad(
-            effective_padding,
-            lower_bound=system.config.domain.low,
-            upper_bound=system.config.domain.high,
-        )
+    hashed, _ = system.pad_query(query, padding)
     located = system.locate(hashed, relation, attribute, origin=origin)
     answer = compose_replies(query, located)
     exact = any(part.range == hashed for part in answer.parts)

@@ -14,9 +14,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.core.system import RangeQueryResult, RangeSelectionSystem
+from repro.core.system import RangeSelectionSystem
 from repro.errors import ConfigError
 from repro.ranges.interval import IntRange
+from repro.rpc.engine import TimedQueryResult
 
 __all__ = ["MultiAttributeQuery", "MultiAttributeResult"]
 
@@ -46,7 +47,7 @@ class MultiAttributeResult:
     """Combined outcome across the query's attributes."""
 
     query: MultiAttributeQuery
-    per_attribute: tuple[tuple[str, RangeQueryResult], ...]
+    per_attribute: tuple[tuple[str, TimedQueryResult], ...]
     joint_recall: float
     overlay_hops: int
     peers_contacted: int
@@ -66,7 +67,7 @@ def query_multi_attribute(
     namespaced by ``(relation, attribute)`` so partitions of different
     attributes never collide in a bucket.
     """
-    results: list[tuple[str, RangeQueryResult]] = []
+    results: list[tuple[str, TimedQueryResult]] = []
     hops = 0
     contacted = 0
     for attribute, r in query.ranges:

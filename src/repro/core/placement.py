@@ -121,6 +121,21 @@ class HashedPlacement(ReplicaPlacement):
                 f"{config.family} space [0, {self.scheme.space_size})"
             )
 
+    def pad_query(
+        self, query: IntRange, padding: float | None = None
+    ) -> tuple[IntRange, float]:
+        """The range hashed (and stored on a miss) for ``query``, with the
+        padding applied: ``padding``, or the configured one when None,
+        widens ``query`` within the domain first (Section 5.2).  The
+        caller still reports similarity and recall against ``query``."""
+        if padding is None:
+            padding = self.config.padding
+        if padding <= 0:
+            return query, padding
+        domain = self.config.domain
+        padded = query.pad(padding, lower_bound=domain.low, upper_bound=domain.high)
+        return padded, padding
+
     def identifiers_for(self, r: IntRange) -> list[int]:
         """The ``l`` identifiers of ``r``, in the configured domain or any
         other the family's space covers (the SQL front end hashes ages,

@@ -14,8 +14,6 @@ Query procedure, exactly as the paper's pseudocode sketches it:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from typing import Callable
 
 from repro.core.config import SystemConfig
@@ -33,13 +31,13 @@ from repro.obs.registry import (
 )
 from repro.obs.trace import NULL_TRACE, QueryTrace
 from repro.ranges.interval import IntRange
-from repro.rpc.engine import MatchReply, QueryEngine
+from repro.rpc.engine import LocatePhase, MatchReply, QueryEngine, TimedQueryResult
 from repro.rpc.peer import PeerLogic
 from repro.storage.store import EvictionPolicy, LRUEviction, NoEviction, PeerStore
 from repro.util.collector import gc_paused
 from repro.util.rng import derive_rng
 
-__all__ = ["RangeSelectionSystem", "RangeQueryResult", "LocateResult", "MatchReply"]
+__all__ = ["RangeSelectionSystem", "MatchReply"]
 
 logger = get_logger("core.system")
 
@@ -47,56 +45,6 @@ logger = get_logger("core.system")
 #: hash bare integer ranges without a real schema behind them.
 SIM_RELATION = "R"
 SIM_ATTRIBUTE = "value"
-
-
-@dataclass(frozen=True)
-class LocateResult:
-    """Outcome of locating candidate partitions for one range.
-
-    ``owners`` records the peer that *answered* each identifier (the
-    nominal owner, or the replica that served after failover); identifiers
-    whose entire replica set was unreachable are absent from ``owners``
-    and counted in ``unreachable``.
-    """
-
-    query: IntRange
-    identifiers: tuple[int, ...]
-    owners: tuple[int, ...]
-    replies: tuple[MatchReply, ...]
-    best: MatchReply | None
-    overlay_hops: int
-    peers_contacted: int
-    #: Identifiers answered by a non-primary replica.
-    failovers: int = 0
-    #: Identifiers for which no replica answered at all.
-    unreachable: int = 0
-
-
-@dataclass(frozen=True)
-class RangeQueryResult:
-    """Outcome of one approximate range query.
-
-    ``similarity`` is Jaccard between the original query and the match
-    (the x-axis of Figures 6-7); ``recall`` is the containment of the
-    original query in the match (the x-axis of Figures 8-10).  Both are 0.0
-    when nothing matched.
-    """
-
-    query: IntRange
-    hashed_query: IntRange
-    matched: PartitionDescriptor | None
-    similarity: float
-    recall: float
-    matcher_score: float
-    exact: bool
-    stored: bool
-    overlay_hops: int
-    peers_contacted: int
-
-    @property
-    def found(self) -> bool:
-        """Whether any candidate partition was located."""
-        return self.matched is not None
 
 
 class SystemCounters(RegistryBackedCounters):
@@ -258,7 +206,7 @@ class RangeSelectionSystem(HashedPlacement):
         attribute: str = SIM_ATTRIBUTE,
         origin: int | None = None,
         trace: QueryTrace | None = None,
-    ) -> LocateResult:
+    ) -> LocatePhase:
         """Steps 1-4 of the query procedure (no storing).
 
         When the identifier's owner is unreachable the lookup fails over
@@ -277,27 +225,9 @@ class RangeSelectionSystem(HashedPlacement):
             origin = self.pick_origin()
         # The sync transport settles every request before returning, so
         # the shared engine's future is already resolved here.
-        phase = self._engine.locate(
+        return self._engine.locate(
             query, relation, attribute, origin, trace=trace
         ).result()
-        owners = phase.answered_by
-        replies = tuple(
-            c.reply
-            if c.reply is not None
-            else MatchReply(c.owner, c.identifier, None, 0.0)
-            for c in phase.chains
-        )
-        return LocateResult(
-            query=query,
-            identifiers=tuple(c.identifier for c in phase.chains),
-            owners=owners,
-            replies=replies,
-            best=phase.best,
-            overlay_hops=phase.overlay_hops,
-            peers_contacted=len(set(owners)),
-            failovers=phase.failovers,
-            unreachable=phase.timeouts,
-        )
 
     def store_partition(
         self,
@@ -350,7 +280,7 @@ class RangeSelectionSystem(HashedPlacement):
         origin: int | None = None,
         padding: float | None = None,
         trace: QueryTrace | None = None,
-    ) -> RangeQueryResult:
+    ) -> TimedQueryResult:
         """The full query procedure over a bare range (simulation mode).
 
         Padding (configured, or overridden per query — the adaptive
@@ -365,25 +295,9 @@ class RangeSelectionSystem(HashedPlacement):
         trace = trace if trace is not None else NULL_TRACE
         if origin is None:
             origin = self.pick_origin()
-        timed = self._engine.query(
+        return self._engine.query(
             query, relation, attribute, origin, padding=padding, trace=trace
         ).result()
-        answered = {
-            c.reply.peer_id if c.reply is not None else c.owner
-            for c in timed.chains
-        }
-        return RangeQueryResult(
-            query=query,
-            hashed_query=timed.hashed_query,
-            matched=timed.matched,
-            similarity=timed.similarity,
-            recall=timed.recall,
-            matcher_score=timed.matcher_score,
-            exact=timed.exact,
-            stored=timed.stored,
-            overlay_hops=timed.overlay_hops,
-            peers_contacted=len(answered),
-        )
 
     # ------------------------------------------------------------------
     # Exact-match keys (Section 3.1: equality predicates)

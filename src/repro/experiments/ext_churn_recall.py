@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
-from repro.metrics.latency import LatencyCollector
+from repro.metrics.collector import QueryLog
 from repro.metrics.report import format_table
 from repro.net.latency import SeededLatency
 from repro.ranges.domain import Domain
@@ -235,7 +235,7 @@ class ChurnRecallExperiment:
             if mode.repair:
                 engine.sim.run_until_complete(repairer.run_round())
 
-        collector = LatencyCollector(registry=system.metrics)
+        log = QueryLog()
         jitter_rng = derive_rng(self.seed, "churn-recall/jitter")
         low, high = self.domain.low, self.domain.high
         for _ in range(self.timed_queries):
@@ -244,21 +244,21 @@ class ChurnRecallExperiment:
             if tile.start + shift < low or tile.end + shift > high:
                 shift = -shift
             query = IntRange(tile.start + shift, tile.end + shift)
-            collector.add(engine.run(query))
-        summary = collector.phase_summary()["total"]
+            log.add(engine.run(query))
+        summary = log.phase_summary()["total"]
         return ChurnCell(
             mode=mode,
             crash_fraction=crash_fraction,
             crashed_peers=n_crashed,
-            mean_recall=collector.mean_recall(),
-            matched_fraction=1.0 - collector.misses / max(1, collector.queries),
-            failovers=collector.failovers,
-            chain_timeouts=collector.chain_timeouts,
-            degraded_queries=collector.degraded_queries,
-            misses=collector.misses,
+            mean_recall=log.mean_recall(),
+            matched_fraction=1.0 - log.misses / max(1, len(log)),
+            failovers=log.failovers,
+            chain_timeouts=log.chain_timeouts,
+            degraded_queries=log.degraded_queries,
+            misses=log.misses,
             repairs=repairer.stats.copies_created,
             p95_ms=summary.p95,
-            queries=collector.queries,
+            queries=len(log),
         )
 
     def run(self) -> ChurnRecallOutcome:

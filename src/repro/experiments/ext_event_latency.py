@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
-from repro.metrics.latency import LatencyCollector
+from repro.metrics.collector import QueryLog
 from repro.metrics.report import format_table
 from repro.net.latency import SeededLatency
 from repro.ranges.domain import Domain
@@ -143,7 +143,7 @@ class EventLatencyExperiment:
 
     def _run_cell(
         self, drop_rate: float, fail_fraction: float
-    ) -> tuple[FaultCell, LatencyCollector]:
+    ) -> tuple[FaultCell, QueryLog]:
         system = RangeSelectionSystem(
             SystemConfig(n_peers=self.n_peers, domain=self.domain, seed=self.seed)
         )
@@ -165,11 +165,11 @@ class EventLatencyExperiment:
         crashed = crash_rng.choice(len(node_ids), size=n_crashed, replace=False)
         for index in crashed:
             engine.crash_peer(node_ids[int(index)])
-        collector = LatencyCollector(registry=system.metrics)
+        log = QueryLog()
         timed = UniformRangeWorkload(self.domain, self.timed_queries, seed=self.seed + 2)
         for query in timed.ranges():
-            collector.add(engine.run(query))
-        summary = collector.phase_summary()["total"]
+            log.add(engine.run(query))
+        summary = log.phase_summary()["total"]
         cell = FaultCell(
             drop_rate=drop_rate,
             fail_fraction=fail_fraction,
@@ -177,23 +177,23 @@ class EventLatencyExperiment:
             p50_ms=summary.p50,
             p95_ms=summary.p95,
             p99_ms=summary.p99,
-            mean_recall=collector.mean_recall(),
-            chain_timeouts=collector.chain_timeouts,
-            degraded_queries=collector.degraded_queries,
-            misses=collector.misses,
-            queries=collector.queries,
+            mean_recall=log.mean_recall(),
+            chain_timeouts=log.chain_timeouts,
+            degraded_queries=log.degraded_queries,
+            misses=log.misses,
+            queries=len(log),
         )
-        return (cell, collector)
+        return (cell, log)
 
     def run(self) -> EventLatencyOutcome:
         cells: list[FaultCell] = []
         baseline_report = ""
         for drop_rate in self.drop_rates:
             for fail_fraction in self.fail_fractions:
-                cell, collector = self._run_cell(drop_rate, fail_fraction)
+                cell, log = self._run_cell(drop_rate, fail_fraction)
                 cells.append(cell)
                 if drop_rate == 0.0 and fail_fraction == 0.0:
-                    baseline_report = collector.report(
+                    baseline_report = log.report(
                         "Fault-free phase breakdown (route/match/fetch/store/total)"
                     )
         return EventLatencyOutcome(

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
-from repro.metrics.latency import LatencyCollector
+from repro.metrics.collector import QueryLog
 from repro.metrics.report import format_table
 from repro.net.latency import SeededLatency
 from repro.ranges.domain import Domain
@@ -278,11 +278,9 @@ class OverloadExperiment:
         offered_qps = load_factor * self.saturation_qps
         interval_ms = 1000.0 / offered_qps
         queries = self._queries(tiles, self.warmup_queries + self.timed_queries)
-        collector = LatencyCollector(registry=system.metrics)
         results = engine.run_open_loop(queries, interval_ms)
-        for result in results[self.warmup_queries :]:
-            collector.add(result)
-        summary = collector.phase_summary()["total"]
+        log = QueryLog(results[self.warmup_queries :])
+        summary = log.phase_summary()["total"]
         stats = engine.net.stats
         return OverloadCell(
             protections=protections,
@@ -290,17 +288,17 @@ class OverloadExperiment:
             slow_fraction=slow_fraction,
             offered_qps=offered_qps,
             slow_peers=n_slow,
-            mean_recall=collector.mean_recall(),
+            mean_recall=log.mean_recall(),
             p50_ms=summary.p50,
             p99_ms=summary.p99,
-            chain_timeouts=collector.chain_timeouts,
+            chain_timeouts=log.chain_timeouts,
             busy_shed=stats.busy_shed,
             hedges=stats.hedges,
             hedge_wins=stats.hedge_wins,
             breaker_opens=int(system.metrics.counter("sim.breaker.opened").get()),
-            partial_queries=collector.partial_queries,
-            misses=collector.misses,
-            queries=collector.queries,
+            partial_queries=log.partial_queries,
+            misses=log.misses,
+            queries=len(log),
         )
 
     def run(self) -> OverloadOutcome:

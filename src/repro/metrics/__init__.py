@@ -4,10 +4,6 @@ from repro._lazy import lazy_exports
 
 _EXPORTS = {
     "QueryLog": "repro.metrics.collector",
-    "QueryRecord": "repro.metrics.collector",
-    "LatencyCollector": "repro.metrics.latency",
-    "PhasePercentiles": "repro.metrics.latency",
-    "phase_percentiles": "repro.metrics.latency",
     "recall_cdf": "repro.metrics.recall",
     "recall_comparison": "repro.metrics.recall",
     "fraction_fully_answered": "repro.metrics.recall",

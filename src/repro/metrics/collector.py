@@ -1,60 +1,52 @@
-"""Per-query result logging and aggregation."""
+"""The query log: every result of a run, and everything reported from it.
+
+One log serves both kinds of report.  The paper's figures read a warmed
+suffix of the log (similarity histogram, recall values, hops, exact
+hits); the event-driven experiments read all of it (per-phase latency
+percentiles, fault tallies, mean recall).  The results themselves are
+the engine's :class:`~repro.rpc.engine.TimedQueryResult`, whichever
+transport produced them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.system import RangeQueryResult
+import numpy as np
+
 from repro.errors import ConfigError
-from repro.ranges.interval import IntRange
-from repro.util.stats import Histogram
+from repro.metrics.report import format_table
+from repro.rpc.engine import TimedQueryResult
+from repro.util.stats import Histogram, SummaryStats, summarize
 
-__all__ = ["QueryRecord", "QueryLog"]
+__all__ = ["QueryLog", "QUERY_PHASES"]
 
-
-@dataclass(frozen=True)
-class QueryRecord:
-    """The subset of a query result the experiments aggregate."""
-
-    query: IntRange
-    similarity: float
-    recall: float
-    found: bool
-    exact: bool
-    hops: int
-
-    @classmethod
-    def from_result(cls, result: RangeQueryResult) -> "QueryRecord":
-        """Project a system result down to its measured quantities."""
-        return cls(
-            query=result.query,
-            similarity=result.similarity,
-            recall=result.recall,
-            found=result.found,
-            exact=result.exact,
-            hops=result.overlay_hops,
-        )
+#: The phases of one query, in execution order.
+QUERY_PHASES = ("route", "match", "fetch", "store", "total")
 
 
 @dataclass
 class QueryLog:
-    """An append-only log of query records with the paper's aggregations."""
+    """An append-only log of query results with the paper's aggregations
+    and a latency evaluation's."""
 
-    records: list[QueryRecord] = field(default_factory=list)
+    results: list[TimedQueryResult] = field(default_factory=list)
 
-    def add(self, result: RangeQueryResult) -> None:
-        """Record one system query result."""
-        self.records.append(QueryRecord.from_result(result))
+    def add(self, result: TimedQueryResult) -> None:
+        """Record one query result."""
+        self.results.append(result)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.results)
 
-    def measured(self, warmup_fraction: float = 0.2) -> list[QueryRecord]:
-        """Records after dropping the warmup prefix (paper: first 20%)."""
+    # -- the paper's figures: a warmed suffix of the log ----------------
+
+    def measured(self, warmup_fraction: float = 0.2) -> list[TimedQueryResult]:
+        """Results after dropping the warmup prefix (paper: first 20%)."""
         if not 0.0 <= warmup_fraction < 1.0:
             raise ConfigError("warmup fraction must be within [0, 1)")
-        cut = int(len(self.records) * warmup_fraction)
-        return self.records[cut:]
+        cut = int(len(self.results) * warmup_fraction)
+        return self.results[cut:]
 
     def similarity_histogram(
         self, warmup_fraction: float = 0.2, n_bins: int = 10
@@ -63,9 +55,9 @@ class QueryLog:
         similarity over measured queries; queries with no match at all are
         recorded as misses."""
         histogram = Histogram(n_bins=n_bins)
-        for record in self.measured(warmup_fraction):
-            if record.found:
-                histogram.add(record.similarity)
+        for result in self.measured(warmup_fraction):
+            if result.found:
+                histogram.add(result.similarity)
             else:
                 histogram.add_miss()
         return histogram
@@ -76,7 +68,7 @@ class QueryLog:
 
     def hop_values(self, warmup_fraction: float = 0.0) -> list[int]:
         """Overlay hops per measured query."""
-        return [r.hops for r in self.measured(warmup_fraction)]
+        return [r.overlay_hops for r in self.measured(warmup_fraction)]
 
     def exact_fraction(self, warmup_fraction: float = 0.2) -> float:
         """Fraction of measured queries answered by an identical partition."""
@@ -84,3 +76,71 @@ class QueryLog:
         if not measured:
             return 0.0
         return sum(1 for r in measured if r.exact) / len(measured)
+
+    # -- latency and faults: the whole log ------------------------------
+
+    @property
+    def chain_timeouts(self) -> int:
+        """Lookup chains that exhausted every replica's budget."""
+        return sum(r.timeouts for r in self.results)
+
+    @property
+    def failovers(self) -> int:
+        """Lookup chains answered by a successor-list replica after the
+        identifier's owner was unreachable."""
+        return sum(r.failovers for r in self.results)
+
+    @property
+    def degraded_queries(self) -> int:
+        """Queries answered from fewer than ``l`` replies."""
+        return sum(1 for r in self.results if r.degraded)
+
+    @property
+    def partial_queries(self) -> int:
+        """Queries a partial quorum answered early (a subset of degraded)."""
+        return sum(1 for r in self.results if r.partial)
+
+    @property
+    def misses(self) -> int:
+        """Queries that located no partition at all."""
+        return sum(1 for r in self.results if not r.found)
+
+    def phase_summary(self) -> dict[str, SummaryStats]:
+        """Per-phase latency over every result; a phase with no samples
+        yet summarizes as a ``count=0`` row."""
+        results = self.results
+        return {
+            phase: summarize([getattr(r, f"{phase}_ms") for r in results])
+            for phase in QUERY_PHASES
+        }
+
+    def mean_recall(self) -> float:
+        """Mean recall over every result (0.0 when none recorded)."""
+        return float(np.mean([r.recall for r in self.results])) if self.results else 0.0
+
+    def report(self, title: str = "Query latency by phase") -> str:
+        """Human-readable phase table plus the fault tallies."""
+        summary = self.phase_summary()
+        rows = [
+            [
+                phase,
+                str(s.count),
+                *(f"{v:.1f}" for v in (s.mean, s.p50, s.p95, s.p99, s.maximum)),
+            ]
+            for phase, s in summary.items()
+        ]
+        table = format_table(
+            ["phase", "n", "mean ms", "p50 ms", "p95 ms", "p99 ms", "max ms"],
+            rows,
+            title=title,
+        )
+        # The partial tally only appears when quorum completion fired, so
+        # reports from runs without the feature stay byte-identical.
+        partial = self.partial_queries
+        tail = (
+            f"queries={len(self)}  chain timeouts={self.chain_timeouts}  "
+            f"failovers={self.failovers}  degraded={self.degraded_queries}  "
+            f"{f'partial={partial}  ' if partial else ''}misses={self.misses}  "
+            f"mean recall={self.mean_recall():.3f}"
+        )
+        return f"{table}\n{tail}"

@@ -6,9 +6,9 @@ group hashing, each of the ``l`` lookup chains hop by hop, match scores,
 failovers, retries and the store-on-miss fan-out — on both the
 synchronous (:mod:`repro.core.system`) and event-driven
 (:mod:`repro.sim.query`) paths.  The :class:`MetricsRegistry` unifies the
-formerly disjoint counter objects (``TrafficStats``, ``SystemCounters``,
-``LatencyCollector``) behind one export surface: JSON/JSONL dumps and
-the ``repro metrics`` CLI report.  The :mod:`repro.obs.health` module
+formerly disjoint counter objects (``TrafficStats``, ``SystemCounters``)
+behind one export surface: JSON/JSONL dumps and the ``repro metrics``
+CLI report.  The :mod:`repro.obs.health` module
 adds continuous visibility: a :class:`TelemetrySampler` writing ring
 time series, a :class:`RingAuditor` checking overlay invariants, and
 load-skew analytics over per-node load.

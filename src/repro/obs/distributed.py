@@ -49,6 +49,7 @@ import uuid
 from collections import deque
 from typing import Any, Callable, Iterable, Iterator
 
+from repro.obs.registry import bucket_quantile
 from repro.obs.trace import QueryTrace, Span
 from repro.util.tolerant import read_jsonl_tolerant
 
@@ -513,26 +514,6 @@ def merge_histogram_series(
     if edges is None:
         return None
     return {"edges": edges, "counts": counts, "count": count, "sum": total, "max": peak}
-
-
-def bucket_quantile(edges: list[float], counts: list[int], q: float) -> float:
-    """Bucket-resolution quantile: the upper edge of the bucket holding q.
-
-    The overflow bucket reads as the last finite edge — an honest "at
-    least this much" rather than a fabricated infinity.
-    """
-    total = sum(counts)
-    if total <= 0:
-        return 0.0
-    rank = q * total
-    seen = 0
-    for i, c in enumerate(counts):
-        seen += c
-        if seen >= rank:
-            if i < len(edges):
-                return float(edges[i])
-            return float(edges[-1]) if edges else 0.0
-    return float(edges[-1]) if edges else 0.0
 
 
 def histogram_quantiles(

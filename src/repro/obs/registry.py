@@ -2,13 +2,12 @@
 
 Before this module existed the system's accounting was split across three
 disjoint objects — :class:`~repro.net.transport.TrafficStats` on each
-transport, :class:`~repro.core.system.SystemCounters` on the system, and
-:class:`~repro.metrics.latency.LatencyCollector` in the experiments — each
-with its own fields, reset semantics and rendering.  The registry gives
-them one home: named counters, gauges and histograms (optionally labeled,
-Prometheus-style) that every layer writes into and one export surface
-reads out of — a JSON/JSONL dump for tooling and a fixed-width text report
-for the CLI.
+transport, :class:`~repro.core.system.SystemCounters` on the system, and a
+latency collector in the experiments — each with its own fields, reset
+semantics and rendering.  The registry gives them one home: named
+counters, gauges and histograms (optionally labeled, Prometheus-style)
+that every layer writes into and one export surface reads out of — a
+JSON/JSONL dump for tooling and a fixed-width text report for the CLI.
 
 The legacy objects remain as typed facades: their scalar fields are
 properties over registry counters (see :class:`RegistryBackedCounters`),
@@ -30,6 +29,7 @@ __all__ = [
     "MetricsRegistry",
     "RegistryBackedCounters",
     "LabeledCounterDict",
+    "bucket_quantile",
     "registry_field",
     "write_jsonl",
 ]
@@ -132,6 +132,31 @@ class Gauge(Counter):
     kind = "gauge"
 
 
+def bucket_quantile(edges: Sequence[float], counts: Sequence[int], q: float) -> float:
+    """Bucket-resolution quantile: the upper edge of the bucket holding q.
+
+    ``counts`` follows :class:`HistogramMetric`'s layout, one overflow
+    bucket past ``edges``; that bucket reads as the last finite edge, an
+    honest "at least this much" rather than a fabricated infinity.  An
+    empty histogram reads 0.0.  ``q`` must lie in ``(0, 1]``: at 0 every
+    leading empty bucket would qualify.
+    """
+    if not 0.0 < q <= 1.0:
+        raise ValueError(f"quantile must be in (0, 1], got {q}")
+    total = sum(counts)
+    if total <= 0:
+        return 0.0
+    rank = q * total
+    seen = 0
+    for i, c in enumerate(counts):
+        seen += c
+        if seen >= rank:
+            break
+    if i < len(edges):
+        return float(edges[i])
+    return float(edges[-1]) if edges else 0.0
+
+
 class HistogramMetric(_Metric):
     """Bucketed sample distribution per label set.
 
@@ -206,6 +231,13 @@ class HistogramMetric(_Metric):
         if series is None or series["count"] == 0:
             return 0.0
         return series["sum"] / series["count"]
+
+    def quantile(self, q: float, **labels: Any) -> float:
+        """Bucket-resolution ``q``-quantile of one series (see
+        :func:`bucket_quantile`; 0.0 when empty)."""
+        series = self._series.get(_label_key(labels))
+        counts = series["counts"] if series is not None else ()
+        return bucket_quantile(self.edges, counts, q)
 
     def items(self) -> Iterator[tuple[dict[str, Any], dict[str, Any]]]:
         """(labels, series-state) pairs for every series."""

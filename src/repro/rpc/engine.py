@@ -78,7 +78,7 @@ def _trace_ctx(trace: QueryTrace, span) -> TraceContext | None:
     return TraceContext(trace_id, getattr(span, "span_id", None))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MatchReply:
     """One owner peer's answer to a match request.
 
@@ -92,7 +92,7 @@ class MatchReply:
     score: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainOutcome:
     """One identifier lookup chain, timed."""
 
@@ -118,22 +118,16 @@ class ChainOutcome:
     failover_hops: int = 0
 
 
-@dataclass(frozen=True)
-class LocatePhase:
-    """Aggregated outcome of the locate phase (steps 1-4, no fetch)."""
+class _ChainTotals:
+    """What both results read off their ``chains``, one chain per
+    identifier (or per answered identifier, after a partial quorum)."""
 
-    hashed_query: IntRange
-    chains: tuple[ChainOutcome, ...]
-    #: Whether a partial quorum answered early (stragglers cancelled).
-    partial: bool
-    best: MatchReply | None
-    started: float
-    locate_ms: float
-    route_ms: float
-    #: Chains that exhausted every replica's budget.
-    timeouts: int
-    #: Chains answered by a non-primary replica.
-    failovers: int
+    __slots__ = ()
+
+    @property
+    def identifiers(self) -> tuple[int, ...]:
+        """The looked-up identifiers, in chain order."""
+        return tuple(c.identifier for c in self.chains)
 
     @property
     def overlay_hops(self) -> int:
@@ -149,8 +143,32 @@ class LocatePhase:
             for c in self.chains
         )
 
+    @property
+    def peers_contacted(self) -> int:
+        """Distinct peers that answered; an unreachable replica chain
+        contributes none."""
+        return len({c.reply.peer_id for c in self.chains if c.reply is not None})
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
+class LocatePhase(_ChainTotals):
+    """Aggregated outcome of the locate phase (steps 1-4, no fetch)."""
+
+    hashed_query: IntRange
+    chains: tuple[ChainOutcome, ...]
+    #: Whether a partial quorum answered early (stragglers cancelled).
+    partial: bool
+    best: MatchReply | None
+    started: float
+    locate_ms: float
+    route_ms: float
+    #: Chains that exhausted every replica's budget.
+    timeouts: int
+    #: Chains answered by a non-primary replica.
+    failovers: int
+
+
+@dataclass(frozen=True, slots=True)
 class StoreOutcome:
     """Aggregated outcome of the store fan-out (step 5)."""
 
@@ -163,9 +181,14 @@ class StoreOutcome:
     store_ms: float
 
 
-@dataclass(frozen=True)
-class TimedQueryResult:
-    """Outcome of one engine query, with phase timings.
+@dataclass(frozen=True, slots=True)
+class TimedQueryResult(_ChainTotals):
+    """Outcome of one query on any transport, with phase timings.
+
+    ``similarity`` is Jaccard between the original query and the match
+    (the x-axis of Figures 6-7); ``recall`` is the containment of the
+    original query in the match (the x-axis of Figures 8-10).  Both are
+    0.0 when nothing matched.
 
     On the synchronous transport the ``*_ms`` fields measure cumulative
     simulated wire time rather than wall/virtual clock; on the socket
@@ -208,20 +231,15 @@ class TimedQueryResult:
         """Whether the answer came from fewer than ``l`` replies."""
         return self.timeouts > 0 or self.partial
 
-    @property
-    def overlay_hops(self) -> int:
-        """Routing plus failover hops, summed over chains."""
-        return sum(c.hops + c.failover_hops for c in self.chains)
-
 
 class QueryEngine:
     """The query procedure, bound to one system and one transport.
 
     ``system`` provides the topology and bookkeeping surface shared by
     every deployment: ``config``, ``counters``, ``router``,
-    ``identifiers_for``, ``place_identifier``, ``replica_owners`` and
-    ``failover_candidates``.  :class:`~repro.core.system.RangeSelectionSystem`
-    is the usual provider; the socket client supplies a stores-less mirror
+    ``pad_query``, ``identifiers_for``, ``place_identifier``,
+    ``replica_owners`` and ``failover_candidates``.
+    :class:`~repro.core.system.RangeSelectionSystem` is the usual provider; the socket client supplies a stores-less mirror
     of the same surface.
     """
 
@@ -261,18 +279,9 @@ class QueryEngine:
         each replica attempt with its failovers, the store fan-out.
         """
         trace = trace if trace is not None else NULL_TRACE
-        config = self.system.config
-        effective_padding = config.padding if padding is None else padding
-        hashed_query = query
-        if effective_padding > 0:
-            hashed_query = query.pad(
-                effective_padding,
-                lower_bound=config.domain.low,
-                upper_bound=config.domain.high,
-            )
-            trace.event(
-                "padded", padding=effective_padding, hashed=str(hashed_query)
-            )
+        hashed_query, applied = self.system.pad_query(query, padding)
+        if applied > 0:
+            trace.event("padded", padding=applied, hashed=str(hashed_query))
         out: SimFuture[TimedQueryResult] = SimFuture()
         located = self.locate(
             hashed_query, relation, attribute, origin, trace=trace
@@ -836,7 +845,7 @@ class QueryEngine:
                 relation,
                 attribute,
                 origin,
-                identifiers=[c.identifier for c in phase.chains],
+                identifiers=list(phase.identifiers),
                 trace=trace,
             )
             stored_future.add_done_callback(

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.obs.registry import HistogramMetric, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "AdaptiveTimeout",
     "JitteredBackoff",
     "CircuitBreaker",
     "HedgePolicy",
-    "histogram_percentile",
 ]
 
 
@@ -324,35 +323,6 @@ class CircuitBreaker:
             self._open_now.inc(-1)
 
 
-def histogram_percentile(
-    histogram: HistogramMetric, q: float, **labels: object
-) -> float | None:
-    """The ``q``-th percentile of one histogram series, bucket resolution.
-
-    Returns the upper edge of the bucket holding the ``q``-th percentile
-    sample (conservative: the true value is at most this), the recorded
-    maximum for samples past the last edge, or None for an empty series.
-    """
-    if not 0.0 < q <= 100.0:
-        raise ValueError("percentile must be in (0, 100]")
-    series = None
-    for series_labels, state in histogram.items():
-        if series_labels == labels:
-            series = state
-            break
-    if series is None or series["count"] == 0:
-        return None
-    rank = q / 100.0 * series["count"]
-    seen = 0
-    for index, count in enumerate(series["counts"]):
-        seen += count
-        if seen >= rank:
-            if index < len(histogram.edges):
-                return float(histogram.edges[index])
-            return float(series["max"])
-    return float(series["max"])
-
-
 class HedgePolicy:
     """When to launch a backup request for a straggling lookup chain.
 
@@ -401,6 +371,5 @@ class HedgePolicy:
         """Hedge delay for the next chain, or None until warm."""
         if not self.warm:
             return None
-        tail = histogram_percentile(self._chain_ms, self.percentile)
-        assert tail is not None
+        tail = self._chain_ms.quantile(self.percentile / 100)
         return min(self.ceiling_ms, max(self.floor_ms, tail))

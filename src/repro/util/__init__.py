@@ -19,7 +19,6 @@ _EXPORTS = {
     "is_power_of_two": "repro.util.bitops",
     "bit_length_of_space": "repro.util.bitops",
     "random_key_with_ones": "repro.util.bitops",
-    "percentile": "repro.util.stats",
     "summarize": "repro.util.stats",
     "SummaryStats": "repro.util.stats",
     "Histogram": "repro.util.stats",

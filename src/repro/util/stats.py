@@ -13,7 +13,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 __all__ = [
-    "percentile",
     "SummaryStats",
     "summarize",
     "Histogram",
@@ -22,24 +21,16 @@ __all__ = [
 ]
 
 
-def percentile(values: Sequence[float], q: float) -> float:
-    """The ``q``-th percentile (0..100) of ``values`` by linear interpolation."""
-    if not 0 <= q <= 100:
-        raise ValueError("percentile q must be within [0, 100]")
-    arr = np.asarray(list(values), dtype=float)
-    if arr.size == 0:
-        raise ValueError("cannot take a percentile of an empty sequence")
-    return float(np.percentile(arr, q))
-
-
 @dataclass(frozen=True)
 class SummaryStats:
-    """Mean plus the percentile band the paper plots (1st and 99th)."""
+    """Mean plus the percentile band the paper plots (1st and 99th), and
+    the tail percentiles a latency table reads (50th, 95th, 99th)."""
 
     count: int
     mean: float
     p01: float
     p50: float
+    p95: float
     p99: float
     minimum: float
     maximum: float
@@ -50,16 +41,23 @@ class SummaryStats:
 
 
 def summarize(values: Iterable[float]) -> SummaryStats:
-    """Compute :class:`SummaryStats` over ``values``."""
+    """Compute :class:`SummaryStats` over ``values``.
+
+    Percentiles interpolate linearly.  An empty sample yields the
+    all-zero ``count=0`` summary rather than raising: a run where every
+    query times out must still render its report.
+    """
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
-        raise ValueError("cannot summarize an empty sequence")
+        return SummaryStats(0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    p01, p50, p95, p99 = (float(np.percentile(arr, q)) for q in (1, 50, 95, 99))
     return SummaryStats(
         count=int(arr.size),
         mean=float(arr.mean()),
-        p01=float(np.percentile(arr, 1)),
-        p50=float(np.percentile(arr, 50)),
-        p99=float(np.percentile(arr, 99)),
+        p01=p01,
+        p50=p50,
+        p95=p95,
+        p99=p99,
         minimum=float(arr.min()),
         maximum=float(arr.max()),
     )

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core.composite import compose_replies, query_composite
 from repro.core.config import SystemConfig
-from repro.core.system import LocateResult, MatchReply, RangeSelectionSystem
+from repro.core.system import MatchReply, RangeSelectionSystem
 from repro.db.partition import PartitionDescriptor
 from repro.ranges.interval import IntRange
 from repro.ranges.rangeset import RangeSet
+from repro.rpc.engine import ChainOutcome, LocatePhase
 
 
 def reply(peer: int, identifier: int, start: int, end: int) -> MatchReply:
@@ -17,20 +20,35 @@ def reply(peer: int, identifier: int, start: int, end: int) -> MatchReply:
     return MatchReply(peer, identifier, descriptor, 0.5)
 
 
-def locate_result(query: IntRange, replies: list[MatchReply]) -> LocateResult:
+def chain(identifier: int, answer: MatchReply | None) -> ChainOutcome:
+    """One lookup chain; ``answer=None`` is a chain no replica answered."""
+    return ChainOutcome(
+        identifier=identifier,
+        owner=answer.peer_id if answer is not None else 99,
+        hops=1,
+        route_ms=0.0,
+        reply=answer,
+        completed_ms=0.0,
+        timed_out=answer is None,
+    )
+
+
+def locate_result(query: IntRange, replies: list[MatchReply]) -> LocatePhase:
     best = max(
         (r for r in replies if r.descriptor is not None),
         key=lambda r: r.score,
         default=None,
     )
-    return LocateResult(
-        query=query,
-        identifiers=tuple(r.identifier for r in replies),
-        owners=tuple(r.peer_id for r in replies),
-        replies=tuple(replies),
+    return LocatePhase(
+        hashed_query=query,
+        chains=tuple(chain(r.identifier, r) for r in replies),
+        partial=False,
         best=best,
-        overlay_hops=7,
-        peers_contacted=len({r.peer_id for r in replies}),
+        started=0.0,
+        locate_ms=0.0,
+        route_ms=0.0,
+        timeouts=0,
+        failovers=0,
     )
 
 
@@ -61,18 +79,13 @@ class TestComposeReplies:
 
     def test_no_replies_means_zero_recall(self):
         query = IntRange(0, 9)
-        located = LocateResult(
-            query=query,
-            identifiers=(1,),
-            owners=(5,),
-            replies=(MatchReply(5, 1, None, 0.0),),
-            best=None,
-            overlay_hops=2,
-            peers_contacted=1,
-        )
+        located = locate_result(query, [MatchReply(5, 1, None, 0.0)])
+        located = replace(located, chains=(*located.chains, chain(2, None)))
         answer = compose_replies(query, located)
         assert answer.recall == 0.0
         assert answer.residual == RangeSet.of((0, 9))
+        # The empty bucket's peer answered; the unreachable chain's did not.
+        assert answer.peers_contacted == 1
 
     def test_overlapping_parts_not_double_counted(self):
         query = IntRange(0, 99)

@@ -62,7 +62,7 @@ class TestOverlayIndependence:
             log = QueryLog()
             for query in workload:
                 log.add(system.query(query))
-            logs[kind] = [(r.similarity, r.recall, r.exact) for r in log.records]
+            logs[kind] = [(r.similarity, r.recall, r.exact) for r in log.results]
         assert logs["chord"] == logs["can"]
 
     def test_can_system_basic_flow(self):

@@ -126,13 +126,13 @@ class TestRouting:
     def test_all_owners_agree_with_ring(self):
         system = make_system(n_peers=100)
         located = system.locate(IntRange(10, 40))
-        for identifier, owner in zip(located.identifiers, located.owners):
+        for identifier, owner in zip(located.identifiers, located.answered_by):
             assert owner == system.ring.successor_of(system.place_identifier(identifier))
 
     def test_direct_placement_mode(self):
         system = make_system(placement="direct")
         located = system.locate(IntRange(10, 40))
-        for identifier, owner in zip(located.identifiers, located.owners):
+        for identifier, owner in zip(located.identifiers, located.answered_by):
             assert owner == system.ring.successor_of(identifier)
 
     def test_placement_modes_share_bucket_semantics(self):

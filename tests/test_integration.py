@@ -25,7 +25,7 @@ class TestWarmupDynamics:
         log = QueryLog()
         for query in workload:
             log.add(system.query(query))
-        records = log.records
+        records = log.results
         early = [r.recall for r in records[100:400]]
         late = [r.recall for r in records[-300:]]
         assert sum(late) / len(late) > sum(early) / len(early)

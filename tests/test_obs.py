@@ -9,7 +9,6 @@ import pytest
 
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem, SystemCounters
-from repro.metrics.latency import LatencyCollector, phase_percentiles
 from repro.net.latency import SeededLatency
 from repro.net.message import Message
 from repro.net.transport import TrafficStats
@@ -348,7 +347,7 @@ class TestSyncPathTracing:
         system.query(IntRange(10, 30))
         locate = system.locate(IntRange(10, 30))
         # Crash every answering owner, forcing failover on the next query.
-        for owner in set(locate.owners):
+        for owner in set(locate.answered_by):
             system.crash_peer(owner)
         trace = system.start_trace(IntRange(10, 30))
         system.query(IntRange(10, 30), trace=trace)
@@ -414,7 +413,7 @@ class TestEventDrivenTracing:
         system.query(IntRange(10, 30))
         engine = AsyncQueryEngine(system)
         locate = system.locate(IntRange(10, 30))
-        for owner in set(locate.owners):
+        for owner in set(locate.answered_by):
             engine.crash_peer(owner)
         trace = engine.start_trace(IntRange(10, 30))
         result = engine.run(IntRange(10, 30), trace=trace)
@@ -435,28 +434,6 @@ class TestEventDrivenTracing:
             system.metrics.counter("sim.net.messages").total()
             == engine.net.stats.messages
         )
-
-
-class TestLatencyCollectorRegistry:
-    def test_phase_percentiles_empty_is_zero_row(self):
-        summary = phase_percentiles([])
-        assert summary.count == 0
-        assert summary.p99 == 0.0
-
-    def test_empty_collector_report_renders(self):
-        collector = LatencyCollector()
-        summary = collector.phase_summary()
-        assert summary["total"].count == 0
-        assert "total" in collector.report()
-
-    def test_collector_feeds_histogram(self):
-        system = RangeSelectionSystem(SystemConfig(n_peers=16, seed=4))
-        system.query(IntRange(5, 25))
-        engine = AsyncQueryEngine(system)
-        collector = LatencyCollector(registry=system.metrics)
-        collector.add(engine.run(IntRange(5, 25)))
-        hist = system.metrics.get("latency.phase_ms")
-        assert hist.count(phase="total") == 1
 
 
 class TestTimeSeriesMetric:

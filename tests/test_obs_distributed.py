@@ -391,6 +391,11 @@ def test_bucket_quantile_reads_bucket_upper_edges():
     # Overflow reads as the last finite edge, not infinity.
     assert bucket_quantile(edges, counts, 1.0) == 100.0
     assert bucket_quantile(edges, [0, 0, 0, 0], 0.5) == 0.0
+    # q = 0 would read the edge of a leading empty bucket, q > 1 the top
+    # edge: both are rejected, like any q outside (0, 1].
+    for q in (0.0, -1.0, 2.0):
+        with pytest.raises(ValueError):
+            bucket_quantile([1.0, 10.0], [0, 3, 0], q)
 
 
 def test_cluster_histogram_summary_shape():

@@ -168,7 +168,7 @@ class TestFailoverLookup:
         result = system.locate(query)
         assert result.best is not None
         assert result.failovers >= 1
-        assert result.unreachable == 0
+        assert result.timeouts == 0
         assert system.network.stats.failovers >= 1
         assert system.counters.failovers >= 1
 
@@ -189,7 +189,7 @@ class TestFailoverLookup:
         system.crash_peer(victim)
         result = system.locate(query)
         assert result.failovers == 0
-        assert result.unreachable >= 1
+        assert result.timeouts >= 1
         assert system.network.stats.failover_exhausted >= 1
 
     def test_every_replica_down_degrades_loudly(self):
@@ -200,7 +200,8 @@ class TestFailoverLookup:
             system.crash_peer(node_id)
         result = system.locate(query)
         assert result.best is None
-        assert result.unreachable == len(result.identifiers)
+        assert result.timeouts == len(result.identifiers)
+        assert result.peers_contacted == 0
         assert system.counters.failed_lookups == len(result.identifiers)
 
     def test_recover_restores_direct_answers(self):

@@ -22,6 +22,7 @@ from repro.core.system import RangeSelectionSystem
 from repro.ranges.interval import IntRange
 from repro.rpc import wire
 from repro.rpc.client import ClusterClient
+from repro.rpc.engine import TimedQueryResult
 from repro.rpc.server import PeerServer
 from repro.sim.query import AsyncQueryEngine
 from repro.sim.repair import ReplicaRepairer
@@ -84,14 +85,24 @@ def run_extras(documents: list, stores) -> dict:
     }
 
 
-def outcome_row(matched, exact, stored, similarity, recall):
+def result_row(result) -> tuple:
+    """What every transport must agree on for one query: the outcome, the
+    result's type, the hops it cost and the peers that answered."""
     return (
-        str(matched) if matched is not None else None,
-        bool(exact),
-        bool(stored),
-        pytest.approx(similarity),
-        pytest.approx(recall),
+        str(result.matched) if result.matched is not None else None,
+        result.exact,
+        result.stored,
+        result.similarity,
+        result.recall,
+        type(result),
+        result.overlay_hops,
+        result.answered_by,
     )
+
+
+def approx_row(row: tuple) -> tuple:
+    """``row`` with similarity and recall compared to float tolerance."""
+    return (*row[:3], pytest.approx(row[3]), pytest.approx(row[4]), *row[5:])
 
 
 def span_shape(span_dict: dict) -> tuple:
@@ -128,16 +139,7 @@ def run_sync(queries=QUERIES, origin_addresses=ORIGIN_ADDRESSES):
     rows, shapes, documents = [], [], []
     for query, origin in zip(queries, origins(origin_addresses)):
         trace = system.start_trace(query)
-        result = system.query(query, origin=origin, trace=trace)
-        rows.append(
-            (
-                str(result.matched) if result.matched is not None else None,
-                result.exact,
-                result.stored,
-                result.similarity,
-                result.recall,
-            )
-        )
+        rows.append(result_row(system.query(query, origin=origin, trace=trace)))
         shapes.append(trace_shape(trace))
         documents.append(trace.to_dict())
     extras = run_extras(documents, system.stores.values())
@@ -150,16 +152,7 @@ def run_sim(queries=QUERIES, origin_addresses=ORIGIN_ADDRESSES):
     rows, shapes, documents = [], [], []
     for query, origin in zip(queries, origins(origin_addresses)):
         trace = engine.start_trace(query)
-        result = engine.run(query, origin=origin, trace=trace)
-        rows.append(
-            (
-                str(result.matched) if result.matched is not None else None,
-                result.exact,
-                result.stored,
-                result.similarity,
-                result.recall,
-            )
-        )
+        rows.append(result_row(engine.run(query, origin=origin, trace=trace)))
         shapes.append(trace_shape(trace))
         documents.append(trace.to_dict())
     extras = run_extras(documents, system.stores.values())
@@ -208,17 +201,8 @@ def run_socket(
         client = ClusterClient(bootstrap, loop=loop, **client_options)
         for query, origin in zip(queries, origins(origin_addresses)):
             trace = client.start_trace(query)
-            result = client.query(query, origin=origin, trace=trace)
             rows.append(
-                (
-                    str(result.matched)
-                    if result.matched is not None
-                    else None,
-                    result.exact,
-                    result.stored,
-                    result.similarity,
-                    result.recall,
-                )
+                result_row(client.query(query, origin=origin, trace=trace))
             )
             shapes.append(trace_shape(trace))
             documents.append(trace.to_dict())
@@ -258,8 +242,7 @@ def test_socket_ring_matches_in_process_ring(sync_run, socket_run):
 def test_results_identical_across_transports(sync_run, sim_run, socket_run):
     sync_rows, sim_rows, socket_rows = sync_run[0], sim_run[0], socket_run[0]
     for index, sync_row in enumerate(sync_rows):
-        matched, exact, stored, similarity, recall = sync_row
-        expected = outcome_row(matched, exact, stored, similarity, recall)
+        expected = approx_row(sync_row)
         assert sim_rows[index] == expected, f"sim diverged on query {index}"
         assert socket_rows[index] == expected, (
             f"socket diverged on query {index}"
@@ -268,6 +251,10 @@ def test_results_identical_across_transports(sync_run, sim_run, socket_run):
     assert sync_rows[0][0] is None and sync_rows[0][2]  # cold miss, stored
     assert sync_rows[1][1]  # exact re-query hit
     assert sync_rows[2][0] is not None and not sync_rows[2][1]  # approx
+    # One result type on every transport.
+    assert {row[5] for row in sync_rows + sim_rows + socket_rows} == {
+        TimedQueryResult
+    }
 
 
 def test_trace_shapes_identical_across_transports(
@@ -309,16 +296,7 @@ def test_unknown_recipient_fails_over_identically_in_process():
         rows, shapes = [], []
         for query, origin in zip(QUERIES, origins()):
             trace = start_trace(query)
-            result = run(query, origin=origin, trace=trace)
-            rows.append(
-                (
-                    str(result.matched) if result.matched is not None else None,
-                    result.exact,
-                    result.stored,
-                    result.similarity,
-                    result.recall,
-                )
-            )
+            rows.append(result_row(run(query, origin=origin, trace=trace)))
             shapes.append(trace_shape(trace))
         return rows, shapes, counters_row(system.counters)
 

@@ -13,7 +13,6 @@ from repro.sim.policies import (
     CircuitBreaker,
     HedgePolicy,
     JitteredBackoff,
-    histogram_percentile,
 )
 
 
@@ -234,12 +233,16 @@ class TestCircuitBreaker:
 
 
 class TestHistogramPercentile:
+    """The hedge trigger's tail read: ``HistogramMetric.quantile``."""
+
     def test_validation_and_empty_series(self):
         registry = MetricsRegistry()
         hist = registry.histogram("t.h")
         with pytest.raises(ValueError):
-            histogram_percentile(hist, 0.0)
-        assert histogram_percentile(hist, 95.0) is None
+            hist.quantile(0.0)
+        with pytest.raises(ValueError):
+            hist.quantile(1.5)
+        assert hist.quantile(0.95) == 0.0
 
     def test_returns_bucket_upper_edge(self):
         registry = MetricsRegistry()
@@ -247,14 +250,16 @@ class TestHistogramPercentile:
         for _ in range(99):
             hist.observe(3.0)  # bucket (2, 5]
         hist.observe(400.0)  # bucket (200, 500]
-        assert histogram_percentile(hist, 50.0) == 5.0
-        assert histogram_percentile(hist, 100.0) == 500.0
+        assert hist.quantile(0.5) == 5.0
+        assert hist.quantile(1.0) == 500.0
+        hist.observe(1.0, peer=7)
+        assert hist.quantile(1.0, peer=7) == 1.0
 
-    def test_samples_past_last_edge_use_recorded_max(self):
+    def test_samples_past_last_edge_read_the_last_edge(self):
         registry = MetricsRegistry()
         hist = registry.histogram("t.h")
         hist.observe(1e9)
-        assert histogram_percentile(hist, 99.0) == 1e9
+        assert hist.quantile(0.99) == hist.edges[-1] == 50_000.0
 
 
 class TestHedgePolicy:

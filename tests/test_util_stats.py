@@ -10,27 +10,22 @@ from repro.util.stats import (
     DiscretePdf,
     Histogram,
     cdf_points,
-    percentile,
     summarize,
 )
 
 
 class TestPercentile:
+    """The sample percentile rule ``summarize`` applies: linear
+    interpolation between order statistics."""
+
     def test_median_of_odd_list(self):
-        assert percentile([1, 2, 3, 4, 5], 50) == 3
+        assert summarize([1, 2, 3, 4, 5]).p50 == 3
 
     def test_extremes(self):
-        values = [10, 20, 30]
-        assert percentile(values, 0) == 10
-        assert percentile(values, 100) == 30
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            percentile([], 50)
-
-    def test_out_of_range_q_raises(self):
-        with pytest.raises(ValueError):
-            percentile([1], 101)
+        stats = summarize([10, 20, 30])
+        assert (stats.minimum, stats.maximum) == (10, 30)
+        assert stats.p01 == pytest.approx(10.2)
+        assert stats.p99 == pytest.approx(29.8)
 
 
 class TestSummarize:
@@ -40,15 +35,19 @@ class TestSummarize:
         assert stats.mean == pytest.approx(50.5)
         assert stats.minimum == 1
         assert stats.maximum == 100
-        assert stats.p01 <= stats.p50 <= stats.p99
+        assert stats.p01 <= stats.p50 <= stats.p95 <= stats.p99
+        assert stats.p95 == pytest.approx(95.05)
 
     def test_as_row_is_p01_mean_p99(self):
         stats = summarize([5.0] * 10)
         assert stats.as_row() == (5.0, 5.0, 5.0)
 
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
+    def test_empty_is_zero_row(self):
+        stats = summarize([])
+        assert stats.count == 0
+        assert (stats.mean, stats.p50, stats.p95, stats.p99, stats.maximum) == (
+            0.0, 0.0, 0.0, 0.0, 0.0,
+        )
 
     @given(st.lists(st.floats(0, 1000), min_size=1, max_size=50))
     def test_percentiles_bracket_mean(self, values):
