@@ -274,11 +274,18 @@ class FlightRecorder:
         self.recorded += 1
 
     def recent(self, limit: int | None = None) -> list[dict[str, Any]]:
-        """The newest ``limit`` entries, oldest first (all when None)."""
+        """The newest ``limit`` entries, oldest first (all when None).
+
+        ``limit`` can come off the wire (the ``telemetry`` RPC's
+        ``spans``), so a negative one is refused rather than read as a
+        slice from the front.
+        """
         entries = list(self._entries)
-        if limit is not None and limit < len(entries):
-            entries = entries[-limit:]
-        return entries
+        if limit is None:
+            return entries
+        if limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        return entries[max(0, len(entries) - limit):]
 
     def spans_for(self, trace_id: str) -> list[dict[str, Any]]:
         """Retained span entries belonging to one distributed trace."""

@@ -34,11 +34,26 @@ epoch counter of the original design survives as a *freshness hint* for
 broadcasts (merging keeps ``max(local, remote)`` and bumps on local
 change); correctness no longer depends on it, the per-member merge rules
 converge regardless of delivery order.
+
+:class:`MembershipService` is the detector around one table — the tick,
+direct and indirect pings, suspicion, gossip fan-out and the membership
+request handlers — and is transport-free too: it reaches other members
+through a ``send`` coroutine and reads time from a ``clock``.
 """
 
 from __future__ import annotations
 
+import asyncio
+import random
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Any, Awaitable, Callable, Iterable
+
+from repro.errors import ReproError
+from repro.obs.log import get_logger
+
+if TYPE_CHECKING:
+    from repro.obs.distributed import FlightRecorder
+    from repro.obs.registry import MetricsRegistry
 
 __all__ = [
     "ALIVE",
@@ -47,7 +62,10 @@ __all__ = [
     "Member",
     "MergeOutcome",
     "MembershipTable",
+    "MembershipService",
 ]
+
+logger = get_logger("rpc.swim")
 
 ALIVE = "alive"
 SUSPECT = "suspect"
@@ -55,6 +73,17 @@ DEAD = "dead"
 
 #: State precedence at equal incarnations: dead > suspect > alive.
 _RANK = {ALIVE: 0, SUSPECT: 1, DEAD: 2}
+
+#: Every this-many SWIM ticks, probe a tombstoned member instead of a
+#: live one.  A dead peer that was merely paused (SIGSTOP) answers the
+#: probe after SIGCONT, learns of its own death from the piggybacked
+#: table, refutes, and rejoins — the same path heals a two-sided
+#: partition after both sides evicted each other.
+RESURRECTION_PROBE_PERIOD = 4
+
+#: ``await send(address, kind, payload, timeout_ms=...)``: one request to
+#: a member, its reply, or a :class:`~repro.errors.ReproError`.
+Send = Callable[..., Awaitable[Any]]
 
 
 @dataclass
@@ -90,10 +119,12 @@ class MergeOutcome:
     #: The remote view called *us* suspect or dead; the caller must
     #: refute (we already bumped our incarnation past the accusation).
     refuted: bool = False
+    #: This peer left the ring on purpose (a graceful leave).
+    departed: bool = False
 
     @property
     def ring_changed(self) -> bool:
-        return bool(self.joined or self.evicted)
+        return bool(self.joined or self.evicted or self.departed)
 
 
 class MembershipTable:
@@ -302,6 +333,14 @@ class MembershipTable:
             },
         }
 
+    def states(self) -> dict[str, list]:
+        """``address -> [state, incarnation]`` of every record, tombstones
+        included: what ``hello`` and ``telemetry`` report."""
+        return {
+            address: [member.state, member.incarnation]
+            for address, member in self._members.items()
+        }
+
     def records(self) -> tuple:
         """Every record in gossip form, as one comparable value: two are
         equal exactly when no member was added, dropped or re-addressed
@@ -393,3 +432,313 @@ class MembershipTable:
             self.epoch += 1
         self.epoch = max(self.epoch, int(payload.get("epoch", 0)))
         return outcome
+
+
+class MembershipService:
+    """The SWIM failure detector and membership handlers of one peer.
+
+    It sees no socket: ``send`` is its only way to other members and
+    ``clock()`` (ms) its only time.  Every move of the ring — a join this
+    peer admits, news merged from any gossip, an eviction it confirms, its
+    own departure — is reported to ``on_ring_change(outcome)``; what that
+    returns, when not None, is the follow-up the owner started (a
+    re-placement of the store), which a handler awaits before it answers.
+    ``spawn`` runs fire-and-forget gossip, ``persist()`` saves a bumped
+    incarnation, ``health()`` is the sample piggybacked on ping replies.
+    """
+
+    def __init__(
+        self,
+        table: MembershipTable,
+        *,
+        send: Send,
+        clock: Callable[[], float],
+        spawn: Callable[[Awaitable], Any],
+        on_ring_change: Callable[[MergeOutcome], Awaitable | None],
+        persist: Callable[[], None],
+        health: Callable[[], dict],
+        metrics: MetricsRegistry,
+        flight: FlightRecorder,
+        interval_ms: float = 0.0,
+        suspect_timeout_ms: float | None = None,
+        proxies: int = 2,
+        ping_timeout_ms: float | None = None,
+    ) -> None:
+        self.table = table
+        self.send = send
+        self.clock = clock
+        self.spawn = spawn
+        self.on_ring_change = on_ring_change
+        self.persist = persist
+        self.health = health
+        self.metrics = metrics
+        self.flight = flight
+        #: 0 disables the detector: membership then only changes on
+        #: join and leave.
+        self.interval_ms = interval_ms
+        self.suspect_timeout_ms = (
+            suspect_timeout_ms if suspect_timeout_ms is not None else 3.0 * interval_ms
+        )
+        self.proxies = proxies
+        self.ping_timeout_ms = (
+            ping_timeout_ms
+            if ping_timeout_ms is not None
+            else max(200.0, min(interval_ms, 1_000.0))
+        )
+        #: Peers whose last member-update delivery failed; the tick pings
+        #: them first (the ping piggybacks the full table, which *is* the
+        #: re-delivery) and every later broadcast retries.
+        self._redeliver: set[str] = set()
+        self._rng = random.Random(table.self_address)
+        self._ping_queue: list[str] = []
+        self._ticks = 0
+        #: Serialises the ``join`` requests this peer serves as bootstrap.
+        self._joining = asyncio.Lock()
+        self.handlers = {
+            "join": self._join,
+            "member-update": self._member_update,
+            "swim-ping": self._swim_ping,
+            "ping-req": self._ping_req,
+            "suspect": self._suspect,
+        }
+
+    def _count(self, name: str, help: str, amount: float = 1.0) -> None:
+        self.metrics.counter(name, help=help).inc(amount)
+
+    # -- gossip ------------------------------------------------------------
+
+    async def _fan_out(
+        self, targets: Iterable[str], kind: str, payload: Any, **options: Any
+    ) -> list:
+        """One request to every target at once: the replies in target
+        order, None where a target did not answer."""
+
+        async def one(address: str) -> Any:
+            try:
+                return await self.send(address, kind, payload, **options)
+            except ReproError:
+                return None
+
+        return list(await asyncio.gather(*(one(address) for address in targets)))
+
+    async def broadcast(self, exclude: Iterable[str] = ()) -> None:
+        """Push the whole table to every other non-dead member at once.
+
+        A member that misses it is queued for re-delivery and counted as
+        ``member.update_failed``; one that takes it leaves the queue.
+        """
+        excluded = set(exclude)
+        targets = [a for a in self.table.peers(ALIVE, SUSPECT) if a not in excluded]
+        replies = await self._fan_out(targets, "member-update", self.table.payload())
+        for address, reply in zip(targets, replies):
+            if reply is not None:
+                self._redeliver.discard(address)
+                continue
+            self._redeliver.add(address)
+            self._count(
+                "member.update_failed",
+                "member-update deliveries that failed and were queued for re-delivery",
+            )
+            logger.warning("member-update to %s failed; queued for re-delivery", address)
+
+    def _absorb(self, outcome: MergeOutcome) -> Awaitable | None:
+        """React to membership news from any gossip exchange: report a
+        moved ring, count what it evicted, announce a refutation."""
+        for address in outcome.evicted:
+            logger.info(
+                "peer %s: learned %s is dead (gossip)", self.table.self_address, address
+            )
+        if outcome.evicted:
+            self._count("swim.evicted", "members learned dead via gossip", len(outcome.evicted))
+        if outcome.refuted:
+            self._count("swim.refuted", "times this peer refuted an accusation against it")
+            logger.info(
+                "peer %s: refuted suspicion, incarnation now %d",
+                self.table.self_address, self.table.incarnation,
+            )
+            self.persist()
+            self.spawn(self.broadcast())
+        return self.on_ring_change(outcome) if outcome.ring_changed else None
+
+    # -- the detector --------------------------------------------------------
+
+    async def run(self) -> None:
+        """Tick every ``interval_ms`` until cancelled; a failed tick is
+        logged and the next one runs."""
+        while True:
+            await asyncio.sleep(self.interval_ms / 1000.0)
+            try:
+                await self.tick()
+            except Exception:  # noqa: BLE001 - the detector must survive
+                logger.exception("swim tick failed on %s", self.table.self_address)
+
+    async def tick(self) -> None:
+        """One period: confirm the suspicions that aged out, then probe
+        one member directly, then through proxies, and suspect it (telling
+        every member, the accused included, so a slow peer can refute)
+        when neither route answers."""
+        now = self.clock()
+        evicted = self.table.expired_suspects(now, self.suspect_timeout_ms)
+        for address in evicted:
+            waited = now - self.table.get(address).suspected_at
+            self.table.confirm_dead(address)
+            self._count("swim.dead", "members this peer confirmed dead")
+            self.metrics.histogram(
+                "swim.detect_ms", help="suspicion-to-eviction latency"
+            ).observe(waited)
+            logger.info(
+                "peer %s: %s is dead (suspect for %.0f ms), evicting",
+                self.table.self_address, address, waited,
+            )
+        if evicted:
+            self.on_ring_change(MergeOutcome(changed=True, evicted=evicted))
+            await self.broadcast(exclude=evicted)
+        target = self._next_target()
+        if target is None:
+            return
+        reply = await self._ping(target)
+        if reply is None and self.table.state_of(target) != DEAD:
+            reply = await self._ping_via_proxies(target)
+        if reply is not None:
+            self._absorb(self.table.merge(reply, self.clock()))
+        elif self.table.suspect(target, self.clock()):
+            # (A failed probe of a tombstone suspects nobody.)
+            self._count("swim.suspected", "members this peer marked suspect")
+            self.flight.record_event("swim-suspect", target=target)
+            logger.info("peer %s: suspecting %s", self.table.self_address, target)
+            accusation = {"epoch": 0, "members": {target: self.table.get(target).record()}}
+            await self._fan_out(
+                self.table.peers(ALIVE, SUSPECT), "suspect", accusation,
+                timeout_ms=self.ping_timeout_ms,
+            )
+
+    def _next_target(self) -> str | None:
+        """Round-robin over a shuffled member list, SWIM-style.
+
+        Peers with a pending member-update re-delivery go first; every
+        :data:`RESURRECTION_PROBE_PERIOD`-th tick probes a tombstone
+        instead, so paused peers and healed partitions can rejoin.
+        """
+        self._ticks += 1
+        for address in list(self._redeliver):
+            if self.table.state_of(address) in (ALIVE, SUSPECT):
+                return address
+        if self._ticks % RESURRECTION_PROBE_PERIOD == 0:
+            dead = self.table.peers(DEAD)
+            if dead:
+                return dead[self._rng.randrange(len(dead))]
+        candidates = set(self.table.peers(ALIVE, SUSPECT))
+        self._ping_queue = [a for a in self._ping_queue if a in candidates]
+        if not self._ping_queue:
+            self._ping_queue = sorted(candidates)
+            self._rng.shuffle(self._ping_queue)
+        return self._ping_queue.pop() if self._ping_queue else None
+
+    async def _ping(self, address: str) -> dict | None:
+        """Ping a member, piggybacking our table; its table, or None."""
+        try:
+            reply = await self.send(
+                address, "swim-ping", self.table.payload(), timeout_ms=self.ping_timeout_ms
+            )
+        except ReproError:
+            self._count("swim.ping_failures", "direct pings that went unanswered")
+            return None
+        self._count("swim.pings", "direct pings answered")
+        self._redeliver.discard(address)
+        if not isinstance(reply, dict):
+            return None
+        health = reply.get("health")
+        if isinstance(health, dict):
+            self._count("swim.health_piggybacked", "health samples received on SWIM ping replies")
+            for name in ("queue_depth", "pending_repair", "entries"):
+                value = health.get(name)
+                if isinstance(value, (int, float)):
+                    self.metrics.gauge(
+                        f"swim.peer_{name}", help=f"last piggybacked {name} per pinged peer"
+                    ).set(float(value), peer=address)
+        return reply
+
+    async def _ping_via_proxies(self, address: str) -> dict | None:
+        """Ask ``proxies`` other alive members to ping ``address`` for us."""
+        proxies = [proxy for proxy in self.table.peers(ALIVE) if proxy != address]
+        self._rng.shuffle(proxies)
+        proxies = proxies[: self.proxies]
+        if not proxies:
+            return None
+        self._count("swim.ping_reqs", "indirect ping-req probes issued", len(proxies))
+        request = {"address": address, "timeout_ms": self.ping_timeout_ms}
+        replies = await self._fan_out(
+            proxies, "ping-req", request, timeout_ms=2.0 * self.ping_timeout_ms
+        )
+        return next((reply for reply in replies if isinstance(reply, dict)), None)
+
+    # -- request handlers ----------------------------------------------------
+
+    async def _join(self, payload: Any) -> dict:
+        """Admit a joiner, as its bootstrap peer, one join at a time.
+
+        A whole cluster may be knocking at once, and a hand-off planned
+        against one ring must not be executed against the next.  The reply
+        is built last, so it names everything learned while the join ran.
+        """
+        address = str(payload["address"])
+        async with self._joining:
+            self.table.add(address, str(payload["host"]), int(payload["port"]))
+            follow_up = self.on_ring_change(MergeOutcome(changed=True, joined=[address]))
+            await self.broadcast(exclude={address})
+            if follow_up is not None:
+                await follow_up
+            return self.table.payload()
+
+    async def _member_update(self, payload: Any) -> bool:
+        """Merge a pushed table; answer once whatever it set off is done
+        (a member new to this peer gets its share of the data first)."""
+        outcome = self.table.merge(payload, self.clock())
+        follow_up = self._absorb(outcome)
+        if follow_up is not None:
+            await follow_up
+        return outcome.changed
+
+    def _swim_ping(self, payload: Any) -> dict:
+        """Answer a probe: merge the prober's table, reply with ours and a
+        health sample (``merge`` reads only ``epoch`` and ``members``)."""
+        if isinstance(payload, dict):
+            self._absorb(self.table.merge(payload, self.clock()))
+        return {**self.table.payload(), "health": self.health()}
+
+    def _suspect(self, payload: Any) -> bool:
+        """Merge one gossiped suspicion record; the merge refutes one
+        about this peer."""
+        outcome = self.table.merge(payload, self.clock())
+        self._absorb(outcome)
+        return outcome.changed
+
+    async def _ping_req(self, payload: Any) -> Any:
+        """Probe a third member on a requester's behalf: its ping reply,
+        or False."""
+        self._count("swim.ping_reqs_served", "ping-req probes served as proxy")
+        timeout_ms = float(payload.get("timeout_ms", self.ping_timeout_ms))
+        try:
+            reply = await self.send(
+                str(payload["address"]), "swim-ping", self.table.payload(),
+                timeout_ms=timeout_ms,
+            )
+        except ReproError:
+            return False
+        if not isinstance(reply, dict):
+            return False
+        self._absorb(self.table.merge(reply, self.clock()))
+        return reply
+
+    async def depart(self) -> int:
+        """Graceful departure: hand every entry to its post-leave replica
+        set, then announce the leave.  Returns the copies moved."""
+        self.table.depart()
+        hand_off = self.on_ring_change(MergeOutcome(changed=True, departed=True))
+        moved = await hand_off if hand_off is not None else 0
+        await self.broadcast()
+        logger.info(
+            "peer %s leaving: moved %d copie(s) to %d member(s)",
+            self.table.self_address, moved, len(self.table.endpoints()),
+        )
+        return moved

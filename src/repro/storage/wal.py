@@ -40,6 +40,7 @@ from time import perf_counter
 from typing import Any, Callable
 
 from repro.errors import StorageError
+from repro.obs.log import get_logger
 from repro.obs.registry import MetricsRegistry
 from repro.rpc import wire
 from repro.storage.snapshot import (
@@ -49,6 +50,8 @@ from repro.storage.snapshot import (
 )
 from repro.storage.store import PeerStore
 from repro.util.tolerant import parse_json_record
+
+logger = get_logger("storage.wal")
 
 __all__ = [
     "WalWriter",
@@ -235,7 +238,8 @@ class PeerDurability:
         self._seq_floor = 0
         self._valid_wal_bytes: int | None = None
         self.compactions = 0
-        registry = registry if registry is not None else MetricsRegistry()
+        self._registry = registry if registry is not None else MetricsRegistry()
+        registry = self._registry
         self._fsync_ms = registry.histogram(
             "wal.fsync_ms", help="flush + fsync time of one commit",
             edges=(0.05, 0.1, 0.2, 0.5, 1, 2, 5, 10, 20, 50, 100, 1000),
@@ -265,7 +269,8 @@ class PeerDurability:
     # ------------------------------------------------------------------
 
     def recover(self, store: PeerStore) -> dict:
-        """Rebuild ``store`` from snapshot + WAL; returns replay stats.
+        """Rebuild ``store`` from snapshot + WAL; returns replay stats,
+        also counted as the registry's ``restore.*`` series.
 
         Tolerates a missing or partial snapshot (falls back to pure WAL
         replay) and a torn WAL tail (salvages every complete record).
@@ -302,12 +307,24 @@ class PeerDurability:
                 store.apply_remove(op["identifier"], op["descriptor"])
             replayed += 1
         self._seq_floor = last_seq
-        return {
+        stats = {
             "snapshot_entries": snapshot_entries,
             "wal_records": replayed,
             "torn_records": torn,
             "entries": store.partition_count,
         }
+        for name, help in (
+            ("entries", "entries rebuilt from disk at startup"),
+            ("wal_records", "WAL records replayed at startup"),
+            ("torn_records", "torn WAL tail records skipped at startup"),
+        ):
+            self._registry.counter(f"restore.{name}", help=help).inc(stats[name])
+        if stats["entries"] or replayed:
+            logger.info(
+                "%s: restored %d entrie(s) (%d snapshot, %d WAL record(s), %d torn)",
+                self.data_dir, stats["entries"], snapshot_entries, replayed, torn,
+            )
+        return stats
 
     # ------------------------------------------------------------------
     # Journaling

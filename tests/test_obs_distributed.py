@@ -140,6 +140,17 @@ def test_flight_recorder_is_bounded_and_filters_by_trace():
     assert len(recorder.recent(limit=2)) == 2
 
 
+def test_flight_recorder_recent_zero_is_empty_and_negative_is_refused():
+    recorder = FlightRecorder("peer-0", capacity=8)
+    for index in range(5):
+        recorder.record_event("tick", index=index)
+    assert recorder.recent(0) == []
+    assert [entry["attrs"]["index"] for entry in recorder.recent(2)] == [3, 4]
+    assert len(recorder.recent(99)) == len(recorder.recent()) == 5
+    with pytest.raises(ValueError):
+        recorder.recent(-2)
+
+
 def test_flight_recorder_rejects_nonpositive_capacity():
     with pytest.raises(ValueError):
         FlightRecorder("peer-0", capacity=0)

@@ -370,13 +370,12 @@ class GatedServer(PeerServer):
         super().__init__("peer-gated", SystemConfig(n_peers=4, seed=7))
         self.entered = asyncio.Event()
         self.gate = asyncio.Event()
+        self.handlers["wait"] = self._wait
 
-    async def _handle(self, kind, payload):
-        if kind == "wait":
-            self.entered.set()
-            await self.gate.wait()
-            return "released"
-        return await super()._handle(kind, payload)
+    async def _wait(self, payload):
+        self.entered.set()
+        await self.gate.wait()
+        return "released"
 
 
 def test_a_waiting_handler_does_not_delay_the_request_behind_it():

@@ -19,7 +19,7 @@ from repro.obs.distributed import SpanFragment
 from repro.ranges.interval import IntRange
 from repro.rpc import wire
 from repro.rpc.server import PeerServer
-from repro.rpc.swim import ALIVE
+from repro.rpc.swim import ALIVE, MergeOutcome
 from tests.test_rpc_connection import HOST, ScriptedPeer, run
 
 pytestmark = pytest.mark.filterwarnings(
@@ -134,7 +134,7 @@ async def full_rounds(servers: list[PeerServer]) -> int:
     for server in servers:
         rounds = server.metrics.counter("repair.push.rounds")
         before = rounds.total()
-        await server.repair_round()
+        await server.placement.repair_round()
         ran += int(rounds.total() - before)
     return ran
 
@@ -189,7 +189,7 @@ def test_a_store_rearms_one_full_round_on_the_peer_that_took_it():
             owner = next(s for s in servers if s.node_id == owner_id)
             owner.store.store(key, desc(900), None, primary=True)
             before = digests_served(servers)
-            await owner.repair_round()  # finds the replica missing, pushes it
+            await owner.placement.repair_round()  # finds the replica missing, pushes it
             assert digests_served(servers) > before
             # The push re-armed the replica that received it (once), and the
             # owner's round was not clean, so it looks again (once).
@@ -234,7 +234,7 @@ def test_join_evict_and_incarnation_change_each_rearm_one_full_round():
 
             # An incarnation change (a refutation gossiped by peer-1).
             servers[1].table.refute()
-            await servers[1]._broadcast_membership(exclude=set())
+            await servers[1].membership.broadcast()
             assert await full_rounds([observer]) == 1
             await settle(servers)
 
@@ -242,8 +242,8 @@ def test_join_evict_and_incarnation_change_each_rearm_one_full_round():
             gone = servers.pop()
             await gone.close()
             observer.table.confirm_dead(gone.address)
-            observer._rebuild_ring()
-            await observer._broadcast_membership(exclude={gone.address})
+            observer._ring_changed(MergeOutcome(evicted=[gone.address]))
+            await observer.membership.broadcast(exclude={gone.address})
             assert await full_rounds([observer]) == 1
             await settle(servers)
             assert await full_rounds(servers) == 0
@@ -262,20 +262,20 @@ def test_an_unreachable_digest_target_is_not_a_clean_round():
             # (nobody has noticed: no failure detector here).
             await down.close()
             for server in servers:
-                server._repaired = None
+                server.placement._repaired = None
             failures = [
                 s.metrics.counter("repair.push.peer_failures") for s in servers
             ]
             for _ in range(2):
                 before = [counter.total() for counter in failures]
                 for server in servers:
-                    await server.repair_round()
+                    await server.placement.repair_round()
                 after = [counter.total() for counter in failures]
                 # Whoever has a copy to place on the dead peer asks it
                 # again every round: its silence never counted as clean.
                 assert any(b > a for a, b in zip(before, after))
                 assert [b > a for a, b in zip(before, after)] == [
-                    s._repaired is None for s in servers
+                    s.placement._repaired is None for s in servers
                 ]
         finally:
             await close(*servers)

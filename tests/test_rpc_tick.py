@@ -227,7 +227,7 @@ def test_close_commits_what_is_journaled_and_answers_what_is_parked(tmp_path):
         (server_writer,) = server._inbound.values()
         for request_id in (1, 2, 3):
             payload = wire.encode_value((request_id, desc(request_id), None, True))
-            server._serve_data(
+            server._serve(
                 {"id": request_id, "kind": "store-request", "payload": payload},
                 server_writer,
             )
