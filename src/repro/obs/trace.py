@@ -44,12 +44,20 @@ from typing import Any, Callable, Iterator
 
 __all__ = ["TraceEvent", "Span", "QueryTrace", "NULL_TRACE", "new_span_id"]
 
-#: Process-unique prefix for span ids.  Span ids only have to be unique
-#: *within one stitched trace*, whose fragments come from a handful of
-#: OS processes — pid plus 16 random bits makes cross-process collisions
-#: negligible without dragging uuid4 into every span construction.
-_SPAN_PREFIX = f"{os.getpid():x}{random.getrandbits(16):04x}"
-_SPAN_SEQUENCE = count(1)
+def _new_span_prefix() -> None:
+    """Process-unique prefix for span ids.  Span ids only have to be
+    unique *within one stitched trace*, whose fragments come from a
+    handful of OS processes — pid plus 16 random bits makes cross-process
+    collisions negligible without dragging uuid4 into every span
+    construction.  Re-derived in a forked child (every peer of a
+    ``LocalCluster`` is one), which would otherwise mint its parent's ids."""
+    global _SPAN_PREFIX, _SPAN_SEQUENCE
+    _SPAN_PREFIX = f"{os.getpid():x}{random.getrandbits(16):04x}"
+    _SPAN_SEQUENCE = count(1)
+
+
+_new_span_prefix()
+os.register_at_fork(after_in_child=_new_span_prefix)
 
 
 def new_span_id() -> str:

@@ -3,7 +3,8 @@
 :class:`LocalCluster` is the process-level harness behind
 ``repro cluster``, the CI live-cluster smoke job and
 ``examples/live_cluster.py``: it starts one OS process per peer
-(``python -m repro serve``) — the bootstrap alone, then all the others at
+(``repro serve``, forked from the cluster's pre-imported
+:mod:`~repro.rpc.launcher`) — the bootstrap alone, then all the others at
 once, returning when every peer's member view lists every peer (the
 processes boot side by side; the joins, and the data hand-offs they
 trigger, stay ordered: the bootstrap serves one at a time) — and can
@@ -28,7 +29,6 @@ import subprocess
 import sys
 import tempfile
 import time
-from pathlib import Path
 
 from repro.core.config import SystemConfig
 from repro.errors import ReproError
@@ -36,31 +36,27 @@ from repro.obs.log import get_logger
 from repro.rpc import wire
 from repro.rpc.client import ClusterClient
 from repro.rpc.drills import views_complete, wait_for
+from repro.rpc.launcher import ForkedPeer, Launcher, LaunchError
 from repro.rpc.server import READY_PREFIX
 
 __all__ = ["LocalCluster", "ClusterError"]
 
 logger = get_logger("rpc.cluster")
 
+_READY = READY_PREFIX.encode()
+
 
 class ClusterError(ReproError):
     """A peer process failed to start, answer, or stop in time."""
 
 
-def _reap(process: subprocess.Popen) -> int:
+def _reap(process: ForkedPeer) -> int:
     """Kill a child that never became a peer; returns its exit status."""
     process.kill()
     status = process.wait()
     if process.stdout is not None:
         process.stdout.close()
     return status
-
-
-def _src_path() -> str:
-    """The import root of this package, for child PYTHONPATHs."""
-    import repro
-
-    return str(Path(repro.__file__).resolve().parent.parent)
 
 
 class LocalCluster:
@@ -109,11 +105,13 @@ class LocalCluster:
             data_root = tempfile.mkdtemp(prefix="repro-cluster-")
             self._owns_data_root = True
         self.data_root = data_root
-        self.processes: dict[str, subprocess.Popen] = {}
+        self.processes: dict[str, ForkedPeer] = {}
         self.endpoints: dict[str, tuple[str, int]] = {}
         #: Peers currently SIGSTOP'd (for teardown: a stopped process
         #: never handles SIGTERM, so shutdown SIGCONTs them first).
         self.paused: set[str] = set()
+        #: Forks every peer; started with the first, closed on shutdown.
+        self._launcher: Launcher | None = None
 
     # -- lifecycle -------------------------------------------------------
 
@@ -135,14 +133,13 @@ class LocalCluster:
     def launch(self, addresses: list[str]) -> dict[str, tuple[str, int]]:
         """Start a peer process per address, all at once.
 
-        Time to serving is one start-up, not one per peer, cores
-        permitting: every process is started before any ready line is
-        awaited, so the interpreter start-ups and imports overlap, and
-        the ready lines are collected as they arrive.  The joins
-        themselves stay ordered — the bootstrap peer serves one ``join``
-        at a time.  With no live peer to join through (a fresh cluster, a
-        cold restart) the first address is brought up alone and seeds the
-        ring for the rest.
+        Every peer is forked from the cluster's launcher, which imported
+        the serving stack once, and every one is forked before any ready
+        line is awaited, so their start-ups overlap; the ready lines are
+        collected as they arrive.  The joins themselves stay ordered —
+        the bootstrap peer serves one ``join`` at a time.  With no live
+        peer to join through (a fresh cluster, a cold restart) the first
+        address is brought up alone and seeds the ring for the rest.
 
         A child that dies before its ready line — the classic cause being
         an ``EADDRINUSE`` race on the ephemeral port it was handed — is
@@ -206,26 +203,24 @@ class LocalCluster:
 
     def _start_processes(self, addresses: list[str]) -> None:
         """Start ``addresses`` and record each as its ready line arrives."""
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            path
-            for path in (_src_path(), env.get("PYTHONPATH", ""))
-            if path
-        )
+        if self._launcher is None:
+            self._launcher = Launcher()
 
-        def popen(address: str) -> subprocess.Popen:
-            return subprocess.Popen(
-                self._command(address),
-                stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL,
-                env=env,
-                text=True,
-            )
+        def spawn(address: str) -> ForkedPeer:
+            try:
+                return self._launcher.spawn(self._command(address))
+            except LaunchError as exc:
+                raise ClusterError(f"peer {address!r}: {exc}") from exc
 
-        pending = {address: popen(address) for address in addresses}
+        pending: dict[str, ForkedPeer] = {}
         attempts = dict.fromkeys(addresses, 1)
+        # What each child printed so far: a read takes what the pipe
+        # holds, so a child that stalls mid-line cannot block the wait.
+        output = dict.fromkeys(addresses, b"")
         deadline = time.monotonic() + self.startup_timeout_s
         try:
+            for address in addresses:
+                pending[address] = spawn(address)
             while pending:
                 streams = {
                     process.stdout: address
@@ -240,18 +235,8 @@ class LocalCluster:
                     )
                 for stream in readable:
                     address = streams[stream]
-                    line = stream.readline()
-                    if line.startswith(READY_PREFIX):
-                        fields = dict(
-                            token.split("=", 1)
-                            for token in line.strip().split()
-                            if "=" in token
-                        )
-                        endpoint = (fields["host"], int(fields["port"]))
-                        self.processes[address] = pending.pop(address)
-                        self.endpoints[address] = endpoint
-                        logger.info("peer %s up at %s:%d", address, *endpoint)
-                    elif not line:
+                    chunk = stream.read1()
+                    if not chunk:
                         # End of file: it died before becoming ready.
                         status = _reap(pending.pop(address))
                         if attempts[address] >= self.spawn_attempts:
@@ -264,7 +249,21 @@ class LocalCluster:
                             "retrying", address, status, attempts[address],
                         )
                         attempts[address] += 1
-                        pending[address] = popen(address)
+                        output[address] = b""
+                        pending[address] = spawn(address)
+                        continue
+                    *lines, output[address] = (output[address] + chunk).split(b"\n")
+                    ready = [line for line in lines if line.startswith(_READY)]
+                    if ready:
+                        fields = dict(
+                            token.split("=", 1)
+                            for token in ready[0].decode().split()
+                            if "=" in token
+                        )
+                        endpoint = (fields["host"], int(fields["port"]))
+                        self.processes[address] = pending.pop(address)
+                        self.endpoints[address] = endpoint
+                        logger.info("peer %s up at %s:%d", address, *endpoint)
         finally:
             for process in pending.values():
                 _reap(process)
@@ -427,6 +426,9 @@ class LocalCluster:
                 if process.stdout is not None:
                     process.stdout.close()
         finally:
+            if self._launcher is not None:
+                self._launcher.close()
+                self._launcher = None
             if self._owns_data_root and self.data_root is not None:
                 shutil.rmtree(self.data_root, ignore_errors=True)
 

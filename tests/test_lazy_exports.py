@@ -57,7 +57,9 @@ def test_star_import_and_the_readme_import_still_work():
     assert namespace["RangeSelectionSystem"] is RangeSelectionSystem
 
 
-@pytest.mark.parametrize("entry", ["import repro.rpc.server", "import repro.cli"])
+@pytest.mark.parametrize(
+    "entry", ["import repro.rpc.server", "import repro.cli", "import repro.rpc.launcher"]
+)
 def test_a_peer_process_imports_nothing_it_never_runs(entry):
     """In a fresh interpreter: this one has imported everything already."""
     code = (

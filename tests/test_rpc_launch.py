@@ -1,17 +1,19 @@
-"""``LocalCluster`` bring-up against a scripted ``Popen``: no peer process,
+"""``LocalCluster`` bring-up against a scripted launcher: no peer process,
 no socket, no clock.
 
-``Stage`` stands in for the operating system: it hands the cluster fake
-child processes whose stdout is a real pipe (``select`` needs a file
-descriptor) pre-loaded with what the script says the child prints, logs
-every ``Popen`` and every ``readline`` in order, and answers the barrier's
-``hello`` calls from scripted member views.  The real-process run of the
-same code is ``test_rpc_cluster``.
+``Stage`` stands in for the launcher and the operating system: it hands
+the cluster fake child processes whose stdout is a real pipe (``select``
+needs a file descriptor) pre-loaded with what the script says the child
+prints, logs every spawn (as ``"popen"``) and every read of a child's
+output (as ``"readline"``) in order, and answers the barrier's ``hello``
+calls from scripted member views.  The real-process runs of the same code
+are ``test_rpc_cluster`` and ``test_rpc_launcher``.
 """
 
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -25,7 +27,9 @@ class FakeStdout:
     def __init__(self, stage: "Stage", address: str, fate: str, port: int) -> None:
         self.stage, self.address = stage, address
         read_end, self.write_end = os.pipe()
-        self.reader = os.fdopen(read_end, "r")
+        self.reader = os.fdopen(read_end, "rb")
+        if fate == "partial":
+            os.write(self.write_end, READY_PREFIX.encode()[:15])
         if fate == "ready":
             os.write(
                 self.write_end,
@@ -43,9 +47,9 @@ class FakeStdout:
     def fileno(self) -> int:
         return self.reader.fileno()
 
-    def readline(self) -> str:
+    def read1(self, size: int = -1) -> bytes:
         self.stage.log.append(("readline", self.address))
-        return self.reader.readline()
+        return self.reader.read1(size)
 
     def close(self) -> None:
         self.hang_up()
@@ -82,8 +86,9 @@ class FakeProcess:
 
 class Stage:
     """``fates``: address -> what each successive spawn of it does
-    (``ready`` / ``dies`` / ``silent``; ``ready`` when the script runs
-    out).  ``views(address)``: the member set its ``hello`` serves."""
+    (``ready`` / ``dies`` / ``silent`` / ``partial``, which prints half
+    the ready line and stalls; ``ready`` when the script runs out).
+    ``views(address)``: the member set its ``hello`` serves."""
 
     def __init__(self, monkeypatch, fates=None, views=None) -> None:
         self.fates = {a: list(f) for a, f in (fates or {}).items()}
@@ -91,10 +96,10 @@ class Stage:
         self.log: list[tuple] = []
         self.spawned: list[FakeProcess] = []
         self.cluster: LocalCluster | None = None
-        monkeypatch.setattr(cluster_module.subprocess, "Popen", self.popen)
+        monkeypatch.setattr(cluster_module, "Launcher", lambda: self)
         monkeypatch.setattr(drills, "POLL_S", 0.0)
 
-    def popen(self, command, **_options) -> FakeProcess:
+    def spawn(self, command) -> FakeProcess:
         address = command[command.index("--address") + 1]
         bootstrap = (
             command[command.index("--bootstrap") + 1]
@@ -106,6 +111,9 @@ class Stage:
         process = FakeProcess(self, address, fate, 7000 + len(self.spawned))
         self.spawned.append(process)
         return process
+
+    def close(self) -> None:
+        pass
 
     def build(self, peers: int, **options) -> LocalCluster:
         cluster = self.cluster = LocalCluster(peers, **options)
@@ -191,6 +199,22 @@ def test_one_peer_failing_its_ready_line_tears_the_others_down(monkeypatch, fate
     # A silent child is not worth a second attempt; one that exits is,
     # up to spawn_attempts.
     assert stage.popens("peer-3") == (1 if fate == "silent" else 3)
+
+
+def test_a_peer_stalled_mid_line_fails_the_start_by_its_deadline(monkeypatch):
+    stage = Stage(monkeypatch, fates={"peer-2": ["partial"]})
+    cluster = stage.build(4, durable=True, startup_timeout_s=0.5)
+    root = cluster.data_root
+    started = time.monotonic()
+    with pytest.raises(ClusterError, match="peer-2.* not ready in time"):
+        cluster.start()
+    # The half line was read and buffered; waiting for the rest of it
+    # stayed inside the start-up deadline.
+    assert time.monotonic() - started < 3.0
+    assert ("readline", "peer-2") in stage.log
+    assert stage.running() == []
+    assert not os.path.exists(root)
+    assert stage.popens("peer-2") == 1
 
 
 def test_a_dead_on_arrival_peer_is_retried_alone(monkeypatch):
