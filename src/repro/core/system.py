@@ -189,7 +189,7 @@ class RangeSelectionSystem(HashedPlacement):
         """A :class:`~repro.obs.QueryTrace` for the synchronous path.
 
         The trace clock is the transport's cumulative simulated wire time
-        (``network.stats.latency_ms``), so span durations measure the
+        (``network.now()``), so span durations measure the
         milliseconds of network traffic each step cost — the synchronous
         transport has no other notion of time.  Pass the trace to
         :meth:`query` / :meth:`locate` / :meth:`store_partition`.

@@ -57,7 +57,14 @@ class SeededLatency(LatencyModel):
     were drawn in between — which keeps event orderings in the
     discrete-event simulator reproducible.  Links are asymmetric
     (``a -> b`` and ``b -> a`` hash differently), as real paths are.
+
+    Digests are memoised per link; the memo is emptied whenever it reaches
+    :attr:`CACHE_LIMIT` links, which bounds a long run's memory and, the
+    delay being a pure function of the link, changes no sample.
     """
+
+    #: Links memoised before the memo starts over.
+    CACHE_LIMIT = 1 << 16
 
     def __init__(self, low_ms: float = 10.0, high_ms: float = 100.0, seed: int = 0) -> None:
         if not 0 <= low_ms <= high_ms:
@@ -77,5 +84,7 @@ class SeededLatency(LatencyModel):
         ).digest()
         fraction = int.from_bytes(digest[:8], "big") / 2**64
         delay = self.low_ms + fraction * (self.high_ms - self.low_ms)
+        if len(self._cache) >= self.CACHE_LIMIT:
+            self._cache.clear()
         self._cache[pair] = delay
         return delay

@@ -1,15 +1,15 @@
 """The in-process transport: the engine's interface and the peer directory.
 
 A :class:`Transport` is everything the query engine needs from a network:
-a clock, liveness, timers, one-hop routing charges, and a request/reply
-primitive that settles a :class:`~repro.sim.futures.SimFuture`.
+a clock, liveness, timers, routed travel along an overlay path, and a
+request/reply primitive that settles a :class:`~repro.sim.futures.SimFuture`.
 :class:`PeerNetwork` holds, once, what both in-process networks share —
 the peers' handlers, who is crashed, the latency model, the traffic
 counters — and each network adds its delivery discipline:
 
 - :class:`SimulatedNetwork` (here) has no clock of its own (``now()``
-  reads the cumulative simulated wire time), timers fire immediately, and
-  requests settle before ``request()`` returns — so the
+  reads the cumulative simulated wire time), timers fire immediately,
+  routes land and requests settle before the call returns — so the
   continuation-passing engine executes each lookup chain to completion
   before starting the next, reproducing the classic synchronous path
   exactly.
@@ -173,7 +173,7 @@ class _ImmediateHandle:
         pass
 
 
-#: What ``call_later`` / ``hop`` return when there is nothing to cancel.
+#: What ``call_later`` / ``travel`` return when there is nothing to cancel.
 DONE = _ImmediateHandle()
 
 
@@ -202,11 +202,21 @@ class Transport(ABC):
         ``cancel()``.  A clockless transport runs ``fn`` immediately."""
 
     @abstractmethod
+    def travel(
+        self, path: Sequence[int], fn: Callable[[Sequence[float]], None]
+    ) -> Any:
+        """Route along ``path``: charge every edge once, then run
+        ``fn(delays)`` (each edge's wire time, in path order) once, when
+        the last edge lands.  Routing is reliable — the iterative lookup
+        retries a hop internally — so nothing happens in between.  A
+        one-node path charges nothing and lands at once.  Returns a
+        cancellable handle."""
+
     def hop(
         self, hop_from: int, hop_to: int, fn: Callable[[float], None]
     ) -> Any:
-        """Charge one overlay routing edge, then run ``fn(delay_ms)`` at
-        the instant the hop lands.  Returns a cancellable handle."""
+        """A one-edge :meth:`travel`: ``fn(delay_ms)`` when it lands."""
+        return self.travel((hop_from, hop_to), lambda delays: fn(delays[0]))
 
     @abstractmethod
     def request(
@@ -311,21 +321,40 @@ class PeerNetwork(Transport):
         with latency sampled from the network's model.  Returns the total
         latency of the route in milliseconds.
         """
+        return self._charge(self._edge_delays(path), size_bytes)
+
+    def travel(
+        self, path: Sequence[int], fn: Callable[[Sequence[float]], None]
+    ) -> Any:
+        """Charge the route as :meth:`charge_route` does, then land it
+        once: at ``now()`` plus each edge's delay, added in path order
+        exactly as a hop-by-hop walk of the clock would."""
+        if len(path) < 2:
+            fn(())
+            return DONE
+        delays = self._edge_delays(path)
+        self._charge(delays)
+        arrival = self.now()
+        for delay in delays:
+            arrival += delay
+        return self._land(arrival, delays, fn)
+
+    def _edge_delays(self, path: Sequence[int]) -> list[float]:
+        sample = self.latency.sample_ms
+        return [sample(hop_from, hop_to) for hop_from, hop_to in zip(path, path[1:])]
+
+    def _charge(self, delays: Sequence[float], size_bytes: int = 32) -> float:
         total = 0.0
-        for hop_from, hop_to in zip(path, path[1:]):
-            total += self.latency.sample_ms(hop_from, hop_to)
+        for delay in delays:
+            total += delay
         self.stats.record_routing_hops(
-            max(0, len(path) - 1), size_bytes=size_bytes, latency_ms=total
+            len(delays), size_bytes=size_bytes, latency_ms=total
         )
         return total
 
-    def hop(
-        self, hop_from: int, hop_to: int, fn: Callable[[float], None]
-    ) -> Any:
-        """A one-edge :meth:`charge_route`, landing when ``call_later`` says."""
-        delay = self.latency.sample_ms(hop_from, hop_to)
-        self.stats.record_routing_hops(1, latency_ms=delay)
-        return self.call_later(delay, lambda: fn(delay))
+    @abstractmethod
+    def _land(self, arrival: float, delays: Sequence[float], fn: Callable) -> Any:
+        """Run ``fn(delays)`` at clock reading ``arrival``."""
 
 
 class SimulatedNetwork(PeerNetwork):
@@ -350,6 +379,10 @@ class SimulatedNetwork(PeerNetwork):
             FaultInjector(),
             TrafficStats(registry=registry),
         )
+        #: The clock: cumulative wire time, advanced message by message and
+        #: edge by edge.  ``stats.latency_ms`` adds a route's total at once,
+        #: so it may differ from the clock in the last bits.
+        self._wire_ms = 0.0
 
     def send(
         self,
@@ -382,15 +415,21 @@ class SimulatedNetwork(PeerNetwork):
         )
         delay = self.latency.sample_ms(sender, recipient)
         self.stats.record(message, delay)
+        self._wire_ms += delay
         return handler(message)
 
     # -- the engine's transport: everything settles before returning ----
 
     def now(self) -> float:
-        return self.stats.latency_ms
+        return self._wire_ms
 
     def call_later(self, delay_ms: float, fn: Callable[[], None]) -> Any:
         fn()
+        return DONE
+
+    def _land(self, arrival: float, delays: Sequence[float], fn: Callable) -> Any:
+        self._wire_ms = arrival
+        fn(delays)
         return DONE
 
     def request(
@@ -408,7 +447,7 @@ class SimulatedNetwork(PeerNetwork):
         future: SimFuture = SimFuture()
         if observer is not None:
             observer("send", {"attempt": 0, "to": recipient, "kind": kind})
-        before = self.stats.latency_ms
+        before = self._wire_ms
         try:
             value = self.send(
                 sender, recipient, kind, payload=payload, size_bytes=size_bytes
@@ -419,6 +458,6 @@ class SimulatedNetwork(PeerNetwork):
             future.reject(exc)
             return future
         if observer is not None:
-            observer("reply", {"ms": self.stats.latency_ms - before})
+            observer("reply", {"ms": self._wire_ms - before})
         future.resolve(value)
         return future

@@ -143,7 +143,7 @@ class TelemetrySampler:
         else cumulative simulated wire ms."""
         if self.sim is not None:
             return self.sim.now
-        return float(self.system.network.stats.latency_ms)
+        return float(self.system.network.now())
 
     # -- scheduling (event-driven mode) --------------------------------
 

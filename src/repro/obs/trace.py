@@ -120,7 +120,12 @@ class Span:
 
     def event(self, name: str, **attrs: Any) -> TraceEvent:
         """Record a point event at the current clock reading."""
-        event = TraceEvent(name, float(self._clock()), attrs)
+        return self.event_at(self._clock(), name, **attrs)
+
+    def event_at(self, at_ms: float, name: str, **attrs: Any) -> TraceEvent:
+        """Record a point event that happened at ``at_ms`` — e.g. a hop
+        of a route whose arrival the transport reported all at once."""
+        event = TraceEvent(name, float(at_ms), attrs)
         self.events.append(event)
         return event
 

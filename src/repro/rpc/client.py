@@ -30,7 +30,7 @@ import dataclasses
 import os
 import time
 from collections import Counter
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.chord.hashing import node_id_for_address
 from repro.chord.ring import ChordRing
@@ -156,14 +156,16 @@ class SocketTransport(Transport):
         loop = asyncio.get_running_loop()
         return loop.call_later(delay_ms / 1000.0, fn)
 
-    def hop(
-        self, hop_from: int, hop_to: int, fn: Callable[[float], None]
+    def travel(
+        self, path: Sequence[int], fn: Callable[[Sequence[float]], None]
     ) -> Any:
         # The ring is mirrored locally, so overlay routing costs no wire
-        # time here; the edge is still charged as a routing message to
+        # time here; the edges are still charged as routing messages to
         # keep hop accounting comparable across transports.
-        self.stats.record_routing_hops(1)
-        fn(0.0)
+        edges = len(path) - 1
+        if edges > 0:
+            self.stats.record_routing_hops(edges)
+        fn((0.0,) * edges)
         return DONE
 
     def request(

@@ -15,7 +15,8 @@ Query procedure, exactly as the paper's pseudocode sketches it:
 
 The engine is written in continuation-passing style against the
 :class:`~repro.net.transport.Transport` interface: every chain advances
-through ``hop -> hop -> ... -> attempt -> (failover ->) reply`` callbacks.
+through ``travel -> attempt -> (failover hop -> attempt ->) reply``
+callbacks, the whole overlay route landing in one step.
 On the event-driven transport those callbacks fire at later virtual
 instants and the ``l`` chains interleave; on the synchronous transport
 every callback fires before its scheduling call returns, so the identical
@@ -520,12 +521,14 @@ class QueryEngine:
         parent: "Span | None" = None,
         trace: "QueryTrace | None" = None,
     ) -> SimFuture[ChainOutcome]:
-        """One identifier: hop along the overlay path, then ask the owner —
+        """One identifier: travel the overlay path, then ask the owner —
         failing over down the successor list when the owner is
         unreachable.
 
         Routing hops are charged per edge but modelled as reliable — the
-        iterative Chord lookup retries hops internally; the request/reply
+        iterative Chord lookup retries hops internally — so the route is
+        one :meth:`~repro.net.transport.Transport.travel` that lands once,
+        at its last hop's arrival; the request/reply
         legs to the replicas are where loss and crashes bite.  The first
         attempt (the owner) runs under the transport's base policy; each
         failover attempt gets the single-attempt failover budget and is
@@ -606,7 +609,19 @@ class QueryEngine:
                 )
             )
 
-        def ask_replicas() -> None:
+        def ask_replicas(delays) -> None:
+            # Runs once, when the route lands; a traced chain stamps each
+            # hop with its own arrival, folded from the departure.
+            if span:
+                at = departed
+                for edge, delay in enumerate(delays):
+                    at += delay
+                    span.event_at(
+                        at, "route-hop", source=path[edge],
+                        target=path[edge + 1],
+                        via=vias[edge] if edge < len(vias) else "?",
+                        delay_ms=delay,
+                    )
             route_ms = transport.now() - started
             match_started = transport.now()
             candidates = system.failover_candidates(
@@ -737,31 +752,8 @@ class QueryEngine:
                         transport.call_later(hedge_delay, fire_hedge)
                     )
 
-        #: Edges of ``path`` travelled so far.
-        travelled = 0
-
-        def next_hop(_delay: float = 0.0) -> None:
-            nonlocal travelled
-            if travelled == hops:
-                ask_replicas()
-                return
-            travelled += 1
-            transport.hop(path[travelled - 1], path[travelled], landed)
-
-        def traced_hop(delay: float) -> None:
-            # Emitted on arrival, so the event's timestamp is the
-            # instant the hop completed.
-            edge = travelled - 1
-            span.event(
-                "route-hop", source=path[edge], target=path[edge + 1],
-                via=vias[edge] if edge < len(vias) else "?", delay_ms=delay,
-            )
-            next_hop()
-
-        # One continuation serves every hop of the chain; untraced, a hop
-        # landing allocates nothing and records nothing.
-        landed = traced_hop if span else next_hop
-        next_hop()
+        departed = transport.now()
+        transport.travel(path, ask_replicas)
         return chain
 
     def _after_locate(

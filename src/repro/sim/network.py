@@ -38,7 +38,7 @@ drops/retries/timeouts/sheds are counted separately.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from repro.errors import (
     OpenCircuitError,
@@ -440,10 +440,14 @@ class AsyncNetwork(PeerNetwork):
         launch_attempt()
         return out
 
-    # -- the engine's transport: timers (and so hops) land on the clock --
+    # -- the engine's transport: timers and routes land on the clock ----
 
     def now(self) -> float:
         return self.sim.now
 
     def call_later(self, delay_ms: float, fn: Callable[[], None]) -> Timer:
         return self.sim.call_later(delay_ms, fn)
+
+    def _land(self, arrival: float, delays: Sequence[float], fn: Callable) -> Timer:
+        # One kernel event per route, where a call_later per hop would end.
+        return self.sim.call_at(arrival, lambda: fn(delays))

@@ -3,8 +3,9 @@
 The synchronous :meth:`RangeSelectionSystem.query` resolves the ``l``
 identifier lookups one after another, which is right for hop *counts* but
 says nothing about wall-clock time.  Here the same query procedure runs on
-the simulation kernel: every lookup chain (route hop by hop to the owner,
-then a match request under a timeout/retry policy) progresses concurrently
+the simulation kernel: every lookup chain (route to the owner, landing at
+its last hop's arrival, then a match request under a timeout/retry policy)
+progresses concurrently
 in virtual time, so a query completes when its *slowest* chain does — the
 paper's ``O(log N)`` wall-clock claim — and a crashed owner costs one
 timed-out chain, not a hung query.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -72,6 +74,24 @@ class TestLatencyModels:
     def test_seeded_validates_bounds(self):
         with pytest.raises(ValueError):
             SeededLatency(20, 10)
+
+    def test_seeded_memo_is_capped_and_changes_no_sample(self):
+        def digest_delay(seed: int, sender: int, recipient: int) -> float:
+            digest = hashlib.sha256(f"{seed}:{sender}->{recipient}".encode()).digest()
+            return 10 + int.from_bytes(digest[:8], "big") / 2**64 * 90
+
+        model = SeededLatency(10, 100, seed=5)
+        cap = SeededLatency.CACHE_LIMIT
+        links = [(i, i * 7 + 1) for i in range(3 * cap)]
+        first = {}
+        for link in links:
+            first[link] = model.sample_ms(*link)
+            assert len(model._cache) <= cap
+        # Evicted and re-memoised links read the same delay, and every
+        # delay is the uncached digest's.
+        for link in links[:: cap // 64]:
+            assert model.sample_ms(*link) == first[link] == digest_delay(5, *link)
+        assert len(model._cache) <= cap
 
 
 class TestSimulatedNetwork:
@@ -238,6 +258,43 @@ class TestPeerNetworkContract:
         assert landed == [twin.charge_route((1, 5))]
         assert traffic(net) == traffic(twin)
         assert net.now() == landed[0]  # the hop took its own delay
+
+    def test_travel_charges_exactly_what_charge_route_does(self, make):
+        net, twin = make(), make()
+        path = (1, 5, 9, 2)
+        landed: list = []
+        net.travel(path, landed.append)
+        settle(net)
+        total = twin.charge_route(path)
+        assert traffic(net) == traffic(twin)
+        assert len(landed) == 1 and len(landed[0]) == len(path) - 1
+        assert sum(landed[0]) == pytest.approx(total)
+
+    def test_travel_lands_once_at_the_folded_arrival(self, make):
+        net, model = make(), SeededLatency(seed=3)
+        path = (1, 5, 9, 2)
+        delays = [model.sample_ms(a, b) for a, b in zip(path, path[1:])]
+        arrival = 0.0
+        for delay in delays:
+            arrival += delay
+        landings: list = []
+        net.travel(path, lambda landed: landings.append((net.now(), list(landed))))
+        if isinstance(net, AsyncNetwork):
+            # Nothing lands before the route's last edge does: one event.
+            assert landings == [] and net.sim.pending == 1
+        else:
+            assert len(landings) == 1  # immediately, before travel returns
+        settle(net)
+        # Bit-identical to a hop-by-hop walk: departure plus each delay.
+        assert landings == [(arrival, delays)]
+
+    def test_travel_of_one_node_lands_at_once_and_charges_nothing(self, make):
+        net = make()
+        landed: list = []
+        net.travel((7,), landed.append)
+        assert landed == [()]
+        assert traffic(net) == (0, 0, 0, {})
+        assert net.now() == 0.0
 
     def test_request_to_an_unknown_peer_rejects(self, make):
         net = make()

@@ -267,6 +267,77 @@ class TestHotPathAccountingBudget:
         assert spent <= self.OPS_PER_HOP * hops + self.OPS_PER_MESSAGE * others
 
 
+class TestRoutingIsOneEventPerChain:
+    """A lookup chain's route is charged and lands in one step: neither
+    the kernel's event count nor the registry's operation count has a
+    per-hop term."""
+
+    #: One routed chain: messages, bytes, latency_ms, by_kind, once.
+    OPS_PER_ROUTE = 4
+    #: One request or reply: the same plus sent_by_peer, received_by_peer.
+    OPS_PER_MESSAGE = 6
+
+    @staticmethod
+    def routed(results) -> int:
+        return sum(1 for r in results for c in r.chains if c.hops > 0)
+
+    def test_kernel_events_have_no_per_hop_term(self):
+        system = RangeSelectionSystem(SystemConfig(n_peers=500, seed=5))
+        engine = AsyncQueryEngine(system, latency=SeededLatency(seed=5), seed=5)
+        fired = [0]
+        call_at = engine.sim.call_at
+
+        def counting(time, fn):
+            def fire():
+                fired[0] += 1
+                fn()
+
+            return call_at(time, fire)
+
+        engine.sim.call_at = counting
+        ranges = ZipfRangeWorkload(
+            system.config.domain, 60, seed=9, pool_size=20
+        ).ranges()
+        results = [engine.run(query) for query in ranges]
+        stats = engine.net.stats
+        hops = stats.by_kind["route-hop"]
+        assert hops > 5 * self.routed(results) > 0
+        # Fault-free and hedge-free: one landing per routed chain, one
+        # delivery per request or reply, and every timeout timer cancelled.
+        assert fired[0] == self.routed(results) + stats.messages - hops
+
+    def test_registry_operations_have_no_per_hop_term(self, monkeypatch):
+        system = RangeSelectionSystem(SystemConfig(n_peers=1000, seed=5))
+        ranges = ZipfRangeWorkload(
+            system.config.domain, 80, seed=9, pool_size=30
+        ).ranges()
+        for query in ranges[:40]:
+            system.query(query)
+        operations = [0]
+
+        def counted(fn):
+            def wrapper(*args, **kwargs):
+                operations[0] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for cls, methods in REGISTRY_ENTRY_POINTS:
+            for method in methods:
+                monkeypatch.setattr(cls, method, counted(getattr(cls, method)))
+        stats = system.network.stats
+        messages_before = stats.messages
+        hops_before = stats.by_kind["route-hop"]
+        operations[0] = 0
+        results = [system.query(query) for query in ranges[40:]]
+        spent = operations[0]
+        hops = stats.by_kind["route-hop"] - hops_before
+        others = stats.messages - messages_before - hops
+        routed = self.routed(results)
+        assert hops > 5 * routed > 0 and others >= 40 * system.config.l
+        assert spent <= self.OPS_PER_ROUTE * routed + self.OPS_PER_MESSAGE * others
+
+
 class TestSpanAndTrace:
     def test_span_tree_and_events(self):
         trace = QueryTrace(query="[1, 2]")
