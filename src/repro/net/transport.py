@@ -173,7 +173,7 @@ class _ImmediateHandle:
         pass
 
 
-#: What ``call_later`` / ``travel`` return when there is nothing to cancel.
+#: What ``call_later`` / ``hop`` return when there is nothing to cancel.
 DONE = _ImmediateHandle()
 
 
@@ -202,21 +202,50 @@ class Transport(ABC):
         ``cancel()``.  A clockless transport runs ``fn`` immediately."""
 
     @abstractmethod
-    def travel(
-        self, path: Sequence[int], fn: Callable[[Sequence[float]], None]
-    ) -> Any:
-        """Route along ``path``: charge every edge once, then run
-        ``fn(delays)`` (each edge's wire time, in path order) once, when
-        the last edge lands.  Routing is reliable — the iterative lookup
-        retries a hop internally — so nothing happens in between.  A
-        one-node path charges nothing and lands at once.  Returns a
-        cancellable handle."""
-
     def hop(
         self, hop_from: int, hop_to: int, fn: Callable[[float], None]
     ) -> Any:
-        """A one-edge :meth:`travel`: ``fn(delay_ms)`` when it lands."""
-        return self.travel((hop_from, hop_to), lambda delays: fn(delays[0]))
+        """Charge one overlay routing edge, then run ``fn(delay_ms)`` at
+        the instant the hop lands.  Returns a cancellable handle."""
+
+    @abstractmethod
+    def _forward(
+        self, path: Sequence[int], fn: Callable[[list[float]], None]
+    ) -> None:
+        """Charge every edge of ``path`` at once, then run ``fn(delays)``
+        (each edge's wire time, in path order) when the last one lands.
+        A one-node path charges nothing and runs ``fn([])`` at once."""
+
+    def travel(
+        self, path: Sequence[int], fn: Callable[[list[float]], None]
+    ) -> None:
+        """Route along ``path`` and run ``fn(delays)`` (each edge's wire
+        time, in path order) once, when the last edge lands.
+
+        Routing is reliable — the iterative lookup retries a hop
+        internally — so nothing observes a route between its ends: the
+        edges up to the owner's predecessor are forwarded in one step
+        (:meth:`_forward`), and the last edge, the delivery to the owner,
+        is one :meth:`hop`.  That keeps the engine's continuation behind a
+        ``hop``, as it was when every edge was one, for whatever wraps
+        that call to time the engine apart from the transport (the e2e
+        benchmark's tracer).  Every edge is charged once, and no step of a
+        route costs in proportion to its length.  A one-node path charges
+        nothing and lands at once.
+        """
+        if len(path) < 2:
+            fn([])
+            return
+        last, owner = path[-2], path[-1]
+
+        def deliver(delays: list[float]) -> None:
+            def landed(delay: float) -> None:
+                delays.append(delay)
+                fn(delays)
+
+            self.hop(last, owner, landed)
+
+        self._forward(path[:-1], deliver)
 
     @abstractmethod
     def request(
@@ -323,21 +352,30 @@ class PeerNetwork(Transport):
         """
         return self._charge(self._edge_delays(path), size_bytes)
 
-    def travel(
-        self, path: Sequence[int], fn: Callable[[Sequence[float]], None]
+    def hop(
+        self, hop_from: int, hop_to: int, fn: Callable[[float], None]
     ) -> Any:
-        """Charge the route as :meth:`charge_route` does, then land it
-        once: at ``now()`` plus each edge's delay, added in path order
-        exactly as a hop-by-hop walk of the clock would."""
+        """A one-edge :meth:`charge_route`, landing at ``now()`` plus its
+        delay."""
+        delay = self.latency.sample_ms(hop_from, hop_to)
+        self.stats.record_routing_hops(1, latency_ms=delay)
+        return self._land(self.now() + delay, lambda: fn(delay))
+
+    def _forward(
+        self, path: Sequence[int], fn: Callable[[list[float]], None]
+    ) -> None:
+        """Charge ``path`` as :meth:`charge_route` does, then land it once:
+        at ``now()`` plus each edge's delay, added in path order exactly
+        as a hop-by-hop walk of the clock would."""
         if len(path) < 2:
-            fn(())
-            return DONE
+            fn([])
+            return
         delays = self._edge_delays(path)
         self._charge(delays)
         arrival = self.now()
         for delay in delays:
             arrival += delay
-        return self._land(arrival, delays, fn)
+        self._land(arrival, lambda: fn(delays))
 
     def _edge_delays(self, path: Sequence[int]) -> list[float]:
         sample = self.latency.sample_ms
@@ -353,8 +391,9 @@ class PeerNetwork(Transport):
         return total
 
     @abstractmethod
-    def _land(self, arrival: float, delays: Sequence[float], fn: Callable) -> Any:
-        """Run ``fn(delays)`` at clock reading ``arrival``."""
+    def _land(self, arrival: float, fn: Callable[[], None]) -> Any:
+        """Run ``fn()`` at clock reading ``arrival``; returns a
+        cancellable handle."""
 
 
 class SimulatedNetwork(PeerNetwork):
@@ -380,8 +419,9 @@ class SimulatedNetwork(PeerNetwork):
             TrafficStats(registry=registry),
         )
         #: The clock: cumulative wire time, advanced message by message and
-        #: edge by edge.  ``stats.latency_ms`` adds a route's total at once,
-        #: so it may differ from the clock in the last bits.
+        #: edge by edge.  ``stats.latency_ms`` adds a route's forwarded
+        #: prefix at once, so it may differ from the clock in the last bits;
+        #: and ``stats.reset()`` leaves the clock running.
         self._wire_ms = 0.0
 
     def send(
@@ -427,9 +467,9 @@ class SimulatedNetwork(PeerNetwork):
         fn()
         return DONE
 
-    def _land(self, arrival: float, delays: Sequence[float], fn: Callable) -> Any:
+    def _land(self, arrival: float, fn: Callable[[], None]) -> Any:
         self._wire_ms = arrival
-        fn(delays)
+        fn()
         return DONE
 
     def request(

@@ -156,17 +156,24 @@ class SocketTransport(Transport):
         loop = asyncio.get_running_loop()
         return loop.call_later(delay_ms / 1000.0, fn)
 
-    def travel(
-        self, path: Sequence[int], fn: Callable[[Sequence[float]], None]
+    # The ring is mirrored locally, so overlay routing costs no wire time
+    # here; the edges are still charged as routing messages to keep hop
+    # accounting comparable across transports.
+
+    def hop(
+        self, hop_from: int, hop_to: int, fn: Callable[[float], None]
     ) -> Any:
-        # The ring is mirrored locally, so overlay routing costs no wire
-        # time here; the edges are still charged as routing messages to
-        # keep hop accounting comparable across transports.
+        self.stats.record_routing_hops(1)
+        fn(0.0)
+        return DONE
+
+    def _forward(
+        self, path: Sequence[int], fn: Callable[[list[float]], None]
+    ) -> None:
         edges = len(path) - 1
         if edges > 0:
             self.stats.record_routing_hops(edges)
-        fn((0.0,) * edges)
-        return DONE
+        fn([0.0] * edges)
 
     def request(
         self,

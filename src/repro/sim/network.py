@@ -448,6 +448,14 @@ class AsyncNetwork(PeerNetwork):
     def call_later(self, delay_ms: float, fn: Callable[[], None]) -> Timer:
         return self.sim.call_later(delay_ms, fn)
 
-    def _land(self, arrival: float, delays: Sequence[float], fn: Callable) -> Timer:
-        # One kernel event per route, where a call_later per hop would end.
-        return self.sim.call_at(arrival, lambda: fn(delays))
+    def travel(
+        self, path: Sequence[int], fn: Callable[[list[float]], None]
+    ) -> None:
+        """The whole route forwarded in one step: one charge and one kernel
+        event, at the departure time plus each edge's delay in turn.
+        Delivering the last edge as a :meth:`hop` of its own, as the
+        clockless transports do, would cost a second event per chain."""
+        self._forward(path, fn)
+
+    def _land(self, arrival: float, fn: Callable[[], None]) -> Timer:
+        return self.sim.call_at(arrival, fn)

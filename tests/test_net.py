@@ -128,6 +128,19 @@ class TestSimulatedNetwork:
         assert stats.sent_by_peer[1] == 2
         assert stats.received_by_peer[8] == 2
 
+    def test_the_clock_survives_a_stats_reset(self):
+        # now() is wire time folded delivery by delivery; zeroing the
+        # counters after a warm-up must not send it back to 0.
+        net = SimulatedNetwork(latency=ConstantLatency(2.0))
+        net.register(7, lambda msg: None)
+        net.send(1, 7, "a")
+        net.travel((1, 5, 9, 7), lambda delays: None)
+        assert net.now() == 8.0
+        net.stats.reset()
+        assert net.stats.latency_ms == 0.0 and net.now() == 8.0
+        net.send(1, 7, "a")
+        assert net.stats.latency_ms == 2.0 and net.now() == 10.0
+
     def test_stats_reset(self):
         net = SimulatedNetwork()
         net.register(7, lambda msg: None)
@@ -266,13 +279,16 @@ class TestPeerNetworkContract:
         net.travel(path, landed.append)
         settle(net)
         total = twin.charge_route(path)
-        assert traffic(net) == traffic(twin)
+        messages, size, latency_ms, kinds = traffic(net)
+        # The same edges, summed in a different grouping.
+        assert (messages, size, kinds) == (3, 96, {"route-hop": 3})
+        assert traffic(twin) == (messages, size, pytest.approx(latency_ms), kinds)
         assert len(landed) == 1 and len(landed[0]) == len(path) - 1
         assert sum(landed[0]) == pytest.approx(total)
 
     def test_travel_lands_once_at_the_folded_arrival(self, make):
         net, model = make(), SeededLatency(seed=3)
-        path = (1, 5, 9, 2)
+        path = (1, 5, 9, 2, 4, 8, 6, 3)
         delays = [model.sample_ms(a, b) for a, b in zip(path, path[1:])]
         arrival = 0.0
         for delay in delays:
@@ -280,19 +296,40 @@ class TestPeerNetworkContract:
         landings: list = []
         net.travel(path, lambda landed: landings.append((net.now(), list(landed))))
         if isinstance(net, AsyncNetwork):
-            # Nothing lands before the route's last edge does: one event.
+            # Nothing lands before the route's last edge does: one kernel
+            # event, whatever the route's length.
             assert landings == [] and net.sim.pending == 1
+            assert net.sim.step() and not net.sim.step()
         else:
             assert len(landings) == 1  # immediately, before travel returns
-        settle(net)
         # Bit-identical to a hop-by-hop walk: departure plus each delay.
         assert landings == [(arrival, delays)]
+
+    def test_travel_delivers_its_last_edge_as_one_hop(self, make, monkeypatch):
+        net, twin = make(), make()
+        hops: list = []
+        hop = net.hop
+        monkeypatch.setattr(
+            net, "hop", lambda a, b, fn: hops.append((a, b)) or hop(a, b, fn)
+        )
+        landed: list = []
+        net.travel((2, 4), landed.append)
+        net.travel((1, 5, 9, 2), landed.append)
+        settle(net)
+        twin.hop(2, 4, lambda delay: landed.append([delay]))
+        settle(twin)
+        # Clockless, the edge into the owner is a hop; on the clock the
+        # whole route is one event and no hop.  Either way a one-edge
+        # route lands as its hop would.
+        clockless = not isinstance(net, AsyncNetwork)
+        assert hops == ([(2, 4), (9, 2)] if clockless else [])
+        assert len(landed) == 3 and landed[0] == landed[2]
 
     def test_travel_of_one_node_lands_at_once_and_charges_nothing(self, make):
         net = make()
         landed: list = []
         net.travel((7,), landed.append)
-        assert landed == [()]
+        assert landed == [[]]
         assert traffic(net) == (0, 0, 0, {})
         assert net.now() == 0.0
 

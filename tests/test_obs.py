@@ -268,12 +268,14 @@ class TestHotPathAccountingBudget:
 
 
 class TestRoutingIsOneEventPerChain:
-    """A lookup chain's route is charged and lands in one step: neither
-    the kernel's event count nor the registry's operation count has a
-    per-hop term."""
+    """A lookup chain's route is charged in one step (two on a clockless
+    transport: the forwarded prefix and the delivering hop) and lands in
+    one kernel event: neither the kernel's event count nor the registry's
+    operation count has a per-hop term."""
 
-    #: One routed chain: messages, bytes, latency_ms, by_kind, once.
-    OPS_PER_ROUTE = 4
+    #: One routed chain on the synchronous transport: messages, bytes,
+    #: latency_ms, by_kind, for the prefix and again for the last edge.
+    OPS_PER_ROUTE = 8
     #: One request or reply: the same plus sent_by_peer, received_by_peer.
     OPS_PER_MESSAGE = 6
 

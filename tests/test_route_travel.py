@@ -1,27 +1,30 @@
-"""A lookup chain's route lands in one step, exactly where a hop-by-hop
-walk would.
+"""A lookup chain's route lands exactly where a hop-by-hop walk would.
 
 :class:`~repro.rpc.engine.QueryEngine` routes every chain with one
-:meth:`~repro.net.transport.Transport.travel`: every edge is charged, and
-the route lands once, at the departure time plus each edge's delay in
-turn.  The reference below is the walk that replaced: one continuation
-and one landing per hop (on the event-driven transport, one kernel event
-per hop).  The same workload run both ways must agree bit for bit on
-every query's timings, hop counts and answering peers, and on every
-traced ``route-hop`` event; and each hop's folded timestamp must be the
-clock reading the walk saw when that hop landed.
+:meth:`~repro.net.transport.Transport.travel`: every edge is charged and
+the route lands at the departure time plus each edge's delay in turn —
+on the event-driven transport as one step, on the others as one step up
+to the owner's predecessor and one ``hop`` into the owner.  The reference
+below is the walk that replaced: one continuation and one landing per hop
+(on the event-driven transport, one kernel event per hop).  The same
+workload run both ways must agree bit for bit on every query's timings,
+hop counts and answering peers, and on every traced ``route-hop`` event;
+and each hop's folded timestamp must be the clock reading the walk saw
+when that hop landed.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 
+import pytest
+
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
-from repro.net.latency import SeededLatency
-from repro.net.transport import DONE, PeerNetwork
+from repro.net.latency import ConstantLatency, SeededLatency
+from repro.net.transport import Transport
 from repro.ranges.interval import IntRange
-from repro.rpc.client import SocketTransport
+from repro.sim.network import AsyncNetwork
 from repro.sim.query import AsyncQueryEngine
 from repro.workloads.generators import UniformRangeWorkload
 from tests.test_rpc_engine import run_socket
@@ -29,8 +32,10 @@ from tests.test_rpc_engine import run_socket
 SEED = 31
 
 
-def per_hop(travel, walks: list):
-    """``travel`` walked one edge at a time, the way chains used to route.
+def per_hop(walks: list):
+    """:meth:`Transport.travel` as the walk it replaced: one ``hop`` and
+    one continuation per edge (on the event-driven transport, one kernel
+    event per edge).
 
     Each walk is logged as ``(path, landings)``: the clock reading at
     each hop's landing.
@@ -41,17 +46,17 @@ def per_hop(travel, walks: list):
         landings: list[float] = []
         walks.append((path, landings))
 
-        def step(landed=()):
-            if landed:
-                delays.extend(landed)
+        def step(delay=None):
+            if delay is not None:
+                delays.append(delay)
                 landings.append(transport.now())
             edge = len(delays)
-            if edge >= len(path) - 1:
-                fn(list(delays))
-                return DONE
-            return travel(transport, path[edge:edge + 2], step)
+            if edge == len(path) - 1:
+                fn(delays)
+                return
+            transport.hop(path[edge], path[edge + 1], step)
 
-        return step()
+        step()
 
     return walk
 
@@ -116,9 +121,7 @@ def run_sync() -> tuple[list, list, RangeSelectionSystem]:
 def test_sync_routes_like_the_hop_by_hop_walk(monkeypatch):
     rows, hops, system = run_sync()
     walks: list = []
-    monkeypatch.setattr(
-        PeerNetwork, "travel", per_hop(PeerNetwork.travel, walks)
-    )
+    monkeypatch.setattr(Transport, "travel", per_hop(walks))
     reference_rows, reference_hops, _ = run_sync()
     assert rows == reference_rows
     assert hops == reference_hops
@@ -130,13 +133,22 @@ def test_sync_routes_like_the_hop_by_hop_walk(monkeypatch):
 # -- the event-driven transport: replicas, hedges and a crash ---------------
 
 
-def run_sim() -> tuple[list, list, AsyncQueryEngine]:
+#: Milliseconds between two queries' launches.
+GAP_MS = 25.0
+#: Seeded per-link delays; and one delay for every link, queries launched
+#: that same delay apart, so that many events of different chains fall due
+#: at the same instant and fire in the kernel's tie-break order.
+LATENCIES = {
+    "seeded": lambda: SeededLatency(10.0, 100.0, seed=SEED),
+    "constant": lambda: ConstantLatency(GAP_MS),
+}
+
+
+def run_sim(latency: str) -> tuple[list, list, AsyncQueryEngine]:
     system = RangeSelectionSystem(
         SystemConfig(n_peers=64, seed=SEED, replicas=3, hedge=True)
     )
-    engine = AsyncQueryEngine(
-        system, latency=SeededLatency(10.0, 100.0, seed=SEED), seed=SEED
-    )
+    engine = AsyncQueryEngine(system, latency=LATENCIES[latency](), seed=SEED)
     ranges = UniformRangeWorkload(system.config.domain, 60, seed=SEED).ranges()
     # Overlapping queries, so chains of different queries interleave on
     # the clock.
@@ -147,7 +159,8 @@ def run_sim() -> tuple[list, list, AsyncQueryEngine]:
         futures.append((engine.query(query, trace=trace), trace))
 
     for index, query in enumerate(ranges + ranges[:20]):
-        engine.sim.call_at(25.0 * index, lambda query=query: launch(query))
+        engine.sim.call_at(GAP_MS * index, lambda query=query: launch(query))
+
     def crash() -> None:
         # The owner of the first query's first identifier and the replica
         # a hedge would try next die; the tail asks them again.
@@ -155,20 +168,19 @@ def run_sim() -> tuple[list, list, AsyncQueryEngine]:
         for peer in system.replica_owners(identifier)[:2]:
             engine.crash_peer(peer)
 
-    engine.sim.call_at(25.0 * 30, crash)
+    engine.sim.call_at(GAP_MS * 30, crash)
     engine.sim.run()
     rows = [timings(future.result()) for future, _ in futures]
     hops = [route_hops(trace.to_dict()) for _, trace in futures]
     return rows, hops, engine
 
 
-def test_sim_routes_like_the_hop_by_hop_walk(monkeypatch):
-    rows, hops, engine = run_sim()
+@pytest.mark.parametrize("latency", sorted(LATENCIES))
+def test_sim_routes_like_the_hop_by_hop_walk(monkeypatch, latency):
+    rows, hops, engine = run_sim(latency)
     walks: list = []
-    monkeypatch.setattr(
-        PeerNetwork, "travel", per_hop(PeerNetwork.travel, walks)
-    )
-    reference_rows, reference_hops, _ = run_sim()
+    monkeypatch.setattr(AsyncNetwork, "travel", per_hop(walks))
+    reference_rows, reference_hops, _ = run_sim(latency)
     assert rows == reference_rows
     assert hops == reference_hops
     assert_stamped_at_landings(walks, hops)
@@ -191,9 +203,7 @@ def socket_rows() -> tuple[list, list]:
 def test_socket_routes_like_the_hop_by_hop_walk(monkeypatch):
     rows, hops = socket_rows()
     walks: list = []
-    monkeypatch.setattr(
-        SocketTransport, "travel", per_hop(SocketTransport.travel, walks)
-    )
+    monkeypatch.setattr(Transport, "travel", per_hop(walks))
     reference_rows, reference_hops = socket_rows()
     # Wall-clock timings differ run to run; outcomes, hops, answering
     # peers and every hop's routing detail may not.
