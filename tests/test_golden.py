@@ -10,9 +10,13 @@ commit.
 
 from __future__ import annotations
 
+import hashlib
+import io
+
 import pytest
 
 from repro.chord.hashing import key_id, node_id_for_address, rehash_for_placement
+from repro.cli import main
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
 from repro.lsh import (
@@ -92,3 +96,40 @@ class TestSystemGolden:
         # identifier 0 in *every* group under bit-position permutations, so
         # its five placements collapse into one.
         assert system.total_placements() == 295
+
+
+
+#: sha256 of the standard output of ``repro <argv> --peers 60 --seed 3``.
+CLI_STDOUT_SHA256 = {
+    "simulate":
+        "e6b112b0865a5bef6ecaeecf294d2d193ab3ce507d19ae22a3420a80f7dfadc5",
+    "simulate --drop 0.3 --fail 0.2":
+        "64cc977f09cb84d8e23d4505539da1b5c7bd49e411d30529c24e3d2845d8c694",
+    "simulate --queries 10 --warm-queries 20 --fail 0.2 --replicas 3 "
+    "--repair-interval 2000 --sample-interval 500 --health --metrics":
+        "6950442143dab17df8af1a9619497cb8228ceb9cd7eb61174510ae6f85a06278",
+    "simulate --queries 8 --warm-queries 20 --replicas 3 --peer-queue 4 "
+    "--service-rate 50 --hedge --quorum 3 --breaker --adaptive-timeout "
+    "--slow 0.2 --slow-factor 8":
+        "2ce460c1b7bc469fb489c0dcf69826ccc61da61f14e3b6091816fda108c6ba54",
+    "simulate --overlay can":
+        "ca316c3748252885068881db87e8543f2bf298a64164fb7ce6462e49236557a3",
+    "health --crash 0.2 --replicas 3 --repair":
+        "d087ae7f177b1976415b5bd7a888d01f0b114c27e2dc897ee30d2815d5ff73fe",
+    "metrics":
+        "ed4a5cbacf849a46caf6e84fa161103d17f052ed2d143dcced59f900d92443d7",
+}
+
+
+class TestCliOutputGolden:
+    """Byte-for-byte pins of the scenario sub-commands' standard output:
+    a change to a run's seeded build, warm-up, fault picks or report
+    moves a digest."""
+
+    @pytest.mark.parametrize("argv", list(CLI_STDOUT_SHA256))
+    def test_stdout_digest(self, argv):
+        out = io.StringIO()
+        code = main([*argv.split(), "--peers", "60", "--seed", "3"], out=out)
+        assert code == 0
+        digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        assert digest == CLI_STDOUT_SHA256[argv]
