@@ -29,36 +29,17 @@ doing the serving.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.config import SystemConfig
-from repro.core.system import RangeSelectionSystem
+from repro.experiments.fig6_7_quality import PAPER_DOMAIN
+from repro.experiments.scenario import ReplicationMode, Scenario
 from repro.metrics.collector import QueryLog
 from repro.metrics.report import format_table
-from repro.net.latency import SeededLatency
 from repro.ranges.domain import Domain
-from repro.ranges.interval import IntRange
 from repro.sim.network import RetryPolicy
-from repro.sim.query import AsyncQueryEngine
-from repro.sim.repair import ReplicaRepairer
-from repro.util.rng import derive_rng
 
 __all__ = ["ChurnRecallExperiment", "ChurnRecallOutcome", "ChurnCell", "ReplicationMode"]
-
-PAPER_DOMAIN = Domain("value", 0, 1000)
-
-
-@dataclass(frozen=True)
-class ReplicationMode:
-    """One replication configuration under test."""
-
-    replicas: int
-    repair: bool
-
-    @property
-    def label(self) -> str:
-        suffix = "+repair" if self.repair else ""
-        return f"r={self.replicas}{suffix}"
 
 
 @dataclass(frozen=True)
@@ -184,79 +165,44 @@ class ChurnRecallExperiment:
             churn_waves=2,
         )
 
-    def _tiles(self) -> list[IntRange]:
-        width = self.tile_width
-        low, high = self.domain.low, self.domain.high
-        return [
-            IntRange(start, start + width - 1)
-            for start in range(low, high - width + 2, width)
-        ]
-
     def _run_cell(
         self, mode: ReplicationMode, crash_fraction: float
     ) -> ChurnCell:
-        system = RangeSelectionSystem(
+        run = Scenario(
             SystemConfig(
                 n_peers=self.n_peers,
                 domain=self.domain,
                 replicas=mode.replicas,
                 store_on_miss=False,
                 seed=self.seed,
-            )
-        )
-        tiles = self._tiles()
-        for tile in tiles:
-            system.store_partition(tile)
-        engine = AsyncQueryEngine(
-            system,
-            latency=SeededLatency(
-                self.latency_low_ms, self.latency_high_ms, seed=self.seed
             ),
-            policy=self.policy,
-            seed=self.seed,
-        )
-        repairer = ReplicaRepairer(
-            engine, interval_ms=self.repair_interval_ms, policy=self.policy
-        )
-
-        crash_rng = derive_rng(self.seed, "churn-recall/crashes")
-        node_ids = system.router.node_ids
-        n_crashed = int(round(crash_fraction * len(node_ids)))
-        doomed = [
-            node_ids[int(index)]
-            for index in crash_rng.choice(
-                len(node_ids), size=n_crashed, replace=False
-            )
-        ]
+            stream="churn-recall/",
+            tile_width=self.tile_width,
+            timed_queries=self.timed_queries,
+            latency_ms=(self.latency_low_ms, self.latency_high_ms),
+            crash_fraction=crash_fraction,
+            repair=mode.repair,
+            repair_interval_ms=self.repair_interval_ms,
+            **asdict(self.policy),
+        ).start()
         waves = max(1, self.churn_waves)
         for wave in range(waves):
-            for peer_id in doomed[wave::waves]:
-                engine.crash_peer(peer_id)
-            if mode.repair:
-                engine.sim.run_until_complete(repairer.run_round())
-
-        log = QueryLog()
-        jitter_rng = derive_rng(self.seed, "churn-recall/jitter")
-        low, high = self.domain.low, self.domain.high
-        for _ in range(self.timed_queries):
-            tile = tiles[int(jitter_rng.integers(len(tiles)))]
-            shift = 1 if jitter_rng.integers(2) else -1
-            if tile.start + shift < low or tile.end + shift > high:
-                shift = -shift
-            query = IntRange(tile.start + shift, tile.end + shift)
-            log.add(engine.run(query))
+            run.crash(wave, waves)
+            if run.repairer is not None:
+                run.engine.sim.run_until_complete(run.repairer.run_round())
+        log = QueryLog([run.engine.run(query) for query in run.queries()])
         summary = log.phase_summary()["total"]
         return ChurnCell(
             mode=mode,
             crash_fraction=crash_fraction,
-            crashed_peers=n_crashed,
+            crashed_peers=len(run.crashed),
             mean_recall=log.mean_recall(),
             matched_fraction=1.0 - log.misses / max(1, len(log)),
             failovers=log.failovers,
             chain_timeouts=log.chain_timeouts,
             degraded_queries=log.degraded_queries,
             misses=log.misses,
-            repairs=repairer.stats.copies_created,
+            repairs=run.repairer.stats.copies_created if run.repairer else 0,
             p95_ms=summary.p95,
             queries=len(log),
         )

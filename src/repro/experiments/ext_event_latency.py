@@ -18,22 +18,17 @@ cost recall only in proportion to how many of a query's ``l`` owners died.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.config import SystemConfig
-from repro.core.system import RangeSelectionSystem
+from repro.experiments.fig6_7_quality import PAPER_DOMAIN
+from repro.experiments.scenario import Scenario
 from repro.metrics.collector import QueryLog
 from repro.metrics.report import format_table
-from repro.net.latency import SeededLatency
 from repro.ranges.domain import Domain
 from repro.sim.network import RetryPolicy
-from repro.sim.query import AsyncQueryEngine
-from repro.util.rng import derive_rng
-from repro.workloads.generators import UniformRangeWorkload
 
 __all__ = ["EventLatencyExperiment", "EventLatencyOutcome", "FaultCell"]
-
-PAPER_DOMAIN = Domain("value", 0, 1000)
 
 
 @dataclass(frozen=True)
@@ -144,36 +139,23 @@ class EventLatencyExperiment:
     def _run_cell(
         self, drop_rate: float, fail_fraction: float
     ) -> tuple[FaultCell, QueryLog]:
-        system = RangeSelectionSystem(
-            SystemConfig(n_peers=self.n_peers, domain=self.domain, seed=self.seed)
-        )
-        warm = UniformRangeWorkload(self.domain, self.warm_queries, seed=self.seed + 1)
-        for query in warm.ranges():
-            system.query(query)
-        engine = AsyncQueryEngine(
-            system,
-            latency=SeededLatency(
-                self.latency_low_ms, self.latency_high_ms, seed=self.seed
-            ),
-            drop_probability=drop_rate,
-            policy=self.policy,
-            seed=self.seed,
-        )
-        crash_rng = derive_rng(self.seed, "event-latency/crashes")
-        node_ids = system.router.node_ids
-        n_crashed = int(round(fail_fraction * len(node_ids)))
-        crashed = crash_rng.choice(len(node_ids), size=n_crashed, replace=False)
-        for index in crashed:
-            engine.crash_peer(node_ids[int(index)])
-        log = QueryLog()
-        timed = UniformRangeWorkload(self.domain, self.timed_queries, seed=self.seed + 2)
-        for query in timed.ranges():
-            log.add(engine.run(query))
+        run = Scenario(
+            SystemConfig(n_peers=self.n_peers, domain=self.domain, seed=self.seed),
+            stream="event-latency/",
+            warm_queries=self.warm_queries,
+            timed_queries=self.timed_queries,
+            latency_ms=(self.latency_low_ms, self.latency_high_ms),
+            drop=drop_rate,
+            crash_fraction=fail_fraction,
+            **asdict(self.policy),
+        ).start()
+        run.crash()
+        log = QueryLog([run.engine.run(query) for query in run.queries()])
         summary = log.phase_summary()["total"]
         cell = FaultCell(
             drop_rate=drop_rate,
             fail_fraction=fail_fraction,
-            crashed_peers=n_crashed,
+            crashed_peers=len(run.crashed),
             p50_ms=summary.p50,
             p95_ms=summary.p95,
             p99_ms=summary.p99,

@@ -42,22 +42,17 @@ recall measures whether the stored tile was *reached*, not re-inserted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from repro.core.config import SystemConfig
-from repro.core.system import RangeSelectionSystem
+from repro.experiments.fig6_7_quality import PAPER_DOMAIN
+from repro.experiments.scenario import Scenario
 from repro.metrics.collector import QueryLog
 from repro.metrics.report import format_table
-from repro.net.latency import SeededLatency
 from repro.ranges.domain import Domain
-from repro.ranges.interval import IntRange
 from repro.sim.network import RetryPolicy
-from repro.sim.query import AsyncQueryEngine
-from repro.util.rng import derive_rng
 
 __all__ = ["OverloadExperiment", "OverloadOutcome", "OverloadCell"]
-
-PAPER_DOMAIN = Domain("value", 0, 1000)
 
 
 @dataclass(frozen=True)
@@ -216,78 +211,43 @@ class OverloadExperiment:
         """Offered load at which a grey-slow peer's share saturates it."""
         return self.n_peers * (self.service_rate / self.slow_factor) / 5.0
 
-    def _tiles(self) -> list[IntRange]:
-        width = self.tile_width
-        low, high = self.domain.low, self.domain.high
-        return [
-            IntRange(start, start + width - 1)
-            for start in range(low, high - width + 2, width)
-        ]
-
-    def _queries(self, tiles: list[IntRange], count: int) -> list[IntRange]:
-        jitter_rng = derive_rng(self.seed, "overload/jitter")
-        low, high = self.domain.low, self.domain.high
-        queries: list[IntRange] = []
-        for _ in range(count):
-            tile = tiles[int(jitter_rng.integers(len(tiles)))]
-            shift = 1 if jitter_rng.integers(2) else -1
-            if tile.start + shift < low or tile.end + shift > high:
-                shift = -shift
-            queries.append(IntRange(tile.start + shift, tile.end + shift))
-        return queries
-
     def _run_cell(
         self, protections: bool, load_factor: float, slow_fraction: float
     ) -> OverloadCell:
-        config = SystemConfig(
-            n_peers=self.n_peers,
-            domain=self.domain,
-            replicas=self.replicas,
-            store_on_miss=False,
-            seed=self.seed,
-            peer_queue=self.peer_queue,
-            service_rate=self.service_rate,
-            hedge=protections,
-            quorum=self.quorum if protections else 0,
-            quorum_threshold=self.quorum_threshold,
-            breaker=protections,
-            adaptive_timeout=protections,
-        )
-        system = RangeSelectionSystem(config)
-        tiles = self._tiles()
-        for tile in tiles:
-            system.store_partition(tile)
-        engine = AsyncQueryEngine(
-            system,
-            latency=SeededLatency(
-                self.latency_low_ms, self.latency_high_ms, seed=self.seed
+        run = Scenario(
+            SystemConfig(
+                n_peers=self.n_peers,
+                domain=self.domain,
+                replicas=self.replicas,
+                store_on_miss=False,
+                seed=self.seed,
+                peer_queue=self.peer_queue,
+                service_rate=self.service_rate,
+                hedge=protections,
+                quorum=self.quorum if protections else 0,
+                quorum_threshold=self.quorum_threshold,
+                breaker=protections,
+                adaptive_timeout=protections,
             ),
-            policy=self.policy,
-            seed=self.seed,
-        )
-        node_ids = system.router.node_ids
-        n_slow = int(round(slow_fraction * len(node_ids)))
-        slow_rng = derive_rng(self.seed, "overload/slow")
-        for index in slow_rng.choice(len(node_ids), size=n_slow, replace=False):
-            engine.slow_peer(
-                node_ids[int(index)],
-                latency_factor=self.slow_factor,
-                service_factor=self.slow_factor,
-            )
-
+            stream="overload/",
+            tile_width=self.tile_width,
+            timed_queries=self.warmup_queries + self.timed_queries,
+            latency_ms=(self.latency_low_ms, self.latency_high_ms),
+            slow_fraction=slow_fraction,
+            slow_factor=self.slow_factor,
+            **asdict(self.policy),
+        ).start()
         offered_qps = load_factor * self.saturation_qps
-        interval_ms = 1000.0 / offered_qps
-        queries = self._queries(tiles, self.warmup_queries + self.timed_queries)
-        results = engine.run_open_loop(queries, interval_ms)
+        results = run.engine.run_open_loop(run.queries(), 1000.0 / offered_qps)
         log = QueryLog(results[self.warmup_queries :])
         summary = log.phase_summary()["total"]
-        stats = engine.net.stats
+        stats = run.engine.net.stats
         return OverloadCell(
             protections=protections,
             load_factor=load_factor,
             slow_fraction=slow_fraction,
             offered_qps=offered_qps,
-            slow_peers=n_slow,
+            slow_peers=len(run.slowed),
             mean_recall=log.mean_recall(),
             p50_ms=summary.p50,
             p99_ms=summary.p99,
@@ -295,7 +255,7 @@ class OverloadExperiment:
             busy_shed=stats.busy_shed,
             hedges=stats.hedges,
             hedge_wins=stats.hedge_wins,
-            breaker_opens=int(system.metrics.counter("sim.breaker.opened").get()),
+            breaker_opens=int(run.system.metrics.counter("sim.breaker.opened").get()),
             partial_queries=log.partial_queries,
             misses=log.misses,
             queries=len(log),

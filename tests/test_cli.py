@@ -125,16 +125,18 @@ class TestSimulate:
         assert "repair:" in text and "rounds" in text
 
     def test_simulate_rejects_bad_replicas(self, capsys):
-        code, _ = run_cli("simulate", "--peers", "20", "--replicas", "0")
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        for count in ("--replicas 0", "--retries -1", "--queries 0"):
+            code, _ = run_cli("simulate", "--peers", "20", *count.split())
+            assert code == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_simulate_rejects_negative_repair_interval(self, capsys):
-        code, _ = run_cli(
-            "simulate", "--peers", "20", "--repair-interval", "-5"
-        )
-        assert code == 1
-        assert "error:" in capsys.readouterr().err
+        for interval in ("--repair-interval -5", "--timeout-ms 0"):
+            code, _ = run_cli(
+                "simulate", "--peers", "20", *interval.split()
+            )
+            assert code == 1
+            assert "error:" in capsys.readouterr().err
 
     def test_simulate_rejects_bad_probability(self, capsys):
         code, _ = run_cli("simulate", "--peers", "20", "--drop", "1.5")
