@@ -944,6 +944,16 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
     return (host, int(port))
 
 
+def _parse_query(text: str):
+    from repro.ranges.interval import IntRange
+
+    start_text, _, end_text = text.partition(":")
+    try:
+        return IntRange(int(start_text), int(end_text))
+    except ValueError as exc:
+        raise ReproError(f"bad --query (want START:END): {exc}") from exc
+
+
 def _run_serve(args: argparse.Namespace, out) -> int:
     import asyncio
     import json
@@ -1106,14 +1116,9 @@ def _run_cluster(args: argparse.Namespace, out) -> int:
 
 
 def _run_client(args: argparse.Namespace, out) -> int:
-    from repro.ranges.interval import IntRange
     from repro.rpc.client import ClusterClient
 
-    start_text, _, end_text = args.query.partition(":")
-    try:
-        query = IntRange(int(start_text), int(end_text))
-    except ValueError as exc:
-        raise ReproError(f"bad --query (want START:END): {exc}") from exc
+    query = _parse_query(args.query)
     with ClusterClient(_parse_endpoint(args.bootstrap)) as client:
         print(f"cluster: {len(client.members)} members", file=out)
         for run_index in range(max(1, args.repeat)):
@@ -1216,9 +1221,7 @@ def _run_top(args: argparse.Namespace, out) -> int:
         except KeyboardInterrupt:
             pass
     if args.json is not None and view is not None:
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(view, handle, indent=2, default=str)
-        print(f"wrote cluster view to {args.json}", file=out)
+        _write(args.json, json.dumps(view, indent=2, default=str), "cluster view", out)
     if view is not None and not view["nodes"]:
         print(
             f"error: no member answered telemetry ({view['errors']})",
@@ -1233,14 +1236,9 @@ def _run_trace(args: argparse.Namespace, out) -> int:
     import time
 
     from repro.obs.distributed import format_trace
-    from repro.ranges.interval import IntRange
     from repro.rpc.client import ClusterClient
 
-    start_text, _, end_text = args.query.partition(":")
-    try:
-        query = IntRange(int(start_text), int(end_text))
-    except ValueError as exc:
-        raise ReproError(f"bad --query (want START:END): {exc}") from exc
+    query = _parse_query(args.query)
     last = None
     with ClusterClient(_parse_endpoint(args.bootstrap)) as client:
         run_index = 0
@@ -1273,14 +1271,8 @@ def _run_trace(args: argparse.Namespace, out) -> int:
             pass
     if args.json is not None and last is not None:
         trace, report = last
-        with open(args.json, "w", encoding="utf-8") as handle:
-            json.dump(
-                {"trace": trace.to_dict(), "stitch": report.to_dict()},
-                handle,
-                indent=2,
-                default=str,
-            )
-        print(f"wrote stitched trace to {args.json}", file=out)
+        document = {"trace": trace.to_dict(), "stitch": report.to_dict()}
+        _write(args.json, json.dumps(document, indent=2, default=str), "stitched trace", out)
     return 0
 
 

@@ -9,6 +9,8 @@ the first two also hash ranges, through :class:`HashedPlacement`.
 *Given who holds an entry and who should, what closes the gap?* is
 answered by :func:`plan_placement`, a pure diff; rebalance, hand-off and
 repair — in-process, simulated and live — are thin executors of its plan.
+*How far from that is the ring now?* is :func:`audit_placement`, which
+grades the same plan's actions for every auditor, in-process and live.
 """
 
 from __future__ import annotations
@@ -22,7 +24,10 @@ from repro.errors import ConfigError
 from repro.lsh import LSHIdentifierScheme, family_for_domain
 from repro.ranges.interval import IntRange
 
-__all__ = ["Action", "HashedPlacement", "Key", "ReplicaPlacement", "plan_placement"]
+__all__ = [
+    "Action", "Finding", "HashedPlacement", "Key", "ReplicaPlacement",
+    "audit_placement", "plan_placement",
+]
 
 #: One cached entry, system-wide: (identifier, descriptor).
 Key = tuple[int, PartitionDescriptor]
@@ -195,3 +200,87 @@ def plan_placement(
         for node in held:
             if node not in wanted:
                 yield Action("drop", identifier, descriptor, node)
+
+
+class Finding(NamedTuple):
+    """One graded placement violation (or note) about ``identifier``; one
+    about a single entry names its ``descriptor``, one about a single
+    copy also the holder ``node``."""
+
+    severity: str
+    check: str
+    identifier: int
+    message: str
+    node: int | None = None
+    descriptor: PartitionDescriptor | None = None
+
+
+def audit_placement(
+    holders: Mapping[Key, Mapping[int, bool]],
+    placement: ReplicaPlacement,
+    is_alive: Callable[[int], bool] | None = None,
+) -> Iterator[Finding]:
+    """Grade the plan that moves every entry onto its alive targets.
+
+    ``holders`` is :func:`plan_placement`'s map with the down holders
+    kept in; ``is_alive`` (None: every peer is up) sets them apart.  The
+    plan over the live holders and :meth:`ReplicaPlacement.replica_targets`
+    is graded action by action: ``copy`` → ``replica-deficit`` (warning,
+    one per identifier, counting its copies), ``lost`` → ``replica-loss``
+    (critical), ``set_role`` → ``primary-flag`` (warning, only while no
+    peer is down: failover skews flags), ``drop`` → ``stale-copy`` (info)
+    within the first ``replicas + down`` peers of the successor chain,
+    where an earlier repair epoch may have put it, else
+    ``replica-placement`` (critical).  A down holder outside the nominal
+    replica set is graded as a drop.
+
+    Per-copy findings come first (flags, then down holders and drops),
+    then the deficits by identifier, then the losses.
+    """
+    alive = is_alive if is_alive is not None else (lambda node: True)
+    down = sum(1 for node in placement.router.node_ids if not alive(node))
+    sets: dict[int, tuple[list[int], set[int]]] = {}
+
+    def replica_sets(identifier: int) -> tuple[list[int], set[int]]:
+        """(the alive targets, those and the nominal replica set)"""
+        if identifier not in sets:
+            wanted = placement.replica_targets(identifier, alive)
+            sets[identifier] = (wanted, set(placement.replica_owners(identifier)).union(wanted))
+        return sets[identifier]
+
+    live = {key: {n: f for n, f in held.items() if alive(n)} for key, held in holders.items()}
+    surplus = [(*key, n) for key, held in holders.items() for n in held if not alive(n)]
+    missing: dict[int, int] = {}
+    lost: list[Key] = []
+    for action in plan_placement(live, lambda i: replica_sets(i)[0]):
+        identifier, descriptor, node = action.identifier, action.descriptor, action.node
+        if action.kind == "copy":
+            missing[identifier] = missing.get(identifier, 0) + 1
+        elif action.kind == "lost":
+            lost.append((identifier, descriptor))
+        elif action.kind == "drop":
+            surplus.append((identifier, descriptor, node))
+        elif not down:
+            owner = replica_sets(identifier)[0][0]
+            message = f"copy at {node} has primary={not action.primary}, owner is {owner}"
+            yield Finding("warning", "primary-flag", identifier, message, node, descriptor)
+    depth = placement.config.replicas + down
+    for identifier, descriptor, node in surplus:
+        allowed = replica_sets(identifier)[1]
+        if node in allowed:
+            continue
+        if node in placement.router.replica_set(placement.place_identifier(identifier), depth):
+            message = (
+                f"surplus copy at {node}, beyond the current replica set "
+                f"(left by an earlier repair epoch)"
+            )
+            yield Finding("info", "stale-copy", identifier, message, node, descriptor)
+        else:
+            message = f"copy held by {node}, outside replica set {sorted(allowed)}"
+            yield Finding("critical", "replica-placement", identifier, message, node, descriptor)
+    for identifier, count in sorted(missing.items()):
+        message = f"{count} cop{'y' if count == 1 else 'ies'} missing from alive targets"
+        yield Finding("warning", "replica-deficit", identifier, message)
+    for identifier, descriptor in sorted(lost, key=lambda k: (k[0], str(k[1]))):
+        message = f"every copy of {descriptor} sits on crashed peers"
+        yield Finding("critical", "replica-loss", identifier, message, descriptor=descriptor)

@@ -19,7 +19,7 @@ from typing import Callable
 from repro.core.config import SystemConfig
 from repro.core.matcher import Matcher, matcher_by_name
 from repro.core.overlays import ChordRouter, build_overlay
-from repro.core.placement import HashedPlacement, Key, plan_placement
+from repro.core.placement import HashedPlacement, Key, audit_placement, plan_placement
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import ConfigError, PeerUnavailableError
 from repro.net.transport import SimulatedNetwork
@@ -461,9 +461,9 @@ class RangeSelectionSystem(HashedPlacement):
         every copy sits on crashed peers — unrepairable.  Repair only
         ever adds copies (failover placements legitimately skew flags and
         leave surplus; :meth:`rebalance` owns role changes and drops).
-        :meth:`repair_replicas`, the event-driven
-        :class:`~repro.sim.repair.ReplicaRepairer` and the health auditor
-        all read this plan — only the transport differs.
+        :meth:`repair_replicas` and the event-driven
+        :class:`~repro.sim.repair.ReplicaRepairer` execute this plan, the
+        health sampler counts it.
         """
         holders, rows = self._holders(is_alive)
         copies: list[tuple] = []
@@ -516,20 +516,11 @@ class RangeSelectionSystem(HashedPlacement):
 
     def check_placement_invariant(self) -> None:
         """Raise if any cached entry sits outside its replica set, or
-        carries the wrong primary/replica flag."""
-        for action in plan_placement(self._holders()[0], self.replica_owners):
-            if action.kind == "drop":
-                raise ConfigError(
-                    f"entry for identifier {action.identifier} held by "
-                    f"{action.node} but owned by "
-                    f"{self.replica_owners(action.identifier)}"
-                )
-            if action.kind == "set_role":
-                raise ConfigError(
-                    f"entry for identifier {action.identifier} at "
-                    f"{action.node} has primary={not action.primary}, "
-                    f"expected {action.primary}"
-                )
+        carries the wrong primary/replica flag (missing copies are
+        repair's business, not a violation)."""
+        for finding in audit_placement(self._holders()[0], self):
+            if finding.check in ("replica-placement", "primary-flag"):
+                raise ConfigError(f"identifier {finding.identifier}: {finding.message}")
 
     # ------------------------------------------------------------------
     # Introspection

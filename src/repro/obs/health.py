@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Callable, Iterable
 
+from repro.core.placement import Finding, audit_placement
 from repro.obs.log import get_logger
 
 if TYPE_CHECKING:  # imported for typing only: core.system imports repro.obs
@@ -291,6 +292,12 @@ class AuditFinding:
     subject: str  # what the finding is about ("node 123", "identifier 7")
     message: str
 
+    @classmethod
+    def of(cls, finding: Finding) -> "AuditFinding":
+        """An :func:`~repro.core.placement.audit_placement` finding."""
+        subject = f"identifier {finding.identifier}"
+        return cls(finding.severity, finding.check, subject, finding.message)
+
     def describe(self) -> str:
         """One-line rendering for reports."""
         return f"[{self.severity}] {self.check}: {self.subject} — {self.message}"
@@ -378,17 +385,11 @@ class RingAuditor:
       successor-list consistency, finger reachability and correctness
       (critical, via :meth:`ChordRing.audit`); under CAN, zone tiling and
       neighbour symmetry (critical, via :meth:`CanOverlay.audit`).
-    * Replica placement — every stored copy sits inside its identifier's
-      nominal replica set or current alive target set (critical when
-      not; surplus copies further down the successor chain left by
-      earlier repair epochs are informational ``stale-copy`` notes);
-      primary/replica flags match ownership, checked only while no peer
-      is crashed, since failover placements legitimately skew flags
-      (warning).
-    * Replica deficits — identifiers missing copies on their alive
-      targets, the same :meth:`repair_plan` the repair loop executes
-      (warning); identifiers whose every copy sits on
-      crashed peers are unrepairable (critical).
+    * Replica placement — every copy in every store, crashed ones
+      included, graded by :func:`~repro.core.placement.audit_placement`:
+      ``replica-deficit`` and ``primary-flag`` (warning),
+      ``replica-loss`` and ``replica-placement`` (critical),
+      ``stale-copy`` (info).
     * Bucket LRU clocks — each entry's ``access_clock`` must be positive
       and no later than its store's clock (warning).
 
@@ -422,9 +423,7 @@ class RingAuditor:
         report.nodes_checked = len(node_ids)
         report.crashed_peers = sum(1 for nid in node_ids if not alive(nid))
         self._audit_overlay(report)
-        self._audit_placement(report, alive)
-        self._audit_deficits(report, alive)
-        self._audit_lru_clocks(report)
+        self._audit_stores(report, alive)
         if report.ok:
             logger.info(
                 "audit clean: %d nodes, %d entries",
@@ -454,117 +453,36 @@ class RingAuditor:
                     AuditFinding("critical", f"can.{check}", subject, message)
                 )
 
-    # -- replica placement ---------------------------------------------
+    # -- stored copies ---------------------------------------------------
 
-    def _audit_placement(
+    def _audit_stores(
         self, report: AuditReport, alive: Callable[[int], bool]
     ) -> None:
-        system = self.system
-        none_crashed = report.crashed_peers == 0
-        # Repair rounds at earlier churn epochs may have legitimately
-        # placed copies on successors beyond today's target set (targets
-        # shift as more peers crash, and repair never deletes).  Any peer
-        # within the first ``replicas + crashed`` chain positions is a
-        # placement some epoch could have chosen: surplus, not a bug.
-        chain_depth = system.config.replicas + report.crashed_peers
-        allowed_cache: dict[int, tuple[set[int], set[int], int]] = {}
-        for store in system.stores.values():
-            for identifier, entry in store.entries():
-                report.entries_checked += 1
-                cached = allowed_cache.get(identifier)
-                if cached is None:
-                    owners = system.replica_owners(identifier)
-                    allowed = set(owners)
-                    allowed.update(system.replica_targets(identifier, alive))
-                    chain = set(
-                        system.router.replica_set(
-                            system.place_identifier(identifier), chain_depth
-                        )
-                    )
-                    cached = (allowed, chain | allowed, owners[0] if owners else -1)
-                    allowed_cache[identifier] = cached
-                allowed, chain_allowed, owner = cached
-                if store.peer_id not in allowed:
-                    if store.peer_id in chain_allowed:
-                        report.findings.append(
-                            AuditFinding(
-                                "info",
-                                "stale-copy",
-                                f"identifier {identifier}",
-                                f"surplus copy at {store.peer_id}, beyond the "
-                                f"current replica set (left by an earlier "
-                                f"repair epoch)",
-                            )
-                        )
-                    else:
-                        report.findings.append(
-                            AuditFinding(
-                                "critical",
-                                "replica-placement",
-                                f"identifier {identifier}",
-                                f"copy held by {store.peer_id}, outside replica "
-                                f"set {sorted(allowed)}",
-                            )
-                        )
-                elif none_crashed and entry.primary != (store.peer_id == owner):
-                    report.findings.append(
-                        AuditFinding(
-                            "warning",
-                            "primary-flag",
-                            f"identifier {identifier}",
-                            f"copy at {store.peer_id} has "
-                            f"primary={entry.primary}, owner is {owner}",
-                        )
-                    )
-
-    # -- replica deficits ----------------------------------------------
-
-    def _audit_deficits(
-        self, report: AuditReport, alive: Callable[[int], bool]
-    ) -> None:
-        copies, lost = self.system.repair_plan(alive)
-        missing: dict[int, int] = {}
-        for identifier, *_rest in copies:
-            missing[identifier] = missing.get(identifier, 0) + 1
-        for identifier, count in sorted(missing.items()):
-            report.findings.append(
-                AuditFinding(
-                    "warning",
-                    "replica-deficit",
-                    f"identifier {identifier}",
-                    f"{count} cop{'y' if count == 1 else 'ies'} missing from "
-                    f"alive targets",
-                )
-            )
-        # Entries held only on crashed peers: no alive source remains.
-        for identifier, descriptor in sorted(
-            lost, key=lambda k: (k[0], str(k[1]))
-        ):
-            report.findings.append(
-                AuditFinding(
-                    "critical",
-                    "replica-loss",
-                    f"identifier {identifier}",
-                    f"every copy of {descriptor} sits on crashed peers",
-                )
-            )
-
-    # -- LRU clock sanity ----------------------------------------------
-
-    def _audit_lru_clocks(self, report: AuditReport) -> None:
+        """One walk over every store, crashed ones included: grade where
+        the copies sit (:func:`~repro.core.placement.audit_placement`,
+        per-copy findings in walk order) and check the LRU clocks."""
+        holders: dict[tuple, dict[int, bool]] = {}
+        walk: dict[tuple, int] = {}
+        clocks: list[AuditFinding] = []
         for store in self.system.stores.values():
             for identifier, entry in store.entries():
+                key = (identifier, entry.descriptor)
+                holders.setdefault(key, {})[store.peer_id] = entry.primary
+                walk[(store.peer_id, *key)] = len(walk)
                 if not (0 < entry.access_clock <= store.clock):
-                    report.findings.append(
-                        AuditFinding(
-                            "warning",
-                            "lru-clock",
-                            f"identifier {identifier}",
-                            f"entry at {store.peer_id} has access_clock="
-                            f"{entry.access_clock}, store clock is "
-                            f"{store.clock}",
-                        )
+                    message = (
+                        f"entry at {store.peer_id} has access_clock="
+                        f"{entry.access_clock}, store clock is {store.clock}"
                     )
+                    subject = f"identifier {identifier}"
+                    clocks.append(AuditFinding("warning", "lru-clock", subject, message))
+        report.entries_checked = len(walk)
+        graded = sorted(
+            audit_placement(holders, self.system, alive),
+            key=lambda f: walk.get((f.node, f.identifier, f.descriptor), len(walk)),
+        )
+        report.findings.extend(AuditFinding.of(finding) for finding in graded)
+        report.findings.extend(clocks)
 
 
 # ----------------------------------------------------------------------

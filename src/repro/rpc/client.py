@@ -20,7 +20,8 @@ Three pieces turn the transport-agnostic
   places identifiers exactly like every server's mirror.
 - :class:`ClusterClient` — connects to any live peer, mirrors membership
   and config from its ``hello`` reply, and exposes ``query`` / ``leave``
-  over the cluster (repair is the ring's own job).
+  over the cluster and ``audit`` of where its entries sit (repair is the
+  ring's own job).
 """
 
 from __future__ import annotations
@@ -29,14 +30,13 @@ import asyncio
 import dataclasses
 import os
 import time
-from collections import Counter
 from typing import Any, Callable, Sequence
 
 from repro.chord.hashing import node_id_for_address
 from repro.chord.ring import ChordRing
 from repro.core.config import SystemConfig
 from repro.core.overlays import ChordRouter
-from repro.core.placement import HashedPlacement
+from repro.core.placement import HashedPlacement, audit_placement
 from repro.core.system import SIM_ATTRIBUTE, SIM_RELATION, SystemCounters
 from repro.errors import (
     OpenCircuitError,
@@ -56,6 +56,7 @@ from repro.obs.distributed import (
     stitch_trace,
     wall_ms,
 )
+from repro.obs.health import AuditFinding, AuditReport
 from repro.obs.log import get_logger
 from repro.obs.registry import MetricsRegistry
 from repro.obs.trace import QueryTrace
@@ -629,20 +630,23 @@ class ClusterClient:
             )
         )
 
-    def under_replicated(self) -> int:
-        """Stored keys with fewer than ``min(replicas, members)`` copies
-        across the mirrored members — 0 once the ring has healed.
-
-        :meth:`refresh` first after churn, so evicted peers are not
-        asked; an unreachable member raises.
-        """
-        copies = Counter(
-            (identifier, descriptor)
-            for address in self.system.members
-            for identifier, descriptor, _rows, _primary in self.entries_of(address)
+    def audit(self) -> AuditReport:
+        """Where every member's entries sit, graded against the mirrored
+        ring by :func:`~repro.core.placement.audit_placement` (every
+        member taken as up).  :meth:`refresh` first after churn, so
+        evicted peers are not asked; an unreachable member raises."""
+        ring = self.system.router.ring
+        holders: dict = {}
+        for node_id in self.system.router.node_ids:
+            for identifier, descriptor, _rows, primary in self.entries_of(
+                ring.node(node_id).address
+            ):
+                holders.setdefault((int(identifier), descriptor), {})[node_id] = primary
+        return AuditReport(
+            [AuditFinding.of(f) for f in audit_placement(holders, self.system)],
+            nodes_checked=len(self.system.members),
+            entries_checked=sum(len(held) for held in holders.values()),
         )
-        goal = min(self.system.config.replicas, len(self.system.members))
-        return sum(1 for count in copies.values() if count < goal)
 
     def leave(self, address: str) -> int:
         """Ask a peer to leave gracefully; returns copies it handed off."""

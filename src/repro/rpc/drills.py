@@ -90,12 +90,13 @@ def views_complete(cluster) -> bool:
 
 
 def healed(cluster, client) -> bool:
-    """Converged, and every stored key is back at ``min(r, members)``
-    copies (the client re-mirrors first, so evicted peers are not asked)."""
+    """Converged, and a clean :meth:`ClusterClient.audit`: every stored
+    key on its replica set, one primary at its owner, no copy missing
+    (the client re-mirrors first, so evicted peers are not asked)."""
     if not converged(cluster):
         return False
     client.refresh()
-    return client.under_replicated() == 0
+    return client.audit().ok
 
 
 def wait_for(predicate: Callable[[], bool], what: str, timeout_s: float) -> float:
@@ -203,7 +204,7 @@ def kill_wave(
     """SIGKILL ``victim`` and let the ring deal with it, the client idle.
 
     ``detect_ms`` is kill → evicted from every live mirror, ``repair_ms``
-    kill → every key back at full replication; the client sends nothing
+    kill → :func:`healed` (a clean placement audit); the client sends nothing
     but monitoring reads until both hold, so the recall measured
     afterwards is the ring's own doing.
     """
@@ -259,7 +260,7 @@ def partition_wave(
 
     The minority never includes the client's bootstrap peer.
     ``detect_ms`` is split → every majority mirror has evicted the
-    minority, ``repair_ms`` heal → reconverged and fully replicated.
+    minority, ``repair_ms`` heal → :func:`healed` again.
     """
     live = sorted(live_set(cluster))
     minority = [
@@ -297,8 +298,8 @@ class DrillResult:
     recall_after: float | None = None
     failovers: int = 0
     failed_lookups: int = 0
-    #: Last fault (or restart) → ring reconverged; for the smoke drill,
-    #: also back at full replication.
+    #: Last fault (or restart) → ring reconverged; for the smoke and
+    #: chaos drills, also a clean placement audit (:func:`healed`).
     heal_ms: float | None = None
     #: ``restore.entries`` summed over the restarted peers.
     restored: float = 0.0
@@ -331,7 +332,8 @@ def smoke_drill(
     Unlike :func:`kill_wave` the client keeps querying *between* the kill
     and the eviction: recall must hold by replica-chain failover alone
     (and at least one lookup must have failed over, or the kill missed).
-    Then the ring has ``timeout_s`` to heal itself to r copies.
+    Then the ring has ``timeout_s`` to heal itself to a clean placement
+    audit: r copies of every key, one primary at its owner.
     """
     replicas = client.system.config.replicas
     victim = replica_victim(client, queries[0])
@@ -357,8 +359,8 @@ def smoke_drill(
             )
         except ReproError:
             reason = (
-                f"the ring did not heal to {replicas} copies of every key "
-                f"within {timeout_s:g}s"
+                f"the ring did not heal to {replicas} copies of every key, "
+                f"one primary each, within {timeout_s:g}s"
             )
         else:
             say(
@@ -376,7 +378,8 @@ def chaos_drill(
 ) -> DrillResult:
     """Play a seeded chaos schedule (``counts`` from
     :meth:`ChaosSchedule.parse_spec`), then gate on self-healing:
-    membership must reconverge and recall return to ``warm_recall``."""
+    membership must reconverge, the placement audit come back clean and
+    recall return to ``warm_recall``."""
     schedule = ChaosSchedule.generate(
         seed, list(cluster.endpoints), counts,
         protect=(next(iter(cluster.endpoints)),),
@@ -387,15 +390,15 @@ def chaos_drill(
     # The schedule is over: lift residual delay/drop faults (partitions
     # heal via their own scheduled event) and let the ring converge.
     cluster.heal()
-    heal_ms = _reconverged(cluster, timeout_s)
-    if heal_ms is None:
+    try:
+        heal_ms = wait_for(lambda: healed(cluster, client), "the ring to heal", timeout_s)
+    except ReproError:
         reason = (
-            f"membership never reconverged within {timeout_s:g}s "
-            f"(live={sorted(live_set(cluster))}, "
+            f"the ring did not reconverge to a clean placement audit within "
+            f"{timeout_s:g}s (live={sorted(live_set(cluster))}, "
             f"mirrored={sorted(client.members)})"
         )
         return DrillResult("chaos", reason, warm_recall)
-    client.refresh()
     recall = mean_recall(client, queries)
     say(
         f"healed: {len(queries)} queries, mean recall {recall:.2f} "

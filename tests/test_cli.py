@@ -404,3 +404,26 @@ class TestClusterValidatesBeforeSpawning:
     def test_good_argv_reaches_the_cluster(self):
         with pytest.raises(AssertionError, match="LocalCluster built"):
             run_cli("cluster", "--smoke", "--chaos", "kill=1,partition=1")
+
+
+class TestClientCommandsParseTheQueryFirst:
+    """``repro client`` and ``repro trace`` reject a bad ``--query``
+    before they connect: a ``ClusterClient`` that refuses to be built
+    proves it."""
+
+    @pytest.fixture(autouse=True)
+    def no_connection(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("ClusterClient built before --query was parsed")
+
+        monkeypatch.setattr("repro.rpc.client.ClusterClient", refuse)
+
+    @pytest.mark.parametrize("command", ["trace", "client"])
+    def test_bad_query_is_rejected_without_a_connection(self, command, capsys):
+        code, text = run_cli(command, "--bootstrap", "h:1", "--query", "x:y")
+        assert (code, text) == (1, "")
+        assert capsys.readouterr().err.startswith("error: bad --query")
+
+    def test_good_query_reaches_the_connection(self):
+        with pytest.raises(AssertionError, match="ClusterClient built"):
+            run_cli("trace", "--bootstrap", "h:1", "--query", "3:9")

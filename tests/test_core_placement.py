@@ -3,13 +3,21 @@
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
-from repro.core.placement import Action, HashedPlacement, plan_placement
+from repro.core.placement import (
+    Action,
+    HashedPlacement,
+    ReplicaPlacement,
+    audit_placement,
+    plan_placement,
+)
 from repro.db.partition import PartitionDescriptor
 from repro.errors import ConfigError, HashFamilyError
 from repro.ranges.domain import Domain
@@ -105,6 +113,132 @@ def test_applying_the_plan_converges_and_leaves_correct_keys_alone(world):
             # Exactly the desired set, one primary, at rank 0.
             assert correct(flags, desired(key[0])), (key, flags)
     assert {a.kind for a in plan_placement(state, desired)} <= {"lost"}
+
+
+# ---------------------------------------------------------------------------
+# The audit grades the plan's actions, and agrees with a copy-by-copy walk
+# ---------------------------------------------------------------------------
+
+
+class WorldRing(ReplicaPlacement):
+    """A world's ring as a replica placement: identifiers placed directly."""
+
+    def __init__(self, nodes, replicas) -> None:
+        self.config = SimpleNamespace(placement="direct", replicas=replicas)
+        self.router = self
+        self.node_ids = nodes
+
+    def replica_set(self, position, count, predicate=None):
+        chain = successors(self.node_ids, position)
+        return [n for n in chain if predicate is None or predicate(n)][:count]
+
+
+SEVERITY = {
+    "replica-deficit": "warning",
+    "replica-loss": "critical",
+    "primary-flag": "warning",
+    "stale-copy": "info",
+    "replica-placement": "critical",
+}
+
+
+def walked_by_hand(nodes, crashed, replicas, held):
+    """The auditor's rules copy by copy, as the store walk applied them:
+    a copy outside ``owners | alive targets`` is stale within the first
+    ``replicas + crashed`` chain positions and misplaced beyond; a flag is
+    checked against the owner while nothing is crashed; then the missing
+    copies per identifier on alive targets, then the entries with no live
+    holder."""
+    per_copy = Counter()
+    missing = Counter()
+    lost = []
+    for (identifier, descriptor), flags in held.items():
+        chain = successors(nodes, identifier)
+        owners = chain[:replicas]
+        targets = [n for n in chain if n not in crashed][:replicas]
+        allowed = set(owners) | set(targets)
+        for node, primary in flags.items():
+            if node not in allowed:
+                depth = replicas + len(crashed)
+                check = "stale-copy" if node in chain[:depth] else "replica-placement"
+                per_copy[(check, identifier, descriptor, node)] += 1
+            elif not crashed and primary != (node == owners[0]):
+                per_copy[("primary-flag", identifier, descriptor, node)] += 1
+        live = {n for n in flags if n not in crashed}
+        if not live:
+            lost.append((identifier, descriptor))
+        else:
+            missing[identifier] += sum(1 for n in targets if n not in live)
+    tail = [("replica-deficit", i, None) for i, n in sorted(missing.items()) if n]
+    tail += [
+        ("replica-loss", i, d) for i, d in sorted(lost, key=lambda k: (k[0], str(k[1])))
+    ]
+    return per_copy, tail, missing
+
+
+@given(worlds())
+@settings(max_examples=300, deadline=None)
+def test_audit_matches_the_copy_by_copy_walk(world):
+    nodes, crashed, replicas, held = world
+    findings = list(
+        audit_placement(held, WorldRing(nodes, replicas), lambda n: n not in crashed)
+    )
+    per_copy, tail, missing = walked_by_hand(nodes, crashed, replicas, held)
+    assert all(f.severity == SEVERITY[f.check] for f in findings)
+    graded = [f for f in findings if f.node is not None]
+    # Per-copy findings first, then the deficits and losses in their order.
+    assert findings[: len(graded)] == graded
+    assert Counter(
+        (f.check, f.identifier, f.descriptor, f.node) for f in graded
+    ) == per_copy
+    rest = findings[len(graded):]
+    assert [(f.check, f.identifier, f.descriptor) for f in rest] == tail
+    for f in rest:
+        if f.check == "replica-deficit":
+            count = missing[f.identifier]
+            assert f.message.startswith(f"{count} cop{'y' if count == 1 else 'ies'} ")
+
+
+@given(worlds())
+@settings(max_examples=200, deadline=None)
+def test_a_world_the_plan_was_applied_to_audits_clean(world):
+    nodes, crashed, replicas, held = world
+    ring = WorldRing(nodes, replicas)
+
+    def alive(n):
+        return n not in crashed
+
+    state = {
+        key: {n: flag for n, flag in flags.items() if alive(n)}
+        for key, flags in held.items()
+    }
+    for action in list(plan_placement(state, lambda i: ring.replica_targets(i, alive))):
+        flags = state[(action.identifier, action.descriptor)]
+        if action.kind in ("copy", "set_role"):
+            flags[action.node] = action.primary
+        elif action.kind == "drop":
+            del flags[action.node]
+    lost = {key for key, flags in state.items() if not flags}
+    placed = {key: flags for key, flags in state.items() if flags}
+    assert list(audit_placement(placed, ring, alive)) == []
+    # The down holders, left where they were, are all that is left to say.
+    for key, flags in held.items():
+        state[key].update((n, f) for n, f in flags.items() if not alive(n))
+    for f in audit_placement(state, ring, alive):
+        key = (f.identifier, f.descriptor)
+        assert (f.check == "replica-loss" and key in lost) or f.node in crashed, f
+
+
+def test_an_audit_with_everyone_up_reads_the_nominal_replica_set():
+    ring = WorldRing([10, 20, 30, 40], replicas=2)
+    a, b = (15, desc(0)), (25, desc(1))
+    holders = {a: {20: False, 30: True, 40: False}, b: {30: True}}
+    assert [(f.check, f.identifier, f.node) for f in audit_placement(holders, ring)] == [
+        ("primary-flag", 15, 20),
+        ("primary-flag", 15, 30),
+        ("replica-placement", 15, 40),
+        ("replica-deficit", 25, None),
+    ]
 
 
 def test_plan_order_is_holders_order_then_rank_then_drops():

@@ -113,6 +113,22 @@ class TestAuditorDetectsCorruption:
         assert any(f.check == "replica-placement" for f in report.findings)
         assert not report.ok
 
+    def test_copy_findings_come_in_store_walk_order(self):
+        # Every flag flipped: each copy is graded, and the report lists
+        # them store by store, entry by entry, as the walk meets them
+        # (report() sorts stably and keeps the first 20 of a kind).
+        system = RangeSelectionSystem(SystemConfig(n_peers=16, replicas=2, seed=5))
+        _warm(system, 5)
+        walked = []
+        for store in system.stores.values():
+            for identifier, entry in store.entries():
+                entry.primary = not entry.primary
+                walked.append(f"copy at {store.peer_id} has primary={entry.primary}")
+        report = RingAuditor(system).audit()
+        flags = [f.message.split(",")[0] for f in report.findings_for("primary-flag")]
+        assert len(walked) > 20
+        assert flags == walked
+
     def test_lru_clock_violation_is_warning(self):
         system = RangeSelectionSystem(SystemConfig(n_peers=16, seed=5))
         _warm(system, 5)

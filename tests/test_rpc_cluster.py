@@ -312,7 +312,8 @@ def entries_at(cluster, address) -> list:
 
 def replication_met(cluster, replicas: int) -> bool:
     """Every stored identifier has >= min(r, live) copies on live peers:
-    the oracle ``ClusterClient.under_replicated`` is held against."""
+    a raw-RPC oracle, independent of the client, that the drills' heal
+    (``ClusterClient.audit``) is held against."""
     live = drills.live_set(cluster)
     copies: dict[int, int] = {}
     for address in live:
@@ -361,6 +362,7 @@ def healing():
             observed["healed_by_oracle"] = replication_met(
                 cluster, HEAL_REPLICAS
             )
+            observed["kill_audit"] = client.audit()
             observed["swim_evicted"] = drills.counter_sum(
                 cluster, "swim.evicted"
             )
@@ -376,6 +378,7 @@ def healing():
             )
             entries_after = sorted(e[0] for e in entries_at(cluster, target))
             observed["pause_entries_kept"] = entries_after == entries_before
+            observed["pause_audit"] = client.audit()
             observed["pause_entries_before"] = len(entries_before)
     return observed
 
@@ -396,8 +399,9 @@ def test_lost_copies_are_re_replicated_without_a_client(healing):
     assert healing["kill"].repair_copies > 0, "server repair pushed no copies"
     assert healing["kill"].repair_ms >= healing["kill"].detect_ms
     assert healing["healed_by_oracle"], (
-        "under_replicated() reported a heal the entries scan does not see"
+        "audit() reported a heal the entries scan does not see"
     )
+    assert healing["kill_audit"].ok, healing["kill_audit"].report()
     assert healing["kill"].recall >= healing["warm_recall"] - 1e-9
 
 
@@ -406,6 +410,7 @@ def test_paused_peer_is_suspected_then_rejoins_with_entries(healing):
     assert healing["pause"].evicted == 0, "a suspected peer was evicted"
     assert healing["pause_entries_before"] > 0
     assert healing["pause_entries_kept"], "entries lost across SIGSTOP"
+    assert healing["pause_audit"].ok, healing["pause_audit"].report()
     assert healing["pause"].members == HEAL_PEERS - 1
     assert healing["pause"].recall >= healing["warm_recall"] - 1e-9
 

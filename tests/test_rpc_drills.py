@@ -189,7 +189,7 @@ def test_kill_wave_counts_only_what_the_survivors_added():
     client = SimpleNamespace(
         members=dict.fromkeys(AB),
         refresh=lambda: refreshes.append(1),
-        under_replicated=lambda: 0,
+        audit=lambda: SimpleNamespace(ok=True),
         query=lambda query: SimpleNamespace(recall=1.0),
     )
     wave = drills.kill_wave(cluster, client, QUERIES, "c", 5.0)
