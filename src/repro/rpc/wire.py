@@ -562,7 +562,7 @@ class Connection(asyncio.BufferedProtocol):
             cache.get(self.host, self.port).post(exchange)
             return
         error = (PeerUnavailableError if definitive else ConnectionLostError)(
-            exchange.peer_id
+            exchange.peer_id, f"{self.host}:{self.port}"
         )
         error.__cause__ = self._cause
         exchange.settle(None, error)

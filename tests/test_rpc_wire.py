@@ -149,6 +149,12 @@ def test_call_maps_refused_connection_to_peer_unavailable():
         with pytest.raises(PeerUnavailableError) as info:
             await wire.call("127.0.0.1", port, "ping", peer_id=42)
         assert info.value.peer_id == 42
+        assert str(info.value) == "peer 42 is unreachable (crashed)"
+        # A control exchange has no peer id: the error names the endpoint.
+        with pytest.raises(PeerUnavailableError) as info:
+            await wire.call("127.0.0.1", port, "hello")
+        assert info.value.peer_id == -1
+        assert str(info.value) == f"127.0.0.1:{port} is unreachable"
 
     run(scenario())
 
