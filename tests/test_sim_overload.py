@@ -78,6 +78,38 @@ class TestBoundedQueue:
         assert net.stats.retries == 1
         assert net.stats.timeouts == 0
 
+    def test_a_superseded_attempts_busy_reply_is_not_charged_to_its_retry(self):
+        # Attempt 0's busy reply lands at 600, while its retry (sent at
+        # 400 when attempt 0's patience ran out) is still in flight.
+        # Charged to the retry, it launched a third attempt beside the
+        # second and cut the request short at 1000:
+        charged_to_the_retry = [
+            "send0@0", "retry1@400", "send1@400", "busy1@600", "retry2@600",
+            "send2@600", "busy2@1000", "busy-exhausted@1000",
+        ]
+        # Ignored, the retry's own busy reply decides at 1000:
+        ignored = [
+            "send0@0", "retry1@400", "send1@400", "busy1@1000", "retry2@1000",
+            "send2@1000", "busy2@1600", "busy-exhausted@1600",
+        ]
+        sim = Simulator()
+        net = AsyncNetwork(
+            sim, ConstantLatency(300.0), queue_capacity=1, service_time_ms=5000.0,
+            policy=RetryPolicy(400.0, 2, 2.0),
+        )
+        net.register(1, lambda msg: "pong")
+        net.send(3, 1, "ping")  # fills peer 1's only slot
+        timeline: list[str] = []
+
+        def observe(name: str, attrs: dict) -> None:
+            timeline.append(f"{name}{attrs.get('attempt', '')}@{sim.now:g}")
+
+        future = net.request(2, 1, "ping", observer=observe)
+        with pytest.raises(PeerBusyError):
+            sim.run_until_complete(future)
+        assert timeline == ignored != charged_to_the_retry
+        assert (net.stats.retries, net.stats.timeouts) == (2, 0)
+
     def test_backlog_drains_and_is_introspectable(self):
         sim, net = make_net(latency_ms=10.0, queue_capacity=4, service_time_ms=50.0)
         net.register(7, lambda msg: "pong")
