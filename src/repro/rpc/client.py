@@ -4,9 +4,10 @@ Three pieces turn the transport-agnostic
 :class:`~repro.rpc.engine.QueryEngine` into a real network client:
 
 - :class:`SocketTransport` — the third :class:`~repro.net.transport.Transport`.
-  ``request()`` posts one exchange — a parked future and a timeout
-  handle, no task — on the recipient's long-lived connection and settles
-  a :class:`~repro.sim.futures.SimFuture` when the reply frame with its
+  ``request()`` is the :class:`~repro.sim.policies.Request` lifecycle
+  both clocked transports share; each attempt posts one exchange — a
+  parked future, no task — on the recipient's long-lived connection and
+  settles when the reply frame with its
   ``id`` lands, so the ``l`` lookup chains of one query run concurrently,
   multiplexed over one TCP connection per peer, and the ``l·r`` stores
   of a miss leave in one write per peer.
@@ -27,7 +28,6 @@ Three pieces turn the transport-agnostic
 from __future__ import annotations
 
 import asyncio
-import dataclasses
 import os
 import time
 from typing import Any, Callable, Sequence
@@ -38,17 +38,11 @@ from repro.core.config import SystemConfig
 from repro.core.overlays import ChordRouter
 from repro.core.placement import HashedPlacement, audit_placement
 from repro.core.system import SIM_ATTRIBUTE, SIM_RELATION, SystemCounters
-from repro.errors import (
-    OpenCircuitError,
-    PeerUnavailableError,
-    ReproError,
-    RequestTimeoutError,
-)
-from repro.net.transport import DONE, Observer, TrafficStats, Transport
+from repro.errors import PeerUnavailableError, ReproError
+from repro.net.transport import DONE, TrafficStats, Transport
 from repro.obs.distributed import (
     FlightRecorder,
     StitchReport,
-    TraceContext,
     cluster_histogram,
     counter_total,
     load_skew,
@@ -64,7 +58,13 @@ from repro.ranges.interval import IntRange
 from repro.rpc import wire
 from repro.rpc.engine import QueryEngine, TimedQueryResult
 from repro.sim.futures import SimFuture
-from repro.sim.policies import AdaptiveTimeout, CircuitBreaker, JitteredBackoff
+from repro.sim.policies import (
+    AdaptiveTimeout,
+    CircuitBreaker,
+    JitteredBackoff,
+    Request,
+    RetryPolicy,
+)
 from repro.util.rng import derive_rng
 
 __all__ = ["SocketTransport", "ClientSystem", "ClusterClient", "ClusterScraper"]
@@ -76,8 +76,8 @@ class SocketTransport(Transport):
     """The engine's transport over asyncio TCP connections.
 
     Must be used from inside a running event loop (the
-    :class:`ClusterClient` drives one); ``request()`` posts the exchange
-    before it returns and settles the returned future from the reply's
+    :class:`ClusterClient` drives one); each attempt of a ``request()``
+    posts its exchange before it returns and settles from the reply's
     done-callback.  Exchanges ride the connections of :attr:`connections`,
     the cache its owner lends it — one long-lived connection per
     recipient, so an exchange costs a frame each way, not a TCP
@@ -108,15 +108,15 @@ class SocketTransport(Transport):
     ) -> None:
         self.endpoints = dict(endpoints)
         self.stats = TrafficStats(registry=registry)
-        self.timeout_ms = timeout_ms
-        self.retries = retries
+        #: ``timeout_ms`` per attempt; ``retries`` re-sends to the owner only.
+        self.policy = RetryPolicy(timeout_ms, retries, backoff=1.0)
+        self.failover_policy = RetryPolicy(timeout_ms, 0, backoff=1.0)
         #: Peers that refused a connection; cleared by a successful ping.
         self.dead: set[int] = set()
         #: The owner's connection cache (it outlives this transport, which
         #: every ``refresh()`` rebuilds).
         self.connections: wire.Connections | None = None
-        #: Exchanges whose future has not settled yet.
-        self._live: set[_Request] = set()
+        self._live: set[Request] = set()
         self._epoch = time.monotonic()
         self.adaptive: AdaptiveTimeout | None = None
         self.breaker: CircuitBreaker | None = None
@@ -176,144 +176,44 @@ class SocketTransport(Transport):
             self.stats.record_routing_hops(edges)
         fn([0.0] * edges)
 
-    def request(
-        self,
-        sender: int,
-        recipient: int,
-        kind: str,
-        payload: Any = None,
-        *,
-        size_bytes: int = 64,
-        rank: int = 0,
-        observer: Observer | None = None,
-        trace_ctx: TraceContext | None = None,
+    def _attempt(
+        self, sender: int, recipient: int, kind: str, payload: Any, size_bytes: int, trace_ctx: Any
     ) -> SimFuture:
-        future: SimFuture = SimFuture()
-        if self.breaker is not None and not self.breaker.allow(recipient):
-            # Fail fast: the engine sees a failed settle and walks on to
-            # the next replica without waiting out a timeout.
-            if observer is not None:
-                observer("breaker-open", {"to": recipient})
-            future.reject(OpenCircuitError(recipient))
-            return future
-        # The context rides as an optional envelope field; old servers
-        # ignore it, so traced and untraced requests interoperate.
-        envelope = {
-            "sender": sender, "peer_id": recipient,
-            "trace": trace_ctx.to_wire() if trace_ctx is not None else None,
-        }
-        attempts = (self.retries + 1) if rank == 0 else 1
-        exchange = _Request(
-            self, future, recipient, kind, payload, envelope, size_bytes, attempts, observer
-        )
-        self._live.add(exchange)
-        future.add_done_callback(exchange.finished)
-        exchange.send()
-        return future
-
-    def close(self) -> None:
-        """Abandon the exchanges nobody settled (requests the engine gave
-        up on): nothing stays parked, no timer armed."""
-        for exchange in list(self._live):
-            exchange.finished()
-
-
-@dataclasses.dataclass(eq=False)
-class _Request:
-    """One engine request over sockets: up to ``attempts`` exchanges with
-    the recipient, settling the engine's future at the end."""
-
-    transport: SocketTransport
-    future: SimFuture
-    recipient: int
-    kind: str
-    payload: Any
-    envelope: dict
-    size_bytes: int
-    attempts: int
-    observer: Observer | None
-    attempt: int = 0
-    waited: float = 0.0
-    #: What the current attempt waits on: its reply, or its backoff.
-    pending: "asyncio.Future | asyncio.TimerHandle | None" = None
-
-    def send(self) -> None:
-        """Post the next attempt."""
-        transport, recipient = self.transport, self.recipient
-        if self.observer is not None:
-            self.observer(
-                "send", {"attempt": self.attempt, "to": recipient, "kind": self.kind}
-            )
-        timeout_ms = transport.timeout_ms
-        if transport.adaptive is not None:
-            adaptive = transport.adaptive.timeout_ms(recipient)
-            if adaptive is not None:
-                timeout_ms = adaptive
-        self.started = time.monotonic()
+        """Post one exchange on the recipient's connection.  An answer is
+        charged here, a frame each way; a refused connection marks the
+        peer dead for failover planning."""
+        attempt: SimFuture = SimFuture()
+        sent_at = self.now()
         # Over the cache ``wire.call`` hands back the posted exchange, a
         # future already: ``ensure_future`` makes no task to wait for it.
-        self.pending = asyncio.ensure_future(
+        # The trace context rides as an optional envelope field; old
+        # servers ignore it, so traced and untraced requests interoperate.
+        exchange = asyncio.ensure_future(
             wire.call(
-                *transport.endpoints[recipient], self.kind, self.payload,
-                timeout_ms=timeout_ms, connections=transport.connections,
-                **self.envelope,
+                *self.endpoints[recipient], kind, payload,
+                connections=self.connections, sender=sender, peer_id=recipient,
+                trace=trace_ctx.to_wire() if trace_ctx is not None else None,
             )
         )
-        self.pending.add_done_callback(self.settle)
 
-    def settle(self, reply: asyncio.Future) -> None:
-        transport, recipient, observer = self.transport, self.recipient, self.observer
-        stats, breaker, future = transport.stats, transport.breaker, self.future
-        if reply.cancelled() or future.done:
-            return
-        error = reply.exception()
-        elapsed_ms = (time.monotonic() - self.started) * 1000.0
-        if error is None:
-            stats.messages += 2  # request + reply frames
-            stats.bytes += self.size_bytes + 64
-            stats.latency_ms += elapsed_ms
-            stats.by_kind[self.kind] += 1
-            if breaker is not None:
-                breaker.record_success(recipient)
-            if transport.adaptive is not None and self.attempt == 0:
-                # Karn's rule: only unambiguous (first-try) samples feed
-                # the estimator.
-                transport.adaptive.observe(recipient, elapsed_ms)
-            if observer is not None:
-                observer("reply", {"ms": elapsed_ms})
-            return future.resolve(reply.result())
-        if not isinstance(error, (PeerUnavailableError, RequestTimeoutError)):
-            return future.reject(error)  # the peer's own error reply
-        stats.timeouts += 1
-        if breaker is not None:
-            breaker.record_failure(recipient)
-        if isinstance(error, PeerUnavailableError):
-            # A refused connection is definitive — no retry budget
-            # spent, the peer is marked dead for failover planning.
-            transport.dead.add(recipient)
-            if observer is not None:
-                observer("unreachable", {"to": recipient})
-            return future.reject(error)
-        self.waited += elapsed_ms
-        self.attempt += 1
-        if self.attempt == self.attempts:
-            return future.reject(
-                RequestTimeoutError(recipient, self.attempts, self.waited)
-            )
-        stats.retries += 1
-        if observer is not None:
-            observer("retry", {"attempt": self.attempt})
-        delay_ms = 0.0
-        if transport.backoff is not None:
-            delay_ms = transport.backoff.delay_ms(self.attempt - 1)
-        self.pending = transport.call_later(delay_ms, self.send)
+        def landed(reply: asyncio.Future) -> None:
+            if reply.cancelled():
+                return
+            error = reply.exception()
+            if error is not None:
+                if isinstance(error, PeerUnavailableError):
+                    self.dead.add(recipient)
+                attempt.reject(error)
+            elif not attempt.done:  # an answer nobody waits for is not charged
+                self.stats.messages += 2  # request + reply frames
+                self.stats.bytes += size_bytes + 64
+                self.stats.latency_ms += self.now() - sent_at
+                self.stats.by_kind[kind] += 1
+                attempt.resolve(reply.result())
 
-    def finished(self, _settled: SimFuture | None = None) -> None:
-        """The future settled — by :meth:`settle`, or cancelled under it
-        (a hedge loser) — or the transport closed: let go of the attempt."""
-        self.transport._live.discard(self)
-        if self.pending is not None:
-            self.pending.cancel()
+        exchange.add_done_callback(landed)
+        attempt.add_done_callback(lambda _settled: exchange.cancel())
+        return attempt
 
 
 class ClientSystem(HashedPlacement):

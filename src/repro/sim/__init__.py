@@ -9,7 +9,7 @@ this subpackage answers "how long, and what breaks".  It provides:
   virtual time, with :func:`~repro.sim.futures.gather` for fan-out;
 - :class:`~repro.sim.network.AsyncNetwork` — delayed, droppable delivery
   over any :class:`~repro.net.latency.LatencyModel`, with per-peer crash
-  injection and :class:`~repro.sim.network.RetryPolicy` timeouts;
+  injection and :class:`~repro.sim.policies.RetryPolicy` timeouts;
 - :class:`~repro.sim.query.AsyncQueryEngine` — the paper's query procedure
   with the ``l`` lookups genuinely concurrent, timed per phase, failing
   over down the successor list when replicas are configured (the shared
@@ -21,7 +21,8 @@ this subpackage answers "how long, and what breaks".  It provides:
   jittered retry backoff (:class:`~repro.sim.policies.JitteredBackoff`),
   per-destination circuit breakers
   (:class:`~repro.sim.policies.CircuitBreaker`) and the hedged-lookup
-  trigger (:class:`~repro.sim.policies.HedgePolicy`).
+  trigger (:class:`~repro.sim.policies.HedgePolicy`), and the request
+  lifecycle both clocked transports run (:class:`~repro.sim.policies.Request`).
 
 Exports resolve lazily (PEP 562): the low-level kernel modules
 (``futures``, ``kernel``) are imported by :mod:`repro.rpc.engine`, which
@@ -38,7 +39,7 @@ _EXPORTS = {
     "gather": "repro.sim.futures",
     "FaultInjector": "repro.sim.faults",
     "AsyncNetwork": "repro.sim.network",
-    "RetryPolicy": "repro.sim.network",
+    "RetryPolicy": "repro.sim.policies",
     "AdaptiveTimeout": "repro.sim.policies",
     "JitteredBackoff": "repro.sim.policies",
     "CircuitBreaker": "repro.sim.policies",

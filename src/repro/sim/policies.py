@@ -1,6 +1,7 @@
-"""Adaptive request policies for the event-driven transport.
+"""Request policies for the clocked transports, and the request that
+consults them.
 
-A static :class:`~repro.sim.network.RetryPolicy` treats every destination
+A static :class:`RetryPolicy` treats every destination
 and every moment alike: 400 ms of patience whether the peer answers in
 5 ms or is drowning.  Under load that is exactly wrong — patience should
 track the destination's *observed* behaviour.  This module provides the
@@ -19,6 +20,9 @@ three classic adaptive mechanisms, each deterministic under a fixed seed:
   budget spent); after ``cooldown_ms`` a single half-open probe is let
   through, and its outcome either re-closes or re-opens the circuit.
 
+:class:`Request` is where they are consulted: the one request lifecycle
+of both clocked transports, each of which supplies only single attempts.
+
 :class:`HedgePolicy` rounds out the set for the query layer: it watches a
 live latency histogram and, once warm, yields the delay after which a
 straggling lookup chain deserves a backup request (the tail percentile of
@@ -27,16 +31,59 @@ past chains), the standard "hedged request" tail-tolerance move.
 
 from __future__ import annotations
 
-from typing import Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Any, Callable
 
+from repro.errors import OpenCircuitError, PeerBusyError, PeerUnavailableError, RequestTimeoutError
 from repro.obs.registry import MetricsRegistry
+from repro.sim.futures import SimFuture
+
+if TYPE_CHECKING:
+    from repro.net.transport import Observer, Transport
 
 __all__ = [
+    "RetryPolicy",
     "AdaptiveTimeout",
     "JitteredBackoff",
     "CircuitBreaker",
+    "Request",
     "HedgePolicy",
 ]
+
+
+@dataclass(frozen=True)
+class RetryPolicy:
+    """How long to wait for a reply, and how stubbornly to re-ask.
+
+    Attempt ``i`` (0-based) waits ``timeout_ms * backoff**i`` before giving
+    up on it; after ``max_retries`` re-sends the request as a whole fails.
+    The defaults suit a wide-area RTT of ~100-200 ms.
+    """
+
+    timeout_ms: float = 400.0
+    max_retries: int = 2
+    backoff: float = 2.0
+
+    def __post_init__(self) -> None:
+        if self.timeout_ms <= 0:
+            raise ValueError("timeout must be positive")
+        if self.max_retries < 0:
+            raise ValueError("max_retries cannot be negative")
+        if self.backoff < 1.0:
+            raise ValueError("backoff factor must be >= 1")
+
+    @property
+    def total_attempts(self) -> int:
+        """Sends performed before the request fails."""
+        return self.max_retries + 1
+
+    def timeout_for(self, attempt: int) -> float:
+        """Patience for the given 0-based attempt."""
+        return self.timeout_ms * self.backoff**attempt
+
+    def worst_case_ms(self) -> float:
+        """Total virtual time a request can occupy before rejecting."""
+        return sum(self.timeout_for(i) for i in range(self.total_attempts))
 
 
 class AdaptiveTimeout:
@@ -321,6 +368,138 @@ class CircuitBreaker:
         state = self._peers.pop(peer_id, None)
         if state is not None and state.state != CLOSED:
             self._open_now.inc(-1)
+
+
+class Request:
+    """One request on a clocked transport (:class:`~repro.sim.network.AsyncNetwork`,
+    :class:`~repro.rpc.client.SocketTransport`), first attempt to settle.
+
+    The transport supplies the attempts: ``post()`` sends one and returns
+    a future that settles with the reply, a busy or unreachable rejection
+    or the peer's own error — never because of silence.  Attempt ``i``
+    waits the warm :class:`AdaptiveTimeout` value times
+    ``policy.backoff**i``, else ``policy.timeout_for(i)``; after a timeout
+    or a busy reply the next goes out, paced by the
+    :class:`JitteredBackoff`, until the policy's attempts are spent.  The
+    :class:`CircuitBreaker` is asked before every attempt.  The earliest
+    reply from any attempt wins and every answer feeds the estimator (each
+    attempt has its own future, so its round trip is unambiguous); a
+    failure counts only while its attempt is current.  An unreachable
+    rejection or a remote error settles the request at once.
+    """
+
+    __slots__ = (
+        "transport", "recipient", "kind", "policy", "observer", "post",
+        "future", "started", "attempt", "timer", "posted",
+    )
+
+    def __init__(
+        self,
+        transport: "Transport",
+        recipient: int,
+        kind: str,
+        policy: RetryPolicy,
+        observer: "Observer | None",
+        post: Callable[[], SimFuture],
+    ) -> None:
+        self.transport = transport
+        self.recipient = recipient
+        self.kind = kind
+        self.policy = policy
+        self.observer = observer
+        self.post = post
+        self.future: SimFuture = SimFuture()
+        self.started = transport.now()
+        #: The current attempt, and its patience timer (or its backoff).
+        self.attempt = 0
+        self.timer: Any = None
+        self.posted: list[SimFuture] = []
+        transport._live.add(self)
+        self.future.add_done_callback(self.release)
+        self.launch()
+
+    def notify(self, name: str, **attrs: Any) -> None:
+        if self.observer is not None:
+            self.observer(name, attrs)
+
+    def launch(self) -> None:
+        """Post the current attempt, unless the breaker refuses it."""
+        transport, recipient, attempt = self.transport, self.recipient, self.attempt
+        if transport.breaker is not None and not transport.breaker.allow(recipient):
+            self.notify("breaker-open", to=recipient)
+            self.future.reject(OpenCircuitError(recipient))
+            return
+        patience = self.policy.timeout_for(attempt)
+        if transport.adaptive is not None:
+            warm = transport.adaptive.timeout_ms(recipient)
+            if warm is not None:
+                patience = warm * self.policy.backoff**attempt
+        sent_at = transport.now()
+        self.notify("send", attempt=attempt, to=recipient, kind=self.kind)
+        posted = self.post()
+        self.posted.append(posted)
+        self.timer = transport.call_later(patience, self.fail)
+        posted.add_done_callback(lambda settled: self.landed(settled, attempt, sent_at))
+
+    def landed(self, settled: SimFuture, attempt: int, sent_at: float) -> None:
+        """Attempt ``attempt``, posted at ``sent_at``, settled."""
+        if self.future.done or settled.cancelled:
+            return
+        transport, recipient = self.transport, self.recipient
+        if settled.failed:
+            if attempt != self.attempt:
+                return  # superseded: the retry decides
+            self.timer.cancel()
+            error = settled.exception()
+            if isinstance(error, PeerBusyError):
+                self.fail(error)
+                return
+            if isinstance(error, PeerUnavailableError):
+                self.notify("unreachable", to=recipient)
+            self.future.reject(error)  # type: ignore[arg-type]
+            return
+        now = transport.now()
+        if transport.adaptive is not None:
+            transport.adaptive.observe(recipient, now - sent_at)
+        if transport.breaker is not None:
+            transport.breaker.record_success(recipient)
+        self.notify("reply", ms=now - self.started)
+        self.future.resolve(settled.result())
+
+    def fail(self, busy: PeerBusyError | None = None) -> None:
+        """The current attempt's patience ran out (its reply may still win)
+        or it came back ``busy``: retry after the backoff, or give up."""
+        transport, recipient = self.transport, self.recipient
+        if transport.breaker is not None:
+            transport.breaker.record_failure(recipient)
+        if busy is not None:
+            self.notify("busy", peer=recipient, attempt=self.attempt)
+        self.attempt += 1
+        if self.attempt >= self.policy.total_attempts:
+            waited = transport.now() - self.started
+            if busy is not None:
+                self.notify("busy-exhausted", attempts=self.attempt, waited_ms=waited)
+                self.future.reject(busy)
+                return
+            transport.stats.timeouts += 1
+            self.notify("timeout", attempts=self.attempt, waited_ms=waited)
+            self.future.reject(RequestTimeoutError(recipient, self.attempt, waited))
+            return
+        transport.stats.retries += 1
+        self.notify("retry", attempt=self.attempt)
+        if transport.backoff is None:
+            self.launch()
+        else:
+            delay = transport.backoff.delay_ms(self.attempt - 1)
+            self.timer = transport.call_later(delay, self.launch)
+
+    def release(self, _settled: SimFuture | None = None) -> None:
+        """Settled, cancelled or closed: disarm, and drop every attempt."""
+        self.transport._live.discard(self)
+        if self.timer is not None:
+            self.timer.cancel()
+        for posted in self.posted:
+            posted.cancel()
 
 
 class HedgePolicy:

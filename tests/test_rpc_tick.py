@@ -22,8 +22,9 @@ from repro.db.partition import PartitionDescriptor
 from repro.errors import PeerUnavailableError, RequestTimeoutError
 from repro.ranges.interval import IntRange
 from repro.rpc import wire
-from repro.rpc.client import SocketTransport, _Request
+from repro.rpc.client import SocketTransport
 from repro.rpc.server import PeerServer
+from repro.sim.policies import Request
 from repro.storage import wal
 from tests.framing import read_frame
 from tests.test_rpc_connection import HOST, ScriptedPeer, run
@@ -360,7 +361,7 @@ def armed(loop) -> list:
         handle for handle in loop._scheduled
         if not handle.cancelled() and isinstance(
             getattr(handle._callback, "__self__", None),
-            (wire.Connection, _Request),
+            (wire.Connection, Request),
         )
     ]
 
@@ -438,7 +439,7 @@ async def settled(future, timeout_s: float = 5.0):
     return future
 
 
-def test_transport_retries_a_timeout_after_its_backoff_and_counts_the_late_reply():
+def test_transport_retries_a_timeout_and_the_first_reply_wins_over_the_retry():
     async def scenario():
         async with ScriptedPeer() as peer:
             transport = transport_to(peer, timeout_ms=40.0, retries=1, policies=False)
@@ -450,10 +451,11 @@ def test_transport_retries_a_timeout_after_its_backoff_and_counts_the_late_reply
             ((second, _),) = await peer.received(1)  # the retry, same connection
             assert second["id"] != first["id"] and second["payload"] == "hi"
             await peer.answer(writer, first["id"], "too late")
-            await peer.answer(writer, second["id"], "in time")
-            assert (await settled(future)).result() == "in time"
+            assert (await settled(future)).result() == "too late"
+            await peer.answer(writer, second["id"], "in time")  # let go of
+            await asyncio.sleep(0.02)
             assert events == ["send", "retry", "send", "reply"]
-            assert (transport.stats.timeouts, transport.stats.retries) == (1, 1)
+            assert (transport.stats.timeouts, transport.stats.retries) == (0, 1)
             assert transport.stats.messages == 2
             metrics = transport.connections.metrics
             assert metrics.late_replies.get() == 1 and metrics.connects.get() == 1
