@@ -7,8 +7,11 @@ Two modes of operation:
   paper's simulations need — the overlay is constructed once, then lookups
   are measured.
 - **dynamic protocol** (:meth:`join`, :meth:`leave`, :meth:`stabilize_round`):
-  the incremental Chord maintenance protocol, used by the churn extension
-  and exercised by tests to show the ring converges to the static build.
+  the incremental Chord maintenance protocol, exercised by tests to show
+  the ring converges to the static build.  No caller in the package runs
+  :meth:`join` or :meth:`stabilize_round`: the system's
+  ``join_peer`` / ``leave_peer`` add or :meth:`leave` a node and then
+  rebuild the ring statically.
 """
 
 from __future__ import annotations

@@ -720,10 +720,7 @@ def _run_simulate(args: argparse.Namespace, out) -> int:
     if args.health:
         from repro.obs.health import health_check
 
-        print(
-            health_check(run.system, is_alive=engine.net.is_alive).report(),
-            file=out,
-        )
+        print(health_check(run.system).report(), file=out)
     if args.metrics:
         print(run.system.metrics.report("Simulation metrics"), file=out)
     if dead_queries == scenario.timed_queries:

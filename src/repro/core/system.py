@@ -14,6 +14,7 @@ Query procedure, exactly as the paper's pseudocode sketches it:
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable
 
 from repro.core.config import SystemConfig
@@ -21,8 +22,8 @@ from repro.core.matcher import Matcher, matcher_by_name
 from repro.core.overlays import ChordRouter, build_overlay
 from repro.core.placement import HashedPlacement, Key, audit_placement, plan_placement
 from repro.db.partition import Partition, PartitionDescriptor
-from repro.errors import ConfigError, PeerUnavailableError
-from repro.net.transport import SimulatedNetwork
+from repro.errors import ConfigError
+from repro.net.transport import SimulatedNetwork, Transport
 from repro.obs.log import get_logger
 from repro.obs.registry import (
     MetricsRegistry,
@@ -33,11 +34,13 @@ from repro.obs.trace import NULL_TRACE, QueryTrace
 from repro.ranges.interval import IntRange
 from repro.rpc.engine import LocatePhase, MatchReply, QueryEngine, TimedQueryResult
 from repro.rpc.peer import PeerLogic
+from repro.sim.futures import SimFuture, gather
+from repro.sim.policies import RetryPolicy
 from repro.storage.store import EvictionPolicy, LRUEviction, NoEviction, PeerStore
 from repro.util.collector import gc_paused
 from repro.util.rng import derive_rng
 
-__all__ = ["RangeSelectionSystem", "MatchReply"]
+__all__ = ["RangeSelectionSystem", "MatchReply", "RepairStats"]
 
 logger = get_logger("core.system")
 
@@ -84,12 +87,48 @@ class SystemCounters(RegistryBackedCounters):
     replica_placements = registry_field("replica_placements")
     #: Store placements skipped because the target replica was unreachable.
     store_failures = registry_field("store_failures")
-    #: Copies created by :meth:`RangeSelectionSystem.repair_replicas`.
+    #: Copies created by :meth:`RangeSelectionSystem.repair_round`.
     repairs = registry_field("repairs")
 
     def __init__(self, registry: MetricsRegistry | None = None) -> None:
         self._bind(registry, "system")
         self.by_origin = self._labeled("queries_by_origin", "origin")
+
+
+class RepairStats(RegistryBackedCounters):
+    """Running totals across repair rounds, whichever transport ran them.
+
+    Served from a :class:`~repro.obs.MetricsRegistry` as ``repair.*``
+    counters; a system binds its unified registry the first time it
+    repairs, so repair activity appears in the unified metric exports.
+    """
+
+    SCALAR_FIELDS = ("rounds", "copies_created", "copy_failures", "unrepairable")
+
+    rounds = registry_field("rounds")
+    #: Copies successfully re-replicated onto alive successors.
+    copies_created = registry_field("copies_created")
+    #: Copy attempts whose target never answered (crashed mid-round).
+    copy_failures = registry_field("copy_failures")
+    #: Deficits seen whose identifier had no alive holder left, summed
+    #: over rounds (the same lost identifier counts every round it is
+    #: observed — this measures exposure, not unique losses).
+    unrepairable = registry_field("unrepairable")
+
+    def __init__(self, registry: MetricsRegistry | None = None) -> None:
+        self._bind(registry, "repair")
+        self.rounds = 0
+        self.copies_created = 0
+        self.copy_failures = 0
+        self.unrepairable = 0
+
+    def describe(self) -> str:
+        """One-line summary for reports."""
+        return (
+            f"{self.rounds} rounds, {self.copies_created} copies created, "
+            f"{self.copy_failures} copy failures, "
+            f"{self.unrepairable} unrepairable deficits"
+        )
 
 
 class RangeSelectionSystem(HashedPlacement):
@@ -168,12 +207,14 @@ class RangeSelectionSystem(HashedPlacement):
     # ------------------------------------------------------------------
 
     def crash_peer(self, node_id: int) -> None:
-        """Fail-stop a peer on the synchronous transport (its data stays
-        in place but is unreachable until :meth:`recover_peer`)."""
+        """Fail-stop a peer (its data stays in place but is unreachable
+        until :meth:`recover_peer`).  Every in-process transport of the
+        system runs on :attr:`network`'s fault injector, so the
+        event-driven engines see the crash too."""
         self.network.crash(node_id)
 
     def recover_peer(self, node_id: int) -> None:
-        """Bring a synchronously-crashed peer back."""
+        """Bring a crashed peer back."""
         self.network.recover(node_id)
 
     # ------------------------------------------------------------------
@@ -461,9 +502,8 @@ class RangeSelectionSystem(HashedPlacement):
         every copy sits on crashed peers — unrepairable.  Repair only
         ever adds copies (failover placements legitimately skew flags and
         leave surplus; :meth:`rebalance` owns role changes and drops).
-        :meth:`repair_replicas` and the event-driven
-        :class:`~repro.sim.repair.ReplicaRepairer` execute this plan, the
-        health sampler counts it.
+        :meth:`repair_round` executes this plan, the health sampler
+        counts it.
         """
         holders, rows = self._holders(is_alive)
         copies: list[tuple] = []
@@ -482,37 +522,71 @@ class RangeSelectionSystem(HashedPlacement):
                 lost.append(key)
         return copies, lost
 
-    def repair_replicas(
-        self, is_alive: Callable[[int], bool] | None = None
-    ) -> int:
-        """One synchronous anti-entropy pass: re-replicate every
-        under-replicated identifier onto alive successors.
+    @cached_property
+    def repair_stats(self) -> RepairStats:
+        """The ``repair.*`` counters every :meth:`repair_round` adds to
+        (bound on first use: a system that never repairs exports none)."""
+        return RepairStats(registry=self.metrics)
 
-        Copies travel peer-to-peer over the transport (charged like any
-        store), so repair traffic shows up in :class:`TrafficStats`.
-        Returns the number of copies created.
+    def repair_round(
+        self, transport: Transport, policy: RetryPolicy | None = None
+    ) -> SimFuture[int]:
+        """One anti-entropy round over ``transport``; resolves with the
+        copies created.
+
+        Scans placement against the transport's liveness (anti-entropy
+        exchanges are modelled at the copy level, not the digest level),
+        then issues every missing copy as a store-request from an alive
+        holder to the alive successor that should hold it — under
+        ``policy`` on a clocked transport, settled before the call returns
+        on :attr:`network`.  Copies are charged like any store, so repair
+        traffic shows up in the transport's :class:`TrafficStats`.
+        :meth:`repair_replicas` runs it on :attr:`network`,
+        :class:`~repro.sim.repair.ReplicaRepairer` on an engine's network.
         """
-        alive = is_alive if is_alive is not None else self.network.is_alive
-        copies = 0
-        for identifier, descriptor, source, partition, target, primary in (
-            self.repair_plan(alive)[0]
-        ):
-            try:
-                self.network.send(
-                    source,
-                    target,
-                    "store-request",
-                    payload=(identifier, descriptor, partition, primary),
-                    size_bytes=partition.size_bytes if partition else 64,
-                )
-            except PeerUnavailableError:
-                self.counters.store_failures += 1
-                continue
-            copies += 1
-        self.counters.repairs += copies
-        if copies:
-            logger.info("synchronous repair pass created %d copies", copies)
-        return copies
+        stats = self.repair_stats
+        stats.rounds += 1
+        deficits, lost = self.repair_plan(transport.is_alive)
+        stats.unrepairable += len(lost)
+        out: SimFuture[int] = SimFuture()
+        if not deficits:
+            # Resolve on the clock, not inline, so callers can always
+            # attach callbacks before the round settles.
+            transport.call_later(0.0, lambda: out.resolve(0))
+            return out
+        copies = [
+            transport.request(
+                source,
+                target,
+                "store-request",
+                payload=(identifier, descriptor, partition, primary),
+                size_bytes=partition.size_bytes if partition else 64,
+                policy=policy,
+            )
+            for identifier, descriptor, source, partition, target, primary in deficits
+        ]
+
+        def on_done(settled: SimFuture) -> None:
+            outcomes = settled.result()
+            created = sum(1 for o in outcomes if not isinstance(o, Exception))
+            failed = len(outcomes) - created
+            stats.copies_created += created
+            stats.copy_failures += failed
+            self.counters.repairs += created
+            logger.info(
+                "repair round %d: %d copies created, %d failed",
+                int(stats.rounds), created, failed,
+            )
+            out.resolve(created)
+
+        gather(copies).add_done_callback(on_done)
+        return out
+
+    def repair_replicas(self) -> int:
+        """One synchronous :meth:`repair_round` on :attr:`network`:
+        re-replicate every under-replicated identifier onto alive
+        successors.  Returns the number of copies created."""
+        return self.repair_round(self.network).result()
 
     def check_placement_invariant(self) -> None:
         """Raise if any cached entry sits outside its replica set, or

@@ -188,13 +188,13 @@ class HealthChurnExperiment:
         sampler.stop()
         sampler.sample_once()
 
-        audit = RingAuditor(system, is_alive=engine.net.is_alive).audit()
+        audit = RingAuditor(system).audit()
         deficit_metric = system.metrics.timeseries("health.replica_deficit")
         deficit_series = tuple(deficit_metric.values())
         alive_loads = [
             system.stores[nid].partition_count
             for nid in system.router.node_ids
-            if engine.net.is_alive(nid)
+            if system.network.is_alive(nid)
         ]
         skew = skew_stats(alive_loads)
         counts = audit.counts

@@ -76,10 +76,9 @@ class Scenario:
 
     The ring is warmed with ``warm_queries`` synchronous uniform queries or,
     with ``tile_width``, by storing one partition per tile.  Only a run with
-    ``timed_queries`` gets the event-driven engine; without one, crashes go
-    through the synchronous system.  ``timeout_ms`` / ``max_retries`` /
-    ``backoff`` are the engine's :class:`RetryPolicy` (an experiment passes
-    ``**asdict(policy)``).
+    ``timed_queries`` gets the event-driven engine.  ``timeout_ms`` /
+    ``max_retries`` / ``backoff`` are the engine's :class:`RetryPolicy` (an
+    experiment passes ``**asdict(policy)``).
     """
 
     config: SystemConfig
@@ -160,10 +159,7 @@ class Scenario:
             repairer = ReplicaRepairer(engine, interval_ms=self.repair_interval_ms)
         if self.sample_interval_ms:
             sampler = TelemetrySampler(
-                system,
-                sim=engine.sim,
-                is_alive=engine.net.is_alive,
-                interval_ms=self.sample_interval_ms,
+                system, sim=engine.sim, interval_ms=self.sample_interval_ms
             )
         crashed = self._pick(system, self.crash_fraction, "crashes")
         return ScenarioRun(self, system, engine, tiles, crashed, slowed, repairer, sampler)
@@ -201,10 +197,9 @@ class ScenarioRun:
 
     def crash(self, wave: int = 0, waves: int = 1) -> None:
         """Crash wave ``wave`` of ``waves`` of the picked peers (all of them
-        by default), through the engine when there is one."""
-        target = self.system if self.engine is None else self.engine
+        by default); the engine, if any, runs on the system's crashed set."""
         for peer_id in self.crashed[wave::waves]:
-            target.crash_peer(peer_id)
+            self.system.crash_peer(peer_id)
 
     def queries(self) -> list[IntRange]:
         """The timed queries: jittered tiles after a tile warm-up, else a

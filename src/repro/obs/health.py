@@ -113,7 +113,6 @@ class TelemetrySampler:
         self,
         system: "RangeSelectionSystem",
         sim: "Simulator | None" = None,
-        is_alive: Callable[[int], bool] | None = None,
         interval_ms: float = 500.0,
         capacity: int | None = None,
     ) -> None:
@@ -123,21 +122,12 @@ class TelemetrySampler:
         self.sim = sim
         self.interval_ms = interval_ms
         self.capacity = capacity
-        self._is_alive = is_alive
         self._timer = None
         self._running = False
         #: Samples recorded so far (each tick appends one point per series).
         self.samples_taken = 0
 
-    # -- liveness and clock --------------------------------------------
-
-    @property
-    def is_alive(self) -> Callable[[int], bool]:
-        """The liveness predicate in effect (defaults to the synchronous
-        transport's; the event-driven engine passes its network's)."""
-        if self._is_alive is not None:
-            return self._is_alive
-        return self.system.network.is_alive
+    # -- clock ---------------------------------------------------------
 
     def now(self) -> float:
         """The sampler's clock: virtual ms when a simulator is bound,
@@ -224,7 +214,7 @@ class TelemetrySampler:
         """
         t = self.now() if now is None else now
         system = self.system
-        alive = self.is_alive
+        alive = system.network.is_alive
         deficit_by_target: dict[int, int] = {}
         total_deficit = 0
         for _identifier, _desc, _src, _part, target, _primary in (
@@ -399,25 +389,13 @@ class RingAuditor:
     under-replicated".
     """
 
-    def __init__(
-        self,
-        system: "RangeSelectionSystem",
-        is_alive: Callable[[int], bool] | None = None,
-    ) -> None:
+    def __init__(self, system: "RangeSelectionSystem") -> None:
         self.system = system
-        self._is_alive = is_alive
-
-    @property
-    def is_alive(self) -> Callable[[int], bool]:
-        """The liveness predicate in effect."""
-        if self._is_alive is not None:
-            return self._is_alive
-        return self.system.network.is_alive
 
     def audit(self) -> AuditReport:
         """One full walk; returns the graded report."""
         system = self.system
-        alive = self.is_alive
+        alive = system.network.is_alive
         report = AuditReport()
         node_ids = system.router.node_ids
         report.nodes_checked = len(node_ids)
@@ -689,12 +667,10 @@ class HealthReport:
 
 def health_check(
     system: "RangeSelectionSystem",
-    is_alive: Callable[[int], bool] | None = None,
     top_n: int = 5,
 ) -> HealthReport:
     """Audit the overlay, summarize load skew, rank hot identifiers."""
-    auditor = RingAuditor(system, is_alive=is_alive)
-    audit = auditor.audit()
+    audit = RingAuditor(system).audit()
     loads = system.load_distribution()
     return HealthReport(
         n_peers=len(system.router.node_ids),

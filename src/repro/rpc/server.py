@@ -84,10 +84,8 @@ class PeerServer(ReplicaPlacement):
         swim_interval_ms: float = 0.0,
         suspect_timeout_ms: float | None = None,
         swim_proxies: int = 2,
-        ping_timeout_ms: float | None = None,
         repair_interval_ms: float = 0.0,
         flight_dir: str | None = None,
-        flight_capacity: int = FlightRecorder.DEFAULT_CAPACITY,
         data_dir: str | None = None,
         wal_fsync: bool = True,
         compact_every: int = 512,
@@ -123,7 +121,7 @@ class PeerServer(ReplicaPlacement):
         self._chaos_rng = random.Random(0)
         #: Always-on black box of recent server-side spans and events;
         #: dumped to ``flight_dir`` on SWIM evictions when configured.
-        self.flight = FlightRecorder(address, capacity=flight_capacity)
+        self.flight = FlightRecorder(address)
         self._span_ids = itertools.count(1)
         #: Durable store under ``--data-dir`` (WAL + snapshot + meta);
         #: None keeps the purely in-memory behavior.
@@ -165,7 +163,7 @@ class PeerServer(ReplicaPlacement):
             on_ring_change=self._ring_changed, persist=self._persist_incarnation,
             health=self._health_payload, metrics=self.metrics, flight=self.flight,
             interval_ms=swim_interval_ms, suspect_timeout_ms=suspect_timeout_ms,
-            proxies=swim_proxies, ping_timeout_ms=ping_timeout_ms,
+            proxies=swim_proxies,
         )
         self.telemetry = TelemetryService(
             self.node_id, self.store, self.table, metrics=self.metrics, flight=self.flight,

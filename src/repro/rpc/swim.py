@@ -462,7 +462,6 @@ class MembershipService:
         interval_ms: float = 0.0,
         suspect_timeout_ms: float | None = None,
         proxies: int = 2,
-        ping_timeout_ms: float | None = None,
     ) -> None:
         self.table = table
         self.send = send
@@ -480,11 +479,8 @@ class MembershipService:
             suspect_timeout_ms if suspect_timeout_ms is not None else 3.0 * interval_ms
         )
         self.proxies = proxies
-        self.ping_timeout_ms = (
-            ping_timeout_ms
-            if ping_timeout_ms is not None
-            else max(200.0, min(interval_ms, 1_000.0))
-        )
+        #: Patience of one ping: a tick, clamped to [200 ms, 1 s].
+        self.ping_timeout_ms = max(200.0, min(interval_ms, 1_000.0))
         #: Peers whose last member-update delivery failed; the tick pings
         #: them first (the ping piggybacks the full table, which *is* the
         #: re-delivery) and every later broadcast retries.

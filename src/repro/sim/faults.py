@@ -1,10 +1,7 @@
-"""Fault injection for the event-driven transport.
+"""Who is crashed and who is slow: the fault state of a system's peers.
 
-Three fault classes the paper's testbed could not explore:
+Two fault classes the paper's testbed could not explore:
 
-- **message loss** — every directed delivery is independently dropped with
-  a configurable probability (one deterministic stream per injector, so a
-  seed replays the same losses);
 - **peer crashes** — a crashed peer silently ignores everything addressed
   to it until it recovers, which is how a fail-stop node looks from the
   outside: no error, just no reply;
@@ -14,50 +11,32 @@ Three fault classes the paper's testbed could not explore:
   deployments (and the one fail-stop models can't express): the peer
   answers, just late enough to drag a query's tail with it.
 
-Crashes and slowdowns can be toggled directly (:meth:`crash` /
-:meth:`recover`, :meth:`slow` / :meth:`unslow`) or scheduled on a
-:class:`~repro.sim.kernel.Simulator` clock to model churn mid-run.
+One injector serves every in-process transport of a system: the
+synchronous :class:`~repro.net.transport.SimulatedNetwork` builds it, and
+each :class:`~repro.sim.network.AsyncNetwork` an engine puts on the system
+runs on the same one, so a crash is one fact every path sees.  A timed
+fault is a callback on the clock, e.g.
+``sim.call_at(t, lambda: system.crash_peer(peer))``.  Message loss is the
+event-driven transport's own (``AsyncNetwork.drop_probability``).
 """
 
 from __future__ import annotations
-
-import numpy as np
-
-from repro.sim.kernel import Simulator, Timer
-from repro.util.rng import derive_rng
 
 __all__ = ["FaultInjector"]
 
 
 class FaultInjector:
-    """Loss, crash and grey-failure state: the crashed set of every
-    :class:`~repro.net.transport.PeerNetwork`, the rest for
-    :class:`~repro.sim.network.AsyncNetwork` alone."""
+    """Crash and grey-failure state: the crashed set every
+    :class:`~repro.net.transport.PeerNetwork` of a system shares, and the
+    slow set :class:`~repro.sim.network.AsyncNetwork` reads."""
 
-    def __init__(self, drop_probability: float = 0.0, seed: int = 0) -> None:
-        self.drop_probability = drop_probability
-        self._rng: np.random.Generator = derive_rng(seed, "sim/faults")
+    def __init__(self) -> None:
         self._crashed: set[int] = set()
-        #: Bumped by every :meth:`crash` / :meth:`recover` (scheduled ones
-        #: included): what was derived from the crashed set is then stale.
+        #: Bumped by every :meth:`crash` / :meth:`recover`: what was
+        #: derived from the crashed set is then stale.
         self.crash_epoch = 0
         #: peer_id -> (latency multiplier, service-time multiplier)
         self._slowed: dict[int, tuple[float, float]] = {}
-
-    # -- loss probability (validated on every assignment) --------------
-
-    @property
-    def drop_probability(self) -> float:
-        """Independent per-delivery loss probability, in ``[0, 1)``."""
-        return self._drop_probability
-
-    @drop_probability.setter
-    def drop_probability(self, value: float) -> None:
-        # Validating in the setter (not just __init__) matters because
-        # experiments mutate this mid-run for phased fault schedules.
-        if not 0.0 <= value < 1.0:
-            raise ValueError("drop probability must be within [0, 1)")
-        self._drop_probability = value
 
     # -- crashes -------------------------------------------------------
 
@@ -78,18 +57,6 @@ class FaultInjector:
     def crashed_peers(self) -> frozenset[int]:
         """Snapshot of currently crashed peer ids."""
         return frozenset(self._crashed)
-
-    def schedule_crash(
-        self, sim: Simulator, peer_id: int, at_ms: float, recover_at_ms: float | None = None
-    ) -> tuple[Timer, Timer | None]:
-        """Arrange a crash (and optional recovery) on the virtual clock."""
-        crash_timer = sim.call_at(at_ms, lambda: self.crash(peer_id))
-        recover_timer = None
-        if recover_at_ms is not None:
-            if recover_at_ms <= at_ms:
-                raise ValueError("recovery must come after the crash")
-            recover_timer = sim.call_at(recover_at_ms, lambda: self.recover(peer_id))
-        return (crash_timer, recover_timer)
 
     # -- grey failures -------------------------------------------------
 
@@ -134,34 +101,3 @@ class FaultInjector:
         """Service-time multiplier of ``peer_id`` (1.0 = healthy)."""
         state = self._slowed.get(peer_id)
         return state[1] if state is not None else 1.0
-
-    def schedule_slow(
-        self,
-        sim: Simulator,
-        peer_id: int,
-        at_ms: float,
-        latency_factor: float = 1.0,
-        service_factor: float = 1.0,
-        recover_at_ms: float | None = None,
-    ) -> tuple[Timer, Timer | None]:
-        """Arrange a grey failure (and optional recovery) on the clock,
-        mirroring :meth:`schedule_crash`."""
-        if latency_factor < 1.0 or service_factor < 1.0:
-            raise ValueError("slowdown factors must be >= 1")
-        slow_timer = sim.call_at(
-            at_ms, lambda: self.slow(peer_id, latency_factor, service_factor)
-        )
-        recover_timer = None
-        if recover_at_ms is not None:
-            if recover_at_ms <= at_ms:
-                raise ValueError("recovery must come after the slowdown")
-            recover_timer = sim.call_at(recover_at_ms, lambda: self.unslow(peer_id))
-        return (slow_timer, recover_timer)
-
-    # -- loss ----------------------------------------------------------
-
-    def drops_delivery(self) -> bool:
-        """Sample whether the next delivery is lost in flight."""
-        if self.drop_probability == 0.0:
-            return False
-        return bool(self._rng.random() < self.drop_probability)

@@ -14,7 +14,7 @@ The procedure itself lives in :class:`repro.rpc.engine.QueryEngine` — the
 one implementation shared with the synchronous and socket paths — bound
 here to an :class:`~repro.sim.network.AsyncNetwork`, the event-driven
 :class:`~repro.net.transport.Transport`.  This module keeps the
-simulation-facing surface: fault control, seeded origin choice, open-loop
+simulation-facing surface: grey failures, seeded origin choice, open-loop
 workloads, and the config-gated overload protections.
 
 Phase accounting per query:
@@ -73,9 +73,10 @@ logger = get_logger("sim.query")
 class AsyncQueryEngine:
     """Runs a system's query procedure on the discrete-event kernel.
 
-    The engine shares the system's peers, stores, router and hash scheme —
-    only the transport differs.  Synchronous calls on the system (warmup,
-    churn helpers) remain valid between event-driven queries.
+    The engine shares the system's peers, stores, router, hash scheme and
+    crashed set — only the transport differs.  Synchronous calls on the
+    system (warmup, churn helpers, :meth:`RangeSelectionSystem.crash_peer`)
+    remain valid between and during event-driven queries.
     """
 
     def __init__(
@@ -96,11 +97,13 @@ class AsyncQueryEngine:
             seed = system.config.seed
         config = system.config
         bound_registry = registry if registry is not None else system.metrics
-        # The engine's transport publishes into the system's unified
-        # registry (as "sim.net.*") unless told otherwise.
+        # The engine's transport runs on the system's crashed and slow
+        # sets, and publishes into the system's unified registry (as
+        # "sim.net.*") unless told otherwise.
         self.net = self.transport = AsyncNetwork(
             self.sim,
             latency=latency,
+            faults=system.network.faults,
             drop_probability=drop_probability,
             seed=seed,
             registry=bound_registry,
@@ -152,14 +155,6 @@ class AsyncQueryEngine:
 
     # -- fault control -------------------------------------------------
 
-    def crash_peer(self, peer_id: int) -> None:
-        """Fail-stop one peer for subsequent (and in-flight) deliveries."""
-        self.net.crash(peer_id)
-
-    def recover_peer(self, peer_id: int) -> None:
-        """Bring a crashed peer back."""
-        self.net.recover(peer_id)
-
     def slow_peer(
         self,
         peer_id: int,
@@ -169,16 +164,12 @@ class AsyncQueryEngine:
         """Grey-fail one peer: inflate its link latency and service time."""
         self.net.faults.slow(peer_id, latency_factor, service_factor)
 
-    def unslow_peer(self, peer_id: int) -> None:
-        """Restore a grey-failed peer to full speed."""
-        self.net.faults.unslow(peer_id)
-
     def pick_origin(self) -> int:
         """A uniformly random *alive* querying peer.
 
         The alive list is rebuilt only after something that can change it
         — a peer joining or leaving the overlay, ``net.register`` /
-        ``unregister``, a crash or recovery (direct or scheduled) — and
+        ``unregister``, a crash or recovery of the system's peers — and
         always in ring order, so a given RNG state picks the same origin
         it would from a list rebuilt on every call.
         """

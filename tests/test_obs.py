@@ -200,7 +200,7 @@ class TestRegistryBackedFacades:
             system, seed=99, latency=SeededLatency(10.0, 100.0, seed=99),
             drop_probability=0.05,
         )
-        engine.crash_peer(system.router.node_ids[7])
+        engine.system.crash_peer(system.router.node_ids[7])
         for query in ranges[30:45]:
             engine.run(query)
         engine.net.stats.reset()
@@ -487,7 +487,7 @@ class TestEventDrivenTracing:
         engine = AsyncQueryEngine(system)
         locate = system.locate(IntRange(10, 30))
         for owner in set(locate.answered_by):
-            engine.crash_peer(owner)
+            engine.system.crash_peer(owner)
         trace = engine.start_trace(IntRange(10, 30))
         result = engine.run(IntRange(10, 30), trace=trace)
         assert result.timeouts > 0

@@ -175,12 +175,7 @@ class TestSamplerNoDrift:
         )
         _warm(system, 30)
         engine = AsyncQueryEngine(system, seed=11)
-        sampler = TelemetrySampler(
-            system,
-            sim=engine.sim,
-            is_alive=engine.net.is_alive,
-            interval_ms=500.0,
-        )
+        sampler = TelemetrySampler(system, sim=engine.sim, interval_ms=500.0)
         sampler.sample_once()
         sampler.start()
         for query in UniformRangeWorkload(

@@ -166,7 +166,7 @@ def run_sim(latency: str) -> tuple[list, list, AsyncQueryEngine]:
         # a hedge would try next die; the tail asks them again.
         identifier = futures[0][0].result().chains[0].identifier
         for peer in system.replica_owners(identifier)[:2]:
-            engine.crash_peer(peer)
+            engine.system.crash_peer(peer)
 
     engine.sim.call_at(GAP_MS * 30, crash)
     engine.sim.run()

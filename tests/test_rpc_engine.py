@@ -390,21 +390,36 @@ def warmed_system() -> RangeSelectionSystem:
     return system
 
 
+def repair_counts(system: RangeSelectionSystem) -> dict[str, float]:
+    """What a repair round left in the system's registry."""
+    names = (
+        "repair.rounds", "repair.copies_created", "repair.copy_failures",
+        "repair.unrepairable", "system.repairs",
+    )
+    return {name: system.metrics.counter(name).get() for name in names}
+
+
 def test_repair_after_a_crash_converges_identically_across_transports():
     # One seeded crash, three executors of the same plan: the synchronous
-    # pass, the simulated repairer's round, and the live servers' loop.
+    # pass and the simulated repairer's round (one round, two transports),
+    # and the live servers' loop.
     sync = warmed_system()
     victim = sync.replica_owners(sync.identifiers_for(QUERIES[0])[0])[0]
     alive = set(sync.router.node_ids) - {victim}
     sync.crash_peer(victim)
-    assert sync.repair_replicas() > 0
+    copies = sync.repair_replicas()
+    assert copies > 0
     expected = holder_sets(sync.stores.values(), alive)
     assert all(len(peers) == 2 for peers in expected.values())
+    counts = repair_counts(sync)
+    assert counts["repair.rounds"] == 1
+    assert counts["repair.copies_created"] == counts["system.repairs"] == copies
 
     engine = AsyncQueryEngine(warmed_system(), seed=SEED)
-    engine.crash_peer(victim)
+    engine.system.crash_peer(victim)
     engine.sim.run_until_complete(ReplicaRepairer(engine).run_round())
     assert holder_sets(engine.system.stores.values(), alive) == expected
+    assert repair_counts(engine.system) == counts
 
     loop = asyncio.new_event_loop()
     servers = boot_ring(

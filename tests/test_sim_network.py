@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import RequestTimeoutError, UnknownPeerError
 from repro.net.latency import ConstantLatency
-from repro.sim import AsyncNetwork, FaultInjector, RetryPolicy, Simulator
+from repro.sim import AsyncNetwork, RetryPolicy, Simulator
 
 
 def make_net(drop: float = 0.0, latency_ms: float = 10.0, seed: int = 0):
@@ -80,14 +80,25 @@ class TestFaults:
         assert 0 < delivered < 40
         assert net.stats.drops > 0
 
-    def test_injector_validates_probability(self):
+    def test_network_validates_drop_probability(self):
         with pytest.raises(ValueError):
-            FaultInjector(drop_probability=1.0)
+            make_net(drop=1.0)
+
+    def test_networks_sharing_an_injector_share_the_crashed_set(self):
+        sim, net = make_net()
+        other = AsyncNetwork(sim, faults=net.faults)
+        for network in (net, other):
+            network.register(7, lambda msg: "pong")
+        net.crash(7)
+        assert not other.is_alive(7)
+        other.recover(7)
+        assert net.is_alive(7)
 
     def test_scheduled_crash_and_recovery(self):
         sim, net = make_net(latency_ms=10.0)
         net.register(7, lambda msg: "pong")
-        net.faults.schedule_crash(sim, 7, at_ms=5.0, recover_at_ms=15.0)
+        sim.call_at(5.0, lambda: net.crash(7))
+        sim.call_at(15.0, lambda: net.recover(7))
         lost = net.send(1, 7, "ping")  # delivery at t=10, inside the outage
         sim.run(until=12.0)
         assert not lost.done

@@ -132,14 +132,14 @@ class TestBoundedQueue:
 
 class TestGreyFailures:
     def test_drop_probability_setter_validates(self):
-        faults = FaultInjector()
-        faults.drop_probability = 0.25
-        assert faults.drop_probability == 0.25
+        _sim, net = make_net()
+        net.drop_probability = 0.25
+        assert net.drop_probability == 0.25
         with pytest.raises(ValueError):
-            faults.drop_probability = 1.0
+            net.drop_probability = 1.0
         with pytest.raises(ValueError):
-            faults.drop_probability = -0.1
-        assert faults.drop_probability == 0.25  # rejected writes don't stick
+            net.drop_probability = -0.1
+        assert net.drop_probability == 0.25  # rejected writes don't stick
 
     def test_slow_factors_validate(self):
         faults = FaultInjector()
@@ -169,9 +169,8 @@ class TestGreyFailures:
     def test_scheduled_grey_failure_and_recovery(self):
         sim, net = make_net(latency_ms=10.0)
         net.register(7, lambda msg: "pong")
-        net.faults.schedule_slow(
-            sim, 7, at_ms=5.0, latency_factor=10.0, recover_at_ms=500.0
-        )
+        sim.call_at(5.0, lambda: net.faults.slow(7, latency_factor=10.0))
+        sim.call_at(500.0, lambda: net.faults.unslow(7))
         slow = net.send(1, 7, "ping")  # sampled at t=0, before the slowdown
         sim.run(until=0.0)
         assert not slow.done

@@ -38,7 +38,7 @@ class TestAsyncFailover:
         engine.system.store_partition(query)
         identifier = engine.system.identifiers_for(query)[0]
         victim = engine.system.replica_owners(identifier)[0]
-        engine.crash_peer(victim)
+        engine.system.crash_peer(victim)
         result = engine.run(query)
         assert result.found
         assert result.failovers >= 1
@@ -57,7 +57,7 @@ class TestAsyncFailover:
         victim = engine.system.replica_owners(
             engine.system.identifiers_for(query)[0]
         )[0]
-        engine.crash_peer(victim)
+        engine.system.crash_peer(victim)
         degraded = engine.run(query)
         # The failed-over chain waits out the owner's full retry schedule.
         assert degraded.total_ms > healthy.total_ms + engine.net.policy.timeout_ms
@@ -72,7 +72,7 @@ class TestAsyncFailover:
         query = IntRange(100, 160)
         engine.system.store_partition(query)
         identifier = engine.system.identifiers_for(query)[0]
-        engine.crash_peer(engine.system.replica_owners(identifier)[0])
+        engine.system.crash_peer(engine.system.replica_owners(identifier)[0])
         result = engine.run(query)
         assert result.failovers == 0
         assert result.timeouts >= 1
@@ -93,7 +93,7 @@ class TestReplicaRepairer:
         query = IntRange(200, 260)
         engine.system.store_partition(query)
         identifier = engine.system.identifiers_for(query)[0]
-        engine.crash_peer(engine.system.replica_owners(identifier)[0])
+        engine.system.crash_peer(engine.system.replica_owners(identifier)[0])
         repairer = ReplicaRepairer(engine, interval_ms=1_000.0)
         created = engine.sim.run_until_complete(repairer.run_round())
         assert created > 0
@@ -117,7 +117,7 @@ class TestReplicaRepairer:
         for identifier in engine.system.identifiers_for(query):
             victim = engine.system.replica_owners(identifier)[0]
             if engine.net.is_alive(victim):
-                engine.crash_peer(victim)
+                engine.system.crash_peer(victim)
         repairer = ReplicaRepairer(engine, interval_ms=1_000.0)
         created = engine.sim.run_until_complete(repairer.run_round())
         assert created == 0
@@ -150,7 +150,9 @@ class TestReplicaRepairer:
             ReplicaRepairer(engine, interval_ms=0.0)
 
     def test_stats_describe(self):
-        stats = RepairStats(rounds=2, copies_created=5)
+        stats = RepairStats()
+        stats.rounds = 2
+        stats.copies_created = 5
         text = stats.describe()
         assert "2 rounds" in text and "5 copies" in text
 
@@ -164,7 +166,7 @@ class TestReplicaRepairer:
         doomed = node_ids[::5]  # 6 of 30 peers, spread around the ring
         for wave in range(2):
             for peer_id in doomed[wave::2]:
-                engine.crash_peer(peer_id)
+                engine.system.crash_peer(peer_id)
             engine.sim.run_until_complete(repairer.run_round())
         for query in queries:
             result = engine.run(IntRange(query.start + 1, query.end + 1))

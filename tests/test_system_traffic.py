@@ -81,7 +81,7 @@ def sim_path(config: SystemConfig):
         RangeSelectionSystem(config), seed=config.seed, drop_probability=0.05
     )
     for peer in engine.system.router.node_ids[::3]:
-        engine.crash_peer(peer)
+        engine.system.crash_peer(peer)
     return engine.run, engine.start_trace, engine.net.stats
 
 
