@@ -118,7 +118,7 @@ def overlay(config: SystemConfig) -> object:
             id_bits=config.id_bits,
             dimensions=config.can_dimensions,
             seed=config.seed,
-            successor_list_size=max(4, config.replicas),
+            successor_list_size=config.successor_list_size,
         )
 
 

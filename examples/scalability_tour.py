@@ -1,8 +1,8 @@
-"""A tour of the overlay substrate: ring structure, routing, load, churn.
+"""A tour of the overlay substrate: ring structure, routing, load.
 
 Shows the Chord machinery the system runs on: finger tables and O(log N)
-lookups, the load distribution of cached partitions, and nodes joining and
-leaving with stabilization — the dynamics behind Figures 11 and 12.
+lookups and the load distribution of cached partitions — the quantities
+behind Figures 11 and 12.
 
 Run:  python examples/scalability_tour.py
 """
@@ -48,27 +48,9 @@ def load_demo() -> None:
     )
 
 
-def churn_demo() -> None:
-    ring = ChordRing(m=16)
-    boot = ring.bootstrap("seed-node")
-    for i in range(30):
-        ring.join(f"joiner-{i}", via=boot.node_id)
-        ring.stabilize()
-    ring.check_invariants()
-    print(f"dynamic ring grew to {len(ring)} nodes; invariants hold")
-
-    for node_id in ring.node_ids[:10]:
-        if node_id != boot.node_id:
-            ring.leave(node_id)
-    ring.stabilize()
-    ring.check_invariants()
-    print(f"after departures: {len(ring)} nodes; invariants still hold")
-
-
 def main() -> None:
     routing_demo()
     load_demo()
-    churn_demo()
 
     # End-to-end: an identical repeat query must find its cached partition
     # exactly (equal ranges hash to equal identifiers under every family).

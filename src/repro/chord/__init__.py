@@ -7,8 +7,8 @@ through finger tables in ``O(log N)`` overlay hops.
 
 This subpackage is a from-scratch reimplementation of the parts of Chord the
 paper's experiments exercise: ring construction, finger tables, iterative
-lookup with hop counting, and node join/leave with stabilization (used by
-the churn extension).
+lookup with hop counting, and successor lists.  Membership changes are
+static rebuilds: add or remove nodes, then build the ring again.
 """
 
 from repro._lazy import lazy_exports
@@ -17,7 +17,6 @@ _EXPORTS = {
     "IdSpace": "repro.chord.idspace",
     "ChordNode": "repro.chord.node",
     "ChordRing": "repro.chord.ring",
-    "DepartureHandoff": "repro.chord.ring",
     "LookupResult": "repro.chord.lookup",
     "node_id_for_address": "repro.chord.hashing",
     "key_id": "repro.chord.hashing",

@@ -28,23 +28,5 @@ class ChordNode:
     #: a peer that cannot reach its successor falls back down this list.
     successor_list: list[int] = field(default_factory=list)
 
-    def finger_or_successor(self, index: int) -> int | None:
-        """Finger ``index`` if known, else the successor (bootstrap state)."""
-        if index < len(self.fingers):
-            return self.fingers[index]
-        return self.successor_id
-
-    def reset_routing(self) -> None:
-        """Forget all routing state (used when a node re-joins).
-
-        Clears the successor list too — a re-joining node must not route
-        (or accept replicas) via successors remembered from a previous
-        incarnation of the ring.
-        """
-        self.successor_id = None
-        self.predecessor_id = None
-        self.fingers = []
-        self.successor_list = []
-
     def __str__(self) -> str:
         return f"Node({self.node_id} @ {self.address})"

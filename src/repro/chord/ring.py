@@ -1,23 +1,20 @@
-"""The Chord ring: membership, finger tables, routing, and churn.
+"""The Chord ring: membership, finger tables and routing.
 
-Two modes of operation:
-
-- **static build** (:meth:`ChordRing.build`): compute every node's
-  successor, predecessor and finger table globally.  This is what the
-  paper's simulations need — the overlay is constructed once, then lookups
-  are measured.
-- **dynamic protocol** (:meth:`join`, :meth:`leave`, :meth:`stabilize_round`):
-  the incremental Chord maintenance protocol, exercised by tests to show
-  the ring converges to the static build.  No caller in the package runs
-  :meth:`join` or :meth:`stabilize_round`: the system's
-  ``join_peer`` / ``leave_peer`` add or :meth:`leave` a node and then
-  rebuild the ring statically.
+The ring changes one way: register or remove nodes (:meth:`ChordRing.add_node`,
+:meth:`~ChordRing.add_nodes`, :meth:`~ChordRing.remove_node`), then
+:meth:`~ChordRing.build` every node's successor, predecessor, successor
+list and finger table globally.  This is what the paper's simulations
+need — the overlay is constructed once, then lookups are measured — and
+what every membership change does: the system's ``join_peer`` /
+``leave_peer`` and the live peers' and clients' mirrors of their member
+view all rebuild the ring statically.  Chord's incremental join and
+stabilization protocol is not implemented; Section 6 of the paper leaves
+node joining and leaving to future work.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -28,7 +25,7 @@ from repro.chord.lookup import LookupResult
 from repro.chord.node import ChordNode
 from repro.errors import ChordError, DuplicateNodeError, EmptyRingError, NodeNotFoundError
 
-__all__ = ["ChordRing", "DepartureHandoff"]
+__all__ = ["ChordRing"]
 
 #: Nodes whose finger tables :meth:`ChordRing.build` computes per array
 #: pass: large enough to amortise the numpy calls, small enough that the
@@ -36,34 +33,13 @@ __all__ = ["ChordRing", "DepartureHandoff"]
 _BUILD_BLOCK = 1024
 
 
-@dataclass(frozen=True)
-class DepartureHandoff:
-    """What a graceful :meth:`ChordRing.leave` hands to the rest of the ring.
-
-    ``interval`` is the departed node's owned identifier interval
-    ``(predecessor, node]`` — every identifier inside it is now owned by
-    ``new_owner_id``.  Callers holding data keyed by identifiers (the
-    replication layer, :class:`~repro.core.system.RangeSelectionSystem`)
-    use this to migrate entries instead of silently dropping them.
-    """
-
-    node: ChordNode
-    interval: tuple[int, int]
-    new_owner_id: int | None
-
-    def moved(self, identifier: int, space: IdSpace) -> bool:
-        """Whether ownership of ``identifier`` moved in this departure."""
-        low, high = self.interval
-        return space.in_half_open(identifier, low, high)
-
-
 class ChordRing:
     """A simulated Chord overlay over an ``m``-bit identifier space.
 
     ``successor_list_size`` is the Chord robustness parameter ``r``: every
-    node tracks its next ``r`` distinct successors, maintained by
-    :meth:`build`, :meth:`join`, :meth:`leave` and :meth:`stabilize_round`,
-    so routing and replica placement survive individual failures.
+    node tracks its next ``r`` distinct successors, computed by
+    :meth:`build`, so routing and replica placement survive individual
+    failures.
     """
 
     def __init__(self, m: int = 32, successor_list_size: int = 4) -> None:
@@ -107,8 +83,7 @@ class ChordRing:
         """Register a node without wiring any routing state.
 
         The id defaults to SHA-1 of the address, as the paper prescribes.
-        Call :meth:`build` afterwards (static mode) or :meth:`join`
-        (dynamic mode).
+        Call :meth:`build` afterwards.
         """
         if address is None:
             if node_id is None:
@@ -150,7 +125,8 @@ class ChordRing:
         return added
 
     def remove_node(self, node_id: int) -> ChordNode:
-        """Remove a node outright (static mode; use :meth:`leave` under churn)."""
+        """Remove a node without touching any routing state; call
+        :meth:`build` afterwards."""
         node = self.node(node_id)
         del self._nodes[node_id]
         index = bisect_left(self._sorted_ids, node_id)
@@ -174,19 +150,6 @@ class ChordRing:
             return self._sorted_ids[0]
         return self._sorted_ids[index]
 
-    def predecessor_of(self, node_id: int) -> int:
-        """The id of the node immediately counter-clockwise of ``node_id``."""
-        if not self._sorted_ids:
-            raise EmptyRingError("ring has no nodes")
-        index = bisect_left(self._sorted_ids, self.space.wrap(node_id))
-        return self._sorted_ids[index - 1] if index > 0 else self._sorted_ids[-1]
-
-    def owned_interval(self, node_id: int) -> tuple[int, int]:
-        """The half-open id interval ``(pred, node]`` this node is
-        responsible for."""
-        node = self.node(node_id)
-        return (self.predecessor_of(node.node_id), node.node_id)
-
     def successor_chain(
         self,
         key: int,
@@ -195,7 +158,7 @@ class ChordRing:
     ) -> list[int]:
         """The first ``count`` distinct nodes clockwise from ``key``'s owner.
 
-        This is the ground truth a converged ring's successor lists agree
+        This is the ground truth a built ring's successor lists agree
         with, and the basis of replica placement: identifier ``key`` is
         stored at ``successor_chain(key, r)``.  ``predicate`` filters
         candidates (e.g. to the peers currently alive), scanning further
@@ -309,7 +272,7 @@ class ChordRing:
             start_id = self._sorted_ids[0]
         current = self.node(start_id)
         if current.successor_id is None:
-            raise ChordError("ring not built; call build() or join() first")
+            raise ChordError("ring not built; call build() first")
         path = [current.node_id]
         max_hops = 4 * self.space.m + len(self._nodes)
         mask = self.space.mask
@@ -340,193 +303,6 @@ class ChordRing:
         )
 
     # ------------------------------------------------------------------
-    # Dynamic protocol (join / leave / stabilization)
-    # ------------------------------------------------------------------
-
-    def bootstrap(self, address: str) -> ChordNode:
-        """Create the first node of a dynamic ring (points at itself)."""
-        if self._nodes:
-            raise ChordError("bootstrap is only for an empty ring")
-        node = self.add_node(address)
-        node.successor_id = node.node_id
-        node.predecessor_id = node.node_id
-        node.fingers = [node.node_id] * self.space.m
-        node.successor_list = []
-        return node
-
-    def join(self, address: str, via: int) -> ChordNode:
-        """Add a node using the incremental protocol: learn the successor by
-        routing through an existing node; fingers are filled by
-        :meth:`stabilize_round` / :meth:`fix_fingers`."""
-        node = self.add_node(address)
-        # Ask the bootstrap node to find our successor.  We must route for
-        # our own id *before* our membership affects ownership, so exclude
-        # ourselves from the search by looking up via the existing node.
-        successor = self._lookup_excluding(node.node_id, via, exclude=node.node_id)
-        node.successor_id = successor
-        node.predecessor_id = None
-        node.fingers = [successor] * self.space.m
-        node.successor_list = self._adopt_successor_list(node, self.node(successor))
-        return node
-
-    def _adopt_successor_list(
-        self, node: ChordNode, successor: ChordNode
-    ) -> list[int]:
-        """Successor list learned from one's successor: ``[succ] + succ's
-        list``, truncated, deduplicated, with self and departed ids dropped."""
-        adopted: list[int] = []
-        for candidate in [successor.node_id, *successor.successor_list]:
-            if candidate == node.node_id or candidate not in self._nodes:
-                continue
-            if candidate in adopted:
-                continue
-            adopted.append(candidate)
-            if len(adopted) == self.successor_list_size:
-                break
-        return adopted
-
-    def _lookup_excluding(self, key: int, start_id: int, exclude: int) -> int:
-        """Route ``key`` ignoring node ``exclude`` (it has no state yet)."""
-        current = self.node(start_id)
-        guard = 0
-        max_hops = 4 * self.space.m + len(self._nodes)
-        while True:
-            succ = current.successor_id
-            if succ is None:
-                raise ChordError("ring not initialized")
-            if succ == exclude:
-                succ = self.node(succ).successor_id
-                assert succ is not None
-            if self.space.in_half_open(key, current.node_id, succ):
-                return succ
-            next_id = self._closest_preceding_edge(current, key)[0]
-            if next_id in (current.node_id, exclude):
-                next_id = current.successor_id
-                assert next_id is not None
-                if next_id == exclude:
-                    next_id = self.node(next_id).successor_id
-                    assert next_id is not None
-            current = self.node(next_id)
-            guard += 1
-            if guard > max_hops:
-                raise ChordError("excluded lookup exceeded hop bound")
-
-    def stabilize_round(self) -> None:
-        """One round of Chord stabilization over every node.
-
-        Each node asks its successor for the successor's predecessor, adopts
-        it when closer, notifies the successor of its own existence, and
-        refreshes its successor list from the successor's (so list repairs
-        propagate one position per round, as in the Chord protocol).
-        """
-        for node_id in list(self._sorted_ids):
-            node = self._nodes.get(node_id)
-            if node is None or node.successor_id is None:
-                continue
-            if node.successor_id not in self._nodes:
-                # Successor departed: fall back down the successor list.
-                node.successor_id = next(
-                    (sid for sid in node.successor_list if sid in self._nodes),
-                    node.node_id,
-                )
-                if node.successor_id == node.node_id and len(self._nodes) > 1:
-                    node.successor_id = self.successor_of(
-                        self.space.wrap(node.node_id + 1)
-                    )
-            successor = self.node(node.successor_id)
-            candidate = successor.predecessor_id
-            if candidate is not None and candidate in self._nodes:
-                if self.space.in_open(candidate, node.node_id, successor.node_id):
-                    node.successor_id = candidate
-                    successor = self.node(candidate)
-            self._notify(successor, node.node_id)
-            node.successor_list = self._adopt_successor_list(node, successor)
-
-    def _notify(self, node: ChordNode, candidate: int) -> None:
-        if node.predecessor_id is None or self.space.in_open(
-            candidate, node.predecessor_id, node.node_id
-        ):
-            node.predecessor_id = candidate
-
-    def fix_fingers(self) -> None:
-        """Recompute every node's finger table from current successors."""
-        for node_id in self._sorted_ids:
-            node = self._nodes[node_id]
-            node.fingers = [
-                self.successor_of(self.space.finger_start(node_id, i))
-                for i in range(self.space.m)
-            ]
-
-    def stabilize(self, rounds: int | None = None) -> int:
-        """Run stabilization rounds until successors converge (or ``rounds``).
-
-        Returns the number of rounds executed.
-        """
-        limit = (
-            rounds
-            if rounds is not None
-            else 2 * len(self._nodes) + self.successor_list_size + 4
-        )
-        executed = 0
-        for _ in range(limit):
-            before = self._routing_snapshot()
-            self.stabilize_round()
-            executed += 1
-            if before == self._routing_snapshot() and self._successors_correct():
-                break
-        self.fix_fingers()
-        return executed
-
-    def _routing_snapshot(self) -> list[tuple[int, int | None, tuple[int, ...]]]:
-        return [
-            (nid, self._nodes[nid].successor_id, tuple(self._nodes[nid].successor_list))
-            for nid in self._sorted_ids
-        ]
-
-    def _successors_correct(self) -> bool:
-        ids = self._sorted_ids
-        n = len(ids)
-        for index, node_id in enumerate(ids):
-            node = self._nodes[node_id]
-            if node.successor_id != ids[(index + 1) % n]:
-                return False
-            if node.successor_list != self._static_successor_list(index):
-                return False
-        return True
-
-    def leave(self, node_id: int) -> DepartureHandoff:
-        """Graceful departure: splice the ring around the leaving node.
-
-        Returns a :class:`DepartureHandoff` naming the identifier interval
-        whose ownership moved and the node now owning it, so callers can
-        migrate the departed node's entries instead of losing them.  The
-        departing node is also dropped from every remaining successor list
-        (stabilization would flush it eventually; a graceful leave tells
-        its neighbours immediately).
-        """
-        node = self.node(node_id)
-        pred_id = self.predecessor_of(node_id)
-        succ_id = self.successor_of(self.space.wrap(node_id + 1))
-        interval = (pred_id, node_id)
-        removed = self.remove_node(node_id)
-        if self._nodes:
-            if pred_id != node_id and pred_id in self._nodes:
-                self._nodes[pred_id].successor_id = (
-                    succ_id if succ_id != node_id else pred_id
-                )
-            if succ_id != node_id and succ_id in self._nodes:
-                self._nodes[succ_id].predecessor_id = (
-                    pred_id if pred_id != node_id else succ_id
-                )
-            for survivor in self._nodes.values():
-                if node_id in survivor.successor_list:
-                    survivor.successor_list = [
-                        sid for sid in survivor.successor_list if sid != node_id
-                    ]
-        new_owner = succ_id if succ_id != node_id and succ_id in self._nodes else None
-        return DepartureHandoff(node=removed, interval=interval, new_owner_id=new_owner)
-
-    # ------------------------------------------------------------------
     # Diagnostics
     # ------------------------------------------------------------------
 
@@ -536,7 +312,7 @@ class ChordRing:
         Returns ``(check, node_id, message)`` tuples — empty when the ring
         is globally consistent.  Checks, per node: the successor pointer
         matches ring order, the successor's predecessor agrees (mutual
-        agreement), the successor list equals the converged ground truth,
+        agreement), the successor list equals the ground truth,
         and every finger entry both targets a live member and is the true
         successor of its finger start (reachability + correctness).  This
         is the walk the health auditor runs; :meth:`check_invariants`

@@ -114,6 +114,12 @@ class SystemConfig:
         if not 0.0 < self.quorum_threshold <= 1.0:
             raise ConfigError("quorum_threshold must be in (0, 1]")
 
+    @property
+    def successor_list_size(self) -> int:
+        """Chord successor-list length ``r``: at least 4, and long enough
+        to name every replica.  Derived, not a field: it adds no option."""
+        return max(4, self.replicas)
+
     def describe(self) -> str:
         """One-line summary for reports."""
         pad = f", pad={self.padding:.0%}" if self.padding else ""

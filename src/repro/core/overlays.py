@@ -10,13 +10,14 @@ this small interface and selected by ``SystemConfig.overlay``.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from repro.chord.ring import ChordRing
 from repro.errors import ConfigError
 
 if TYPE_CHECKING:
     from repro.can.network import CanOverlay
+    from repro.core.config import SystemConfig
 
 __all__ = ["OverlayRouter", "ChordRouter", "CanRouter", "build_overlay"]
 
@@ -101,6 +102,18 @@ class ChordRouter(OverlayRouter):
     ) -> "ChordRouter":
         ring = ChordRing(m=m, successor_list_size=successor_list_size)
         ring.add_nodes(n_peers)
+        ring.build()
+        return cls(ring)
+
+    @classmethod
+    def mirror(cls, addresses: Iterable[str], config: SystemConfig) -> "ChordRouter":
+        """The ring a live peer or client mirrors from its member view: a
+        node per address (SHA-1 id), built statically."""
+        ring = ChordRing(
+            m=config.id_bits, successor_list_size=config.successor_list_size
+        )
+        for address in addresses:
+            ring.add_node(address)
         ring.build()
         return cls(ring)
 

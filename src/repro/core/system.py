@@ -147,7 +147,7 @@ class RangeSelectionSystem(HashedPlacement):
                 id_bits=config.id_bits,
                 dimensions=config.can_dimensions,
                 seed=config.seed,
-                successor_list_size=max(4, config.replicas),
+                successor_list_size=config.successor_list_size,
             )
             #: The underlying Chord ring when the overlay is Chord (used by the
             #: churn helpers and Chord-specific tests); None under CAN.
@@ -392,10 +392,10 @@ class RangeSelectionSystem(HashedPlacement):
     def join_peer(self, address: str):
         """Add a peer to the running system and hand over its partitions.
 
-        The overlay is rebuilt (static mode; the protocol-level incremental
-        join lives in :class:`~repro.chord.ring.ChordRing`), the new peer is
-        wired to the transport with an empty store, and every cached entry
-        now falling in the new peer's interval migrates to it.
+        The peer is added to the ring and the ring is rebuilt statically
+        (:meth:`~repro.chord.ring.ChordRing.build`), the new peer is wired
+        to the transport with an empty store, and every cached entry now
+        falling in the new peer's interval migrates to it.
         """
         if self.ring is None:
             raise ConfigError("the churn helpers require the chord overlay")
@@ -408,11 +408,11 @@ class RangeSelectionSystem(HashedPlacement):
     def leave_peer(self, node_id: int) -> int:
         """Gracefully remove a peer, migrating its partitions first.
 
-        The ring's :meth:`~repro.chord.ring.ChordRing.leave` hands back the
-        identifier interval whose ownership moved; every entry the peer
-        held (primary or replica) is re-placed on the identifier's current
-        replica set, so no descriptor is lost and a replica that just
-        became the owner's copy is promoted to primary in place.
+        The peer is removed from the ring and the ring is rebuilt
+        statically; every entry the peer held (primary or replica) is then
+        re-placed on the identifier's current replica set, so no descriptor
+        is lost and a replica that just became the owner's copy is promoted
+        to primary in place.
 
         Returns the number of entries that created at least one new copy.
         """
@@ -421,7 +421,7 @@ class RangeSelectionSystem(HashedPlacement):
         if len(self.ring.node_ids) <= 1:
             raise ConfigError("cannot remove the last peer of the system")
         self.network.unregister(node_id)
-        self.ring.leave(node_id)
+        self.ring.remove_node(node_id)
         self.ring.build()
         # The departing store stays visible as a copy source while the
         # plan runs; the plan drops its (now undesired) copies itself.

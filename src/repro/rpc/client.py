@@ -33,7 +33,6 @@ import time
 from typing import Any, Callable, Sequence
 
 from repro.chord.hashing import node_id_for_address
-from repro.chord.ring import ChordRing
 from repro.core.config import SystemConfig
 from repro.core.overlays import ChordRouter
 from repro.core.placement import HashedPlacement, audit_placement
@@ -237,13 +236,8 @@ class ClientSystem(HashedPlacement):
         super().__init__(config, previous)
         self.members = dict(members)
         self.metrics = registry if registry is not None else MetricsRegistry()
-        ring = ChordRing(
-            m=config.id_bits, successor_list_size=max(4, config.replicas)
-        )
-        for address in self.members:
-            ring.add_node(address)
-        ring.build()
-        self.router = ChordRouter(ring)
+        self.router = ChordRouter.mirror(self.members, config)
+        ring = self.router.ring
         self.counters = SystemCounters(registry=self.metrics)
         #: node id -> (host, port), for the transport.
         self.endpoints: dict[int, tuple[str, int]] = {

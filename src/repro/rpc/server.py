@@ -39,7 +39,6 @@ from types import CoroutineType
 from typing import Any, Callable
 
 from repro.chord.hashing import node_id_for_address
-from repro.chord.ring import ChordRing
 from repro.core.config import SystemConfig
 from repro.core.matcher import matcher_by_name
 from repro.core.overlays import ChordRouter
@@ -215,13 +214,7 @@ class PeerServer(ReplicaPlacement):
         evicted or re-addressed member), mark an eviction in the flight
         recorder, and run whatever placement decides follows."""
         endpoints = self.table.endpoints()
-        ring = ChordRing(
-            m=self.config.id_bits, successor_list_size=max(4, self.config.replicas)
-        )
-        for address in endpoints:
-            ring.add_node(address)
-        ring.build()
-        self.router = ChordRouter(ring)
+        self.router = ChordRouter.mirror(endpoints, self.config)
         self.connections.retain(endpoints.values())
         if change.evicted:
             self.telemetry.incident(f"evicted:{','.join(change.evicted)}")

@@ -1,4 +1,4 @@
-"""Tests for the Chord ring: construction, routing, churn."""
+"""Tests for the Chord ring: construction, ownership, routing."""
 
 from __future__ import annotations
 
@@ -103,20 +103,6 @@ class TestOwnership:
         assert ring.successor_of(10) == 10  # least id >= key
         assert ring.successor_of(150) == 200
         assert ring.successor_of(201) == 10  # wraps
-
-    def test_predecessor_of(self):
-        ring = ChordRing(m=8)
-        for nid in (10, 100, 200):
-            ring.add_node(node_id=nid)
-        assert ring.predecessor_of(10) == 200
-        assert ring.predecessor_of(100) == 10
-
-    def test_owned_interval(self):
-        ring = ChordRing(m=8)
-        for nid in (10, 100, 200):
-            ring.add_node(node_id=nid)
-        assert ring.owned_interval(100) == (10, 100)
-        assert ring.owned_interval(10) == (200, 10)
 
     def test_empty_ring_raises(self):
         with pytest.raises(EmptyRingError):
@@ -253,53 +239,6 @@ class TestLookupResult:
             LookupResult(key=1, owner_id=9, hops=1, path=(1, 2))
 
 
-class TestChurn:
-    def test_join_then_stabilize_converges_to_static_build(self):
-        ring = ChordRing(m=16)
-        boot = ring.bootstrap("n-0")
-        for i in range(1, 40):
-            ring.join(f"n-{i}", via=boot.node_id)
-            ring.stabilize()
-        ring.check_invariants()
-
-    def test_joined_ring_routes_correctly(self, rng):
-        ring = ChordRing(m=16)
-        boot = ring.bootstrap("n-0")
-        for i in range(1, 25):
-            ring.join(f"n-{i}", via=boot.node_id)
-            ring.stabilize()
-        for _ in range(100):
-            key = int(rng.integers(0, ring.space.size))
-            assert ring.lookup(key, start_id=boot.node_id).owner_id == (
-                ring.successor_of(key)
-            )
-
-    def test_bootstrap_only_on_empty_ring(self):
-        ring = ChordRing()
-        ring.bootstrap("first")
-        with pytest.raises(ChordError):
-            ring.bootstrap("second")
-
-    def test_leave_splices_ring(self):
-        ring = ChordRing(m=16)
-        boot = ring.bootstrap("n-0")
-        for i in range(1, 10):
-            ring.join(f"n-{i}", via=boot.node_id)
-            ring.stabilize()
-        victim = next(nid for nid in ring.node_ids if nid != boot.node_id)
-        ring.leave(victim)
-        ring.stabilize()
-        ring.check_invariants()
-        assert victim not in ring
-
-    def test_stabilize_reports_rounds(self):
-        ring = ChordRing(m=16)
-        boot = ring.bootstrap("n-0")
-        ring.join("n-1", via=boot.node_id)
-        rounds = ring.stabilize()
-        assert rounds >= 1
-
-
 # A moderately sized ring shared by property-based lookup tests.
 _PROPERTY_RING = built_ring(60)
 
@@ -354,8 +293,8 @@ def outcome(fn):
 
 def scarred_ring(seed: int, m: int) -> tuple[ChordRing, random.Random]:
     """A ring whose routing state is deliberately not converged: a static
-    build, then joins and leaves with no stabilisation after them, then a
-    few finger slots blanked."""
+    build, then late peers that know only their successor and departures,
+    with no rebuild after either, then a few finger slots blanked."""
     rnd = random.Random(seed)
     ring = ChordRing(m=m)
     while len(ring) < 12:
@@ -366,13 +305,15 @@ def scarred_ring(seed: int, m: int) -> tuple[ChordRing, random.Random]:
     ring.build()
     for index in range(rnd.randrange(4)):
         try:
-            ring.join(f"late-{seed}-{index}", via=rnd.choice(ring.node_ids))
+            node = ring.add_node(f"late-{seed}-{index}")
         except DuplicateNodeError:
-            pass
-        if rnd.random() < 0.3:
-            ring.stabilize_round()
+            continue
+        # What a Chord join hands a newcomer: its successor, which every
+        # finger names until the fingers are fixed.
+        node.successor_id = ring.successor_of(node.node_id + 1)
+        node.fingers = [node.successor_id] * m
     for _ in range(rnd.randrange(3)):
-        ring.leave(rnd.choice(ring.node_ids))
+        ring.remove_node(rnd.choice(ring.node_ids))
     for node_id in ring.node_ids:
         fingers = ring.node(node_id).fingers
         for slot in range(len(fingers)):

@@ -1,16 +1,16 @@
 """Tests for successor-list replication: placement, failover, repair.
 
-Covers the chord-layer successor lists and departure handoff, the
-system-level replica placement with primary/replica roles, synchronous
-failover lookups against crashed peers, the anti-entropy repair pass, and
-data survival across graceful membership changes.
+Covers the chord-layer successor lists, the system-level replica
+placement with primary/replica roles, synchronous failover lookups against
+crashed peers, the anti-entropy repair pass, and data survival across
+graceful membership changes.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.chord.ring import ChordRing, DepartureHandoff
+from repro.chord.ring import ChordRing
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
 from repro.errors import ChordError, ConfigError
@@ -49,16 +49,6 @@ class TestSuccessorLists:
         with pytest.raises(ChordError):
             ChordRing(successor_list_size=0)
 
-    def test_reset_routing_clears_list(self):
-        ring = ChordRing(m=16, successor_list_size=3)
-        ring.add_nodes(5)
-        ring.build()
-        node = ring.node(ring.node_ids[0])
-        assert node.successor_list
-        node.reset_routing()
-        assert node.successor_list == []
-        assert node.successor_id is None
-
     def test_successor_chain_is_placement_ground_truth(self):
         ring = ChordRing(m=16, successor_list_size=3)
         ring.add_nodes(12)
@@ -77,38 +67,6 @@ class TestSuccessorLists:
         filtered = ring.successor_chain(500, 3, predicate=lambda n: n != full[0])
         assert full[0] not in filtered
         assert len(filtered) == 3
-
-    def test_join_adopts_list_and_stabilize_converges(self):
-        ring = ChordRing(m=16, successor_list_size=3)
-        boot = ring.bootstrap("boot")
-        for i in range(8):
-            ring.join(f"node-{i}", via=boot.node_id)
-            ring.stabilize()
-        ring.check_invariants()  # validates successor lists too
-
-
-class TestDepartureHandoff:
-    def test_leave_reports_moved_interval(self):
-        ring = ChordRing(m=16, successor_list_size=3)
-        ring.add_nodes(8)
-        ring.build()
-        victim = ring.node_ids[3]
-        pred, succ = ring.node_ids[2], ring.node_ids[4]
-        handoff = ring.leave(victim)
-        assert isinstance(handoff, DepartureHandoff)
-        assert handoff.interval == (pred, victim)
-        assert handoff.new_owner_id == succ
-        assert handoff.moved(victim, ring.space)
-        assert not handoff.moved(succ, ring.space)
-
-    def test_leave_scrubs_departed_from_survivor_lists(self):
-        ring = ChordRing(m=16, successor_list_size=3)
-        ring.add_nodes(8)
-        ring.build()
-        victim = ring.node_ids[3]
-        ring.leave(victim)
-        for node_id in ring.node_ids:
-            assert victim not in ring.node(node_id).successor_list
 
 
 class TestConfig:
