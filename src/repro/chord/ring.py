@@ -181,6 +181,35 @@ class ChordRing:
                 break
         return chain
 
+    def failover_chain(
+        self, key: int, count: int, predicate: Callable[[int], bool]
+    ) -> list[int]:
+        """``successor_chain(key, count)``, then the nodes of
+        ``successor_chain(key, count, predicate)`` it lacks, in one walk:
+        the replica set a lookup asks first, then the peers ``predicate``
+        admits (the alive ones) further down, which repair re-replicates
+        onto."""
+        if count < 1:
+            raise ChordError("successor chain length must be at least 1")
+        if not self._sorted_ids:
+            raise EmptyRingError("ring has no nodes")
+        ids = self._sorted_ids
+        n = len(ids)
+        index = bisect_left(ids, self.space.wrap(key)) % n
+        chain: list[int] = []
+        admitted = 0
+        for offset in range(n):
+            candidate = ids[(index + offset) % n]
+            if offset < count:
+                chain.append(candidate)
+                admitted += predicate(candidate)
+            elif admitted == count:
+                break
+            elif predicate(candidate):
+                chain.append(candidate)
+                admitted += 1
+        return chain
+
     def _static_successor_list(self, index: int) -> list[int]:
         """Successor list for the node at sorted position ``index``."""
         ids = self._sorted_ids
@@ -255,7 +284,21 @@ class ChordRing:
         start_id: int | None = None,
         recorder: Callable[[int, int, str], None] | None = None,
     ) -> LookupResult:
-        """Route ``key`` from ``start_id`` (default: lowest node) to its owner.
+        """Route ``key`` from ``start_id`` (default: lowest node) to its
+        owner, as :meth:`lookup_path` does, and report the route."""
+        path = self.lookup_path(key, start_id, recorder)
+        return LookupResult(
+            key=self.space.wrap(key), owner_id=path[-1], hops=len(path) - 1, path=path
+        )
+
+    def lookup_path(
+        self,
+        key: int,
+        start_id: int | None = None,
+        recorder: Callable[[int, int, str], None] | None = None,
+    ) -> tuple[int, ...]:
+        """The node ids a lookup of ``key`` from ``start_id`` (default:
+        lowest node) traverses, the owner last.
 
         Implements iterative ``find_predecessor`` + final successor hop and
         counts every overlay edge traversed, matching the paper's path-length
@@ -267,15 +310,16 @@ class ChordRing:
         """
         if not self._sorted_ids:
             raise EmptyRingError("cannot look up in an empty ring")
-        key = self.space.wrap(key)
+        mask = self.space.mask
+        key &= mask
         if start_id is None:
             start_id = self._sorted_ids[0]
         current = self.node(start_id)
         if current.successor_id is None:
             raise ChordError("ring not built; call build() first")
         path = [current.node_id]
-        max_hops = 4 * self.space.m + len(self._nodes)
-        mask = self.space.mask
+        nodes = self._nodes
+        max_hops = 4 * self.space.m + len(nodes)
         # key in (current, successor], as IdSpace.in_half_open has it: the
         # clockwise distances are taken from current + 1, so that
         # successor == current reads as the full circle.
@@ -288,7 +332,10 @@ class ChordRing:
             if recorder is not None:
                 via = f"finger[{finger}]" if finger >= 0 else "successor"
                 recorder(current.node_id, next_id, via)
-            current = self.node(next_id)
+            try:
+                current = nodes[next_id]
+            except KeyError:
+                raise NodeNotFoundError(next_id) from None
             path.append(next_id)
             if len(path) > max_hops:
                 raise ChordError(f"lookup for {key} exceeded {max_hops} hops")
@@ -298,9 +345,7 @@ class ChordRing:
             if recorder is not None:
                 recorder(current.node_id, owner_id, "successor")
             path.append(owner_id)
-        return LookupResult(
-            key=key, owner_id=owner_id, hops=len(path) - 1, path=tuple(path)
-        )
+        return tuple(path)
 
     # ------------------------------------------------------------------
     # Diagnostics

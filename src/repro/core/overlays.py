@@ -88,6 +88,14 @@ class OverlayRouter(ABC):
             return []
         return [owner]
 
+    def failover_set(
+        self, key: int, count: int, predicate: Callable[[int], bool]
+    ) -> list[int]:
+        """``replica_set(key, count)`` followed by the peers of
+        ``replica_set(key, count, predicate)`` it lacks; without a
+        successor structure, the owner alone."""
+        return [self.owner_of(key)]
+
 
 class ChordRouter(OverlayRouter):
     """Chord: successor ownership, finger-table routing, O(log N) hops."""
@@ -126,7 +134,7 @@ class ChordRouter(OverlayRouter):
         start_id: int,
         recorder: "OverlayRouter.HopRecorder | None" = None,
     ) -> tuple[int, ...]:
-        return self.ring.lookup(key, start_id=start_id, recorder=recorder).path
+        return self.ring.lookup_path(key, start_id=start_id, recorder=recorder)
 
     def lookup(self, key: int, start_id: int) -> tuple[int, int]:
         result = self.ring.lookup(key, start_id=start_id)
@@ -139,6 +147,11 @@ class ChordRouter(OverlayRouter):
         predicate: "Callable[[int], bool] | None" = None,
     ) -> list[int]:
         return self.ring.successor_chain(key, count, predicate)
+
+    def failover_set(
+        self, key: int, count: int, predicate: Callable[[int], bool]
+    ) -> list[int]:
+        return self.ring.failover_chain(key, count, predicate)
 
 
 class CanRouter(OverlayRouter):

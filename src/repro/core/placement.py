@@ -75,20 +75,24 @@ class ReplicaPlacement:
         self,
         identifier: int,
         is_alive: Callable[[int], bool] | None = None,
+        *,
+        placed: int | None = None,
     ) -> list[int]:
         """Peers to ask for ``identifier``, in order: the nominal replica
         set first (warm copies live there), then — when liveness is known —
-        the alive successors the repair loop re-replicates onto.
+        the alive successors the repair loop re-replicates onto.  One walk
+        down the ring finds both; ``placed`` is the identifier's ring
+        position when the caller has already computed it.
 
         With ``replicas == 1`` there is nothing to fail over to: the list
         is just the owner, reproducing the unreplicated behaviour (a
         crashed owner means a lost lookup)."""
-        candidates = self.replica_owners(identifier)
-        if self.config.replicas > 1 and is_alive is not None:
-            for peer in self.replica_targets(identifier, is_alive):
-                if peer not in candidates:
-                    candidates.append(peer)
-        return candidates
+        if placed is None:
+            placed = self.place_identifier(identifier)
+        replicas = self.config.replicas
+        if replicas > 1 and is_alive is not None:
+            return self.router.failover_set(placed, replicas, is_alive)
+        return self.router.replica_set(placed, replicas)
 
 
 class HashedPlacement(ReplicaPlacement):

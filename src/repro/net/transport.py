@@ -58,10 +58,10 @@ class TrafficStats(RegistryBackedCounters):
     shows up in the system's unified metric exports; a standalone
     ``TrafficStats()`` binds a private registry.  The attribute API
     (``stats.drops += 1``, ``stats.messages = 0``) reads and writes those
-    counters' unlabeled series directly.  :meth:`record` and
-    :meth:`record_routing_hops` run once per message and per overlay hop,
-    so they do not read-modify-write through the attributes: each scalar
-    they touch is one ``inc`` on a counter bound at construction.
+    counters' unlabeled series directly.  The ``record*`` methods run once
+    per message or overlay hop, so they do not read-modify-write through
+    the attributes: each scalar they touch is one ``inc`` on a counter
+    bound at construction.
     """
 
     SCALAR_FIELDS = (
@@ -127,6 +127,14 @@ class TrafficStats(RegistryBackedCounters):
         self.by_kind[message.kind] += 1
         self.sent_by_peer[message.sender] += 1
         self.received_by_peer[message.recipient] += 1
+
+    def record_exchange(self, kind: str, size_bytes: int, latency_ms: float) -> None:
+        """Account for one answered request whose ends are real processes:
+        the request frame and the reply frame."""
+        self._messages.inc(2)
+        self._bytes.inc(size_bytes + 64)
+        self._latency_ms.inc(latency_ms)
+        self.by_kind[kind] += 1
 
     def record_routing_hops(
         self, hops: int, size_bytes: int = 32, latency_ms: float = 0.0
@@ -286,16 +294,14 @@ class Transport(ABC):
         if policy is None:
             policy = self.policy if rank == 0 else self.failover_policy
         return Request(
-            self, recipient, kind, policy, observer,
-            lambda: self._attempt(sender, recipient, kind, payload, size_bytes, trace_ctx),
-        ).future
+            self, sender, recipient, kind, payload, size_bytes, trace_ctx, policy, observer
+        )
 
-    def _attempt(
-        self, sender: int, recipient: int, kind: str, payload: Any, size_bytes: int, trace_ctx: Any
-    ) -> SimFuture:
-        """One try of :meth:`request` on a clocked transport: send it and
-        return a future that settles with the reply, a busy or unreachable
-        rejection, or the peer's own error — never because of silence."""
+    def _attempt(self, request: Request, attempt: int, sent_at: float) -> Any:
+        """One try of ``request`` on a clocked transport: send it, return
+        a handle whose ``cancel()`` abandons it, and report its reply, a
+        busy or unreachable rejection, or the peer's own error — never
+        silence — to ``request.landed(attempt, sent_at, value, error)``."""
         raise NotImplementedError
 
     def close(self) -> None:

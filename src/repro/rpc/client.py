@@ -30,6 +30,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from functools import partial
 from typing import Any, Callable, Sequence
 
 from repro.chord.hashing import node_id_for_address
@@ -56,7 +57,6 @@ from repro.obs.trace import QueryTrace
 from repro.ranges.interval import IntRange
 from repro.rpc import wire
 from repro.rpc.engine import QueryEngine, TimedQueryResult
-from repro.sim.futures import SimFuture
 from repro.sim.policies import (
     AdaptiveTimeout,
     CircuitBreaker,
@@ -175,44 +175,45 @@ class SocketTransport(Transport):
             self.stats.record_routing_hops(edges)
         fn([0.0] * edges)
 
-    def _attempt(
-        self, sender: int, recipient: int, kind: str, payload: Any, size_bytes: int, trace_ctx: Any
-    ) -> SimFuture:
-        """Post one exchange on the recipient's connection.  An answer is
-        charged here, a frame each way; a refused connection marks the
-        peer dead for failover planning."""
-        attempt: SimFuture = SimFuture()
-        sent_at = self.now()
-        # Over the cache ``wire.call`` hands back the posted exchange, a
-        # future already: ``ensure_future`` makes no task to wait for it.
+    def _attempt(self, request: Request, attempt: int, sent_at: float) -> Any:
+        """Post one exchange on the recipient's connection: the exchange
+        is the handle, and its done-callback reports to ``request``."""
         # The trace context rides as an optional envelope field; old
         # servers ignore it, so traced and untraced requests interoperate.
-        exchange = asyncio.ensure_future(
-            wire.call(
-                *self.endpoints[recipient], kind, payload,
-                connections=self.connections, sender=sender, peer_id=recipient,
-                trace=trace_ctx.to_wire() if trace_ctx is not None else None,
-            )
+        trace_ctx = request.trace_ctx
+        exchange = wire.call(
+            *self.endpoints[request.recipient], request.kind, request.payload,
+            connections=self.connections, sender=request.sender,
+            peer_id=request.recipient,
+            trace=trace_ctx.to_wire() if trace_ctx is not None else None,
         )
+        landed = partial(self._landed, request, attempt, sent_at)
+        if isinstance(exchange, wire.Exchange) and not exchange.done():
+            # Parked on its connection: the reply is taken where it lands.
+            exchange.on_settle = landed
+        else:
+            # Failed on posting, or wrapped in a coroutine: a loop turn.
+            exchange = asyncio.ensure_future(exchange)
+            exchange.add_done_callback(landed)
+        return exchange
 
-        def landed(reply: asyncio.Future) -> None:
-            if reply.cancelled():
-                return
-            error = reply.exception()
-            if error is not None:
-                if isinstance(error, PeerUnavailableError):
-                    self.dead.add(recipient)
-                attempt.reject(error)
-            elif not attempt.done:  # an answer nobody waits for is not charged
-                self.stats.messages += 2  # request + reply frames
-                self.stats.bytes += size_bytes + 64
-                self.stats.latency_ms += self.now() - sent_at
-                self.stats.by_kind[kind] += 1
-                attempt.resolve(reply.result())
-
-        exchange.add_done_callback(landed)
-        attempt.add_done_callback(lambda _settled: exchange.cancel())
-        return attempt
+    def _landed(
+        self, request: Request, attempt: int, sent_at: float, reply: asyncio.Future
+    ) -> None:
+        """An answer is charged here, a frame each way, unless nobody waits
+        for it any more; a refused connection marks the peer dead for
+        failover planning."""
+        if reply.cancelled():
+            return
+        error = reply.exception()
+        if error is not None:
+            if isinstance(error, PeerUnavailableError):
+                self.dead.add(request.recipient)
+            if request in self._live:
+                request.landed(attempt, sent_at, None, error)
+        elif request in self._live:
+            self.stats.record_exchange(request.kind, request.size_bytes, self.now() - sent_at)
+            request.landed(attempt, sent_at, reply.result(), None)
 
 
 class ClientSystem(HashedPlacement):
@@ -288,15 +289,6 @@ class ClusterClient:
 
     def _run(self, coroutine):
         return self.loop.run_until_complete(coroutine)
-
-    async def _await_future(self, future: SimFuture):
-        """Bridge a SimFuture settled by transport tasks into awaitable."""
-        done = self.loop.create_future()
-        future.add_done_callback(
-            lambda settled: done.done() or done.set_result(settled)
-        )
-        settled = await done
-        return settled.result()
 
     def _on_breaker_transition(self, peer_id: int, old: str, new: str) -> None:
         """Record breaker flips; an opening breaker dumps the black box."""
@@ -390,11 +382,10 @@ class ClusterClient:
 
     def pick_origin(self) -> int:
         """A random believed-alive member to originate routing from."""
-        alive = [
-            node_id
-            for node_id in self.system.router.node_ids
-            if self.transport.is_alive(node_id)
-        ]
+        alive = self.system.router.node_ids
+        dead = self.transport.dead
+        if dead:
+            alive = [node_id for node_id in alive if node_id not in dead]
         if not alive:
             raise ReproError("no alive peer can originate a query")
         return alive[int(self._rng.integers(len(alive)))]
@@ -420,15 +411,21 @@ class ClusterClient:
         """One full query (locate, match, store-on-miss) over sockets."""
         if origin is None:
             origin = self.pick_origin()
+        # Started from a loop callback, not a task: the engine's future
+        # settles ``done`` directly, and no coroutine steps in between.
+        done = self.loop.create_future()
 
-        async def go() -> TimedQueryResult:
-            future = self.engine.query(
-                query, relation, attribute, origin,
-                padding=padding, trace=trace,
-            )
-            return await self._await_future(future)
+        def start() -> None:
+            try:
+                self.engine.query(
+                    query, relation, attribute, origin,
+                    padding=padding, trace=trace,
+                ).add_done_callback(done.set_result)
+            except Exception as exc:  # noqa: BLE001 — raised to the caller
+                done.set_exception(exc)
 
-        return self._run(go())
+        self.loop.call_soon(start)
+        return self._run(done).result()
 
     def query_traced(
         self,

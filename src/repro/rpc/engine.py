@@ -43,12 +43,13 @@ sync/sim divergences this unification removed are documented in DESIGN
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.net.transport import Transport
 from repro.obs.distributed import TraceContext
 from repro.obs.log import get_logger
-from repro.obs.trace import NULL_TRACE, QueryTrace, Span
+from repro.obs.trace import NULL_TRACE, QueryTrace
 from repro.ranges.interval import IntRange
 from repro.sim.futures import SimFuture, gather
 from repro.sim.policies import HedgePolicy
@@ -133,7 +134,7 @@ class _ChainTotals:
     @property
     def overlay_hops(self) -> int:
         """Routing plus failover hops, summed over chains."""
-        return sum(c.hops + c.failover_hops for c in self.chains)
+        return sum([c.hops + c.failover_hops for c in self.chains])
 
     @property
     def answered_by(self) -> tuple[int, ...]:
@@ -233,6 +234,344 @@ class TimedQueryResult(_ChainTotals):
         return self.timeouts > 0 or self.partial
 
 
+class _Locate:
+    """Steps 1-4 of one query as one continuation, which its ``l`` chains
+    settle directly; ``then`` receives the :class:`LocatePhase`.  Chains
+    count once all have started, those that settled while starting (a
+    synchronous transport runs each to its end) in chain order."""
+
+    __slots__ = (
+        "engine", "hashed_query", "relation", "attribute", "origin", "trace",
+        "span", "started", "chains", "outcomes", "remaining", "concluded",
+        "then",
+    )
+
+    def __init__(
+        self, engine: "QueryEngine", hashed_query: IntRange, relation: str,
+        attribute: str, origin: int, trace: QueryTrace, then,
+    ) -> None:
+        system = engine.system
+        self.engine = engine
+        self.hashed_query = hashed_query
+        self.relation = relation
+        self.attribute = attribute
+        self.origin = origin
+        self.trace = trace
+        self.then = then
+        self.started = engine.transport.now()
+        if trace is NULL_TRACE:
+            identifiers = system.identifiers_for(hashed_query)
+        else:
+            with trace.span("hash") as hash_span:
+                identifiers = system.identifiers_for(hashed_query)
+                for group, identifier in enumerate(identifiers):
+                    hash_span.event(
+                        "group", group=group, identifier=identifier,
+                        placed=system.place_identifier(identifier),
+                    )
+        self.span = trace.span("locate", origin=origin)
+        self.outcomes: list[ChainOutcome] = []
+        self.concluded = False
+        self.remaining = -1  # still starting chains: settlements wait
+        self.chains = [_Chain(self, identifier) for identifier in identifiers]
+        self.remaining = len(self.chains)
+        if not self.chains:
+            self.conclude([], False)
+        for chain in self.chains:
+            if chain.outcome is not None:
+                self.settled(chain)
+
+    def settled(self, chain: "_Chain") -> None:
+        """``chain`` answered or ran out of candidates."""
+        self.remaining -= 1
+        if self.concluded:
+            return
+        engine = self.engine
+        m = engine.quorum_m
+        if not m or m >= len(self.chains):
+            if self.remaining == 0:
+                self.conclude([c.outcome for c in self.chains], False)
+            return
+        # Partial quorum: answer as soon as m chains replied with a
+        # good-enough best match; the stragglers are cancelled.
+        outcomes = self.outcomes
+        outcomes.append(chain.outcome)
+        answered = sum(1 for c in outcomes if c.reply is not None)
+        best = max(
+            (
+                c.reply.score
+                for c in outcomes
+                if c.reply is not None and c.reply.descriptor is not None
+            ),
+            default=None,
+        )
+        if (
+            self.remaining > 0
+            and answered >= m
+            and best is not None
+            and best >= engine.quorum_threshold
+        ):
+            self.span.event(
+                "quorum", answered=answered, cancelled=self.remaining, best_score=best
+            )
+            for straggler in self.chains:
+                straggler.cancel()
+            self.conclude(list(outcomes), True)
+        elif self.remaining == 0:
+            self.conclude(list(outcomes), False)
+
+    def conclude(self, chains: list[ChainOutcome], partial: bool) -> None:
+        self.concluded = True
+        locate_ms = self.engine.transport.now() - self.started
+        route_ms = max([c.route_ms for c in chains], default=0.0)
+        timeouts = failovers = 0
+        best: MatchReply | None = None
+        for c in chains:
+            if c.timed_out:
+                timeouts += 1
+            elif c.failovers > 0:
+                failovers += 1
+            reply = c.reply
+            if (
+                reply is not None
+                and reply.descriptor is not None
+                and (best is None or reply.score > best.score)
+            ):
+                best = reply
+        phase = LocatePhase(
+            self.hashed_query, tuple(chains), partial, best, self.started,
+            locate_ms=locate_ms, route_ms=route_ms, timeouts=timeouts,
+            failovers=failovers,
+        )
+        if self.span is not NULL_TRACE:
+            self.span.end(
+                hops=phase.overlay_hops, timeouts=timeouts, failovers=failovers,
+                best_score=best.score if best is not None else None,
+                best_peer=best.peer_id if best is not None else None,
+            )
+        self.then(phase)
+
+
+class _Chain:
+    """One identifier's lookup, as one continuation object that settles
+    its :class:`_Locate` once: travel the overlay path (reliable, so one
+    :meth:`~repro.net.transport.Transport.travel` that lands once), then
+    ask the candidates — the owner under the transport's base policy,
+    each failover after one successor-pointer hop under the
+    single-attempt budget, a hedge concurrently once the hedge delay
+    passes; the first answer wins.  Settling (an outcome or a cancel)
+    cancels every outstanding request and timer.  Exhausting every
+    replica is an outcome too (``timed_out=True``): dead peers degrade
+    the query instead of failing it.
+    """
+
+    __slots__ = (
+        "locate", "identifier", "placed", "path", "vias", "owner", "hops",
+        "span", "traced", "departed", "route_ms", "match_started",
+        "candidates", "next", "active", "charged", "requests", "timers",
+        "done", "outcome",
+    )
+
+    def __init__(self, locate: _Locate, identifier: int) -> None:
+        engine = locate.engine
+        system = engine.system
+        transport = engine.transport
+        self.locate = locate
+        self.identifier = identifier
+        self.placed = placed = system.place_identifier(identifier)
+        # Untraced nobody reads the routing edges, so the router is not
+        # asked to report them, and no trace call is made.
+        self.traced = traced = locate.span is not NULL_TRACE
+        if traced:
+            self.vias = vias = []
+            self.path = system.router.route(
+                placed, start_id=locate.origin, recorder=lambda _f, _t, via: vias.append(via)
+            )
+            self.span = locate.span.span("chain", identifier=identifier, placed=placed)
+            self.departed = transport.now()
+        else:
+            self.path = system.router.route(placed, start_id=locate.origin)
+            self.span = NULL_TRACE
+        self.owner = self.path[-1]
+        self.hops = len(self.path) - 1
+        #: next: rank of the next untried candidate; active: requests
+        #: currently in flight; charged: failover hops charged so far.
+        self.next = 1
+        self.active = 0
+        self.charged = 0
+        self.requests: list[SimFuture] = []
+        self.timers: list = []
+        self.done = False
+        self.outcome: ChainOutcome | None = None
+        transport.travel(self.path, self.land)
+
+    def land(self, delays: list[float]) -> None:
+        """The route landed at the owner: plan the candidates and ask."""
+        engine = self.locate.engine
+        transport = engine.transport
+        if self.traced:
+            # Each hop stamped with its own arrival, folded from the
+            # departure.
+            at, path, vias = self.departed, self.path, self.vias
+            for edge, delay in enumerate(delays):
+                at += delay
+                self.span.event_at(
+                    at, "route-hop", source=path[edge], target=path[edge + 1],
+                    via=vias[edge] if edge < len(vias) else "?",
+                    delay_ms=delay,
+                )
+        self.match_started = now = transport.now()
+        self.route_ms = now - self.locate.started
+        candidates = engine.system.failover_candidates(
+            self.identifier, is_alive=transport.is_alive, placed=self.placed
+        )
+        if self.owner not in candidates:
+            candidates.insert(0, self.owner)
+        self.candidates = candidates
+        self.launch(0, False)
+        hedge = engine.hedge
+        if hedge is not None and len(candidates) > 1 and not self.done:
+            hedge_delay = hedge.delay_ms()
+            if hedge_delay is not None:
+                self.timers.append(transport.call_later(hedge_delay, self.fire_hedge))
+
+    def fire_hedge(self) -> None:
+        nxt = self.next
+        if self.done or nxt >= len(self.candidates):
+            return
+        self.next = nxt + 1
+        self.launch(nxt, True)
+
+    def launch(self, rank: int, hedged: bool) -> None:
+        if self.done or rank >= len(self.candidates):
+            return
+        locate = self.locate
+        transport = locate.engine.transport
+        candidate = self.candidates[rank]
+        self.active += 1
+        span = self.span
+        if hedged:
+            transport.stats.hedges += 1
+            span.event("hedge-launch", peer=candidate, rank=rank)
+        observer = None
+        trace_ctx = None
+        if self.traced:
+            span.event("attempt", peer=candidate, rank=rank)
+
+            def observer(name: str, attrs: dict) -> None:
+                span.event(
+                    name if name == "breaker-open" else f"net-{name}",
+                    **{"peer": candidate, **attrs},
+                )
+
+            trace_ctx = _trace_ctx(locate.trace, span)
+        request = transport.request(
+            locate.origin, candidate, "match-request",
+            payload=(self.identifier, locate.hashed_query, locate.relation, locate.attribute),
+            rank=rank, observer=observer, trace_ctx=trace_ctx,
+        )
+        self.requests.append(request)
+        request.add_done_callback(partial(self.answered, candidate, rank, hedged))
+
+    def answered(
+        self, candidate: int, rank: int, hedged: bool, settled: SimFuture
+    ) -> None:
+        """The request to ``candidates[rank]`` settled."""
+        self.active -= 1
+        if self.done:
+            return
+        self.requests.remove(settled)  # nothing left to cancel there
+        engine = self.locate.engine
+        transport = engine.transport
+        span = self.span
+        if settled.failed:
+            nxt = self.next
+            candidates = self.candidates
+            if nxt < len(candidates):
+                self.next = nxt + 1
+                span.event("failover", source=candidate, target=candidates[nxt])
+                # One successor-pointer hop to the next replica.
+                self.charged += 1
+                self.timers.append(transport.hop(
+                    candidate, candidates[nxt], lambda _delay: self.launch(nxt, False)
+                ))
+            elif self.active == 0:
+                self.exhausted()
+            return
+        if hedged:
+            transport.stats.hedge_wins += 1
+            span.event("hedge-win", peer=candidate, rank=rank)
+        elif rank > 0:
+            transport.stats.failovers += 1
+            engine.system.counters.failovers += 1
+            logger.info(
+                "degraded answer for identifier %d at t=%.1f: "
+                "replica %d answered after %d failover step(s)",
+                self.identifier, transport.now(), candidate, rank,
+            )
+        answer = settled.result()
+        descriptor, score = answer if answer is not None else (None, 0.0)
+        reply = MatchReply(candidate, self.identifier, descriptor, score)
+        if self.traced:
+            span.event(
+                "match-reply", peer=candidate, score=reply.score,
+                descriptor=str(descriptor) if descriptor is not None else None,
+            )
+        if engine.hedge is not None:
+            engine.hedge.observe(transport.now() - self.match_started)
+        self.finish(reply, False, 0 if hedged else rank, hedged)
+
+    def exhausted(self) -> None:
+        engine = self.locate.engine
+        transport = engine.transport
+        candidates = len(self.candidates)
+        transport.stats.failover_exhausted += 1
+        engine.system.counters.failed_lookups += 1
+        logger.warning(
+            "identifier %d unreachable at t=%.1f: all %d "
+            "candidates exhausted their budget",
+            self.identifier, transport.now(), candidates,
+        )
+        self.span.event("unreachable", candidates=candidates)
+        self.finish(None, True, candidates - 1)
+
+    def finish(
+        self, reply: MatchReply | None, timed_out: bool, failovers: int,
+        hedged: bool = False,
+    ) -> None:
+        if self.traced:
+            self.span.end(
+                owner=self.owner, hops=self.hops, timed_out=timed_out,
+                failovers=failovers,
+                answered_by=reply.peer_id if reply is not None else None,
+            )
+        locate = self.locate
+        self.outcome = ChainOutcome(
+            self.identifier, self.owner, self.hops, self.route_ms, reply,
+            completed_ms=locate.engine.transport.now() - locate.started,
+            timed_out=timed_out, failovers=failovers, hedged=hedged,
+            failover_hops=self.charged,
+        )
+        self.release()
+        if locate.remaining >= 0:  # else counted once every chain started
+            locate.settled(self)
+
+    def cancel(self) -> None:
+        """The quorum was met without this chain."""
+        if not self.done:
+            self.release()
+            self.span.end(cancelled=True)
+
+    def release(self) -> None:
+        # Nothing launched on the chain's behalf may keep running: the
+        # losing hedge's request, queued failover hops, the hedge timer.
+        self.done = True
+        for timer in self.timers:
+            timer.cancel()
+        for request in self.requests:
+            request.cancel()
+
+
 class QueryEngine:
     """The query procedure, bound to one system and one transport.
 
@@ -284,14 +623,11 @@ class QueryEngine:
         if applied > 0:
             trace.event("padded", padding=applied, hashed=str(hashed_query))
         out: SimFuture[TimedQueryResult] = SimFuture()
-        located = self.locate(
-            hashed_query, relation, attribute, origin, trace=trace
-        )
-        located.add_done_callback(
-            lambda settled: self._after_locate(
-                settled.result(), query, relation, attribute, origin,
-                out, trace,
-            )
+        _Locate(
+            self, hashed_query, relation, attribute, origin, trace,
+            lambda phase: self._after_locate(
+                phase, query, relation, attribute, origin, out, trace
+            ),
         )
         return out
 
@@ -311,115 +647,11 @@ class QueryEngine:
         the system counters here; query-level counting happens in
         :meth:`query`.
         """
-        trace = trace if trace is not None else NULL_TRACE
-        system = self.system
-        started = self.transport.now()
-        with trace.span("hash") as hash_span:
-            identifiers = system.identifiers_for(hashed_query)
-            if hash_span:
-                for group, identifier in enumerate(identifiers):
-                    hash_span.event(
-                        "group",
-                        group=group,
-                        identifier=identifier,
-                        placed=system.place_identifier(identifier),
-                    )
-        locate_span = trace.span("locate", origin=origin)
-        chain_futures = [
-            self._run_chain(
-                origin, identifier, hashed_query, relation, attribute,
-                started, parent=locate_span, trace=trace,
-            )
-            for identifier in identifiers
-        ]
         out: SimFuture[LocatePhase] = SimFuture()
-
-        def conclude(chains: list[ChainOutcome], partial: bool) -> None:
-            locate_ms = self.transport.now() - started
-            route_ms = max((c.route_ms for c in chains), default=0.0)
-            timeouts = sum(1 for c in chains if c.timed_out)
-            failovers = sum(
-                1 for c in chains if not c.timed_out and c.failovers > 0
-            )
-            best = max(
-                (
-                    c.reply
-                    for c in chains
-                    if c.reply is not None and c.reply.descriptor is not None
-                ),
-                key=lambda reply: reply.score,
-                default=None,
-            )
-            phase = LocatePhase(
-                hashed_query=hashed_query,
-                chains=tuple(chains),
-                partial=partial,
-                best=best,
-                started=started,
-                locate_ms=locate_ms,
-                route_ms=route_ms,
-                timeouts=timeouts,
-                failovers=failovers,
-            )
-            locate_span.end(
-                hops=phase.overlay_hops,
-                timeouts=timeouts,
-                failovers=failovers,
-                best_score=best.score if best is not None else None,
-                best_peer=best.peer_id if best is not None else None,
-            )
-            out.resolve(phase)
-
-        m = self.quorum_m
-        if m and m < len(chain_futures):
-            # Partial quorum: answer as soon as m chains replied with a
-            # good-enough best match; the stragglers are cancelled.
-            threshold = self.quorum_threshold
-            outcomes: list[ChainOutcome] = []
-            remaining = [len(chain_futures)]
-            completing = [False]
-
-            def on_chain(settled: SimFuture) -> None:
-                remaining[0] -= 1
-                if completing[0]:
-                    return  # a cancellation triggered by early completion
-                if not settled.failed:
-                    outcomes.append(settled.result())
-                answered = sum(1 for c in outcomes if c.reply is not None)
-                best = max(
-                    (
-                        c.reply.score
-                        for c in outcomes
-                        if c.reply is not None and c.reply.descriptor is not None
-                    ),
-                    default=None,
-                )
-                if (
-                    remaining[0] > 0
-                    and answered >= m
-                    and best is not None
-                    and best >= threshold
-                ):
-                    completing[0] = True
-                    locate_span.event(
-                        "quorum",
-                        answered=answered,
-                        cancelled=remaining[0],
-                        best_score=best,
-                    )
-                    for chain_future in chain_futures:
-                        chain_future.cancel()
-                    conclude(list(outcomes), partial=True)
-                elif remaining[0] == 0:
-                    completing[0] = True
-                    conclude(list(outcomes), partial=False)
-
-            for chain_future in chain_futures:
-                chain_future.add_done_callback(on_chain)
-        else:
-            gather(chain_futures).add_done_callback(
-                lambda settled: conclude(settled.result(), False)
-            )
+        _Locate(
+            self, hashed_query, relation, attribute, origin,
+            trace if trace is not None else NULL_TRACE, out.resolve,
+        )
         return out
 
     def store(
@@ -509,252 +741,6 @@ class QueryEngine:
         return out
 
     # -- internals -----------------------------------------------------
-
-    def _run_chain(
-        self,
-        origin: int,
-        identifier: int,
-        hashed_query: IntRange,
-        relation: str,
-        attribute: str,
-        started: float,
-        parent: "Span | None" = None,
-        trace: "QueryTrace | None" = None,
-    ) -> SimFuture[ChainOutcome]:
-        """One identifier: travel the overlay path, then ask the owner —
-        failing over down the successor list when the owner is
-        unreachable.
-
-        Routing hops are charged per edge but modelled as reliable — the
-        iterative Chord lookup retries hops internally — so the route is
-        one :meth:`~repro.net.transport.Transport.travel` that lands once,
-        at its last hop's arrival; the request/reply
-        legs to the replicas are where loss and crashes bite.  The first
-        attempt (the owner) runs under the transport's base policy; each
-        failover attempt gets the single-attempt failover budget and is
-        charged one successor-pointer hop.  With hedging enabled, a chain
-        still unanswered at the hedge delay additionally launches the next
-        untried replica *concurrently* — first answer wins, and settling
-        the chain (resolve or cancel) cancels every outstanding request
-        and timer.  The chain future always *resolves* (exhausting every
-        replica yields ``timed_out=True``), so dead peers degrade the
-        query instead of failing it.
-        """
-        transport = self.transport
-        system = self.system
-        parent = parent if parent is not None else NULL_TRACE
-        trace = trace if trace is not None else NULL_TRACE
-        placed = system.place_identifier(identifier)
-        # Untraced (``parent`` is the falsy NULL_TRACE) nobody reads the
-        # routing edges, so the router is not asked to report them.
-        vias: list[str] = []
-        if parent:
-            path = system.router.route(
-                placed,
-                start_id=origin,
-                recorder=lambda _from, _to, via: vias.append(via),
-            )
-        else:
-            path = system.router.route(placed, start_id=origin)
-        owner = path[-1]
-        hops = len(path) - 1
-        span = parent.span("chain", identifier=identifier, placed=placed)
-        chain: SimFuture[ChainOutcome] = SimFuture()
-        outstanding: list[SimFuture] = []
-        pending_timers: list = []
-
-        def on_chain_settled(settled: SimFuture) -> None:
-            # Whether the chain resolved or was cancelled (quorum already
-            # met), nothing launched on its behalf may keep running: the
-            # losing hedge's request, queued failover hops, the hedge
-            # timer — all released here.
-            for timer in pending_timers:
-                timer.cancel()
-            for request in outstanding:
-                request.cancel()
-            if settled.cancelled:
-                span.end(cancelled=True)
-
-        chain.add_done_callback(on_chain_settled)
-
-        def finish(
-            reply: MatchReply | None,
-            route_ms: float,
-            timed_out: bool,
-            failovers: int,
-            hedged: bool = False,
-            failover_hops: int = 0,
-        ) -> None:
-            if chain.done:
-                return
-            span.end(
-                owner=owner,
-                hops=hops,
-                timed_out=timed_out,
-                failovers=failovers,
-                answered_by=reply.peer_id if reply is not None else None,
-            )
-            chain.resolve(
-                ChainOutcome(
-                    identifier=identifier,
-                    owner=owner,
-                    hops=hops,
-                    route_ms=route_ms,
-                    reply=reply,
-                    completed_ms=transport.now() - started,
-                    timed_out=timed_out,
-                    failovers=failovers,
-                    hedged=hedged,
-                    failover_hops=failover_hops,
-                )
-            )
-
-        def ask_replicas(delays) -> None:
-            # Runs once, when the route lands; a traced chain stamps each
-            # hop with its own arrival, folded from the departure.
-            if span:
-                at = departed
-                for edge, delay in enumerate(delays):
-                    at += delay
-                    span.event_at(
-                        at, "route-hop", source=path[edge],
-                        target=path[edge + 1],
-                        via=vias[edge] if edge < len(vias) else "?",
-                        delay_ms=delay,
-                    )
-            route_ms = transport.now() - started
-            match_started = transport.now()
-            candidates = system.failover_candidates(
-                identifier, is_alive=transport.is_alive
-            )
-            if owner not in candidates:
-                candidates.insert(0, owner)
-            #: next: rank of the next untried candidate; active: requests
-            #: currently in flight; charged: failover hops charged so far.
-            state = {"next": 1, "active": 0, "charged": 0}
-
-            def exhausted() -> None:
-                transport.stats.failover_exhausted += 1
-                system.counters.failed_lookups += 1
-                logger.warning(
-                    "identifier %d unreachable at t=%.1f: all %d "
-                    "candidates exhausted their budget",
-                    identifier, transport.now(), len(candidates),
-                )
-                span.event("unreachable", candidates=len(candidates))
-                finish(
-                    None, route_ms, timed_out=True,
-                    failovers=len(candidates) - 1,
-                    failover_hops=state["charged"],
-                )
-
-            def launch(rank: int, hedged: bool) -> None:
-                if chain.done or rank >= len(candidates):
-                    return
-                candidate = candidates[rank]
-                state["active"] += 1
-                if hedged:
-                    transport.stats.hedges += 1
-                    span.event("hedge-launch", peer=candidate, rank=rank)
-                span.event("attempt", peer=candidate, rank=rank)
-                request = transport.request(
-                    origin,
-                    candidate,
-                    "match-request",
-                    payload=(identifier, hashed_query, relation, attribute),
-                    rank=rank,
-                    observer=(
-                        lambda name, attrs: span.event(
-                            name if name == "breaker-open" else f"net-{name}",
-                            **{"peer": candidate, **attrs},
-                        )
-                    ) if span else None,
-                    trace_ctx=_trace_ctx(trace, span),
-                )
-                outstanding.append(request)
-
-                def on_done(settled: SimFuture) -> None:
-                    state["active"] -= 1
-                    if chain.done:
-                        return
-                    if settled.failed:
-                        nxt = state["next"]
-                        if nxt < len(candidates):
-                            state["next"] = nxt + 1
-                            span.event(
-                                "failover",
-                                source=candidate,
-                                target=candidates[nxt],
-                            )
-                            # One successor-pointer hop to the next replica.
-                            state["charged"] += 1
-                            pending_timers.append(
-                                transport.hop(
-                                    candidate,
-                                    candidates[nxt],
-                                    lambda _delay: launch(nxt, hedged=False),
-                                )
-                            )
-                        elif state["active"] == 0:
-                            exhausted()
-                        return
-                    if hedged:
-                        transport.stats.hedge_wins += 1
-                        span.event("hedge-win", peer=candidate, rank=rank)
-                    elif rank > 0:
-                        transport.stats.failovers += 1
-                        system.counters.failovers += 1
-                        logger.info(
-                            "degraded answer for identifier %d at t=%.1f: "
-                            "replica %d answered after %d failover step(s)",
-                            identifier, transport.now(), candidate, rank,
-                        )
-                    answer = settled.result()
-                    if answer is None:
-                        reply = MatchReply(candidate, identifier, None, 0.0)
-                    else:
-                        descriptor, score = answer
-                        reply = MatchReply(candidate, identifier, descriptor, score)
-                    if span:
-                        span.event(
-                            "match-reply",
-                            peer=candidate,
-                            score=reply.score,
-                            descriptor=(
-                                str(reply.descriptor)
-                                if reply.descriptor is not None
-                                else None
-                            ),
-                        )
-                    if self.hedge is not None:
-                        self.hedge.observe(transport.now() - match_started)
-                    finish(
-                        reply, route_ms, timed_out=False,
-                        failovers=0 if hedged else rank, hedged=hedged,
-                        failover_hops=state["charged"],
-                    )
-
-                request.add_done_callback(on_done)
-
-            launch(0, hedged=False)
-            if self.hedge is not None and len(candidates) > 1:
-                hedge_delay = self.hedge.delay_ms()
-                if hedge_delay is not None:
-
-                    def fire_hedge() -> None:
-                        if chain.done or state["next"] >= len(candidates):
-                            return
-                        nxt = state["next"]
-                        state["next"] = nxt + 1
-                        launch(nxt, hedged=True)
-
-                    pending_timers.append(
-                        transport.call_later(hedge_delay, fire_hedge)
-                    )
-
-        departed = transport.now()
-        transport.travel(path, ask_replicas)
-        return chain
 
     def _after_locate(
         self,

@@ -151,9 +151,13 @@ class PlacementService:
                 )
                 unconfirmed.update(digest)
                 continue
+            skipped = float(sum(map(bool, present)))
+            if skipped:
+                self._count(
+                    "repair.push.skipped", "copies the digest showed already in place", skipped
+                )
             for copy, key, has in zip(copies, digest, present):
                 if has:
-                    self._count("repair.push.skipped", "copies the digest showed already in place")
                     continue
                 missing += 1
                 try:

@@ -377,6 +377,9 @@ class Exchange(asyncio.Future):
     connection: "Connection | None" = None
     id = -1
     timer: asyncio.TimerHandle | None = None
+    #: Called with the exchange the moment it settles (not when cancelled),
+    #: which saves a waiter the loop turn a done-callback waits for.
+    on_settle: "Callable[[Exchange], None] | None" = None
 
     def __init__(
         self,
@@ -406,6 +409,13 @@ class Exchange(asyncio.Future):
             self.set_result(value)
         else:
             self.set_exception(error)
+        if self.on_settle is not None:
+            try:
+                self.on_settle(self)
+            except Exception as exc:  # noqa: BLE001 - the waiter's fault: reported, as a callback's
+                self.get_loop().call_exception_handler(
+                    {"message": "Exchange.on_settle failed", "exception": exc, "future": self}
+                )
 
     def abandon(self) -> None:
         if self.connection is not None:

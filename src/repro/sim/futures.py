@@ -18,53 +18,34 @@ T = TypeVar("T")
 
 __all__ = ["SimFuture", "gather"]
 
-_PENDING = "pending"
-_RESOLVED = "resolved"
-_REJECTED = "rejected"
-_CANCELLED = "cancelled"
-
 
 class SimFuture(Generic[T]):
-    """A single-assignment slot filled at some later virtual time."""
+    """A single-assignment slot filled at some later virtual time; its
+    state is three attributes :meth:`_settle` writes: ``done``, ``failed``
+    (cancelling counts — a cancelled future carries a
+    :class:`~repro.errors.FutureCancelledError`, so fan-out code needs no
+    third case) and ``cancelled``."""
 
-    __slots__ = ("_state", "_value", "_error", "_callbacks")
+    __slots__ = ("done", "failed", "cancelled", "_value", "_error", "_callbacks")
 
     def __init__(self) -> None:
-        self._state = _PENDING
+        self.done = False
+        self.failed = False
+        self.cancelled = False
         self._value: T | None = None
         self._error: BaseException | None = None
         self._callbacks: list[Callable[["SimFuture[T]"], None]] = []
 
     # -- inspection ----------------------------------------------------
 
-    @property
-    def done(self) -> bool:
-        """Whether the future has settled (either way)."""
-        return self._state != _PENDING
-
-    @property
-    def failed(self) -> bool:
-        """Whether the future settled with an error (cancellation counts:
-        a cancelled future carries a
-        :class:`~repro.errors.FutureCancelledError`, so fan-out code that
-        partitions outcomes into values and exceptions needs no third
-        case)."""
-        return self._state in (_REJECTED, _CANCELLED)
-
-    @property
-    def cancelled(self) -> bool:
-        """Whether the future was settled by :meth:`cancel`."""
-        return self._state == _CANCELLED
-
     def result(self) -> T:
         """The resolved value; raises the error if rejected/cancelled, or
         :class:`RuntimeError` if still pending."""
-        if self._state == _RESOLVED:
-            return self._value  # type: ignore[return-value]
-        if self._state in (_REJECTED, _CANCELLED):
-            assert self._error is not None
-            raise self._error
-        raise RuntimeError("future is still pending")
+        if not self.done:
+            raise RuntimeError("future is still pending")
+        if self.failed:
+            raise self._error  # type: ignore[misc]
+        return self._value  # type: ignore[return-value]
 
     def exception(self) -> BaseException | None:
         """The rejection/cancellation error, or None when pending/resolved."""
@@ -74,11 +55,11 @@ class SimFuture(Generic[T]):
 
     def resolve(self, value: T) -> None:
         """Settle successfully with ``value``."""
-        self._settle(_RESOLVED, value=value)
+        self._settle(value, None)
 
     def reject(self, error: BaseException) -> None:
         """Settle with an error."""
-        self._settle(_REJECTED, error=error)
+        self._settle(None, error)
 
     def cancel(self) -> bool:
         """Abandon a pending future; returns whether anything changed.
@@ -92,17 +73,19 @@ class SimFuture(Generic[T]):
         """
         if self.done:
             return False
-        self._settle(_CANCELLED, error=FutureCancelledError("future cancelled"))
+        self.cancelled = True
+        self._settle(None, FutureCancelledError("future cancelled"))
         return True
 
-    def _settle(self, state: str, value: Any = None, error: BaseException | None = None) -> None:
-        if self._state == _CANCELLED:
-            # The operation was abandoned; a late resolution (the losing
-            # hedge's reply finally landing) is dropped silently.
-            return
-        if self._state != _PENDING:
-            raise RuntimeError(f"future already {self._state}")
-        self._state = state
+    def _settle(self, value: Any, error: BaseException | None) -> None:
+        if self.done:
+            if self.cancelled:
+                # The operation was abandoned; a late resolution (the
+                # losing hedge's reply finally landing) is dropped silently.
+                return
+            raise RuntimeError(f"future already {'rejected' if self.failed else 'resolved'}")
+        self.done = True
+        self.failed = error is not None
         self._value = value
         self._error = error
         callbacks, self._callbacks = self._callbacks, []

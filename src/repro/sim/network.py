@@ -292,10 +292,16 @@ class AsyncNetwork(PeerNetwork):
         self.sim.call_later(out_delay, deliver)
         return future
 
-    def _attempt(
-        self, sender: int, recipient: int, kind: str, payload: Any, size_bytes: int, trace_ctx: Any
-    ) -> SimFuture[Any]:
-        return self.send(sender, recipient, kind, payload, size_bytes)
+    def _attempt(self, request: Request, attempt: int, sent_at: float) -> SimFuture[Any]:
+        posted = self.send(
+            request.sender, request.recipient, request.kind, request.payload,
+            request.size_bytes,
+        )
+        posted.add_done_callback(
+            lambda settled: settled.cancelled
+            or request.landed(attempt, sent_at, settled._value, settled._error)
+        )
+        return posted
 
     # -- the engine's transport: timers and routes land on the clock ----
 

@@ -370,52 +370,56 @@ class CircuitBreaker:
             self._open_now.inc(-1)
 
 
-class Request:
+class Request(SimFuture):
     """One request on a clocked transport (:class:`~repro.sim.network.AsyncNetwork`,
-    :class:`~repro.rpc.client.SocketTransport`), first attempt to settle.
+    :class:`~repro.rpc.client.SocketTransport`), first attempt to settle;
+    the request is its own future.
 
-    The transport supplies the attempts: ``post()`` sends one and returns
-    a future that settles with the reply, a busy or unreachable rejection
-    or the peer's own error — never because of silence.  Attempt ``i``
-    waits the warm :class:`AdaptiveTimeout` value times
-    ``policy.backoff**i``, else ``policy.timeout_for(i)``; after a timeout
-    or a busy reply the next goes out, paced by the
-    :class:`JitteredBackoff`, until the policy's attempts are spent.  The
-    :class:`CircuitBreaker` is asked before every attempt.  The earliest
-    reply from any attempt wins and every answer feeds the estimator (each
-    attempt has its own future, so its round trip is unambiguous); a
-    failure counts only while its attempt is current.  An unreachable
-    rejection or a remote error settles the request at once.
+    The transport supplies the attempts (``_attempt``): each sends one,
+    returns a handle whose ``cancel()`` abandons it, and reports to
+    :meth:`landed` the reply, a busy or unreachable rejection or the
+    peer's own error — never silence.  Attempt ``i`` waits the warm
+    :class:`AdaptiveTimeout` value times ``policy.backoff**i``, else
+    ``policy.timeout_for(i)``; after a timeout or a busy reply the next
+    goes out, paced by the :class:`JitteredBackoff`, until the policy's
+    attempts are spent.  The :class:`CircuitBreaker` is asked before
+    every attempt.  The earliest reply from any attempt wins and every
+    answer feeds the estimator (each attempt reports its own send time,
+    so its round trip is unambiguous); a failure counts only while its
+    attempt is current.  An unreachable rejection or a remote error
+    settles the request at once.
     """
 
     __slots__ = (
-        "transport", "recipient", "kind", "policy", "observer", "post",
-        "future", "started", "attempt", "timer", "posted",
+        "transport", "sender", "recipient", "kind", "payload", "size_bytes",
+        "trace_ctx", "policy", "observer", "started", "attempt", "timer",
+        "posted",
     )
 
     def __init__(
-        self,
-        transport: "Transport",
-        recipient: int,
-        kind: str,
-        policy: RetryPolicy,
+        self, transport: "Transport", sender: int, recipient: int, kind: str,
+        payload: Any, size_bytes: int, trace_ctx: Any, policy: RetryPolicy,
         observer: "Observer | None",
-        post: Callable[[], SimFuture],
     ) -> None:
+        # A pending future whose first callback is the release.
+        self.done = self.failed = self.cancelled = False
+        self._value = self._error = None
+        self._callbacks = [self.release]
         self.transport = transport
+        self.sender = sender
         self.recipient = recipient
         self.kind = kind
+        self.payload = payload
+        self.size_bytes = size_bytes
+        self.trace_ctx = trace_ctx
         self.policy = policy
         self.observer = observer
-        self.post = post
-        self.future: SimFuture = SimFuture()
         self.started = transport.now()
         #: The current attempt, and its patience timer (or its backoff).
         self.attempt = 0
         self.timer: Any = None
-        self.posted: list[SimFuture] = []
+        self.posted: list = []
         transport._live.add(self)
-        self.future.add_done_callback(self.release)
         self.launch()
 
     def notify(self, name: str, **attrs: Any) -> None:
@@ -427,44 +431,50 @@ class Request:
         transport, recipient, attempt = self.transport, self.recipient, self.attempt
         if transport.breaker is not None and not transport.breaker.allow(recipient):
             self.notify("breaker-open", to=recipient)
-            self.future.reject(OpenCircuitError(recipient))
+            self.reject(OpenCircuitError(recipient))
             return
         patience = self.policy.timeout_for(attempt)
         if transport.adaptive is not None:
             warm = transport.adaptive.timeout_ms(recipient)
             if warm is not None:
                 patience = warm * self.policy.backoff**attempt
-        sent_at = transport.now()
-        self.notify("send", attempt=attempt, to=recipient, kind=self.kind)
-        posted = self.post()
-        self.posted.append(posted)
-        self.timer = transport.call_later(patience, self.fail)
-        posted.add_done_callback(lambda settled: self.landed(settled, attempt, sent_at))
+        # The first attempt leaves the instant the request starts.
+        sent_at = self.started if attempt == 0 else transport.now()
+        if self.observer is not None:
+            self.observer("send", {"attempt": attempt, "to": recipient, "kind": self.kind})
+        self.posted.append(transport._attempt(self, attempt, sent_at))
+        if not self.done:  # an unknown recipient fails the attempt on the spot
+            self.timer = transport.call_later(patience, self.fail)
 
-    def landed(self, settled: SimFuture, attempt: int, sent_at: float) -> None:
+    def landed(
+        self, attempt: int, sent_at: float, value: Any, error: BaseException | None
+    ) -> None:
         """Attempt ``attempt``, posted at ``sent_at``, settled."""
-        if self.future.done or settled.cancelled:
+        if self.done:
             return
         transport, recipient = self.transport, self.recipient
-        if settled.failed:
+        if error is not None:
             if attempt != self.attempt:
                 return  # superseded: the retry decides
-            self.timer.cancel()
-            error = settled.exception()
+            if self.timer is not None:
+                self.timer.cancel()
             if isinstance(error, PeerBusyError):
                 self.fail(error)
                 return
             if isinstance(error, PeerUnavailableError):
                 self.notify("unreachable", to=recipient)
-            self.future.reject(error)  # type: ignore[arg-type]
+            self.reject(error)
             return
-        now = transport.now()
         if transport.adaptive is not None:
-            transport.adaptive.observe(recipient, now - sent_at)
+            transport.adaptive.observe(recipient, transport.now() - sent_at)
         if transport.breaker is not None:
             transport.breaker.record_success(recipient)
-        self.notify("reply", ms=now - self.started)
-        self.future.resolve(settled.result())
+        if self.observer is not None:
+            self.observer("reply", {"ms": transport.now() - self.started})
+        # Attempt ``i`` is ``posted[i]``, and the one that answered needs
+        # no cancelling when the request releases the others.
+        del self.posted[attempt]
+        self.resolve(value)
 
     def fail(self, busy: PeerBusyError | None = None) -> None:
         """The current attempt's patience ran out (its reply may still win)
@@ -479,11 +489,11 @@ class Request:
             waited = transport.now() - self.started
             if busy is not None:
                 self.notify("busy-exhausted", attempts=self.attempt, waited_ms=waited)
-                self.future.reject(busy)
+                self.reject(busy)
                 return
             transport.stats.timeouts += 1
             self.notify("timeout", attempts=self.attempt, waited_ms=waited)
-            self.future.reject(RequestTimeoutError(recipient, self.attempt, waited))
+            self.reject(RequestTimeoutError(recipient, self.attempt, waited))
             return
         transport.stats.retries += 1
         self.notify("retry", attempt=self.attempt)

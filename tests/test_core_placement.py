@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import SystemConfig
+from repro.core.overlays import ChordRouter
 from repro.core.placement import (
     Action,
     HashedPlacement,
@@ -305,3 +306,61 @@ def test_a_domain_past_the_familys_space_is_rejected(family, domain, error):
     with pytest.raises(error):
         HashedPlacement(SystemConfig(n_peers=8, k=4, family=family, domain=domain))
 
+
+# ---------------------------------------------------------------------------
+# Failover candidates: one walk down the ring, the same list as two
+# ---------------------------------------------------------------------------
+
+
+class RingPlacement(ReplicaPlacement):
+    """A built Chord ring of ``peers`` nodes as a replica placement, the
+    identifiers rehashed onto it as the system places them."""
+
+    def __init__(self, peers: int, replicas: int) -> None:
+        self.config = SimpleNamespace(placement="rehash", id_bits=32, replicas=replicas)
+        self.router = ChordRouter.build(peers, m=32)
+
+
+def two_walk_candidates(placement, identifier, is_alive):
+    """The nominal replica set, then the alive targets it lacks: one walk
+    for each, as failover planning was first written."""
+    candidates = placement.replica_owners(identifier)
+    if placement.config.replicas > 1 and is_alive is not None:
+        for peer in placement.replica_targets(identifier, is_alive):
+            if peer not in candidates:
+                candidates.append(peer)
+    return candidates
+
+
+@st.composite
+def failover_worlds(draw):
+    """A ring of 1-40 peers, 1-5 replicas, an identifier and a crashed set:
+    nobody, everybody, the owner and more, or any subset."""
+    placement = RingPlacement(draw(st.integers(1, 40)), draw(st.integers(1, 5)))
+    identifier = draw(st.integers(0, 2**32 - 1))
+    nodes = placement.router.node_ids
+    owner = placement.replica_owners(identifier)[0]
+    crashed = draw(
+        st.one_of(
+            st.just(frozenset()),
+            st.just(frozenset(nodes)),
+            st.sets(st.sampled_from(nodes)).map(lambda more: frozenset(more | {owner})),
+            st.sets(st.sampled_from(nodes)).map(frozenset),
+        )
+    )
+    return placement, identifier, crashed
+
+
+@given(failover_worlds())
+@settings(max_examples=300, deadline=None)
+def test_one_walk_plans_the_failover_candidates_two_walks_did(world):
+    placement, identifier, crashed = world
+
+    def is_alive(node):
+        return node not in crashed
+
+    expected = two_walk_candidates(placement, identifier, is_alive)
+    placed = placement.place_identifier(identifier)
+    assert placement.failover_candidates(identifier, is_alive) == expected
+    assert placement.failover_candidates(identifier, is_alive, placed=placed) == expected
+    assert placement.failover_candidates(identifier) == placement.replica_owners(identifier)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import sys
 from hashlib import sha256
 
 import pytest
@@ -265,6 +266,43 @@ class TestHotPathAccountingBudget:
         # Nothing per query, per chain or per clock reading on top of the
         # per-message charges: reads go through the facade attributes.
         assert spent <= self.OPS_PER_HOP * hops + self.OPS_PER_MESSAGE * others
+
+
+class TestHotPathCallBudget:
+    """A wall-clock-free stand-in for the engine's CPU per query: Python
+    calls (``sys.setprofile`` ``call`` events) per untraced query on the
+    synchronous transport, so a change that brings back a future per
+    request, a second placement or walk per chain, or a read-modify-write
+    per message fails here and not in a benchmark."""
+
+    #: Calls per query as measured (606 at 8 peers / replicas=3, 555 at
+    #: 1,000 peers), plus 10 %.  Before a chain was one continuation
+    #: object placed once they were 875 and 802.
+    CEILINGS = {(8, 3): 667, (1000, 1): 611}
+
+    @pytest.mark.parametrize("peers,replicas", sorted(CEILINGS))
+    def test_untraced_sync_query_stays_within_budget(self, peers, replicas):
+        system = RangeSelectionSystem(
+            SystemConfig(n_peers=peers, replicas=replicas, seed=5)
+        )
+        ranges = ZipfRangeWorkload(
+            system.config.domain, 80, seed=9, pool_size=30
+        ).ranges()
+        for query in ranges[:40]:
+            system.query(query)
+        calls = [0]
+
+        def count(_frame, event, _arg) -> None:
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            for query in ranges[40:]:
+                system.query(query)
+        finally:
+            sys.setprofile(None)
+        assert calls[0] / 40 <= self.CEILINGS[(peers, replicas)]
 
 
 class TestRoutingIsOneEventPerChain:
