@@ -52,6 +52,9 @@ class ChordRing:
         #: Bumped whenever a node is added or removed: whatever was derived
         #: from the member set before is stale.
         self.membership_epoch = 0
+        #: The ``membership_epoch`` of the last :meth:`build`: while the
+        #: two agree, every node's fingers are the ones it computed.
+        self._built_epoch = -1
 
     # ------------------------------------------------------------------
     # Membership
@@ -251,6 +254,7 @@ class ChordRing:
             node.predecessor_id = ids[index - 1]
             node.successor_list = around[index + 1 : index + 1 + length]
             node.fingers = fingers[index]
+        self._built_epoch = self.membership_epoch
 
     # ------------------------------------------------------------------
     # Routing
@@ -265,12 +269,22 @@ class ChordRing:
         clockwise distances from ``node``: ``0 < d(finger) < d(key)``,
         where ``d(key) == 0`` (``key`` is the node itself) denotes the
         full circle.
+
+        In a table :meth:`build` made at the current membership, finger
+        ``i`` is the successor of ``node + 2^i``: at least ``2^i``
+        clockwise from ``node``, or ``node`` itself.  No index above
+        ``(d(key) - 1).bit_length() - 1`` can then qualify, so the scan
+        starts there; any other table is scanned whole.
+        :meth:`lookup_path` runs the same scan inline.
         """
         mask = self.space.mask
         node_id = node.node_id
         span = ((key - node_id) & mask) or self.space.size
         fingers = node.fingers
-        for index in range(len(fingers) - 1, -1, -1):
+        first = len(fingers)
+        if self._built_epoch == self.membership_epoch:
+            first = min(first, (span - 1).bit_length())
+        for index in range(first - 1, -1, -1):
             finger_id = fingers[index]
             if finger_id is not None and 0 < ((finger_id - node_id) & mask) < span:
                 return (finger_id, index)
@@ -319,6 +333,8 @@ class ChordRing:
             raise ChordError("ring not built; call build() first")
         path = [current.node_id]
         nodes = self._nodes
+        size = self.space.size
+        built = self._built_epoch == self.membership_epoch
         max_hops = 4 * self.space.m + len(nodes)
         # key in (current, successor], as IdSpace.in_half_open has it: the
         # clockwise distances are taken from current + 1, so that
@@ -326,12 +342,24 @@ class ChordRing:
         while ((key - current.node_id - 1) & mask) > (
             (current.successor_id - current.node_id - 1) & mask
         ):
-            next_id, finger = self._closest_preceding_edge(current, key)
-            if next_id == current.node_id:
+            # _closest_preceding_edge, inline (a built ring's nodes all
+            # have m fingers).
+            node_id = current.node_id
+            span = ((key - node_id) & mask) or size
+            fingers = current.fingers
+            index = (span - 1).bit_length() - 1 if built else len(fingers) - 1
+            while index >= 0:
+                next_id = fingers[index]
+                if next_id is not None and 0 < ((next_id - node_id) & mask) < span:
+                    break
+                index -= 1
+            else:
+                next_id = current.successor_id
+            if next_id == node_id:
                 break
             if recorder is not None:
-                via = f"finger[{finger}]" if finger >= 0 else "successor"
-                recorder(current.node_id, next_id, via)
+                via = f"finger[{index}]" if index >= 0 else "successor"
+                recorder(node_id, next_id, via)
             try:
                 current = nodes[next_id]
             except KeyError:

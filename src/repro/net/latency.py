@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
-import hashlib
 from abc import ABC, abstractmethod
+from hashlib import sha256
+from struct import Struct
 
 import numpy as np
 
 __all__ = ["LatencyModel", "ConstantLatency", "UniformLatency", "SeededLatency"]
+
+#: The first 8 bytes of a digest, read as a big-endian unsigned integer.
+_DIGEST_HEAD = Struct(">Q").unpack_from
 
 
 class LatencyModel(ABC):
@@ -79,10 +83,12 @@ class SeededLatency(LatencyModel):
         cached = self._cache.get(pair)
         if cached is not None:
             return cached
-        digest = hashlib.sha256(
-            f"{self.seed}:{sender}->{recipient}".encode("ascii")
-        ).digest()
-        fraction = int.from_bytes(digest[:8], "big") / 2**64
+        # The bytes of f"{seed}:{sender}->{recipient}", built without
+        # the str round trip.
+        (head,) = _DIGEST_HEAD(
+            sha256(b"%d:%d->%d" % (self.seed, sender, recipient)).digest()
+        )
+        fraction = head / 2**64
         delay = self.low_ms + fraction * (self.high_ms - self.low_ms)
         if len(self._cache) >= self.CACHE_LIMIT:
             self._cache.clear()

@@ -382,10 +382,12 @@ class ClusterClient:
 
     def pick_origin(self) -> int:
         """A random believed-alive member to originate routing from."""
-        alive = self.system.router.node_ids
+        router = self.system.router
         dead = self.transport.dead
-        if dead:
-            alive = [node_id for node_id in alive if node_id not in dead]
+        if not dead and len(router):
+            # The draw the filtered list below would take, without the copy.
+            return router.node_at(int(self._rng.integers(len(router))))
+        alive = [node_id for node_id in router.node_ids if node_id not in dead]
         if not alive:
             raise ReproError("no alive peer can originate a query")
         return alive[int(self._rng.integers(len(alive)))]

@@ -80,7 +80,14 @@ def _trace_ctx(trace: QueryTrace, span) -> TraceContext | None:
     return TraceContext(trace_id, getattr(span, "span_id", None))
 
 
-@dataclass(frozen=True, slots=True)
+# The records below are built once and never changed.  They are not
+# ``frozen``: a frozen dataclass sets each field through
+# ``object.__setattr__``, the larger part of building one, and a query
+# builds a dozen.  ``==`` and ``hash`` are the frozen classes', field by
+# field.
+
+
+@dataclass(slots=True, unsafe_hash=True)
 class MatchReply:
     """One owner peer's answer to a match request.
 
@@ -94,7 +101,7 @@ class MatchReply:
     score: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ChainOutcome:
     """One identifier lookup chain, timed."""
 
@@ -152,7 +159,7 @@ class _ChainTotals:
         return len({c.reply.peer_id for c in self.chains if c.reply is not None})
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class LocatePhase(_ChainTotals):
     """Aggregated outcome of the locate phase (steps 1-4, no fetch)."""
 
@@ -170,7 +177,7 @@ class LocatePhase(_ChainTotals):
     failovers: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StoreOutcome:
     """Aggregated outcome of the store fan-out (step 5)."""
 
@@ -183,7 +190,7 @@ class StoreOutcome:
     store_ms: float
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TimedQueryResult(_ChainTotals):
     """Outcome of one query on any transport, with phase timings.
 

@@ -29,24 +29,20 @@ class Timer:
     """Handle to one scheduled callback; cancellation is O(1) (the event
     stays queued but is skipped when popped).
 
-    ``on_cancel`` lets the owning :class:`Simulator` keep an exact count of
-    live (not-fired, not-cancelled) events without scanning the heap: it
-    runs once, on the first effective cancel of a timer that has not fired.
+    The timer holds its :class:`Simulator` until it fires or is
+    cancelled, whichever comes first, so that the first effective cancel
+    of a pending timer can keep the simulator's count of live events
+    exact without scanning the heap; the simulator drops the reference
+    when it fires the timer.
     """
 
-    __slots__ = ("time", "_fn", "_cancelled", "_fired", "_on_cancel")
+    __slots__ = ("time", "_fn", "_sim", "cancelled")
 
-    def __init__(
-        self,
-        time: float,
-        fn: Callable[[], None],
-        on_cancel: Callable[[], None] | None = None,
-    ) -> None:
+    def __init__(self, time: float, fn: Callable[[], None], sim: "Simulator") -> None:
         self.time = time
         self._fn = fn
-        self._cancelled = False
-        self._fired = False
-        self._on_cancel = on_cancel
+        self._sim: Simulator | None = sim
+        self.cancelled = False
 
     def cancel(self) -> None:
         """Prevent the callback from firing (idempotent).
@@ -54,20 +50,13 @@ class Timer:
         Cancelling after the timer already fired is a no-op — common when a
         reply callback races its own timeout timer.
         """
-        if self._cancelled or self._fired:
+        sim = self._sim
+        if sim is None:  # fired, or cancelled before
             return
-        self._cancelled = True
+        self._sim = None
+        self.cancelled = True
         self._fn = _noop
-        if self._on_cancel is not None:
-            self._on_cancel()
-
-    @property
-    def cancelled(self) -> bool:
-        return self._cancelled
-
-    def _fire(self) -> None:
-        self._fired = True
-        self._fn()
+        sim._live -= 1
 
 
 def _noop() -> None:
@@ -78,15 +67,11 @@ class Simulator:
     """Virtual clock plus the event queue driving it."""
 
     def __init__(self) -> None:
-        self._now = 0.0
+        #: Current virtual time in milliseconds; only the kernel moves it.
+        self.now = 0.0
         self._heap: list[tuple[float, int, Timer]] = []
         self._seq = count()
         self._live = 0
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in milliseconds."""
-        return self._now
 
     @property
     def pending(self) -> int:
@@ -106,16 +91,13 @@ class Simulator:
 
     # -- scheduling ----------------------------------------------------
 
-    def _on_timer_cancel(self) -> None:
-        self._live -= 1
-
     def call_at(self, time: float, fn: Callable[[], None]) -> Timer:
         """Schedule ``fn`` to run at absolute virtual time ``time``."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time} ms; clock is already at {self._now} ms"
+                f"cannot schedule at {time} ms; clock is already at {self.now} ms"
             )
-        timer = Timer(time, fn, on_cancel=self._on_timer_cancel)
+        timer = Timer(time, fn, self)
         heapq.heappush(self._heap, (time, next(self._seq), timer))
         self._live += 1
         return timer
@@ -124,19 +106,21 @@ class Simulator:
         """Schedule ``fn`` to run ``delay`` ms from now."""
         if delay < 0:
             raise SimulationError(f"delay cannot be negative, got {delay}")
-        return self.call_at(self._now + delay, fn)
+        return self.call_at(self.now + delay, fn)
 
     # -- execution -----------------------------------------------------
 
     def step(self) -> bool:
         """Fire the next event (advancing the clock); False when empty."""
-        while self._heap:
-            time, _seq, timer = heapq.heappop(self._heap)
+        heap = self._heap
+        while heap:
+            time, _seq, timer = heapq.heappop(heap)
             if timer.cancelled:
                 continue
-            self._now = time
+            self.now = time
             self._live -= 1
-            timer._fire()
+            timer._sim = None
+            timer._fn()
             return True
         return False
 
@@ -147,22 +131,25 @@ class Simulator:
         events beyond the horizon stay queued and the clock is advanced to
         exactly ``until``.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError("cannot run backwards in time")
-        while self._heap:
-            time, _seq, timer = self._heap[0]
+        heap = self._heap
+        pop = heapq.heappop
+        while heap:
+            time, _seq, timer = heap[0]
             if timer.cancelled:
-                heapq.heappop(self._heap)
+                pop(heap)
                 continue
             if until is not None and time > until:
                 break
-            heapq.heappop(self._heap)
-            self._now = time
+            pop(heap)
+            self.now = time
             self._live -= 1
-            timer._fire()
+            timer._sim = None
+            timer._fn()
         if until is not None:
-            self._now = max(self._now, until)
-        return self._now
+            self.now = max(self.now, until)
+        return self.now
 
     def run_until_complete(self, future: SimFuture[Any]) -> Any:
         """Drive the event loop until ``future`` settles; return its result.

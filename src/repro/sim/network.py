@@ -8,8 +8,8 @@ delivers over the same peer directory
 takes latency sampled from a :class:`~repro.net.latency.LatencyModel`,
 may be dropped in flight, and is silently swallowed by a crashed recipient.
 Requests therefore need timeouts: :meth:`request` runs the
-:class:`~repro.sim.policies.Request` lifecycle over one :meth:`send` per
-attempt, and rejects with
+:class:`~repro.sim.policies.Request` lifecycle over one exchange (what
+:meth:`send` returns) per attempt, and rejects with
 :class:`~repro.errors.RequestTimeoutError` once it is exhausted.
 
 Two overload mechanisms extend the base model, both off by default:
@@ -74,6 +74,121 @@ class _ServiceQueue:
     def __init__(self) -> None:
         self.backlog = 0  # requests queued or in service
         self.free_at = 0.0  # virtual time the server next idles
+
+
+class _Exchange(SimFuture):
+    """One request and its reply on an :class:`AsyncNetwork`: the exchange
+    is its own future, and its methods are its events.  Made as an
+    attempt of a :class:`~repro.sim.policies.Request`, it reports to
+    ``request.landed`` instead of settling; once cancelled, it ignores
+    whatever lands later."""
+
+    __slots__ = (
+        "net", "message", "reply_size", "request", "attempt", "sent_at",
+        "lost", "queue", "reply", "refusal",
+    )
+
+    def __init__(
+        self, net: "AsyncNetwork", sender: int, recipient: int, kind: str,
+        payload: Any, size_bytes: int, reply_size: int,
+        request: Request | None, attempt: int, sent_at: float,
+    ) -> None:
+        self.done = self.failed = self.cancelled = False
+        self._value = self._error = self.queue = None
+        self._callbacks = []
+        self.net = net
+        self.reply_size = reply_size
+        self.request = request
+        self.attempt = attempt
+        self.sent_at = sent_at
+        if recipient not in net._handlers:
+            self.land(None, UnknownPeerError(recipient))
+            return
+        self.message = Message(sender, recipient, kind, payload, size_bytes)
+        self.post(self.message, self.deliver)
+
+    def post(self, message: Message, event: Callable[[], None]) -> None:
+        """Charge one leg, draw its loss, and run ``event`` when it lands."""
+        net, sender, recipient = self.net, message.sender, message.recipient
+        delay = net.latency.sample_ms(sender, recipient) * net.faults.link_factor(
+            sender, recipient
+        )
+        net.stats.record(message, delay)
+        self.lost = net.drops_delivery()
+        sim = net.sim
+        sim.call_at(sim.now + delay, event)
+
+    def deliver(self) -> None:
+        net = self.net
+        recipient = self.message.recipient
+        # Lost in flight, crashed, or unregistered while in flight.
+        if self.lost or net.faults.is_crashed(recipient) or recipient not in net._handlers:
+            net.stats.drops += 1
+            return
+        if net.queue_capacity == 0:
+            self.serve()
+            return
+        queue = net._queues.get(recipient)
+        if queue is None:
+            queue = net._queues[recipient] = _ServiceQueue()
+        if queue.backlog >= net.queue_capacity:
+            net.stats.busy_shed += 1
+            self.respond("-busy", None, PeerBusyError(recipient), BUSY_REPLY_BYTES)
+            return
+        queue.backlog += 1
+        sim = net.sim
+        done = max(queue.free_at, sim.now) + net.service_time_ms * net.faults.service_factor(
+            recipient
+        )
+        queue.free_at = done
+        self.queue = queue
+        sim.call_later(done - sim.now, self.serve)
+
+    def serve(self) -> None:
+        net = self.net
+        recipient = self.message.recipient
+        if self.queue is not None:
+            self.queue.backlog -= 1
+        if net.faults.is_crashed(recipient):
+            # Crashed after the request arrived (possibly mid-queue).
+            net.stats.drops += 1
+            return
+        handler = net._handlers.get(recipient)
+        if handler is None:
+            net.stats.drops += 1
+            return
+        self.respond("-reply", handler(self.message), None, self.reply_size)
+
+    def respond(
+        self, suffix: str, reply: Any, refusal: BaseException | None, size: int
+    ) -> None:
+        message = self.message
+        self.reply, self.refusal = reply, refusal
+        self.post(
+            Message(message.recipient, message.sender, message.kind + suffix, reply, size),
+            self.deliver_reply,
+        )
+
+    def deliver_reply(self) -> None:
+        net = self.net
+        if self.lost:
+            net.stats.drops += 1
+            return
+        if net.faults.is_crashed(self.message.sender):
+            # The requester crashed while the exchange was in flight;
+            # running its continuation would hand a reply to a dead peer.
+            net.stats.replies_to_dead += 1
+            return
+        self.land(self.reply, self.refusal)
+
+    def land(self, value: Any, error: BaseException | None) -> None:
+        if self.done:
+            return  # cancelled: nobody waits for this attempt any more
+        if self.request is None:
+            self._settle(value, error)
+            return
+        self.done = True  # the request will not cancel it now
+        self.request.landed(self.attempt, self.sent_at, value, error)
 
 
 class AsyncNetwork(PeerNetwork):
@@ -187,121 +302,16 @@ class AsyncNetwork(PeerNetwork):
         the future pending forever — arming a timeout is the caller's job
         (see :meth:`request`).
         """
-        if recipient not in self._handlers:
-            future: SimFuture[Any] = SimFuture()
-            future.reject(UnknownPeerError(recipient))
-            return future
-        message = Message(
-            sender=sender,
-            recipient=recipient,
-            kind=kind,
-            payload=payload,
-            size_bytes=size_bytes,
+        return _Exchange(
+            self, sender, recipient, kind, payload, size_bytes, reply_size_bytes,
+            None, 0, 0.0,
         )
-        future = SimFuture()
-        out_delay = self.latency.sample_ms(sender, recipient) * self.faults.link_factor(
-            sender, recipient
-        )
-        self.stats.record(message, out_delay)
-        dropped_out = self.drops_delivery()
-
-        def send_reply(
-            reply_kind: str,
-            reply_payload: Any,
-            size: int,
-            settle: Callable[[], None],
-        ) -> None:
-            reply = Message(
-                sender=recipient,
-                recipient=sender,
-                kind=reply_kind,
-                payload=reply_payload,
-                size_bytes=size,
-            )
-            back_delay = self.latency.sample_ms(
-                recipient, sender
-            ) * self.faults.link_factor(recipient, sender)
-            self.stats.record(reply, back_delay)
-            dropped_back = self.drops_delivery()
-
-            def deliver_reply() -> None:
-                if dropped_back:
-                    self.stats.drops += 1
-                    return
-                if self.faults.is_crashed(sender):
-                    # The requester crashed while the exchange was in
-                    # flight; running its continuation would hand a reply
-                    # to a dead peer.
-                    self.stats.replies_to_dead += 1
-                    return
-                settle()
-
-            self.sim.call_later(back_delay, deliver_reply)
-
-        def serve() -> None:
-            if self.faults.is_crashed(recipient):
-                # Crashed after the request arrived (possibly mid-queue).
-                self.stats.drops += 1
-                return
-            handler = self._handlers.get(recipient)
-            if handler is None:
-                self.stats.drops += 1
-                return
-            reply_payload = handler(message)
-            send_reply(
-                f"{kind}-reply",
-                reply_payload,
-                reply_size_bytes,
-                lambda: future.resolve(reply_payload),
-            )
-
-        def deliver() -> None:
-            if dropped_out or self.faults.is_crashed(recipient):
-                self.stats.drops += 1
-                return
-            if recipient not in self._handlers:  # unregistered while in flight
-                self.stats.drops += 1
-                return
-            if self.queue_capacity == 0:
-                serve()
-                return
-            queue = self._queues.get(recipient)
-            if queue is None:
-                queue = _ServiceQueue()
-                self._queues[recipient] = queue
-            if queue.backlog >= self.queue_capacity:
-                self.stats.busy_shed += 1
-                send_reply(
-                    f"{kind}-busy",
-                    None,
-                    BUSY_REPLY_BYTES,
-                    lambda: future.reject(PeerBusyError(recipient)),
-                )
-                return
-            queue.backlog += 1
-            start = max(queue.free_at, self.sim.now)
-            done = start + self.service_time_ms * self.faults.service_factor(recipient)
-            queue.free_at = done
-
-            def serve_queued() -> None:
-                queue.backlog -= 1
-                serve()
-
-            self.sim.call_later(done - self.sim.now, serve_queued)
-
-        self.sim.call_later(out_delay, deliver)
-        return future
 
     def _attempt(self, request: Request, attempt: int, sent_at: float) -> SimFuture[Any]:
-        posted = self.send(
-            request.sender, request.recipient, request.kind, request.payload,
-            request.size_bytes,
+        return _Exchange(
+            self, request.sender, request.recipient, request.kind, request.payload,
+            request.size_bytes, 64, request, attempt, sent_at,
         )
-        posted.add_done_callback(
-            lambda settled: settled.cancelled
-            or request.landed(attempt, sent_at, settled._value, settled._error)
-        )
-        return posted
 
     # -- the engine's transport: timers and routes land on the clock ----
 

@@ -332,6 +332,40 @@ def probe_keys(ring: ChordRing, rnd: random.Random) -> list[int]:
     return keys
 
 
+#: Sizes of the freshly built rings the oracle also checks, 1 to 400
+#: peers; an 8-bit space holds at most 256.
+BUILT_SIZES = (1, 2, 3, 7, 64, 400)
+
+
+def fresh_ring(peers: int, m: int) -> tuple[ChordRing, random.Random]:
+    """A ring as systems make it, left as :meth:`ChordRing.build` made
+    it: SHA-1 ids, or random ones for odd sizes."""
+    rnd = random.Random(peers * 131 + m)
+    ring = ChordRing(m=m)
+    peers = min(peers, 200) if m == 8 else peers
+    if peers % 2:
+        while len(ring) < peers:
+            try:
+                ring.add_node(node_id=rnd.randrange(1 << m))
+            except DuplicateNodeError:
+                pass
+    else:
+        ring.add_nodes(peers)
+    ring.build()
+    return ring, rnd
+
+
+def built_probe_keys(ring: ChordRing, rnd: random.Random) -> list[int]:
+    """``probe_keys`` plus every node id, each neighbour of a node id and
+    each id one full turn further."""
+    size = ring.space.size
+    ids = ring.node_ids
+    keys = probe_keys(ring, rnd) if len(ids) > 1 else [0, size - 1, size + 5, -3]
+    for node_id in rnd.sample(ids, min(len(ids), 12)):
+        keys += [node_id, node_id - 1, node_id + 1, node_id + size]
+    return keys
+
+
 class TestRoutingOracle:
     @pytest.mark.parametrize("m", [8, 32, 64])
     @pytest.mark.parametrize("seed", range(12))
@@ -381,3 +415,41 @@ class TestRoutingOracle:
                 assert recorded == ("ok", path)
                 assert vias == expected_vias
                 assert edges == list(zip(path, path[1:]))
+
+    @pytest.mark.parametrize("m", [8, 32, 64])
+    @pytest.mark.parametrize("peers", BUILT_SIZES)
+    def test_finger_choice_matches_in_open_on_built_rings(self, m, peers):
+        # A built table's scan starts at the span's top bit; the choice
+        # must still be the whole table's.
+        ring, rnd = fresh_ring(peers, m)
+        ids = ring.node_ids
+        lonely = rnd.sample(ids, min(len(ids), 6))
+        for key in built_probe_keys(ring, rnd):
+            for node_id in ids:
+                node = ring.node(node_id)
+                assert ring._closest_preceding_edge(node, key) == (
+                    reference_edge(ring, node, key)
+                )
+            for node_id in lonely:
+                for finger_id in ring.node(node_id).fingers:
+                    alone = ChordNode(
+                        node_id, "alone", successor_id=node_id, fingers=[finger_id]
+                    )
+                    chosen = ring._closest_preceding_edge(alone, key)[1] == 0
+                    assert chosen == ring.space.in_open(finger_id, node_id, key)
+
+    @pytest.mark.parametrize("m", [8, 32, 64])
+    @pytest.mark.parametrize("peers", BUILT_SIZES)
+    def test_paths_and_vias_match_on_built_rings(self, m, peers):
+        ring, rnd = fresh_ring(peers, m)
+        ids = ring.node_ids
+        starts = rnd.sample(ids, min(len(ids), 16))
+        for key in built_probe_keys(ring, rnd):
+            for start_id in starts:
+                path, expected_vias = reference_lookup(ring, key, start_id)
+                vias: list[str] = []
+                recorded = ring.lookup(
+                    key, start_id, recorder=lambda _a, _b, via: vias.append(via)
+                ).path
+                assert recorded == path == ring.lookup_path(key, start_id)
+                assert vias == expected_vias

@@ -6,6 +6,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import (
     PeerUnavailableError,
@@ -92,6 +94,37 @@ class TestLatencyModels:
         for link in links[:: cap // 64]:
             assert model.sample_ms(*link) == first[link] == digest_delay(5, *link)
         assert len(model._cache) <= cap
+
+
+class TestSeededLatencyBits:
+    """The delay of a link is pinned to one formula, written out here: a
+    faster hashing path must produce the same floats, memoised or not."""
+
+    @staticmethod
+    def formula(low: float, high: float, seed: int, sender: int, recipient: int) -> float:
+        digest = hashlib.sha256(f"{seed}:{sender}->{recipient}".encode("ascii")).digest()
+        fraction = int.from_bytes(digest[:8], "big") / 2**64
+        return low + fraction * (high - low)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bounds=st.tuples(
+            st.floats(0, 1e4, allow_nan=False), st.floats(0, 1e4, allow_nan=False)
+        ).map(sorted),
+        seed=st.integers(-(2**64), 2**64),
+        links=st.lists(
+            st.tuples(st.integers(0, 2**64), st.integers(0, 2**64)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_sample_is_the_formula_on_misses_and_hits(self, bounds, seed, links):
+        low, high = bounds
+        model = SeededLatency(low, high, seed=seed)
+        for _ in range(2):  # the first pass misses the memo, the second hits
+            for sender, recipient in links:
+                assert model.sample_ms(sender, recipient) == self.formula(
+                    low, high, seed, sender, recipient
+                )
 
 
 class TestSimulatedNetwork:

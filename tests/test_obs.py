@@ -271,9 +271,10 @@ class TestHotPathAccountingBudget:
 class TestHotPathCallBudget:
     """A wall-clock-free stand-in for the engine's CPU per query: Python
     calls (``sys.setprofile`` ``call`` events) per untraced query on the
-    synchronous transport, so a change that brings back a future per
-    request, a second placement or walk per chain, or a read-modify-write
-    per message fails here and not in a benchmark."""
+    synchronous and the event-driven transport, so a change that brings
+    back a future per request, a second placement or walk per chain, a
+    closure per exchange or a read-modify-write per message fails here
+    and not in a benchmark."""
 
     #: Calls per query as measured (606 at 8 peers / replicas=3, 555 at
     #: 1,000 peers), plus 10 %.  Before a chain was one continuation
@@ -303,6 +304,34 @@ class TestHotPathCallBudget:
         finally:
             sys.setprofile(None)
         assert calls[0] / 40 <= self.CEILINGS[(peers, replicas)]
+
+    #: The same count for ``AsyncQueryEngine.run`` at 1,000 peers: 721 as
+    #: measured, plus 10 %.  Before an exchange was one object, timers held
+    #: their simulator and a route's finger scan started at the span's top
+    #: bit, it was 855.
+    SIM_CEILING = 794
+
+    def test_untraced_sim_query_stays_within_budget(self):
+        system = RangeSelectionSystem(SystemConfig(n_peers=1000, seed=5))
+        engine = AsyncQueryEngine(system)
+        ranges = ZipfRangeWorkload(
+            system.config.domain, 80, seed=9, pool_size=30
+        ).ranges()
+        for query in ranges[:40]:
+            engine.run(query)
+        calls = [0]
+
+        def count(_frame, event, _arg) -> None:
+            if event == "call":
+                calls[0] += 1
+
+        sys.setprofile(count)
+        try:
+            for query in ranges[40:]:
+                engine.run(query)
+        finally:
+            sys.setprofile(None)
+        assert calls[0] / 40 <= self.SIM_CEILING
 
 
 class TestRoutingIsOneEventPerChain:
