@@ -14,17 +14,14 @@ import pytest
 from conftest import run_once
 
 from repro.experiments.fig11_load import LoadBalanceExperiment
-from repro.metrics.report import format_table
 
 
-def _make(scale: str, placement: str = "rehash") -> LoadBalanceExperiment:
-    experiment = (
+def _make(scale: str) -> LoadBalanceExperiment:
+    return (
         LoadBalanceExperiment.paper()
         if scale == "paper"
         else LoadBalanceExperiment.quick()
     )
-    experiment.placement = placement
-    return experiment
 
 
 def test_fig11_load_balance(benchmark, scale, emit):
@@ -48,36 +45,8 @@ def test_fig11_load_balance(benchmark, scale, emit):
 
 def test_fig11_placement_ablation(benchmark, scale, emit):
     """Direct placement concentrates load; rehash spreads it."""
-
-    def run_both():
-        direct = _make(scale, placement="direct").run()
-        rehash = _make(scale, placement="rehash").run()
-        return direct, rehash
-
-    direct, rehash = run_once(benchmark, run_both)
-    rows = []
-    for (n, d_stats), (_, r_stats) in zip(direct.by_peers, rehash.by_peers):
-        rows.append(
-            [
-                n,
-                f"{d_stats.mean:.1f}",
-                f"{d_stats.maximum:.0f}",
-                f"{r_stats.maximum:.0f}",
-                f"{d_stats.p50:.0f}",
-                f"{r_stats.p50:.0f}",
-            ]
-        )
-    text = format_table(
-        ["peers", "mean", "max direct", "max rehash", "median direct", "median rehash"],
-        rows,
-        title=(
-            "Placement ablation — raw LSH identifiers vs SHA-1 rehash\n"
-            "(min-hash identifiers are small, so direct placement piles "
-            "them onto the low arc: one peer's max load explodes while the "
-            "median peer holds nothing)"
-        ),
-    )
-    emit("fig11_placement_ablation", text)
+    outcome = run_once(benchmark, _make(scale).run_ablation)
+    emit("fig11_placement_ablation", outcome.report())
     # The hot spot under direct placement dwarfs the rehash spread.
-    for (n, d_stats), (_, r_stats) in zip(direct.by_peers, rehash.by_peers):
+    for (_, d_stats), (_, r_stats) in zip(outcome.direct.by_peers, outcome.rehash.by_peers):
         assert d_stats.maximum >= r_stats.maximum

@@ -29,100 +29,68 @@ doing the serving.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from repro.core.config import SystemConfig
-from repro.experiments.fig6_7_quality import PAPER_DOMAIN
-from repro.experiments.scenario import ReplicationMode, Scenario
-from repro.metrics.collector import QueryLog
-from repro.metrics.report import format_table
-from repro.ranges.domain import Domain
+from repro.experiments.scenario import CellTable, FaultSweep, ReplicationMode
+from repro.metrics.collector import LogTally, QueryLog
 from repro.sim.network import RetryPolicy
 
 __all__ = ["ChurnRecallExperiment", "ChurnRecallOutcome", "ChurnCell", "ReplicationMode"]
 
 
 @dataclass(frozen=True)
-class ChurnCell:
+class ChurnCell(LogTally):
     """Measured outcome of one (mode, crash fraction) setting."""
 
     mode: ReplicationMode
     crash_fraction: float
     crashed_peers: int
-    mean_recall: float
-    matched_fraction: float
-    failovers: int
-    chain_timeouts: int
-    degraded_queries: int
-    misses: int
     repairs: int
-    p95_ms: float
-    queries: int
 
-    def as_row(self) -> list[str]:
-        return [
-            self.mode.label,
-            f"{self.crash_fraction:.0%}",
-            f"{self.mean_recall:.3f}",
-            f"{self.matched_fraction:.3f}",
-            str(self.failovers),
-            str(self.chain_timeouts),
-            str(self.degraded_queries),
-            str(self.misses),
-            str(self.repairs),
-            f"{self.p95_ms:.0f}",
-        ]
+    @property
+    def matched_fraction(self) -> float:
+        return 1.0 - self.misses / max(1, self.queries)
+
+    def as_row(self) -> dict[str, str]:
+        return {
+            "mode": self.mode.label,
+            "crashed": f"{self.crash_fraction:.0%}",
+            "recall": f"{self.mean_recall:.3f}",
+            "matched": f"{self.matched_fraction:.3f}",
+            "failovers": str(self.failovers),
+            "timeouts": str(self.chain_timeouts),
+            "degraded": str(self.degraded_queries),
+            "misses": str(self.misses),
+            "repairs": str(self.repairs),
+            "p95 ms": f"{self.p95_ms:.0f}",
+        }
 
 
 @dataclass
-class ChurnRecallOutcome:
-    """All cells of the replication x churn sweep."""
+class ChurnRecallOutcome(CellTable[ChurnCell]):
+    """All cells of the replication x churn sweep, keyed
+    ``(mode label, crash_fraction)``."""
 
-    cells: list[ChurnCell]
     n_peers: int
     tile_width: int
     policy: RetryPolicy
 
-    def cell(self, mode_label: str, crash_fraction: float) -> ChurnCell:
-        """The measured cell for one sweep setting."""
-        for cell in self.cells:
-            if (
-                cell.mode.label == mode_label
-                and cell.crash_fraction == crash_fraction
-            ):
-                return cell
-        raise KeyError((mode_label, crash_fraction))
+    @property
+    def title(self) -> str:
+        return (
+            "Extension — recall under churn, replication x crash rate "
+            f"({self.n_peers} peers, width-{self.tile_width} tiles, "
+            "jitter-1 queries)"
+        )
 
     def recall_drop(self, mode_label: str, crash_fraction: float) -> float:
         """Recall lost versus the same mode's fault-free cell."""
         baseline = self.cell(mode_label, 0.0).mean_recall
         return baseline - self.cell(mode_label, crash_fraction).mean_recall
 
-    def report(self) -> str:
-        return format_table(
-            [
-                "mode",
-                "crashed",
-                "recall",
-                "matched",
-                "failovers",
-                "timeouts",
-                "degraded",
-                "misses",
-                "repairs",
-                "p95 ms",
-            ],
-            [cell.as_row() for cell in self.cells],
-            title=(
-                "Extension — recall under churn, replication x crash rate "
-                f"({self.n_peers} peers, width-{self.tile_width} tiles, "
-                "jitter-1 queries)"
-            ),
-        )
-
 
 @dataclass
-class ChurnRecallExperiment:
+class ChurnRecallExperiment(FaultSweep):
     """Sweep replication mode x crashed-peer fraction against recall.
 
     Each cell builds a fresh system, stores one partition per domain tile
@@ -143,18 +111,8 @@ class ChurnRecallExperiment:
     )
     crash_fractions: tuple[float, ...] = (0.0, 0.10, 0.20)
     churn_waves: int = 4
-    latency_low_ms: float = 10.0
-    latency_high_ms: float = 100.0
-    policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(timeout_ms=400.0, max_retries=1)
-    )
+    policy: RetryPolicy = field(default_factory=lambda: RetryPolicy(max_retries=1), kw_only=True)
     repair_interval_ms: float = 5_000.0
-    domain: Domain = field(default_factory=lambda: PAPER_DOMAIN)
-    seed: int = 2003
-
-    @classmethod
-    def paper(cls) -> "ChurnRecallExperiment":
-        return cls()
 
     @classmethod
     def quick(cls) -> "ChurnRecallExperiment":
@@ -168,53 +126,37 @@ class ChurnRecallExperiment:
     def _run_cell(
         self, mode: ReplicationMode, crash_fraction: float
     ) -> ChurnCell:
-        run = Scenario(
-            SystemConfig(
-                n_peers=self.n_peers,
-                domain=self.domain,
-                replicas=mode.replicas,
-                store_on_miss=False,
-                seed=self.seed,
-            ),
-            stream="churn-recall/",
+        run = self.start(
+            "churn-recall/",
+            dict(replicas=mode.replicas, store_on_miss=False),
             tile_width=self.tile_width,
             timed_queries=self.timed_queries,
-            latency_ms=(self.latency_low_ms, self.latency_high_ms),
             crash_fraction=crash_fraction,
             repair=mode.repair,
             repair_interval_ms=self.repair_interval_ms,
-            **asdict(self.policy),
-        ).start()
+        )
         waves = max(1, self.churn_waves)
         for wave in range(waves):
             run.crash(wave, waves)
             if run.repairer is not None:
                 run.engine.sim.run_until_complete(run.repairer.run_round())
         log = QueryLog([run.engine.run(query) for query in run.queries()])
-        summary = log.phase_summary()["total"]
-        return ChurnCell(
+        return log.tally(
+            ChurnCell,
             mode=mode,
             crash_fraction=crash_fraction,
             crashed_peers=len(run.crashed),
-            mean_recall=log.mean_recall(),
-            matched_fraction=1.0 - log.misses / max(1, len(log)),
-            failovers=log.failovers,
-            chain_timeouts=log.chain_timeouts,
-            degraded_queries=log.degraded_queries,
-            misses=log.misses,
             repairs=run.repairer.stats.copies_created if run.repairer else 0,
-            p95_ms=summary.p95,
-            queries=len(log),
         )
 
     def run(self) -> ChurnRecallOutcome:
-        cells = [
-            self._run_cell(mode, fraction)
+        cells = {
+            (mode.label, fraction): self._run_cell(mode, fraction)
             for mode in self.modes
             for fraction in self.crash_fractions
-        ]
+        }
         return ChurnRecallOutcome(
-            cells=cells,
+            cells,
             n_peers=self.n_peers,
             tile_width=self.tile_width,
             policy=self.policy,

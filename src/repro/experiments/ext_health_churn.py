@@ -19,14 +19,11 @@ band throughout, since crashes remove servers, not placements.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
-from repro.core.config import SystemConfig
-from repro.experiments.fig6_7_quality import PAPER_DOMAIN
-from repro.experiments.scenario import ReplicationMode, Scenario
-from repro.metrics.report import format_table, sparkline
+from repro.experiments.scenario import CellTable, FaultSweep, ReplicationMode
+from repro.metrics.report import sparkline
 from repro.obs.health import RingAuditor, skew_stats
-from repro.ranges.domain import Domain
 from repro.sim.network import RetryPolicy
 
 __all__ = ["HealthChurnExperiment", "HealthChurnOutcome", "HealthCell"]
@@ -50,64 +47,41 @@ class HealthCell:
     failovers: int
     queries: int
 
-    def as_row(self) -> list[str]:
-        return [
-            self.mode.label,
-            str(self.crashed_peers),
-            str(self.samples),
-            f"{self.peak_deficit:.0f}",
-            f"{self.final_deficit:.0f}",
-            str(self.critical_findings),
-            str(self.warning_findings),
-            f"{self.gini:.3f}",
-            f"{self.max_mean:.2f}",
-            str(self.failovers),
-            sparkline(list(self.deficit_series), width=24),
-        ]
+    def as_row(self) -> dict[str, str]:
+        return {
+            "mode": self.mode.label,
+            "crashed": str(self.crashed_peers),
+            "samples": str(self.samples),
+            "peak def": f"{self.peak_deficit:.0f}",
+            "final def": f"{self.final_deficit:.0f}",
+            "critical": str(self.critical_findings),
+            "warning": str(self.warning_findings),
+            "gini": f"{self.gini:.3f}",
+            "max/mean": f"{self.max_mean:.2f}",
+            "failovers": str(self.failovers),
+            "deficit trend": sparkline(list(self.deficit_series), width=24),
+        }
 
 
 @dataclass
-class HealthChurnOutcome:
-    """All modes of the health-under-churn sweep."""
+class HealthChurnOutcome(CellTable[HealthCell]):
+    """All modes of the health-under-churn sweep, keyed ``(mode label,)``."""
 
-    cells: list[HealthCell]
     n_peers: int
     crash_fraction: float
     sample_interval_ms: float
 
-    def cell(self, mode_label: str) -> HealthCell:
-        """The measured cell for one replication mode."""
-        for cell in self.cells:
-            if cell.mode.label == mode_label:
-                return cell
-        raise KeyError(mode_label)
-
-    def report(self) -> str:
-        return format_table(
-            [
-                "mode",
-                "crashed",
-                "samples",
-                "peak def",
-                "final def",
-                "critical",
-                "warning",
-                "gini",
-                "max/mean",
-                "failovers",
-                "deficit trend",
-            ],
-            [cell.as_row() for cell in self.cells],
-            title=(
-                "Extension — ring health under churn "
-                f"({self.n_peers} peers, {self.crash_fraction:.0%} crashed "
-                f"in waves, sampled every {self.sample_interval_ms:g} ms)"
-            ),
+    @property
+    def title(self) -> str:
+        return (
+            "Extension — ring health under churn "
+            f"({self.n_peers} peers, {self.crash_fraction:.0%} crashed "
+            f"in waves, sampled every {self.sample_interval_ms:g} ms)"
         )
 
 
 @dataclass
-class HealthChurnExperiment:
+class HealthChurnExperiment(FaultSweep):
     """Track replica deficits, audit findings and load skew under churn.
 
     Each mode builds a fresh replicated system, stores one partition per
@@ -129,18 +103,8 @@ class HealthChurnExperiment:
     crash_fraction: float = 0.20
     churn_waves: int = 4
     sample_interval_ms: float = 500.0
-    latency_low_ms: float = 10.0
-    latency_high_ms: float = 100.0
-    policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(timeout_ms=400.0, max_retries=1)
-    )
+    policy: RetryPolicy = field(default_factory=lambda: RetryPolicy(max_retries=1), kw_only=True)
     repair_interval_ms: float = 5_000.0
-    domain: Domain = field(default_factory=lambda: PAPER_DOMAIN)
-    seed: int = 2003
-
-    @classmethod
-    def paper(cls) -> "HealthChurnExperiment":
-        return cls()
 
     @classmethod
     def quick(cls) -> "HealthChurnExperiment":
@@ -148,24 +112,16 @@ class HealthChurnExperiment:
 
     def _run_cell(self, mode: ReplicationMode) -> HealthCell:
         waves = max(1, self.churn_waves)
-        run = Scenario(
-            SystemConfig(
-                n_peers=self.n_peers,
-                domain=self.domain,
-                replicas=mode.replicas,
-                store_on_miss=False,
-                seed=self.seed,
-            ),
-            stream="health-churn/",
+        run = self.start(
+            "health-churn/",
+            dict(replicas=mode.replicas, store_on_miss=False),
             tile_width=self.tile_width,
             timed_queries=self.queries_per_phase * (waves + 1),
-            latency_ms=(self.latency_low_ms, self.latency_high_ms),
             crash_fraction=self.crash_fraction,
             repair=mode.repair,
             repair_interval_ms=self.repair_interval_ms,
             sample_interval_ms=self.sample_interval_ms,
-            **asdict(self.policy),
-        ).start()
+        )
         system, engine, repairer, sampler = run.system, run.engine, run.repairer, run.sampler
         sampler.sample_once()
         sampler.start()
@@ -214,9 +170,9 @@ class HealthChurnExperiment:
         )
 
     def run(self) -> HealthChurnOutcome:
-        cells = [self._run_cell(mode) for mode in self.modes]
+        cells = {(mode.label,): self._run_cell(mode) for mode in self.modes}
         return HealthChurnOutcome(
-            cells=cells,
+            cells,
             n_peers=self.n_peers,
             crash_fraction=self.crash_fraction,
             sample_interval_ms=self.sample_interval_ms,

@@ -42,83 +42,72 @@ recall measures whether the stored tile was *reached*, not re-inserted.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass
+from itertools import product
 
-from repro.core.config import SystemConfig
-from repro.experiments.fig6_7_quality import PAPER_DOMAIN
-from repro.experiments.scenario import Scenario
-from repro.metrics.collector import QueryLog
-from repro.metrics.report import format_table
-from repro.ranges.domain import Domain
-from repro.sim.network import RetryPolicy
+from repro.experiments.scenario import CellTable, FaultSweep
+from repro.metrics.collector import LogTally, QueryLog
 
 __all__ = ["OverloadExperiment", "OverloadOutcome", "OverloadCell"]
 
 
 @dataclass(frozen=True)
-class OverloadCell:
-    """Measured outcome of one (protections, load, slow fraction) setting."""
+class OverloadCell(LogTally):
+    """Measured outcome of one (protections, load, slow fraction) setting.
+
+    The log tally covers the measured window; the traffic tallies (shed,
+    hedges, breaker trips) the whole run.
+    """
 
     protections: bool
     load_factor: float
     slow_fraction: float
     offered_qps: float
     slow_peers: int
-    mean_recall: float
-    p50_ms: float
-    p99_ms: float
-    chain_timeouts: int
     busy_shed: int
     hedges: int
     hedge_wins: int
     breaker_opens: int
-    partial_queries: int
-    misses: int
-    queries: int
 
     @property
     def label(self) -> str:
         return "on" if self.protections else "off"
 
-    def as_row(self) -> list[str]:
-        return [
-            self.label,
-            f"{self.load_factor:g}x",
-            f"{self.slow_fraction:.0%}",
-            f"{self.mean_recall:.3f}",
-            f"{self.p50_ms:.0f}",
-            f"{self.p99_ms:.0f}",
-            str(self.chain_timeouts),
-            str(self.busy_shed),
-            f"{self.hedges}/{self.hedge_wins}",
-            str(self.breaker_opens),
-            str(self.partial_queries),
-            str(self.misses),
-        ]
+    def as_row(self) -> dict[str, str]:
+        return {
+            "mode": self.label,
+            "load": f"{self.load_factor:g}x",
+            "slow": f"{self.slow_fraction:.0%}",
+            "recall": f"{self.mean_recall:.3f}",
+            "p50 ms": f"{self.p50_ms:.0f}",
+            "p99 ms": f"{self.p99_ms:.0f}",
+            "timeouts": str(self.chain_timeouts),
+            "shed": str(self.busy_shed),
+            "hedge w/l": f"{self.hedges}/{self.hedge_wins}",
+            "breaker": str(self.breaker_opens),
+            "partial": str(self.partial_queries),
+            "misses": str(self.misses),
+        }
 
 
 @dataclass
-class OverloadOutcome:
-    """All cells of the protections x load x slow-fraction sweep."""
+class OverloadOutcome(CellTable[OverloadCell]):
+    """All cells of the protections x load x slow-fraction sweep, keyed
+    ``(protections, load_factor, slow_fraction)``."""
 
-    cells: list[OverloadCell]
     n_peers: int
     saturation_qps: float
     service_rate: float
     slow_factor: float
 
-    def cell(
-        self, protections: bool, load_factor: float, slow_fraction: float
-    ) -> OverloadCell:
-        """The measured cell for one sweep setting."""
-        for cell in self.cells:
-            if (
-                cell.protections == protections
-                and cell.load_factor == load_factor
-                and cell.slow_fraction == slow_fraction
-            ):
-                return cell
-        raise KeyError((protections, load_factor, slow_fraction))
+    @property
+    def title(self) -> str:
+        return (
+            "Extension — overload protection, offered load x grey-slow "
+            f"peers ({self.n_peers} peers, queue service "
+            f"{self.service_rate:g} req/s, slow x{self.slow_factor:g}, "
+            f"saturation {self.saturation_qps:g} qps)"
+        )
 
     def baseline(self) -> OverloadCell:
         """The uncontended reference: protections off, lightest load, no
@@ -127,39 +116,16 @@ class OverloadOutcome:
         return self.cell(False, lightest, 0.0)
 
     def report(self) -> str:
-        table = format_table(
-            [
-                "mode",
-                "load",
-                "slow",
-                "recall",
-                "p50 ms",
-                "p99 ms",
-                "timeouts",
-                "shed",
-                "hedge w/l",
-                "breaker",
-                "partial",
-                "misses",
-            ],
-            [cell.as_row() for cell in self.cells],
-            title=(
-                "Extension — overload protection, offered load x grey-slow "
-                f"peers ({self.n_peers} peers, queue service "
-                f"{self.service_rate:g} req/s, slow x{self.slow_factor:g}, "
-                f"saturation {self.saturation_qps:g} qps)"
-            ),
-        )
         base = self.baseline()
         tail = (
             f"baseline (off, {base.load_factor:g}x, 0% slow): "
             f"p99={base.p99_ms:.0f} ms, recall={base.mean_recall:.3f}"
         )
-        return f"{table}\n{tail}"
+        return f"{super().report()}\n{tail}"
 
 
 @dataclass
-class OverloadExperiment:
+class OverloadExperiment(FaultSweep):
     """Sweep protections x offered load x grey-slow fraction.
 
     Each cell builds a fresh system, stores one partition per domain tile
@@ -190,17 +156,6 @@ class OverloadExperiment:
     slow_fractions: tuple[float, ...] = (0.0, 0.10)
     quorum: int = 4
     quorum_threshold: float = 0.9
-    latency_low_ms: float = 10.0
-    latency_high_ms: float = 100.0
-    policy: RetryPolicy = field(
-        default_factory=lambda: RetryPolicy(timeout_ms=400.0, max_retries=2)
-    )
-    domain: Domain = field(default_factory=lambda: PAPER_DOMAIN)
-    seed: int = 2003
-
-    @classmethod
-    def paper(cls) -> "OverloadExperiment":
-        return cls()
 
     @classmethod
     def quick(cls) -> "OverloadExperiment":
@@ -214,13 +169,11 @@ class OverloadExperiment:
     def _run_cell(
         self, protections: bool, load_factor: float, slow_fraction: float
     ) -> OverloadCell:
-        run = Scenario(
-            SystemConfig(
-                n_peers=self.n_peers,
-                domain=self.domain,
+        run = self.start(
+            "overload/",
+            dict(
                 replicas=self.replicas,
                 store_on_miss=False,
-                seed=self.seed,
                 peer_queue=self.peer_queue,
                 service_rate=self.service_rate,
                 hedge=protections,
@@ -229,47 +182,34 @@ class OverloadExperiment:
                 breaker=protections,
                 adaptive_timeout=protections,
             ),
-            stream="overload/",
             tile_width=self.tile_width,
             timed_queries=self.warmup_queries + self.timed_queries,
-            latency_ms=(self.latency_low_ms, self.latency_high_ms),
             slow_fraction=slow_fraction,
             slow_factor=self.slow_factor,
-            **asdict(self.policy),
-        ).start()
+        )
         offered_qps = load_factor * self.saturation_qps
         results = run.engine.run_open_loop(run.queries(), 1000.0 / offered_qps)
-        log = QueryLog(results[self.warmup_queries :])
-        summary = log.phase_summary()["total"]
         stats = run.engine.net.stats
-        return OverloadCell(
+        return QueryLog(results[self.warmup_queries :]).tally(
+            OverloadCell,
             protections=protections,
             load_factor=load_factor,
             slow_fraction=slow_fraction,
             offered_qps=offered_qps,
             slow_peers=len(run.slowed),
-            mean_recall=log.mean_recall(),
-            p50_ms=summary.p50,
-            p99_ms=summary.p99,
-            chain_timeouts=log.chain_timeouts,
             busy_shed=stats.busy_shed,
             hedges=stats.hedges,
             hedge_wins=stats.hedge_wins,
             breaker_opens=int(run.system.metrics.counter("sim.breaker.opened").get()),
-            partial_queries=log.partial_queries,
-            misses=log.misses,
-            queries=len(log),
         )
 
     def run(self) -> OverloadOutcome:
-        cells = [
-            self._run_cell(protections, load_factor, slow_fraction)
-            for protections in (False, True)
-            for load_factor in self.load_factors
-            for slow_fraction in self.slow_fractions
-        ]
+        cells = {
+            key: self._run_cell(*key)
+            for key in product((False, True), self.load_factors, self.slow_fractions)
+        }
         return OverloadOutcome(
-            cells=cells,
+            cells,
             n_peers=self.n_peers,
             saturation_qps=self.saturation_qps,
             service_rate=self.service_rate,

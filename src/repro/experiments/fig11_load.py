@@ -5,7 +5,9 @@ unique ranges, "each stored with five different identifiers computed by
 five different sets of hash functions" — and the figure reports the mean
 and the 1st/99th percentiles of partitions per node, (a) sweeping the
 number of peers with placements fixed, and (b) sweeping stored partitions
-in a 1000-node system.
+in a 1000-node system.  The placement ablation sets panel (a) under raw
+LSH identifiers used directly as ring positions (what the paper's text
+literally says) beside SHA-1 rehashed placement.
 
 Placement only depends on identifiers and ring membership, so this
 experiment computes ownership directly (vectorized successor-of), which is
@@ -14,7 +16,7 @@ exactly what the paper's modified Chord simulator measured.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -27,7 +29,7 @@ from repro.ranges.interval import IntRange
 from repro.util.rng import derive_rng
 from repro.util.stats import SummaryStats, summarize
 
-__all__ = ["LoadBalanceExperiment", "LoadOutcome"]
+__all__ = ["LoadBalanceExperiment", "LoadOutcome", "PlacementAblationOutcome"]
 
 PAPER_PEER_COUNTS = (100, 250, 500, 1000, 2500, 5000)
 PAPER_UNIQUE_PARTITIONS = 10_000
@@ -96,6 +98,38 @@ class LoadOutcome:
 
 
 @dataclass
+class PlacementAblationOutcome:
+    """Figure 11 under direct and under rehashed placement."""
+
+    direct: LoadOutcome
+    rehash: LoadOutcome
+
+    def report(self) -> str:
+        rows = []
+        for (n, d_stats), (_, r_stats) in zip(self.direct.by_peers, self.rehash.by_peers):
+            rows.append(
+                [
+                    n,
+                    f"{d_stats.mean:.1f}",
+                    f"{d_stats.maximum:.0f}",
+                    f"{r_stats.maximum:.0f}",
+                    f"{d_stats.p50:.0f}",
+                    f"{r_stats.p50:.0f}",
+                ]
+            )
+        return format_table(
+            ["peers", "mean", "max direct", "max rehash", "median direct", "median rehash"],
+            rows,
+            title=(
+                "Placement ablation — raw LSH identifiers vs SHA-1 rehash\n"
+                "(min-hash identifiers are small, so direct placement piles "
+                "them onto the low arc: one peer's max load explodes while the "
+                "median peer holds nothing)"
+            ),
+        )
+
+
+@dataclass
 class LoadBalanceExperiment:
     """Compute both Figure 11 panels."""
 
@@ -111,7 +145,7 @@ class LoadBalanceExperiment:
     #: "rehash" (default) places buckets via SHA-1 of the identifier, the
     #: standard DHT discipline that reproduces the paper's reported balance;
     #: "direct" uses raw LSH identifiers and exhibits severe concentration
-    #: (see the placement ablation benchmark).
+    #: (see :meth:`run_ablation`).
     placement: str = "rehash"
 
     @classmethod
@@ -173,4 +207,11 @@ class LoadBalanceExperiment:
             by_peers=by_peers,
             by_partitions=by_partitions,
             sweep_peers=self.sweep_peers,
+        )
+
+    def run_ablation(self) -> PlacementAblationOutcome:
+        """This experiment under each placement."""
+        return PlacementAblationOutcome(
+            direct=replace(self, placement="direct").run(),
+            rehash=replace(self, placement="rehash").run(),
         )

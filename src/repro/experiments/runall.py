@@ -6,7 +6,8 @@ Usage::
 
 ``quick`` (default when run under CI constraints) uses scaled-down
 parameters; ``paper`` uses the paper's.  Reports are printed and written to
-``results_dir`` (default ``results/``).
+``results_dir`` (default ``results/``): every ``results/`` file except
+``ext_live_churn``, which needs live peer processes.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import sys
 import time
 from pathlib import Path
+from typing import Callable
 
 from repro.experiments.ext_adaptive_padding import AdaptivePaddingExperiment
 from repro.experiments.ext_churn_recall import ChurnRecallExperiment
@@ -33,20 +35,18 @@ from repro.experiments.fig10_padding import PaddingExperiment
 from repro.experiments.fig11_load import LoadBalanceExperiment
 from repro.experiments.fig12_pathlen import PathLengthExperiment
 
-__all__ = ["run_all"]
+__all__ = ["jobs", "run_all"]
 
 
-def run_all(scale: str = "paper", results_dir: "str | Path" = "results") -> None:
-    """Execute every experiment at the given scale, saving text reports."""
+def jobs(scale: str) -> list[tuple[str, Callable[[], str]]]:
+    """Each results file's name and the job that renders its report."""
     if scale not in ("paper", "quick"):
         raise ValueError(f"scale must be paper|quick, got {scale!r}")
-    out = Path(results_dir)
-    out.mkdir(exist_ok=True)
 
     def scaled(cls):
         return cls.paper() if scale == "paper" else cls.quick()
 
-    jobs = [
+    return [
         ("fig5_hash_timing", lambda: scaled(HashTimingExperiment).run().report()),
         (
             "fig6a_minwise_quality",
@@ -76,6 +76,10 @@ def run_all(scale: str = "paper", results_dir: "str | Path" = "results") -> None
         ("fig9_containment", lambda: scaled(ContainmentMatchingExperiment).run().report()),
         ("fig10_padding", lambda: scaled(PaddingExperiment).run().report()),
         ("fig11_load_balance", lambda: scaled(LoadBalanceExperiment).run().report()),
+        (
+            "fig11_placement_ablation",
+            lambda: scaled(LoadBalanceExperiment).run_ablation().report(),
+        ),
         ("fig12_path_lengths", lambda: scaled(PathLengthExperiment).run().report()),
         ("ext_local_index", lambda: scaled(LocalIndexExperiment).run().report()),
         ("ext_adaptive_padding", lambda: scaled(AdaptivePaddingExperiment).run().report()),
@@ -88,7 +92,14 @@ def run_all(scale: str = "paper", results_dir: "str | Path" = "results") -> None
         ("ext_health_churn", lambda: scaled(HealthChurnExperiment).run().report()),
         ("ext_overload", lambda: scaled(OverloadExperiment).run().report()),
     ]
-    for name, job in jobs:
+
+
+def run_all(scale: str = "paper", results_dir: "str | Path" = "results") -> None:
+    """Execute every experiment at the given scale, saving text reports."""
+    todo = jobs(scale)
+    out = Path(results_dir)
+    out.mkdir(exist_ok=True)
+    for name, job in todo:
         start = time.perf_counter()
         report = job()
         elapsed = time.perf_counter() - start

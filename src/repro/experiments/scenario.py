@@ -8,7 +8,9 @@ every input when it is constructed (:class:`~repro.errors.ConfigError`, so
 the library and the CLI reject a bad value alike, before any output) and
 :meth:`Scenario.start` runs the prefix.  What follows (crash waves, repair,
 sampling, timed queries) stays with each caller, in the order that
-produces its seeded output.
+produces its seeded output.  The four fault experiments share more: a
+:class:`FaultSweep` declares their common inputs and starts each cell's
+scenario, and a :class:`CellTable` holds the measured cells.
 
 Seeds: warm-up queries use ``seed + 1``, uniform timed queries
 ``seed + 2``; crash, slow and jitter picks draw from the ``derive_rng``
@@ -17,13 +19,15 @@ streams ``<stream>crashes``, ``<stream>slow`` and ``<stream>jitter``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, asdict, dataclass, field
 from itertools import islice
-from typing import Iterator
+from typing import Generic, Iterator, TypeVar
 
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
 from repro.errors import ConfigError
+from repro.experiments.fig6_7_quality import PAPER_DOMAIN
+from repro.metrics.report import format_table
 from repro.net.latency import SeededLatency
 from repro.obs.health import TelemetrySampler
 from repro.ranges.domain import Domain
@@ -34,7 +38,17 @@ from repro.sim.repair import ReplicaRepairer
 from repro.util.rng import derive_rng
 from repro.workloads.generators import UniformRangeWorkload
 
-__all__ = ["ReplicationMode", "Scenario", "ScenarioRun", "jittered_tiles", "tile_ranges"]
+__all__ = [
+    "CellTable",
+    "FaultSweep",
+    "ReplicationMode",
+    "Scenario",
+    "ScenarioRun",
+    "jittered_tiles",
+    "tile_ranges",
+]
+
+Cell = TypeVar("Cell")
 
 
 @dataclass(frozen=True)
@@ -210,3 +224,62 @@ class ScenarioRun:
             rng = derive_rng(seed, scenario.stream + "jitter")
             return list(islice(jittered_tiles(domain, self.tiles, rng), count))
         return UniformRangeWorkload(domain, count, seed=seed + 2).ranges()
+
+
+@dataclass
+class FaultSweep:
+    """The inputs every fault experiment shares, keyword-only after its own.
+
+    A subclass declares ``n_peers`` and redeclares a field here only where
+    its default differs.
+    """
+
+    _: KW_ONLY
+    latency_low_ms: float = 10.0
+    latency_high_ms: float = 100.0
+    policy: RetryPolicy = field(default_factory=RetryPolicy)
+    domain: Domain = field(default_factory=lambda: PAPER_DOMAIN)
+    seed: int = 2003
+
+    @classmethod
+    def paper(cls) -> "FaultSweep":
+        return cls()
+
+    def start(self, stream: str, config: dict | None = None, **inputs) -> ScenarioRun:
+        """Start one cell's :class:`Scenario` over this sweep's ring,
+        latency band and retry policy; ``config`` adds
+        :class:`SystemConfig` fields and ``inputs`` the scenario's own."""
+        return Scenario(
+            SystemConfig(
+                n_peers=self.n_peers, domain=self.domain, seed=self.seed, **(config or {})
+            ),
+            stream=stream,
+            latency_ms=(self.latency_low_ms, self.latency_high_ms),
+            **asdict(self.policy),
+            **inputs,
+        ).start()
+
+
+@dataclass
+class CellTable(Generic[Cell]):
+    """A sweep's measured cells in run order, each found by its setting.
+
+    A subclass names the table's ``title``; each cell renders its row as
+    ``{header: value}`` (``as_row()``).
+    """
+
+    #: Sweep setting -> its cell, in run order.
+    by_key: dict[tuple, Cell]
+
+    @property
+    def cells(self) -> list[Cell]:
+        return list(self.by_key.values())
+
+    def cell(self, *key) -> Cell:
+        """The measured cell for one sweep setting."""
+        return self.by_key[key]
+
+    def report(self) -> str:
+        rows = [cell.as_row() for cell in self.cells]
+        headers = list(rows[0]) if rows else []
+        return format_table(headers, [list(row.values()) for row in rows], title=self.title)

@@ -3,7 +3,8 @@
 One log serves both kinds of report.  The paper's figures read a warmed
 suffix of the log (similarity histogram, recall values, hops, exact
 hits); the event-driven experiments read all of it (per-phase latency
-percentiles, fault tallies, mean recall).  The results themselves are
+percentiles, fault tallies, mean recall), and a fault sweep keeps its
+:meth:`QueryLog.tally` per cell.  The results themselves are
 the engine's :class:`~repro.rpc.engine.TimedQueryResult`, whichever
 transport produced them.
 """
@@ -11,6 +12,7 @@ transport produced them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TypeVar
 
 import numpy as np
 
@@ -19,10 +21,29 @@ from repro.metrics.report import format_table
 from repro.rpc.engine import TimedQueryResult
 from repro.util.stats import Histogram, SummaryStats, summarize
 
-__all__ = ["QueryLog", "QUERY_PHASES"]
+__all__ = ["LogTally", "QueryLog", "QUERY_PHASES"]
 
 #: The phases of one query, in execution order.
 QUERY_PHASES = ("route", "match", "fetch", "store", "total")
+
+Tally = TypeVar("Tally", bound="LogTally")
+
+
+@dataclass(frozen=True)
+class LogTally:
+    """A whole log in numbers: its size, mean recall, total-latency
+    percentiles and fault tallies."""
+
+    queries: int
+    mean_recall: float
+    p50_ms: float
+    p95_ms: float
+    p99_ms: float
+    chain_timeouts: int
+    failovers: int
+    degraded_queries: int
+    partial_queries: int
+    misses: int
 
 
 @dataclass
@@ -117,6 +138,24 @@ class QueryLog:
     def mean_recall(self) -> float:
         """Mean recall over every result (0.0 when none recorded)."""
         return float(np.mean([r.recall for r in self.results])) if self.results else 0.0
+
+    def tally(self, kind: type[Tally] = LogTally, **setting) -> Tally:
+        """The log's :class:`LogTally`, built as ``kind`` (a subclass that
+        adds the ``setting`` it was measured at, such as a sweep cell)."""
+        total = summarize([r.total_ms for r in self.results])
+        return kind(
+            queries=len(self),
+            mean_recall=self.mean_recall(),
+            p50_ms=total.p50,
+            p95_ms=total.p95,
+            p99_ms=total.p99,
+            chain_timeouts=self.chain_timeouts,
+            failovers=self.failovers,
+            degraded_queries=self.degraded_queries,
+            partial_queries=self.partial_queries,
+            misses=self.misses,
+            **setting,
+        )
 
     def report(self, title: str = "Query latency by phase") -> str:
         """Human-readable phase table plus the fault tallies."""

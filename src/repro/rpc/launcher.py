@@ -95,7 +95,10 @@ class ForkedPeer:
     def send_signal(self, signum: int) -> None:
         # Not reported reaped yet, so the pid is still this peer's.
         if self.poll() is None:
-            os.kill(self.pid, signum)
+            try:
+                os.kill(self.pid, signum)
+            except ProcessLookupError:
+                pass  # reaped, and its exit report is still on the way
 
     def terminate(self) -> None:
         self.send_signal(signal.SIGTERM)

@@ -7,6 +7,7 @@ shapes the paper reports, not absolute numbers.
 from __future__ import annotations
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -167,6 +168,16 @@ class TestFig11Load:
         assert "Figure 11a" in text and "Figure 11b" in text
 
 
+class TestRunAll:
+    def test_jobs_regenerate_every_committed_result_but_the_live_one(self):
+        from repro.experiments.runall import jobs
+
+        results = Path(__file__).resolve().parent.parent / "results"
+        names = [name for name, _ in jobs("paper")]
+        assert len(names) == len(set(names))
+        assert set(names) == {path.stem for path in results.glob("*.txt")} - {"ext_live_churn"}
+
+
 class TestFig12PathLength:
     @pytest.fixture(scope="class")
     def outcome(self):
@@ -268,6 +279,7 @@ class TestMoreExtensions:
         assert protected.p99_ms < unprotected.p99_ms
         # ...without giving up answers.
         assert protected.mean_recall >= outcome.baseline().mean_recall - 0.05
+        assert protected.mean_recall >= unprotected.mean_recall
         assert "overload protection" in outcome.report()
 
     def test_linear_catches_up_under_repetition(self):

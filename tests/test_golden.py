@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+from functools import partial
 
 import pytest
 
@@ -19,6 +20,10 @@ from repro.chord.hashing import key_id, node_id_for_address, rehash_for_placemen
 from repro.cli import main
 from repro.core.config import SystemConfig
 from repro.core.system import RangeSelectionSystem
+from repro.experiments.ext_churn_recall import ChurnRecallExperiment
+from repro.experiments.ext_event_latency import EventLatencyExperiment
+from repro.experiments.ext_health_churn import HealthChurnExperiment
+from repro.experiments.ext_overload import OverloadExperiment
 from repro.lsh import (
     ApproxMinWiseFamily,
     LinearFamily,
@@ -133,3 +138,36 @@ class TestCliOutputGolden:
         assert code == 0
         digest = hashlib.sha256(out.getvalue().encode()).hexdigest()
         assert digest == CLI_STDOUT_SHA256[argv]
+
+
+#: sha256 of ``report()`` of each fault experiment at a small scale.
+FAULT_REPORT_SHA256 = {
+    "event-latency": (
+        EventLatencyExperiment.quick,
+        "794682a15b02cd77c3e196122298924f8328f8029dcada1db3289a0e8135407c",
+    ),
+    "health-churn": (
+        HealthChurnExperiment.quick,
+        "c1f68415c10d761bd42dc7c8417a2f9036983a783834bef1ac550c048c221cfc",
+    ),
+    "churn-recall": (
+        ChurnRecallExperiment.quick,
+        "70e01ab61a58ff0edda2140ca099297aa2c265557e47a447ebf7adc07299353d",
+    ),
+    "overload": (
+        partial(OverloadExperiment, n_peers=60, timed_queries=60, warmup_queries=40),
+        "9ceba653b892bc6e22aa440e36746712083d5cc0420687688c07776eadc6bd57",
+    ),
+}
+
+
+class TestFaultReportGolden:
+    """Byte-for-byte pins of the fault experiments' reports: a change to a
+    sweep's inputs, its scenario build, a cell's tally or the table moves a
+    digest."""
+
+    @pytest.mark.parametrize("name", list(FAULT_REPORT_SHA256))
+    def test_report_digest(self, name):
+        make, expected = FAULT_REPORT_SHA256[name]
+        digest = hashlib.sha256(make().run().report().encode()).hexdigest()
+        assert digest == expected

@@ -17,6 +17,7 @@ import pytest
 
 import repro
 from repro.rpc.cluster import ClusterError, LocalCluster
+from repro.rpc.launcher import ForkedPeer
 
 SRC = os.path.dirname(repro.__path__[0])
 
@@ -83,6 +84,25 @@ def test_a_peer_exiting_before_its_ready_line_reports_its_own_status(site):
     with pytest.raises(ClusterError, match="peer 'peer-0' exited with 3 before"):
         cluster.start()
     assert cluster.processes == {}
+
+
+class _SilentLauncher:
+    """A launcher whose exit report has not arrived yet."""
+
+    def __init__(self) -> None:
+        self.exit_codes: dict[int, int] = {}
+
+    def collect(self, timeout: float | None) -> None:
+        return None
+
+
+def test_signalling_a_peer_reaped_before_its_exit_report_does_not_raise():
+    child = subprocess.Popen(["true"])
+    child.wait()  # reaped: the pid names no process now
+    peer = ForkedPeer(_SilentLauncher(), child.pid, None)
+    assert peer.poll() is None
+    # Signal 0 only checks the pid, so a reused pid cannot be hurt.
+    peer.send_signal(0)
 
 
 def test_the_launcher_refuses_to_fork_with_a_second_thread(site):
