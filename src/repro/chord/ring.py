@@ -32,6 +32,10 @@ __all__ = ["ChordRing"]
 #: scratch arrays (rows x m x 8 bytes, a handful of them) stay under a MB.
 _BUILD_BLOCK = 1024
 
+#: Keys whose chains :meth:`ChordRing.successor_chain` remembers per
+#: membership before the table starts over.
+CHAIN_CACHE_LIMIT = 1 << 12
+
 
 class ChordRing:
     """A simulated Chord overlay over an ``m``-bit identifier space.
@@ -55,6 +59,13 @@ class ChordRing:
         #: The ``membership_epoch`` of the last :meth:`build`: while the
         #: two agree, every node's fingers are the ones it computed.
         self._built_epoch = -1
+        #: ``key -> chain`` of predicate-free :meth:`successor_chain`
+        #: calls, the longest asked for: a shorter chain is its prefix.
+        #: Valid for the member set of ``_chains_epoch`` only; emptied
+        #: whenever membership moves or it reaches
+        #: :data:`CHAIN_CACHE_LIMIT`.
+        self._chains: dict[int, list[int]] = {}
+        self._chains_epoch = 0
 
     # ------------------------------------------------------------------
     # Membership
@@ -166,11 +177,32 @@ class ChordRing:
         stored at ``successor_chain(key, r)``.  ``predicate`` filters
         candidates (e.g. to the peers currently alive), scanning further
         down the ring until ``count`` qualify or membership is exhausted.
+
+        Without a predicate the chain depends on ``key``, ``count`` and
+        the member set alone, so it is remembered until membership moves.
+        Every call returns a fresh list.
         """
         if count < 1:
             raise ChordError("successor chain length must be at least 1")
         if not self._sorted_ids:
             raise EmptyRingError("ring has no nodes")
+        if predicate is None:
+            chains = self._chains
+            if self._chains_epoch != self.membership_epoch:
+                chains.clear()
+                self._chains_epoch = self.membership_epoch
+            chain = chains.get(key)
+            if chain is None or (len(chain) < count and len(chain) < len(self._sorted_ids)):
+                chain = self._walk(key, count, None)
+                if len(chains) >= CHAIN_CACHE_LIMIT:
+                    chains.clear()
+                chains[key] = chain
+            return chain[:count]
+        return self._walk(key, count, predicate)
+
+    def _walk(
+        self, key: int, count: int, predicate: Callable[[int], bool] | None
+    ) -> list[int]:
         ids = self._sorted_ids
         n = len(ids)
         index = bisect_left(ids, self.space.wrap(key)) % n

@@ -6,20 +6,23 @@ shows containment matching answers far more queries completely; both
 matchers are provided, plus a registry for config-by-name.
 
 A cached range is two integers, so scoring a whole bucket is arithmetic
-over two int columns.  Each matcher's ``score`` therefore carries a
-vectorised twin as ``score.columns(query, starts, ends)`` — a float64
+over two int columns.  Each matcher's ``score`` therefore carries two
+twins: a vectorised ``score.columns(query, starts, ends)`` — a float64
 array holding, bit for bit, what ``score`` returns for each
-``IntRange(starts[i], ends[i])``.  The twin hangs on the *function*, so it
-travels with the bound method callers pass around
-(``matcher_by_name(name).score``) and a subclass that overrides ``score``
-sheds it; :class:`~repro.storage.bucket.Bucket` looks for it and falls
-back to calling ``score`` per entry when it is absent.
+``IntRange(starts[i], ends[i])`` — and a scalar ``score.scalar(query,
+ranges)`` — the same floats as a list, from one Python loop over the
+ranges' int bounds, for buckets too small to pay numpy's fixed cost.  The
+twins hang on the *function*, so they travel with the bound method
+callers pass around (``matcher_by_name(name).score``) and a subclass that
+overrides ``score`` sheds them; :class:`~repro.storage.bucket.Bucket`
+looks for them and falls back to calling ``score`` per entry when they
+are absent.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -29,11 +32,16 @@ from repro.ranges.interval import IntRange
 __all__ = ["Matcher", "JaccardMatcher", "ContainmentMatcher", "matcher_by_name"]
 
 
-def _vectorised(columns: Callable[[IntRange, np.ndarray, np.ndarray], np.ndarray]):
-    """Decorator pairing a scalar ``score`` with its column form."""
+def _twins(
+    columns: Callable[[IntRange, np.ndarray, np.ndarray], np.ndarray],
+    scalar: Callable[[IntRange, Iterable[IntRange]], list[float]],
+):
+    """Decorator pairing a per-entry ``score`` with its column form and
+    its scalar loop."""
 
     def attach(score):
         score.columns = columns
+        score.scalar = scalar
         return score
 
     return attach
@@ -73,6 +81,37 @@ def _containment_columns(
     return scores
 
 
+# The scalar twins inline IntRange.intersection_size / union_size / __len__
+# over plain ints: the same integers reach the same int/int divisions (and
+# an empty overlap the same literal 0.0), so each float is the one the
+# per-entry ``score`` returns.
+
+def _jaccard_scalar(query: IntRange, ranges: Iterable[IntRange]) -> list[float]:
+    low, high = query.start, query.end
+    size = high - low + 1
+    scores = []
+    for r in ranges:
+        start, end = r.start, r.end
+        overlap = (end if end < high else high) - (start if start > low else low) + 1
+        scores.append(overlap / (size + end - start + 1 - overlap) if overlap > 0 else 0.0)
+    return scores
+
+
+def _containment_scalar(query: IntRange, ranges: Iterable[IntRange]) -> list[float]:
+    low, high = query.start, query.end
+    size = high - low + 1
+    scores = []
+    for r in ranges:
+        start, end = r.start, r.end
+        overlap = (end if end < high else high) - (start if start > low else low) + 1
+        scores.append(
+            overlap / size + 1e-3 * (overlap / (size + end - start + 1 - overlap))
+            if overlap > 0
+            else 0.0
+        )
+    return scores
+
+
 class Matcher(ABC):
     """Scores a cached partition against a query range (higher is better)."""
 
@@ -88,7 +127,7 @@ class JaccardMatcher(Matcher):
 
     name = "jaccard"
 
-    @_vectorised(_jaccard_columns)
+    @_twins(_jaccard_columns, _jaccard_scalar)
     def score(self, query: IntRange, candidate: PartitionDescriptor) -> float:
         return candidate.jaccard_to(query)
 
@@ -104,7 +143,7 @@ class ContainmentMatcher(Matcher):
 
     name = "containment"
 
-    @_vectorised(_containment_columns)
+    @_twins(_containment_columns, _containment_scalar)
     def score(self, query: IntRange, candidate: PartitionDescriptor) -> float:
         # The epsilon-weighted Jaccard term only reorders candidates with
         # equal containment; containment dominates because it is weighted

@@ -33,9 +33,22 @@ __all__ = [
 Key = tuple[int, PartitionDescriptor]
 
 
+#: Ring positions remembered per placement before the table starts over.
+PLACED_CACHE_LIMIT = 1 << 12
+#: Ranges whose identifiers are remembered before the table starts over.
+IDENTIFIERS_CACHE_LIMIT = 1 << 12
+
+
 class ReplicaPlacement:
     """The replica sets of identifiers, from ``self.config`` (placement
     mode, id bits, replication factor) and ``self.router`` (the ring)."""
+
+    #: identifier -> ring position under ``rehash`` placement, made on
+    #: the first one: a pure function of the identifier and
+    #: ``config.id_bits``, and a query places each of its ``l``
+    #: identifiers at least twice.  Emptied whenever it reaches
+    #: :data:`PLACED_CACHE_LIMIT`.
+    _placed: dict[int, int] | None = None
 
     def place_identifier(self, identifier: int) -> int:
         """Ring position for a bucket identifier.
@@ -47,9 +60,19 @@ class ReplicaPlacement:
         bucket is always keyed by the raw identifier, so matching semantics
         are identical under both modes.
         """
-        if self.config.placement == "rehash":
-            return rehash_for_placement(identifier, self.config.id_bits)
-        return identifier
+        config = self.config
+        if config.placement != "rehash":
+            return identifier
+        table = self._placed
+        if table is None:
+            table = self._placed = {}
+        placed = table.get(identifier)
+        if placed is None:
+            placed = rehash_for_placement(identifier, config.id_bits)
+            if len(table) >= PLACED_CACHE_LIMIT:
+                table.clear()
+            table[identifier] = placed
+        return placed
 
     def replica_owners(self, identifier: int) -> list[int]:
         """The nominal replica set of ``identifier``: its owner followed by
@@ -103,7 +126,7 @@ class HashedPlacement(ReplicaPlacement):
     interval minima — is complete when the constructor returns.  It
     depends on :data:`HASHING_FIELDS` alone, so a ``previous`` placement
     whose config agrees on them hands its front over instead of having an
-    identical one built.
+    identical one built, and with it the identifiers it has computed.
     """
 
     #: The config fields the scheme is built from.
@@ -118,7 +141,12 @@ class HashedPlacement(ReplicaPlacement):
             for name in self.HASHING_FIELDS
         ):
             self.scheme = previous.scheme
+            self._identifiers = previous._identifiers
             return
+        #: range -> its identifiers, as a tuple: a pure function of the
+        #: range and the scheme, so it goes wherever the scheme goes.
+        #: Emptied whenever it reaches :data:`IDENTIFIERS_CACHE_LIMIT`.
+        self._identifiers: dict[IntRange, tuple[int, ...]] = {}
         family = family_for_domain(config.family, config.domain)
         self.scheme = LSHIdentifierScheme.from_family(
             family, l=config.l, k=config.k, seed=config.seed, id_bits=config.id_bits
@@ -148,8 +176,14 @@ class HashedPlacement(ReplicaPlacement):
     def identifiers_for(self, r: IntRange) -> list[int]:
         """The ``l`` identifiers of ``r``, in the configured domain or any
         other the family's space covers (the SQL front end hashes ages,
-        ids and date codes alike)."""
-        return self.scheme.identifiers(r)
+        ids and date codes alike).  A fresh list on every call."""
+        identifiers = self._identifiers.get(r)
+        if identifiers is None:
+            identifiers = tuple(self.scheme.identifiers(r))
+            if len(self._identifiers) >= IDENTIFIERS_CACHE_LIMIT:
+                self._identifiers.clear()
+            self._identifiers[r] = identifiers
+        return list(identifiers)
 
 
 class Action(NamedTuple):

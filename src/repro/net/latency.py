@@ -5,6 +5,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from hashlib import sha256
 from struct import Struct
+from typing import Sequence
 
 import numpy as np
 
@@ -21,6 +22,12 @@ class LatencyModel(ABC):
     def sample_ms(self, sender: int, recipient: int) -> float:
         """Delay for one message from ``sender`` to ``recipient``."""
 
+    def path_ms(self, path: Sequence[int]) -> list[float]:
+        """The delay of each edge of ``path`` in order: ``sample_ms`` of
+        every consecutive pair, in one call per route."""
+        sample = self.sample_ms
+        return [sample(sender, recipient) for sender, recipient in zip(path, path[1:])]
+
 
 class ConstantLatency(LatencyModel):
     """Every message takes the same time; the default (and the value used
@@ -33,6 +40,9 @@ class ConstantLatency(LatencyModel):
 
     def sample_ms(self, sender: int, recipient: int) -> float:
         return self.ms
+
+    def path_ms(self, path: Sequence[int]) -> list[float]:
+        return [self.ms] * (len(path) - 1)
 
 
 class UniformLatency(LatencyModel):
@@ -83,11 +93,21 @@ class SeededLatency(LatencyModel):
         cached = self._cache.get(pair)
         if cached is not None:
             return cached
+        return self._digest_ms(pair)
+
+    def path_ms(self, path: Sequence[int]) -> list[float]:
+        cache = self._cache
+        delays = []
+        for pair in zip(path, path[1:]):
+            delay = cache.get(pair)
+            delays.append(delay if delay is not None else self._digest_ms(pair))
+        return delays
+
+    def _digest_ms(self, pair: tuple[int, int]) -> float:
+        """The link's delay from its digest, memoised."""
         # The bytes of f"{seed}:{sender}->{recipient}", built without
         # the str round trip.
-        (head,) = _DIGEST_HEAD(
-            sha256(b"%d:%d->%d" % (self.seed, sender, recipient)).digest()
-        )
+        (head,) = _DIGEST_HEAD(sha256(b"%d:%d->%d" % (self.seed, *pair)).digest())
         fraction = head / 2**64
         delay = self.low_ms + fraction * (self.high_ms - self.low_ms)
         if len(self._cache) >= self.CACHE_LIMIT:

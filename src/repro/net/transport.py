@@ -386,7 +386,7 @@ class PeerNetwork(Transport):
         with latency sampled from the network's model.  Returns the total
         latency of the route in milliseconds.
         """
-        return self._charge(self._edge_delays(path), size_bytes)
+        return self._charge(self.latency.path_ms(path), size_bytes)
 
     def hop(
         self, hop_from: int, hop_to: int, fn: Callable[[float], None]
@@ -406,16 +406,12 @@ class PeerNetwork(Transport):
         if len(path) < 2:
             fn([])
             return
-        delays = self._edge_delays(path)
+        delays = self.latency.path_ms(path)
         self._charge(delays)
         arrival = self.now()
         for delay in delays:
             arrival += delay
         self._land(arrival, lambda: fn(delays))
-
-    def _edge_delays(self, path: Sequence[int]) -> list[float]:
-        sample = self.latency.sample_ms
-        return [sample(hop_from, hop_to) for hop_from, hop_to in zip(path, path[1:])]
 
     def _charge(self, delays: Sequence[float], size_bytes: int = 32) -> float:
         total = 0.0

@@ -13,10 +13,13 @@ from repro.ranges.interval import IntRange
 
 __all__ = ["StoredEntry", "Bucket", "select_best"]
 
-#: Entries at which one vectorised pass over a bucket's range columns
-#: starts to beat calling ``score`` per entry (numpy's fixed cost per match
-#: against ~1.2 us per scalar score).  Smaller buckets — the great
-#: majority — stay on the scalar loop and carry no columns at all.
+#: Entries at which a bucket carries range columns and its groups of at
+#: least this size are scored in one vectorised pass.  Smaller buckets —
+#: the great majority — stay on the scalar loop and carry no columns at
+#: all.  The matchers' scalar twins cost ~0.2-0.4 us per entry against
+#: numpy's ~17-20 us per match (2-core x86 box), a break-even nearer
+#: 32-40 entries; ``tests/test_rpc_engine.py``'s overfull workload fills
+#: buckets to twice this constant, so raising it waits on that test.
 COLUMNAR_MIN_ENTRIES = 8
 
 #: Range bounds within ``±COLUMN_BOUND`` keep every size the matchers
@@ -98,7 +101,7 @@ class _Columns:
 class Bucket:
     """The list of entries stored under one identifier at one peer."""
 
-    __slots__ = ("identifier", "_entries", "_index")
+    __slots__ = ("identifier", "_entries", "_index", "_answer")
 
     def __init__(self, identifier: int) -> None:
         self.identifier = identifier
@@ -107,6 +110,15 @@ class Bucket:
         #: least COLUMNAR_MIN_ENTRIES: per (relation, attribute), the
         #: entries of ``_entries`` in that group, in insertion order.
         self._index: dict[tuple[str, str], _Columns] | None = None
+        #: The last answer :meth:`best_match` gave a matcher's ``score``:
+        #: ``(query, relation, attribute, score.columns, answer)``.  The
+        #: column twin names the score (two scores sharing it give the
+        #: same floats) without holding a bound method per bucket.  One
+        #: slot, not a table: a bucket is asked the same query over and
+        #: over (an exact hit on a popular range) far more often than it
+        #: is asked two queries in turn.  Every change to ``_entries``
+        #: goes through :meth:`add` or :meth:`remove`, which drop it.
+        self._answer: tuple | None = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -133,12 +145,14 @@ class Bucket:
         # costliest step of an insert, and this does it once.
         existing = entries.setdefault(entry.descriptor, entry)
         if len(entries) == size:
+            # The same descriptor, so the same answers: keep the last one.
             if existing.partition is None and entry.partition is not None:
                 existing.partition = entry.partition
             if entry.primary:
                 existing.primary = True
             existing.access_clock = max(existing.access_clock, entry.access_clock)
             return False
+        self._answer = None
         if self._index is not None:
             self._index_append(entry)
         elif size + 1 >= COLUMNAR_MIN_ENTRIES:
@@ -148,10 +162,12 @@ class Bucket:
     def remove(self, descriptor: PartitionDescriptor) -> StoredEntry | None:
         """Remove and return the entry for ``descriptor``, if present."""
         entry = self._entries.pop(descriptor, None)
-        if entry is not None and self._index is not None:
-            # Removal is rare (eviction, hand-off): rebuild rather than
-            # splice the columns.
-            self._rebuild_index()
+        if entry is not None:
+            self._answer = None
+            if self._index is not None:
+                # Removal is rare (eviction, hand-off): rebuild rather
+                # than splice the columns.
+                self._rebuild_index()
         return entry
 
     def _index_append(self, entry: StoredEntry) -> None:
@@ -194,23 +210,49 @@ class Bucket:
 
         A ``score`` that carries a vectorised ``columns`` twin (the
         matchers in :mod:`repro.core.matcher`) is evaluated in one numpy
-        pass over an indexed group; any other callable, a small group, or
-        bounds outside :data:`COLUMN_BOUND` take the per-entry loop.  Both
-        hand their scores to the same selection rule.
+        pass over an indexed group, and through its ``scalar`` twin on a
+        small group or bounds outside :data:`COLUMN_BOUND`; any other
+        callable is called per entry.  All hand their scores to the same
+        selection rule.  The matchers' answer is a pure function of the
+        entries and the arguments, so the last one is remembered and a
+        repeat of its arguments returns it unscored.
         """
+        vectorised = getattr(score, "columns", None)
+        if vectorised is None:
+            return self._best_match(query, relation, attribute, score, None)
+        answer = self._answer
+        if (
+            answer is not None
+            and answer[0] == query
+            and answer[3] is vectorised
+            and answer[1] == relation
+            and answer[2] == attribute
+        ):
+            return answer[4]
+        best = self._best_match(query, relation, attribute, score, vectorised)
+        self._answer = (query, relation, attribute, vectorised, best)
+        return best
+
+    def _best_match(
+        self,
+        query: IntRange,
+        relation: str,
+        attribute: str,
+        score: Callable[[IntRange, PartitionDescriptor], float],
+        vectorised: Callable | None,
+    ) -> tuple[StoredEntry, float] | None:
         if self._index is None:
-            scored: Iterable[tuple[StoredEntry, float]] = (
-                (entry, score(query, entry.descriptor))
+            entries = [
+                entry
                 for entry in self._entries.values()
                 if entry.descriptor.relation == relation
                 and entry.descriptor.attribute == attribute
-            )
+            ]
         else:
             columns = self._index.get((relation, attribute))
             if columns is None:
                 return None
             entries = columns.entries
-            vectorised = getattr(score, "columns", None)
             if (
                 vectorised is not None
                 and columns.starts is not None
@@ -225,11 +267,17 @@ class Bucket:
                 top = scores.item(scores.argmax())
                 # Only an entry at the top score can win, so the tie rule
                 # needs to see just those (almost always one).
-                scored = [
-                    (entries[i], top) for i in (scores == top).nonzero()[0].tolist()
-                ]
-            else:
-                scored = ((entry, score(query, entry.descriptor)) for entry in entries)
+                return select_best(
+                    [(entries[i], top) for i in (scores == top).nonzero()[0].tolist()],
+                    query,
+                )
+        scalar = getattr(score, "scalar", None)
+        if scalar is None:
+            scored: Iterable[tuple[StoredEntry, float]] = (
+                (entry, score(query, entry.descriptor)) for entry in entries
+            )
+        else:
+            scored = zip(entries, scalar(query, [e.descriptor.range for e in entries]))
         return select_best(scored, query)
 
     def descriptors(self) -> list[PartitionDescriptor]:

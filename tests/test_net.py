@@ -127,6 +127,50 @@ class TestSeededLatencyBits:
                 )
 
 
+class TestPathLatency:
+    """``path_ms`` is ``sample_ms`` edge by edge, in one call per route:
+    the same floats, and the same memo, cold or warm."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(-(2**64), 2**64),
+        path=st.lists(st.integers(0, 2**64), max_size=10),
+        warm=st.lists(st.tuples(st.integers(0, 2**64), st.integers(0, 2**64)), max_size=4),
+    )
+    def test_path_is_each_edge_sampled(self, seed, path, warm):
+        by_path = SeededLatency(10, 100, seed=seed)
+        by_edge = SeededLatency(10, 100, seed=seed)
+        for link in warm:
+            by_path.sample_ms(*link)
+            by_edge.sample_ms(*link)
+        for _ in range(2):  # cold memo, then warm
+            edges = [by_edge.sample_ms(a, b) for a, b in zip(path, path[1:])]
+            assert by_path.path_ms(path) == edges
+            assert by_path._cache == by_edge._cache
+        constant = ConstantLatency(2.5)
+        assert constant.path_ms(path) == [
+            constant.sample_ms(a, b) for a, b in zip(path, path[1:])
+        ]
+
+    def test_memo_cap_is_kept_along_a_path(self):
+        model = SeededLatency(10, 100, seed=3)
+        reference = SeededLatency(10, 100, seed=3)
+        path = list(range(SeededLatency.CACHE_LIMIT + 50))
+        assert model.path_ms(path) == [
+            reference.sample_ms(a, b) for a, b in zip(path, path[1:])
+        ]
+        assert model._cache == reference._cache
+        assert len(model._cache) <= SeededLatency.CACHE_LIMIT
+
+    def test_base_path_draws_in_edge_order(self):
+        path = [5, 1, 9, 2]
+        by_path = UniformLatency(1, 50, np.random.default_rng(4))
+        by_edge = UniformLatency(1, 50, np.random.default_rng(4))
+        assert by_path.path_ms(path) == [
+            by_edge.sample_ms(a, b) for a, b in zip(path, path[1:])
+        ]
+
+
 class TestSimulatedNetwork:
     def test_delivery_and_reply(self):
         net = SimulatedNetwork()
