@@ -45,6 +45,14 @@ ACTIONS = (
     "kill", "pause", "resume", "delay", "drop", "partition", "heal", "restart",
 )
 
+#: A schedule's timing, in seconds: waves start at 0 and are
+#: ``WAVE_GAP_S`` apart; a paused peer resumes, a partition heals and a
+#: killed peer restarts this long after its wave.
+WAVE_GAP_S = 4.0
+PAUSE_HOLD_S = 3.0
+PARTITION_HOLD_S = 6.0
+RESTART_HOLD_S = 3.0
+
 
 @dataclass(frozen=True)
 class ChaosEvent:
@@ -111,16 +119,11 @@ class ChaosSchedule:
         peers: list[str],
         counts: dict[str, int],
         *,
-        start_s: float = 0.0,
-        wave_gap_s: float = 4.0,
-        pause_hold_s: float = 3.0,
-        partition_hold_s: float = 6.0,
-        restart_hold_s: float = 3.0,
         protect: tuple[str, ...] = (),
     ) -> "ChaosSchedule":
         """Lay the requested faults out as seeded, ordered waves.
 
-        Each action kind becomes one wave, waves are ``wave_gap_s``
+        Each action kind becomes one wave, waves are :data:`WAVE_GAP_S`
         apart; paired actions (pause→resume, partition→heal) schedule
         their own recovery.  ``protect`` names peers (typically the
         bootstrap) that process faults must not target.  Every choice —
@@ -132,7 +135,7 @@ class ChaosSchedule:
         if not victims:
             raise ReproError("chaos needs at least one unprotected peer")
         events: list[ChaosEvent] = []
-        at = start_s
+        at = 0.0
         killed: set[str] = set()
         for action in ("delay", "drop", "pause", "kill", "restart", "partition"):
             for _ in range(counts.get(action, 0)):
@@ -147,7 +150,7 @@ class ChaosSchedule:
                     target = rng.choice(pool)
                     events.append(ChaosEvent(at, "pause", (target,)))
                     events.append(
-                        ChaosEvent(at + pause_hold_s, "resume", (target,))
+                        ChaosEvent(at + PAUSE_HOLD_S, "resume", (target,))
                     )
                 elif action == "delay":
                     target = rng.choice(pool)
@@ -168,15 +171,15 @@ class ChaosSchedule:
                     target = rng.choice(pool)
                     events.append(ChaosEvent(at, "kill", (target,)))
                     events.append(
-                        ChaosEvent(at + restart_hold_s, "restart", (target,))
+                        ChaosEvent(at + RESTART_HOLD_S, "restart", (target,))
                     )
                 elif action == "partition":
                     # Split off a minority side (1..n//2 peers).
                     side_size = max(1, min(len(pool) // 2, 2))
                     side = tuple(sorted(rng.sample(pool, side_size)))
                     events.append(ChaosEvent(at, "partition", side))
-                    events.append(ChaosEvent(at + partition_hold_s, "heal"))
-                at += wave_gap_s
+                    events.append(ChaosEvent(at + PARTITION_HOLD_S, "heal"))
+                at += WAVE_GAP_S
         events.sort(key=lambda event: (event.at_s, event.action))
         return cls(seed=seed, events=events)
 
@@ -192,20 +195,14 @@ class ChaosRunner:
         self.schedule = schedule
         self.applied: list[ChaosEvent] = []
 
-    def run(self, on_event=None) -> list[ChaosEvent]:
-        """Play the whole schedule in real time, sleeping between events.
-
-        ``on_event(event)``, when given, fires after each fault lands —
-        the experiment uses it to interleave measurements with faults.
-        """
+    def run(self) -> list[ChaosEvent]:
+        """Play the whole schedule in real time, sleeping between events."""
         started = time.monotonic()
         for event in self.schedule.events:
             delay = event.at_s - (time.monotonic() - started)
             if delay > 0:
                 time.sleep(delay)
             self.apply(event)
-            if on_event is not None:
-                on_event(event)
         return self.applied
 
     def apply(self, event: ChaosEvent) -> None:

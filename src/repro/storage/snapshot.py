@@ -1,19 +1,23 @@
-"""System snapshots: persist and restore the cache state as JSON.
+"""The on-disk record of a stored entry, and the snapshots built from it.
 
-Long experiments (and example sessions) warm the cache over thousands of
-queries; snapshots let that state be saved and reloaded without replaying
-the workload.  A snapshot captures the configuration and every stored
-entry (identifier, descriptor, rows); loading rebuilds the system from the
-same configuration — the hash functions and ring layout are deterministic
-in the seed — and re-places each entry at its owner.
+One record describes one stored entry on disk: its key fields
+``identifier, relation, attribute, start, end``, then ``primary`` and
+``access_clock``, then ``rows`` when the entry keeps rows.
+:func:`encode_entry` writes it and :func:`decode_entry` reads it back,
+for every file this package keeps:
 
-Two snapshot shapes share the entry-record format:
+* a *peer* snapshot entry (one peer's store, the compaction target of
+  its write-ahead log; placement is kept as-is because the live server
+  reconciles ownership after restart) is the record on its own;
+* a journal record (:mod:`repro.storage.wal`) is the record plus ``op``,
+  ``via`` and the store's ``clock``; a remove carries the key fields only;
+* a *system* snapshot entry (one file for a whole in-process simulation)
+  is the key fields and rows: placement, and with it each copy's role,
+  is recomputed on load.
 
-* the *system* snapshot (one file for a whole in-process simulation,
-  placement recomputed on load), and
-* the *peer* snapshot (one peer's store, written by the durability layer
-  as the compaction target of its write-ahead log; placement is kept
-  as-is because the live server reconciles ownership after restart).
+Both snapshots reach the store through :meth:`PeerStore.replay`, the
+same primitive journal replay uses, and every file is written through
+:func:`write_atomic`.
 """
 
 from __future__ import annotations
@@ -27,14 +31,17 @@ from typing import TYPE_CHECKING
 from repro.core.config import SystemConfig
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import StorageError
-from repro.ranges.domain import Domain
 from repro.ranges.interval import IntRange
+from repro.rpc import wire
 from repro.storage.store import PeerStore
 
 if TYPE_CHECKING:
     from repro.core.system import RangeSelectionSystem
 
 __all__ = [
+    "encode_entry",
+    "decode_entry",
+    "write_atomic",
     "snapshot_system",
     "restore_system",
     "save_system",
@@ -49,71 +56,97 @@ _FORMAT_VERSION = 1
 _PEER_FORMAT_VERSION = 1
 
 
-def _entry_record(identifier: int, entry) -> dict:
-    """One stored entry as a JSON-safe record (shared by both shapes)."""
-    descriptor = entry.descriptor
+def encode_entry(
+    identifier: int,
+    descriptor: PartitionDescriptor,
+    partition: Partition | None = None,
+    primary: bool | None = None,
+    access_clock: int = 0,
+) -> dict:
+    """One stored entry as its JSON-safe record.
+
+    Without ``primary`` the record keeps the key fields and rows only:
+    a remove names an entry, and a system snapshot recomputes roles.
+    """
+    bounds = descriptor.range
     record: dict = {
         "identifier": identifier,
         "relation": descriptor.relation,
         "attribute": descriptor.attribute,
-        "start": descriptor.range.start,
-        "end": descriptor.range.end,
+        "start": bounds.start,
+        "end": bounds.end,
+        "primary": primary,
+        "access_clock": access_clock,
     }
-    if entry.partition is not None:
-        record["rows"] = [list(row) for row in entry.partition.rows]
+    if primary is None:
+        del record["primary"], record["access_clock"]
+    if partition is not None:
+        record["rows"] = [list(row) for row in partition.rows]
     return record
 
 
-def _descriptor_from_record(record: dict) -> PartitionDescriptor:
-    return PartitionDescriptor(
-        record["relation"],
-        record["attribute"],
-        IntRange(record["start"], record["end"]),
-    )
+def decode_entry(record: dict) -> dict:
+    """Read any record :func:`encode_entry` wrote back as an op.
+
+    The op has the shape the store's mutation hook emits and
+    :meth:`PeerStore.replay` applies: ``op`` (a snapshot entry reads as
+    ``"store"``), ``identifier`` and ``descriptor``; for a store also
+    ``partition``, ``primary`` and ``access_clock``.  A journal record's
+    ``via`` and ``clock`` come along.  Raises :class:`StorageError` for
+    a record that is not an entry record.
+    """
+    try:
+        descriptor = PartitionDescriptor(
+            record["relation"],
+            record["attribute"],
+            IntRange(record["start"], record["end"]),
+        )
+        op = {
+            "op": record.get("op", "store"),
+            "identifier": int(record["identifier"]),
+            "descriptor": descriptor,
+        }
+        if op["op"] not in ("store", "remove"):
+            raise ValueError(f"unknown op {op['op']!r}")
+        if "via" in record:
+            op["via"] = record["via"]
+        if op["op"] == "store":
+            rows = record.get("rows")
+            op["partition"] = None if rows is None else Partition(
+                descriptor=descriptor, rows=tuple(tuple(row) for row in rows)
+            )
+            op["primary"] = bool(record.get("primary", True))
+            op["access_clock"] = int(record.get("access_clock", 0))
+            if "clock" in record:
+                op["clock"] = int(record["clock"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StorageError(f"not an entry record ({exc!r})") from exc
+    return op
 
 
-def _partition_from_record(
-    record: dict, descriptor: PartitionDescriptor
-) -> Partition | None:
-    if "rows" not in record:
-        return None
-    return Partition(
-        descriptor=descriptor,
-        rows=tuple(tuple(row) for row in record["rows"]),
-    )
-
-
-def _config_to_dict(config: SystemConfig) -> dict:
-    raw = dataclasses.asdict(config)
-    raw["domain"] = {
-        "name": config.domain.name,
-        "low": config.domain.low,
-        "high": config.domain.high,
-    }
-    return raw
-
-
-def _config_from_dict(raw: dict) -> SystemConfig:
-    # Skip fields an older writer recorded that the config has since
-    # dropped, so its snapshots still load.
-    known = {field.name for field in dataclasses.fields(SystemConfig)}
-    data = {key: value for key, value in raw.items() if key in known}
-    domain = data.pop("domain")
-    return SystemConfig(
-        domain=Domain(domain["name"], domain["low"], domain["high"]), **data
-    )
+def write_atomic(path: "str | Path", text: str) -> None:
+    """Write ``text`` to ``path`` through a tmp file, flush, fsync and
+    rename: a crash mid-write leaves the previous file or none, never a
+    torn one, so a reader can trust any file that parses."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as handle:
+        handle.write(text)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(tmp, path)
 
 
 def snapshot_system(system: RangeSelectionSystem) -> dict:
     """The system's persistent state as a JSON-serializable dict."""
-    entries = []
-    for store in system.stores.values():
-        for identifier, entry in store.entries():
-            entries.append(_entry_record(identifier, entry))
     return {
         "format": _FORMAT_VERSION,
-        "config": _config_to_dict(system.config),
-        "entries": entries,
+        "config": wire.config_to_wire(system.config),
+        "entries": [
+            encode_entry(identifier, entry.descriptor, entry.partition)
+            for store in system.stores.values()
+            for identifier, entry in store.entries()
+        ],
     }
 
 
@@ -134,22 +167,22 @@ def restore_system(snapshot: dict) -> RangeSelectionSystem:
     # in-process system.
     from repro.core.system import RangeSelectionSystem
 
-    system = RangeSelectionSystem(_config_from_dict(snapshot["config"]))
-    for record in snapshot["entries"]:
-        descriptor = _descriptor_from_record(record)
-        partition = _partition_from_record(record, descriptor)
-        identifier = record["identifier"]
+    # Skip fields an older writer recorded that the config has since
+    # dropped, so its snapshots still load.
+    known = {field.name for field in dataclasses.fields(SystemConfig)}
+    system = RangeSelectionSystem(wire.config_from_wire(
+        {key: value for key, value in snapshot["config"].items() if key in known}
+    ))
+    for op in map(decode_entry, snapshot["entries"]):
+        identifier = op["identifier"]
         owner = system.router.owner_of(system.place_identifier(identifier))
-        system.stores[owner].store(identifier, descriptor, partition)
+        system.stores[owner].store(identifier, op["descriptor"], op["partition"])
     return system
 
 
 def save_system(system: RangeSelectionSystem, path: "str | Path") -> None:
-    """Write a snapshot to a JSON file."""
-    Path(path).write_text(
-        json.dumps(snapshot_system(system), separators=(",", ":")),
-        encoding="utf-8",
-    )
+    """Write a snapshot to a JSON file (atomically)."""
+    write_atomic(path, json.dumps(snapshot_system(system), separators=(",", ":")))
 
 
 def load_system(path: "str | Path") -> RangeSelectionSystem:
@@ -164,69 +197,48 @@ def load_system(path: "str | Path") -> RangeSelectionSystem:
 def snapshot_peer_store(store: PeerStore, *, wal_seq: int = 0) -> dict:
     """One peer's store as a JSON-safe dict.
 
-    Entry records extend the system-snapshot shape with ``primary`` and
-    ``access_clock`` so a restart reconstructs replica ranks and LRU
-    order exactly; ``wal_seq`` records the last WAL sequence number the
-    snapshot covers, so replay can skip records it already contains.
+    Entry records carry ``primary`` and ``access_clock`` so a restart
+    reconstructs replica ranks and LRU order exactly; ``wal_seq`` records
+    the last WAL sequence number the snapshot covers, so replay can skip
+    records it already contains.
     """
-    entries = []
-    for identifier, entry in store.entries():
-        record = _entry_record(identifier, entry)
-        record["primary"] = entry.primary
-        record["access_clock"] = entry.access_clock
-        entries.append(record)
     return {
         "format": _PEER_FORMAT_VERSION,
         "clock": store.clock,
         "wal_seq": wal_seq,
-        "entries": entries,
+        "entries": [
+            encode_entry(
+                identifier, entry.descriptor, entry.partition,
+                entry.primary, entry.access_clock,
+            )
+            for identifier, entry in store.entries()
+        ],
     }
 
 
 def restore_peer_store(snapshot: dict, store: PeerStore) -> int:
     """Apply a peer snapshot into ``store``; returns entries applied.
 
-    Uses the replay primitive so clocks and ranks land exactly as
-    snapshotted and nothing is re-journaled or evicted mid-restore.
+    Every entry is decoded before any is applied, then
+    :meth:`PeerStore.replay` lands clocks and ranks exactly as
+    snapshotted, re-journals nothing and evicts nothing.
     """
     if snapshot.get("format") != _PEER_FORMAT_VERSION:
         raise StorageError(
             f"unsupported peer snapshot format {snapshot.get('format')!r}"
         )
-    applied = 0
-    for record in snapshot.get("entries", []):
-        descriptor = _descriptor_from_record(record)
-        partition = _partition_from_record(record, descriptor)
-        store.apply_store(
-            int(record["identifier"]),
-            descriptor,
-            partition,
-            bool(record.get("primary", True)),
-            int(record.get("access_clock", 0)),
-        )
-        applied += 1
-    store._clock = max(store._clock, int(snapshot.get("clock", 0)))
-    return applied
+    ops = [decode_entry(record) for record in snapshot.get("entries", [])]
+    return store.replay(ops, clock=int(snapshot.get("clock", 0)))
 
 
 def save_peer_snapshot(
     store: PeerStore, path: "str | Path", *, wal_seq: int = 0
 ) -> None:
-    """Write a peer snapshot atomically (tmp file + rename).
-
-    A crash mid-write leaves either the previous snapshot or none — never
-    a torn one — so recovery can always trust a file that parses.
-    """
-    path = Path(path)
-    body = json.dumps(
-        snapshot_peer_store(store, wal_seq=wal_seq), separators=(",", ":")
+    """Write a peer snapshot atomically (:func:`write_atomic`)."""
+    write_atomic(
+        path,
+        json.dumps(snapshot_peer_store(store, wal_seq=wal_seq), separators=(",", ":")),
     )
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(body)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
 
 
 def load_peer_snapshot(path: "str | Path") -> dict | None:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import StorageError
@@ -184,12 +184,7 @@ class PeerStore:
         via: str = "evict",
     ) -> bool:
         """Remove one entry; prunes the bucket when it empties."""
-        bucket = self._buckets.get(identifier)
-        if bucket is None:
-            return False
-        removed = bucket.remove(descriptor) is not None
-        if removed and len(bucket) == 0:
-            del self._buckets[identifier]
+        removed = self._drop(identifier, descriptor)
         if removed:
             self.mutations += 1
             if self.mutation_hook is not None:
@@ -203,49 +198,47 @@ class PeerStore:
                 )
         return removed
 
-    def apply_store(
-        self,
-        identifier: int,
-        descriptor: PartitionDescriptor,
-        partition: Partition | None,
-        primary: bool,
-        access_clock: int,
-    ) -> bool:
-        """Replay primitive: insert an entry with explicit clocks.
-
-        Used by snapshot restore and WAL replay.  Unlike :meth:`store`
-        it neither advances the logical clock nor triggers eviction —
-        evictions are replayed from their own journal records — and it
-        never fires the mutation hook (replay must not re-journal).
-        """
+    def _drop(self, identifier: int, descriptor: PartitionDescriptor) -> bool:
         bucket = self._buckets.get(identifier)
-        if bucket is None:
-            bucket = Bucket(identifier)
-            self._buckets[identifier] = bucket
-        added = bucket.add(
-            StoredEntry(
-                descriptor=descriptor,
-                partition=partition,
-                access_clock=access_clock,
-                primary=primary,
-            )
-        )
-        if not added:
-            # Journal records carry final states, so a replayed record
-            # for an existing entry also replays a demotion.
-            bucket.get(descriptor).primary = primary
-        self._clock = max(self._clock, access_clock)
-        return added
-
-    def apply_remove(self, identifier: int, descriptor: PartitionDescriptor) -> bool:
-        """Replay primitive: remove without firing the mutation hook."""
-        bucket = self._buckets.get(identifier)
-        if bucket is None:
+        if bucket is None or bucket.remove(descriptor) is None:
             return False
-        removed = bucket.remove(descriptor) is not None
-        if removed and len(bucket) == 0:
+        if len(bucket) == 0:
             del self._buckets[identifier]
-        return removed
+        return True
+
+    def replay(self, ops: Iterable[dict], clock: int = 0) -> int:
+        """Replay primitive: apply decoded ops in order; returns how many.
+
+        ``ops`` are snapshot entries or journal records as
+        :func:`~repro.storage.snapshot.decode_entry` reads them.  A store
+        lands with its recorded role (a held entry is demoted too) and
+        access clock; the clock moves forward to the largest of
+        ``clock``, the ops' ``clock`` and their access clocks.  Replay
+        never evicts (evictions replay from their own records) and never
+        fires the mutation hook (it must not re-journal).
+        """
+        applied = 0
+        for op in ops:
+            identifier, descriptor = op["identifier"], op["descriptor"]
+            applied += 1
+            if op["op"] == "remove":
+                self._drop(identifier, descriptor)
+                continue
+            bucket = self._buckets.get(identifier)
+            if bucket is None:
+                bucket = Bucket(identifier)
+                self._buckets[identifier] = bucket
+            entry = StoredEntry(
+                descriptor=descriptor,
+                partition=op["partition"],
+                access_clock=op["access_clock"],
+                primary=op["primary"],
+            )
+            if not bucket.add(entry):
+                bucket.get(descriptor).primary = entry.primary
+            clock = max(clock, entry.access_clock, op.get("clock", 0))
+        self._clock = max(self._clock, clock)
+        return applied
 
     # ------------------------------------------------------------------
     # Lookup
@@ -271,8 +264,7 @@ class PeerStore:
             return None
         best = bucket.best_match(query, relation, attribute, score)
         if best is not None:
-            self._clock += 1
-            self.eviction.on_access(best[0], self._clock)
+            self._touch(identifier, best[0])
         return best
 
     def best_match_local(
@@ -291,14 +283,27 @@ class PeerStore:
         """
         self.queries_served += 1
         winners = (
-            bucket.best_match(query, relation, attribute, score)
+            (*winner, bucket.identifier)
             for bucket in self._buckets.values()
+            if (winner := bucket.best_match(query, relation, attribute, score))
         )
-        best = select_best(filter(None, winners), query)
-        if best is not None:
-            self._clock += 1
-            self.eviction.on_access(best[0], self._clock)
-        return best
+        best = select_best(winners, query)
+        if best is None:
+            return None
+        self._touch(best[2], best[0])
+        return best[:2]
+
+    def _touch(self, identifier: int, entry: StoredEntry) -> None:
+        """A served match: advance the clock and let the eviction policy
+        refresh the winner.  A refresh that changed the entry (LRU's
+        access clock) is journaled as its post-state (``via="access"``)
+        so a restarted peer evicts in the same order; it is not counted
+        in :attr:`mutations`, which tracks entries and roles only."""
+        self._clock += 1
+        before = entry.access_clock
+        self.eviction.on_access(entry, self._clock)
+        if self.mutation_hook is not None and entry.access_clock != before:
+            self._journal_store(identifier, entry, "access")
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,12 +14,18 @@ On-disk layout under one ``--data-dir`` (one directory per peer)::
     snapshot.json  compaction target (``storage.snapshot`` peer format)
     meta.json      SWIM incarnation persisted across restarts
 
-WAL records reuse the :mod:`repro.rpc.wire` codec tags (``$desc``,
-``$part``) so descriptors and partitions round-trip through the journal
-exactly as they do across the network.  The framing mirrors the wire
-protocol's: a torn tail — a SIGKILL mid-append — is detected by an
-incomplete prefix, an incomplete body, or a body that does not parse,
-and replay salvages every complete record before it (the same policy as
+A journal record is the entry record of :mod:`repro.storage.snapshot`
+plus ``op``, ``via`` and the store's ``clock`` (a remove carries the key
+fields only); replay reads it with the decoder snapshot entries go
+through and applies it with :meth:`PeerStore.replay`, as a snapshot
+restore does.  A journal in another record form — the wire-tag form
+journals had before — does not replay: recovery raises
+:class:`StorageError` naming the file before it applies anything.
+
+The framing mirrors the wire protocol's: a torn tail — a SIGKILL
+mid-append — is detected by an incomplete prefix, an incomplete body,
+or a body that does not parse, and replay salvages every complete
+record before it (the same policy as
 :func:`repro.util.read_jsonl_tolerant` for flight-recorder JSONL).
 
 Compaction folds the journal into an atomic-rename snapshot every
@@ -37,16 +43,19 @@ import os
 import struct
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Callable
+from typing import Callable
 
 from repro.errors import StorageError
 from repro.obs.log import get_logger
 from repro.obs.registry import MetricsRegistry
 from repro.rpc import wire
 from repro.storage.snapshot import (
+    decode_entry,
+    encode_entry,
     load_peer_snapshot,
     restore_peer_store,
     save_peer_snapshot,
+    write_atomic,
 )
 from repro.storage.store import PeerStore
 from repro.util.tolerant import parse_json_record
@@ -58,7 +67,6 @@ __all__ = [
     "read_wal_tolerant",
     "PeerDurability",
     "encode_wal_record",
-    "decode_wal_record",
 ]
 
 _LENGTH = struct.Struct("!I")
@@ -70,40 +78,20 @@ MAX_RECORD_BYTES = wire.MAX_FRAME_BYTES
 
 
 def encode_wal_record(op: dict) -> dict:
-    """A mutation-hook op record as JSON-safe data (wire codec tags)."""
-    record: dict[str, Any] = {
-        "op": op["op"],
-        "via": op.get("via", "store"),
-        "identifier": op["identifier"],
-        "descriptor": wire.encode_value(op["descriptor"]),
-    }
+    """A mutation-hook op as its journal record: the entry record
+    (:func:`encode_entry`) plus ``op``, ``via`` and, for a store, the
+    store's ``clock``.  :func:`decode_entry` reads it back."""
     if op["op"] == "store":
-        if op.get("partition") is not None:
-            record["partition"] = wire.encode_value(op["partition"])
-        record["primary"] = bool(op["primary"])
-        record["access_clock"] = int(op["access_clock"])
-        record["clock"] = int(op["clock"])
-    return record
-
-
-def decode_wal_record(record: dict) -> dict:
-    """Inverse of :func:`encode_wal_record` (live objects restored)."""
-    op: dict[str, Any] = {
-        "op": record["op"],
-        "via": record.get("via", "store"),
-        "identifier": int(record["identifier"]),
-        "descriptor": wire.decode_value(record["descriptor"]),
-    }
-    if record["op"] == "store":
-        op["partition"] = (
-            wire.decode_value(record["partition"])
-            if "partition" in record
-            else None
+        record = encode_entry(
+            op["identifier"], op["descriptor"], op.get("partition"),
+            bool(op["primary"]), int(op["access_clock"]),
         )
-        op["primary"] = bool(record.get("primary", True))
-        op["access_clock"] = int(record.get("access_clock", 0))
-        op["clock"] = int(record.get("clock", 0))
-    return op
+        record["clock"] = int(op["clock"])
+    else:
+        record = encode_entry(op["identifier"], op["descriptor"])
+    record["op"] = op["op"]
+    record["via"] = op.get("via", "store")
+    return record
 
 
 class WalWriter:
@@ -276,37 +264,31 @@ class PeerDurability:
         replay) and a torn WAL tail (salvages every complete record).
         Every record the snapshot already covers is skipped by sequence
         number, so recovering after a crash mid-compaction applies each
-        mutation exactly once.
+        mutation exactly once.  A journal record that is not an entry
+        record raises :class:`StorageError` naming the journal, before
+        anything is applied.
         """
-        snapshot_entries = 0
-        wal_seq = 0
         snapshot = load_peer_snapshot(self.snapshot_path)
-        if snapshot is not None:
-            snapshot_entries = restore_peer_store(snapshot, store)
-            wal_seq = int(snapshot.get("wal_seq", 0))
+        wal_seq = int(snapshot.get("wal_seq", 0)) if snapshot is not None else 0
         records, torn, valid_bytes = read_wal_tolerant(self.wal_path)
         self._valid_wal_bytes = valid_bytes
-        replayed = 0
-        last_seq = wal_seq
+        self._seq_floor = max([wal_seq] + [int(r["seq"]) for r in records])
+        # Decode the whole journal before applying anything: a record
+        # that is not an entry record fails the restart, not half of it.
+        ops = []
         for record in records:
-            seq = int(record["seq"])
-            last_seq = max(last_seq, seq)
-            if seq <= wal_seq:
+            if int(record["seq"]) <= wal_seq:
                 continue  # already folded into the snapshot
-            op = decode_wal_record(record)
-            if op["op"] == "store":
-                store.apply_store(
-                    op["identifier"],
-                    op["descriptor"],
-                    op["partition"],
-                    op["primary"],
-                    op["access_clock"],
-                )
-                store._clock = max(store._clock, op["clock"])
-            else:
-                store.apply_remove(op["identifier"], op["descriptor"])
-            replayed += 1
-        self._seq_floor = last_seq
+            try:
+                ops.append(decode_entry(record))
+            except StorageError as exc:
+                raise StorageError(
+                    f"{self.wal_path}: record {record['seq']}: {exc}"
+                ) from exc
+        snapshot_entries = (
+            restore_peer_store(snapshot, store) if snapshot is not None else 0
+        )
+        replayed = store.replay(ops)
         stats = {
             "snapshot_entries": snapshot_entries,
             "wal_records": replayed,
@@ -421,12 +403,7 @@ class PeerDurability:
         at ``persisted + 1`` so its rejoin beats any tombstone the
         cluster holds for its previous life.
         """
-        tmp = self.meta_path.with_name(self.meta_path.name + ".tmp")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps({"incarnation": incarnation}))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, self.meta_path)
+        write_atomic(self.meta_path, json.dumps({"incarnation": incarnation}))
 
     def close(self) -> None:
         """Detach the hook, commit what is buffered, close the journal."""

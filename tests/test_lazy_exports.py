@@ -18,7 +18,7 @@ PACKAGES = ["repro"] + sorted(
     if module.ispkg
 )
 
-#: What ``repro serve`` must not drag in (the CI import gate, verbatim).
+#: What ``repro serve`` must not drag in.
 NOT_FOR_PEERS = (
     "repro.can", "repro.db.sql", "repro.db.plan", "repro.workloads",
     "repro.experiments", "repro.metrics",
@@ -58,12 +58,19 @@ def test_star_import_and_the_readme_import_still_work():
 
 
 @pytest.mark.parametrize(
-    "entry", ["import repro.rpc.server", "import repro.cli", "import repro.rpc.launcher"]
+    "entry",
+    [
+        "import repro.rpc.server",
+        "import repro.cli",
+        "import repro.rpc.launcher",
+        # What a cluster's launcher imports before it forks every peer.
+        "import repro.rpc.launcher as launcher; launcher.preload()",
+    ],
 )
 def test_a_peer_process_imports_nothing_it_never_runs(entry):
     """In a fresh interpreter: this one has imported everything already."""
     code = (
-        f"{entry}, sys; "
+        f"import sys; {entry}; "
         f"print([m for m in sys.modules if m.startswith({NOT_FOR_PEERS!r})])"
     )
     done = subprocess.run(

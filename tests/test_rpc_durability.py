@@ -190,19 +190,18 @@ class TestChaosRestart:
         }
 
     def test_restart_schedules_a_kill_then_restart_pair(self):
-        from repro.rpc.chaos import ChaosSchedule
+        from repro.rpc.chaos import RESTART_HOLD_S, ChaosSchedule
 
         peers = [f"peer-{i}" for i in range(4)]
         schedule = ChaosSchedule.generate(
-            7, peers, {"restart": 1},
-            restart_hold_s=2.5, protect=("peer-0",),
+            7, peers, {"restart": 1}, protect=("peer-0",),
         )
         kills = [e for e in schedule.events if e.action == "kill"]
         restarts = [e for e in schedule.events if e.action == "restart"]
         assert len(kills) == 1 and len(restarts) == 1
         assert kills[0].targets == restarts[0].targets
         assert restarts[0].targets[0] != "peer-0"  # bootstrap protected
-        assert restarts[0].at_s == pytest.approx(kills[0].at_s + 2.5)
+        assert restarts[0].at_s == pytest.approx(kills[0].at_s + RESTART_HOLD_S)
 
     def test_same_seed_same_schedule(self):
         from repro.rpc.chaos import ChaosSchedule

@@ -371,8 +371,8 @@ operations = st.one_of(
     stores,
     stores,
     stores,
-    st.tuples(st.just("apply_store"), descriptors, st.booleans(), st.integers(0, 99)),
-    st.tuples(st.sampled_from(("remove", "apply_remove", "match")), descriptors),
+    st.tuples(st.just("replay_store"), descriptors, st.booleans(), st.integers(0, 99)),
+    st.tuples(st.sampled_from(("remove", "replay_remove", "match")), descriptors),
     st.tuples(st.just("set_primary"), descriptors, st.booleans()),
 )
 
@@ -397,13 +397,20 @@ class TestColumnarMatchOracle:
                 with_rows, primary = args
                 rows = Partition(descriptor, rows=((1,),)) if with_rows else None
                 store.store(identifier, descriptor, rows, primary=primary)
-            elif kind == "apply_store":
+            elif kind == "replay_store":
                 primary, clock = args
-                store.apply_store(identifier, descriptor, None, primary, clock)
+                store.replay([{
+                    "op": "store", "identifier": identifier,
+                    "descriptor": descriptor, "partition": None,
+                    "primary": primary, "access_clock": clock,
+                }])
             elif kind == "remove":
                 store.remove(identifier, descriptor)
-            elif kind == "apply_remove":
-                store.apply_remove(identifier, descriptor)
+            elif kind == "replay_remove":
+                store.replay([{
+                    "op": "remove", "identifier": identifier,
+                    "descriptor": descriptor,
+                }])
             elif kind == "set_primary":
                 store.set_primary(identifier, descriptor, args[0])
             else:  # a served match touches the LRU clock of its winner

@@ -16,13 +16,15 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.core.matcher import JaccardMatcher
 from repro.db.partition import Partition, PartitionDescriptor
 from repro.errors import StorageError
 from repro.ranges.interval import IntRange
 from repro.storage.snapshot import (
+    decode_entry,
     load_peer_snapshot,
     restore_peer_store,
     save_peer_snapshot,
@@ -32,7 +34,6 @@ from repro.storage.store import LRUEviction, PeerStore
 from repro.storage.wal import (
     PeerDurability,
     WalWriter,
-    decode_wal_record,
     encode_wal_record,
     read_wal_tolerant,
 )
@@ -71,7 +72,7 @@ class TestWalCodec:
             7, descriptor, partition=partition, primary=False,
             access_clock=42, clock=99, via="repair-push",
         )
-        decoded = decode_wal_record(encode_wal_record(op))
+        decoded = decode_entry(encode_wal_record(op))
         assert decoded["op"] == "store"
         assert decoded["via"] == "repair-push"
         assert decoded["identifier"] == 7
@@ -86,7 +87,12 @@ class TestWalCodec:
             "op": "remove", "via": "handoff",
             "identifier": 3, "descriptor": desc(0, 5),
         }
-        decoded = decode_wal_record(encode_wal_record(op))
+        record = encode_wal_record(op)
+        assert record == {  # the key fields only
+            "op": "remove", "via": "handoff", "identifier": 3,
+            "relation": "R", "attribute": "value", "start": 0, "end": 5,
+        }
+        decoded = decode_entry(record)
         assert decoded == {
             "op": "remove", "via": "handoff",
             "identifier": 3, "descriptor": desc(0, 5),
@@ -95,6 +101,33 @@ class TestWalCodec:
     def test_record_is_json_serialisable(self):
         record = encode_wal_record(store_op(1, desc(0, 9)))
         assert json.loads(json.dumps(record)) == record
+
+    def test_snapshot_entry_is_the_journal_store_record(self):
+        """One record: every snapshot entry equals the entry fields of
+        that entry's journal store record, and both decode through
+        ``decode_entry`` to the same op."""
+        journal: list[dict] = []
+        store = PeerStore(17)
+        store.mutation_hook = journal.append
+        store.store(1, desc(0, 10))                                   # descriptor only
+        store.store(2, desc(20, 30), Partition(descriptor=desc(20, 30),
+                                               rows=((21, "a"), (25, "b"))))
+        store.store(3, desc(40, 50), primary=False)                   # replica
+        snapshot = json.loads(json.dumps(snapshot_peer_store(store)))
+        records = [json.loads(json.dumps(encode_wal_record(op))) for op in journal]
+        assert len(snapshot["entries"]) == len(records) == 3
+        for entry, record in zip(snapshot["entries"], records):
+            assert entry == {
+                key: value for key, value in record.items()
+                if key not in ("op", "via", "clock")
+            }
+            from_journal = decode_entry(record)
+            assert (from_journal.pop("via"), from_journal.pop("clock")) == (
+                "store", record["clock"],
+            )
+            assert decode_entry(entry) == from_journal
+        assert "rows" not in snapshot["entries"][0]
+        assert snapshot["entries"][2]["primary"] is False
 
 
 class TestWalFraming:
@@ -111,7 +144,7 @@ class TestWalFraming:
         assert torn == 0
         assert [record["seq"] for record in records] == [1, 2]
         assert valid == path.stat().st_size
-        assert decode_wal_record(records[0])["descriptor"] == desc(0, 9)
+        assert decode_entry(records[0])["descriptor"] == desc(0, 9)
 
     def test_missing_file_reads_empty(self, tmp_path):
         assert read_wal_tolerant(tmp_path / "absent.log") == ([], 0, 0)
@@ -319,6 +352,24 @@ class TestRecovery:
         assert stats["snapshot_entries"] == 6
         assert stats["wal_records"] == 1  # seq <= wal_seq skipped
 
+    def test_a_wire_tag_journal_record_is_refused_naming_the_file(self, tmp_path):
+        # The record form journals had before they shared the snapshot's
+        # entry record: descriptors behind the network codec's tags.
+        writer = WalWriter(tmp_path / PeerDurability.WAL_NAME, fsync=False)
+        writer.append(encode_wal_record(store_op(1, desc(0, 9))))
+        writer.append({
+            "op": "store", "via": "store", "identifier": 2,
+            "descriptor": {"$desc": ["R", "value", 10, 19]},
+            "primary": True, "access_clock": 2, "clock": 2,
+        })
+        writer.append(encode_wal_record(store_op(3, desc(20, 29))))
+        writer.close()
+        store = PeerStore(17)
+        with pytest.raises(StorageError, match=PeerDurability.WAL_NAME):
+            PeerDurability(tmp_path, fsync=False).recover(store)
+        # Neither part of the journal nor the records around it replayed.
+        assert state_of(store) == ({}, 0)
+
     def test_empty_data_dir_recovers_empty(self, tmp_path):
         store, stats = self.recovered(tmp_path)
         assert stats == {
@@ -384,29 +435,55 @@ class TestHookIsObservational:
     def test_default_store_has_no_hook(self):
         assert PeerStore(1).mutation_hook is None
 
+    def test_a_served_match_is_journaled_under_lru_only(self):
+        score = JaccardMatcher().score
+        for eviction, refreshes in ((LRUEviction(8), 1), (None, 0)):
+            store = PeerStore(3, eviction)
+            journal: list[dict] = []
+            store.mutation_hook = journal.append
+            store.store(1, desc(0, 10))
+            mutations = store.mutations
+            found = store.best_match_in_bucket(1, IntRange(0, 10), "R", "value", score)
+            assert found is not None
+            store.best_match_local(IntRange(0, 10), "R", "value", score)
+            access = [op for op in journal if op["via"] == "access"]
+            assert len(access) == 2 * refreshes
+            assert all(op["access_clock"] == op["clock"] for op in access)
+            # A refresh is not a placement change: the repair round's
+            # idle skip must not see it.
+            assert store.mutations == mutations
+
 
 # One durable lifetime: identifiers collide (duplicate re-stores), roles
-# mix and flip both ways, capacity forces LRU evictions, and handoffs
-# delete entries.
+# mix and flip both ways, served matches refresh LRU clocks, capacity
+# forces LRU evictions, and handoffs delete entries.
 op_lists = st.lists(
     st.tuples(
         st.integers(min_value=0, max_value=5),          # identifier
         st.integers(min_value=0, max_value=80),         # range start
         st.integers(min_value=1, max_value=40),         # range width
         st.booleans(),                                  # primary
-        st.sampled_from(["store", "repair-push", "handoff", "role"]),
+        st.sampled_from(["store", "repair-push", "handoff", "role", "match"]),
     ),
     min_size=1,
     max_size=40,
 )
 
 
+MATCH_SCORE = JaccardMatcher().score
+
+
 @given(op_lists)
+# A served match refreshes [0,10]'s LRU clock; a restarted peer must see
+# that refresh, or it evicts in a different order.
+@example([(1, 0, 10, True, "store"), (1, 5, 10, True, "store"),
+          (2, 20, 10, True, "store"), (1, 0, 10, True, "match"),
+          (2, 25, 10, True, "store")])
 @settings(max_examples=30, deadline=None)
 def test_wal_replay_reconstructs_store_exactly(ops):
-    """ISSUE satellite: replaying a randomized op sequence through the
-    WAL reconstructs a state identical to the in-memory store, including
-    LRU access clocks and primary/replica ranks."""
+    """Replaying a randomized op sequence through the WAL reconstructs a
+    state identical to the in-memory store, including LRU access clocks
+    and primary/replica ranks."""
     with tempfile.TemporaryDirectory() as data_dir:
         live = PeerStore(7, LRUEviction(8))
         durability = PeerDurability(data_dir, fsync=False, compact_every=9)
@@ -417,6 +494,10 @@ def test_wal_replay_reconstructs_store_exactly(ops):
                 live.remove(identifier, descriptor, via="handoff")
             elif kind == "role":
                 live.set_primary(identifier, descriptor, primary)
+            elif kind == "match":
+                live.best_match_in_bucket(
+                    identifier, descriptor.range, "R", "value", MATCH_SCORE
+                )
             else:
                 partition = (
                     Partition(descriptor=descriptor, rows=((start,),))
