@@ -868,8 +868,8 @@ def _run_health(args: argparse.Namespace, out) -> int:
 
 def _parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise ReproError(f"expected HOST:PORT, got {text!r}")
+    if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
+        raise ReproError(f"expected HOST:PORT with a port in 1-65535, got {text!r}")
     return (host, int(port))
 
 
@@ -923,6 +923,8 @@ def _run_serve(args: argparse.Namespace, out) -> int:
             raise ReproError(f"bad --config-json: {exc}") from exc
     else:
         config = SystemConfig()
+    if not 0 <= args.port <= 65535:
+        raise ConfigError("port must be in 0-65535")
     options = _fields(PeerServer, args)
     if args.bootstrap is not None:
         options["bootstrap"] = _parse_endpoint(args.bootstrap)
@@ -1199,12 +1201,13 @@ def _run_experiments(args: argparse.Namespace, out) -> int:
 
 def _run_info(args: argparse.Namespace, out) -> int:
     from repro.core.config import SystemConfig
+    from repro.lsh.theory import group_match_probability
 
     config = SystemConfig()
     print(f"default config: {config.describe()}", file=out)
     print(
         "LSH theory: match probability at similarity 0.9 is "
-        f"{1 - (1 - 0.9 ** config.k) ** config.l:.2f} "
+        f"{group_match_probability(0.9, config.k, config.l):.2f} "
         f"(k={config.k}, l={config.l})",
         file=out,
     )

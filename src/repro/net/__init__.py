@@ -24,7 +24,6 @@ _EXPORTS = {
     "TrafficStats": "repro.net.transport",
     "LatencyModel": "repro.net.latency",
     "ConstantLatency": "repro.net.latency",
-    "UniformLatency": "repro.net.latency",
     "SeededLatency": "repro.net.latency",
 }
 

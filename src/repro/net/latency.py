@@ -7,9 +7,7 @@ from hashlib import sha256
 from struct import Struct
 from typing import Sequence
 
-import numpy as np
-
-__all__ = ["LatencyModel", "ConstantLatency", "UniformLatency", "SeededLatency"]
+__all__ = ["LatencyModel", "ConstantLatency", "SeededLatency"]
 
 #: The first 8 bytes of a digest, read as a big-endian unsigned integer.
 _DIGEST_HEAD = Struct(">Q").unpack_from
@@ -45,32 +43,17 @@ class ConstantLatency(LatencyModel):
         return [self.ms] * (len(path) - 1)
 
 
-class UniformLatency(LatencyModel):
-    """Uniform random delay in ``[low_ms, high_ms]`` — a crude wide-area
-    model for example programs that want nonzero, varied timings."""
-
-    def __init__(self, low_ms: float, high_ms: float, rng: np.random.Generator) -> None:
-        if not 0 <= low_ms <= high_ms:
-            raise ValueError("need 0 <= low_ms <= high_ms")
-        self.low_ms = low_ms
-        self.high_ms = high_ms
-        self._rng = rng
-
-    def sample_ms(self, sender: int, recipient: int) -> float:
-        return float(self._rng.uniform(self.low_ms, self.high_ms))
-
-
 class SeededLatency(LatencyModel):
     """Pairwise-deterministic wide-area delay.
 
     The delay of the directed link ``sender -> recipient`` is a pure
     function of ``(seed, sender, recipient)``: the pair is hashed with
-    SHA-256 and the digest picks a point in ``[low_ms, high_ms]``.  Unlike
-    :class:`UniformLatency` there is no generator state, so two runs with
-    the same seed see identical link delays regardless of how many samples
-    were drawn in between — which keeps event orderings in the
-    discrete-event simulator reproducible.  Links are asymmetric
-    (``a -> b`` and ``b -> a`` hash differently), as real paths are.
+    SHA-256 and the digest picks a point in ``[low_ms, high_ms]``.  There
+    is no generator state, so two runs with the same seed see identical
+    link delays regardless of how many samples were drawn in between —
+    which keeps event orderings in the discrete-event simulator
+    reproducible.  Links are asymmetric (``a -> b`` and ``b -> a`` hash
+    differently), as real paths are.
 
     Digests are memoised per link; the memo is emptied whenever it reaches
     :attr:`CACHE_LIMIT` links, which bounds a long run's memory and, the

@@ -101,13 +101,14 @@ class ChaosSchedule:
                     "(use kill/pause/delay/drop/partition/restart)"
                 )
             try:
-                counts[action] = counts.get(action, 0) + (
-                    int(count) if count.strip() else 1
-                )
+                number = int(count) if count.strip() else 1
             except ValueError as exc:
                 raise ReproError(
                     f"chaos count for {action!r} must be an integer"
                 ) from exc
+            if number <= 0:
+                raise ReproError(f"chaos count in {term!r} must be positive")
+            counts[action] = counts.get(action, 0) + number
         if not counts:
             raise ReproError("empty chaos spec")
         return counts

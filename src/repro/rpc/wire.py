@@ -479,7 +479,7 @@ class Connection(asyncio.BufferedProtocol):
         self._lost = loop.create_future()
         try:
             await loop.create_connection(lambda: self, self.host, self.port)
-        except OSError as exc:
+        except Exception as exc:  # noqa: BLE001 - a refusal, a port past 65535, a bad host label
             self._shut(exc)
             return
         await self._lost

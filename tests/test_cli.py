@@ -556,6 +556,8 @@ class TestClusterValidatesBeforeSpawning:
             ("--chaos explode=1", "unknown chaos action 'explode'"),
             ("--chaos kill=many", "must be an integer"),
             ("--chaos ,", "empty chaos spec"),
+            ("--chaos kill=0", "chaos count in 'kill=0' must be positive"),
+            ("--chaos pause=1,kill=-1", "chaos count in 'kill=-1' must be positive"),
             ("--restart-drill --peers 3", "needs --peers > --replicas"),
         ],
     )
@@ -572,8 +574,8 @@ class TestClusterValidatesBeforeSpawning:
 
 class TestClientCommandsParseTheQueryFirst:
     """``repro client``, ``trace`` and ``top`` reject a bad ``--query``,
-    ``--interval`` or ``--iterations`` before they connect: a
-    ``ClusterClient`` that refuses to be built proves it."""
+    ``--interval``, ``--iterations`` or ``--bootstrap`` port before they
+    connect: a ``ClusterClient`` that refuses to be built proves it."""
 
     @pytest.fixture(autouse=True)
     def no_connection(self, monkeypatch):
@@ -595,6 +597,11 @@ class TestClientCommandsParseTheQueryFirst:
             ("trace --query 10:50 --follow --interval 0", "--interval must be positive"),
             ("top --interval 0", "--interval must be positive"),
             ("top --iterations=-2", "--iterations cannot be negative"),
+            (
+                "client --query 1:5 --bootstrap h:70000",
+                "expected HOST:PORT with a port in 1-65535, got 'h:70000'",
+            ),
+            ("top --bootstrap h:0", "expected HOST:PORT with a port in 1-65535, got 'h:0'"),
         ],
     )
     def test_bad_pacing_is_rejected_without_a_connection(self, argv, complaint, capsys):
@@ -646,6 +653,8 @@ class TestErrorsNameTheFlag:
             ("demo --peers 0", "--peers", "n_peers"),
             ("simulate --peers 20 --replicas 0", "--replicas", "replicas"),
             ("simulate --peers 20 --peer-queue 4", "--service-rate", "service_rate"),
+            ("serve --address a --port 70000", "--port", "port"),
+            ("serve --address a --port=-1", "--port", "port"),
         ],
     )
     def test_the_error_names_the_flag(self, argv, flag, field, capsys):

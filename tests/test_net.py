@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,12 +15,12 @@ from repro.errors import (
 )
 from repro.net import (
     ConstantLatency,
+    LatencyModel,
     Message,
     PeerNetwork,
     SeededLatency,
     SimulatedNetwork,
     Transport,
-    UniformLatency,
 )
 from repro.sim import AsyncNetwork, RetryPolicy, Simulator
 
@@ -42,15 +41,6 @@ class TestLatencyModels:
         assert ConstantLatency(5.0).sample_ms(1, 2) == 5.0
         with pytest.raises(ValueError):
             ConstantLatency(-1.0)
-
-    def test_uniform_within_bounds(self):
-        model = UniformLatency(10, 20, np.random.default_rng(0))
-        for _ in range(50):
-            assert 10 <= model.sample_ms(1, 2) <= 20
-
-    def test_uniform_validates_bounds(self):
-        with pytest.raises(ValueError):
-            UniformLatency(20, 10, np.random.default_rng(0))
 
     def test_seeded_is_pairwise_deterministic(self):
         a = SeededLatency(10, 100, seed=4)
@@ -163,12 +153,19 @@ class TestPathLatency:
         assert len(model._cache) <= SeededLatency.CACHE_LIMIT
 
     def test_base_path_draws_in_edge_order(self):
-        path = [5, 1, 9, 2]
-        by_path = UniformLatency(1, 50, np.random.default_rng(4))
-        by_edge = UniformLatency(1, 50, np.random.default_rng(4))
-        assert by_path.path_ms(path) == [
-            by_edge.sample_ms(a, b) for a, b in zip(path, path[1:])
-        ]
+        class Drawn(LatencyModel):
+            """Each sample is the number of draws so far."""
+
+            def __init__(self):
+                self.edges = []
+
+            def sample_ms(self, sender, recipient):
+                self.edges.append((sender, recipient))
+                return float(len(self.edges))
+
+        model = Drawn()
+        assert model.path_ms([5, 1, 9, 2]) == [1.0, 2.0, 3.0]
+        assert model.edges == [(5, 1), (1, 9), (9, 2)]
 
 
 class TestSimulatedNetwork:

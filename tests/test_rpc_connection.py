@@ -304,6 +304,25 @@ def test_hang_up_on_a_first_use_connection_is_not_retried():
     run(scenario())
 
 
+@pytest.mark.parametrize(
+    "host, port",
+    [(HOST, 70_000), ("x" * 64 + ".invalid", 1)],  # OverflowError, UnicodeError
+)
+def test_a_connect_that_raises_fails_its_requests_at_once(host, port):
+    async def scenario():
+        connections = wire.Connections()
+        for request in (
+            connections.request(host, port, "echo", timeout_ms=10_000.0),
+            wire.call(host, port, "echo", timeout_ms=10_000.0),
+            wire.call(host, port, "echo"),
+        ):
+            with pytest.raises(PeerUnavailableError):
+                await asyncio.wait_for(request, 2.0)
+        await connections.close()
+
+    run(scenario())
+
+
 def test_ten_concurrent_first_requests_share_one_connect():
     async def scenario():
         async with ScriptedPeer() as peer:
