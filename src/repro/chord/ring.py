@@ -59,6 +59,8 @@ class ChordRing:
         #: The ``membership_epoch`` of the last :meth:`build`: while the
         #: two agree, every node's fingers are the ones it computed.
         self._built_epoch = -1
+        #: ``node_id -> fingers`` of the last :meth:`build`, the nodes' own lists.
+        self._rows: dict[int, list[int]] = {}
         #: ``key -> chain`` of predicate-free :meth:`successor_chain`
         #: calls, the longest asked for: a shorter chain is its prefix.
         #: Valid for the member set of ``_chains_epoch`` only; emptied
@@ -286,6 +288,7 @@ class ChordRing:
             node.predecessor_id = ids[index - 1]
             node.successor_list = around[index + 1 : index + 1 + length]
             node.fingers = fingers[index]
+        self._rows = dict(zip(ids, fingers))
         self._built_epoch = self.membership_epoch
 
     # ------------------------------------------------------------------
@@ -300,23 +303,14 @@ class ChordRing:
         test is :meth:`IdSpace.in_open` written as one comparison of
         clockwise distances from ``node``: ``0 < d(finger) < d(key)``,
         where ``d(key) == 0`` (``key`` is the node itself) denotes the
-        full circle.
-
-        In a table :meth:`build` made at the current membership, finger
-        ``i`` is the successor of ``node + 2^i``: at least ``2^i``
-        clockwise from ``node``, or ``node`` itself.  No index above
-        ``(d(key) - 1).bit_length() - 1`` can then qualify, so the scan
-        starts there; any other table is scanned whole.
-        :meth:`lookup_path` runs the same scan inline.
+        full circle.  :meth:`lookup_path` scans only tables it cannot read
+        by the predecessor rule.
         """
         mask = self.space.mask
         node_id = node.node_id
         span = ((key - node_id) & mask) or self.space.size
         fingers = node.fingers
-        first = len(fingers)
-        if self._built_epoch == self.membership_epoch:
-            first = min(first, (span - 1).bit_length())
-        for index in range(first - 1, -1, -1):
+        for index in range(len(fingers) - 1, -1, -1):
             finger_id = fingers[index]
             if finger_id is not None and 0 < ((finger_id - node_id) & mask) < span:
                 return (finger_id, index)
@@ -353,20 +347,46 @@ class ChordRing:
         edge used (``finger[i]`` or ``successor``) — the hook the tracing
         layer uses to show a lookup hop by hop; the label is only formatted
         when someone asked for it.
+
+        On a table :meth:`build` made at the current membership, finger
+        ``j`` of ``n`` lies strictly inside ``(n, key)`` exactly when
+        ``2^j <= (pred - n) & mask``, ``pred`` being the node before the
+        key's owner: a hop reads one finger and halves the distance to
+        ``pred``.  Other tables, and blank slots, are scanned.
         """
-        if not self._sorted_ids:
+        ids = self._sorted_ids
+        if not ids:
             raise EmptyRingError("cannot look up in an empty ring")
         mask = self.space.mask
         key &= mask
         if start_id is None:
-            start_id = self._sorted_ids[0]
-        current = self.node(start_id)
+            start_id = ids[0]
+        path = [start_id]
+        rows = self._rows
+        if self._built_epoch == self.membership_epoch and start_id in rows:
+            owner_index = bisect_left(ids, key)
+            pred = ids[owner_index - 1]
+            node = start_id
+            while node != pred:
+                index = ((pred - node) & mask).bit_length() - 1
+                next_id = rows[node][index]
+                if next_id is None:
+                    break
+                if recorder is not None:
+                    recorder(node, next_id, f"finger[{index}]")
+                path.append(next_id)
+                node = next_id
+            else:
+                owner_id = ids[owner_index % len(ids)]
+                if owner_id != node:
+                    if recorder is not None:
+                        recorder(node, owner_id, "successor")
+                    path.append(owner_id)
+                return tuple(path)
+        current = self.node(path[-1])
         if current.successor_id is None:
             raise ChordError("ring not built; call build() first")
-        path = [current.node_id]
         nodes = self._nodes
-        size = self.space.size
-        built = self._built_epoch == self.membership_epoch
         max_hops = 4 * self.space.m + len(nodes)
         # key in (current, successor], as IdSpace.in_half_open has it: the
         # clockwise distances are taken from current + 1, so that
@@ -374,19 +394,8 @@ class ChordRing:
         while ((key - current.node_id - 1) & mask) > (
             (current.successor_id - current.node_id - 1) & mask
         ):
-            # _closest_preceding_edge, inline (a built ring's nodes all
-            # have m fingers).
             node_id = current.node_id
-            span = ((key - node_id) & mask) or size
-            fingers = current.fingers
-            index = (span - 1).bit_length() - 1 if built else len(fingers) - 1
-            while index >= 0:
-                next_id = fingers[index]
-                if next_id is not None and 0 < ((next_id - node_id) & mask) < span:
-                    break
-                index -= 1
-            else:
-                next_id = current.successor_id
+            next_id, index = self._closest_preceding_edge(current, key)
             if next_id == node_id:
                 break
             if recorder is not None:

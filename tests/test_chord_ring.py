@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 
@@ -453,3 +454,101 @@ class TestRoutingOracle:
                 ).path
                 assert recorded == path == ring.lookup_path(key, start_id)
                 assert vias == expected_vias
+
+
+# ----------------------------------------------------------------------
+# The predecessor rule: a built table's hop reads one finger
+# ----------------------------------------------------------------------
+
+
+def assert_routes_as_reference(ring: ChordRing, key: int, start_id: int) -> None:
+    """``lookup`` with a recorder, without one and ``reference_lookup``
+    agree on the path and on every hop's edge and label."""
+    path, expected_vias = reference_lookup(ring, key, start_id)
+    vias: list[str] = []
+    edges: list[tuple[int, int]] = []
+
+    def recorder(hop_from, hop_to, via):
+        edges.append((hop_from, hop_to))
+        vias.append(via)
+
+    assert ring.lookup(key, start_id, recorder=recorder).path == path
+    assert ring.lookup_path(key, start_id) == path
+    assert vias == expected_vias
+    assert edges == list(zip(path, path[1:]))
+
+
+class TestPredecessorRule:
+    @pytest.mark.parametrize("m", [8, 32, 64])
+    def test_blank_slots_route_as_the_reference(self, m):
+        # No membership change: the rule reads the table, and a hop that
+        # meets a blanked slot scans from there.
+        ring, rnd = fresh_ring(400, m)
+        epoch = ring.membership_epoch
+        for node_id in ring.node_ids:
+            fingers = ring.node(node_id).fingers
+            for slot in range(len(fingers)):
+                if rnd.random() < 0.1:
+                    fingers[slot] = None
+        assert ring.membership_epoch == epoch
+        starts = rnd.sample(ring.node_ids, 6)
+        for key in built_probe_keys(ring, rnd):
+            for start_id in starts:
+                assert_routes_as_reference(ring, key, start_id)
+
+    def test_a_blank_first_hop_falls_back_to_the_scan(self):
+        ring, _rnd = fresh_ring(64, 32)
+        ids = ring.node_ids
+        start_id, key = ids[0], ids[40]
+        index = ((ids[39] - start_id) & ring.space.mask).bit_length() - 1
+        assert ring.lookup(key, start_id).path[1] == ring.node(start_id).fingers[index]
+        ring.node(start_id).fingers[index] = None
+        _path, vias = reference_lookup(ring, key, start_id)
+        assert vias[0] != f"finger[{index}]"
+        assert_routes_as_reference(ring, key, start_id)
+
+    @pytest.mark.parametrize("m", [8, 32, 64])
+    def test_a_ring_changed_since_build_routes_by_the_scan(self, m):
+        ring, rnd = fresh_ring(64, m)
+        ids = ring.node_ids
+        ring.remove_node(ids[20])
+        gap = next(i for i in range(len(ids) - 1) if ids[i + 1] - ids[i] > 1)
+        late = ring.add_node(node_id=ids[gap] + 1)  # no routing state
+        starts = [node_id for node_id in ring.node_ids if node_id != late.node_id]
+        for key in built_probe_keys(ring, rnd) + [late.node_id, ids[20]]:
+            for start_id in rnd.sample(starts, 8):
+                expected = outcome(lambda: reference_lookup(ring, key, start_id))
+                vias: list[str] = []
+                recorded = outcome(
+                    lambda: ring.lookup(
+                        key, start_id, recorder=lambda _a, _b, via: vias.append(via)
+                    ).path
+                )
+                assert outcome(lambda: ring.lookup_path(key, start_id)) == recorded
+                if expected[0] == "raised":
+                    assert recorded == expected
+                    continue
+                path, expected_vias = expected[1]
+                assert recorded == ("ok", path)
+                assert vias == expected_vias
+                if key == late.node_id:
+                    # The late node owns its id, but no table names it.
+                    assert late.node_id not in path
+
+    def test_hops_on_a_built_10k_ring_stay_within_the_halving_bound(self):
+        ring = ChordRing(m=32)
+        ring.add_nodes(10_000)
+        ring.build()
+        ids = ring.node_ids
+        size, mask = ring.space.size, ring.space.mask
+        rnd = random.Random(10_000)
+        keys = [rnd.randrange(size) for _ in range(400)]
+        for node_id in rnd.sample(ids, 150):
+            keys += [node_id, node_id - 1, node_id + 1, node_id + size]
+        keys += [0, size - 1, -1, size, ids[0], ids[-1] + 1]
+        for key in keys:
+            start_id = rnd.choice(ids)
+            path, _vias = reference_lookup(ring, key, start_id)
+            assert ring.lookup_path(key, start_id) == path
+            pred = ids[bisect.bisect_left(ids, key & mask) - 1]
+            assert len(path) - 1 <= ((pred - start_id) & mask).bit_length() + 1

@@ -73,8 +73,10 @@ def test_a_peer_process_imports_nothing_it_never_runs(entry):
         f"import sys; {entry}; "
         f"print([m for m in sys.modules if m.startswith({NOT_FOR_PEERS!r})])"
     )
+    # -B: the env below replaces this process's, so a PYTHONDONTWRITEBYTECODE
+    # set here would not reach the child.
     done = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        [sys.executable, "-B", "-c", code], capture_output=True, text=True, check=True,
         env={"PYTHONPATH": repro.__path__[0] + "/.."},
     )
     assert done.stdout.strip() == "[]"
